@@ -7,7 +7,7 @@ from .baseline import (
     load_profile,
     save_profile,
 )
-from .clustering import Dendrogram, FeatureVector, OutlierReport, agglomerate, outliers, pairwise_distance
+from .clustering import Dendrogram, FeatureVector, OutlierReport, agglomerate, outliers
 from .detector import (
     Alert,
     DetectorConfig,
@@ -25,7 +25,6 @@ from .entropy import (
     EntropySample,
     EntropySeries,
     WindowConfig,
-    first_difference,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
@@ -36,7 +35,6 @@ from .hierarchy import (
     LevelConfig,
     LevelState,
     aggregate_entropy,
-    aggregate_second_derivative,
     default_hierarchy,
     level_entropy,
     route_source,

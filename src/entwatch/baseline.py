@@ -68,6 +68,14 @@ def empirical_distribution(window_samples: Sequence[float],
     return BinnedDistribution(lo, hi, counts / counts.sum())
 
 
+def smoothed_distribution(samples: Sequence[float],
+                          bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
+    """Smoothed histogram of deviation samples over DEVIATION_SUPPORT; no empty bins."""
+    lo, hi = DEVIATION_SUPPORT
+    counts = _bin_counts(samples, lo, hi, bin_count)
+    return BinnedDistribution(lo, hi, smooth_probabilities(counts / counts.sum()))
+
+
 def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
                  prior: float = DEFAULT_PRIOR,
                  created_at: float | None = None,
@@ -81,7 +89,6 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
     """
     if not 0.0 <= prior <= 1.0:
         raise InvalidPrior(f"prior must be in [0, 1], got {prior}")
-    lo, hi = DEVIATION_SUPPORT
     per_level: dict[str, BinnedDistribution] = {}
     sample_counts: dict[str, int] = {}
     for level_id in sorted(benign_samples):
@@ -90,8 +97,7 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
             raise TooFewSamples(
                 f"level {level_id!r} has {len(samples)} samples, fitting needs {MIN_FIT_SAMPLES}"
             )
-        counts = _bin_counts(samples, lo, hi, bin_count)
-        per_level[level_id] = BinnedDistribution(lo, hi, smooth_probabilities(counts / counts.sum()))
+        per_level[level_id] = smoothed_distribution(samples, bin_count)
         sample_counts[level_id] = len(samples)
     return BaselineProfile(
         version=PROFILE_VERSION,

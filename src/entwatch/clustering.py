@@ -76,42 +76,19 @@ class OutlierReport:
             raise ValueError("flagged sources must be a subset of scored sources")
 
 
-def _feature_matrix(vectors) -> np.ndarray:
-    return np.asarray([v.features for v in vectors], dtype=np.float64)
-
-
-def scale_bounds(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature (min, max) over a batch, for min-max scaling."""
-    mat = _feature_matrix(vectors)
-    return mat.min(axis=0), mat.max(axis=0)
-
-
-def _scale(mat: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    span = hi - lo
-    out = np.zeros_like(mat)
-    active = span > 0
-    out[:, active] = (mat[:, active] - lo[active]) / span[active]
-    return out
-
-
-def pairwise_distance(a: FeatureVector, b: FeatureVector,
-                      bounds: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Euclidean distance after min-max scaling.
-
-    Without explicit bounds the two vectors themselves define the scale, so
-    any single differing feature contributes exactly 1. Constant features
-    contribute 0.
-    """
-    if bounds is None:
-        bounds = scale_bounds([a, b])
-    mat = _scale(_feature_matrix([a, b]), *bounds)
-    return float(np.linalg.norm(mat[0] - mat[1]))
-
-
 def scaled_distance_matrix(vectors) -> np.ndarray:
-    """Full pairwise distance matrix in batch-scaled feature space."""
-    mat = _feature_matrix(vectors)
-    scaled = _scale(mat, mat.min(axis=0), mat.max(axis=0))
+    """Full pairwise Euclidean distance matrix in batch-scaled feature space.
+
+    Each feature is min-max scaled over the batch, so a constant feature
+    contributes 0 and, between two vectors, a single differing feature
+    contributes exactly 1.
+    """
+    mat = np.asarray([v.features for v in vectors], dtype=np.float64)
+    lo = mat.min(axis=0)
+    span = mat.max(axis=0) - lo
+    scaled = np.zeros_like(mat)
+    active = span > 0
+    scaled[:, active] = (mat[:, active] - lo[active]) / span[active]
     diff = scaled[:, None, :] - scaled[None, :, :]
     return np.sqrt((diff * diff).sum(axis=2))
 

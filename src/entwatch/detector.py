@@ -18,6 +18,7 @@ single writer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .entropy import BinnedDistribution, MAX_ENTROPY_BITS, EPSILON_MASS, _second_diff_triple
@@ -39,14 +40,14 @@ class DetectorConfig:
     outlier_weight: float = 0.2
 
     def __post_init__(self):
-        if self.kl_threshold < 0:
-            raise ValueError(f"kl_threshold must be non-negative, got {self.kl_threshold}")
+        if not (math.isfinite(self.kl_threshold) and self.kl_threshold >= 0):
+            raise ValueError(f"kl_threshold must be finite and non-negative, got {self.kl_threshold}")
         if not 0.0 < self.posterior_threshold < 1.0:
             raise ValueError(f"posterior_threshold must be in (0, 1), got {self.posterior_threshold}")
-        if self.convexity_run < 1:
+        if not self.convexity_run >= 1:
             raise ValueError(f"convexity_run must be a positive integer, got {self.convexity_run}")
-        if self.window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
+        if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
+            raise ValueError(f"window_seconds must be finite and positive, got {self.window_seconds}")
         if not 0.0 <= self.outlier_weight <= 1.0:
             raise ValueError(f"outlier_weight must be in [0, 1], got {self.outlier_weight}")
 
@@ -58,7 +59,6 @@ class DeviationScore:
     source_id: str
     timestamp: float
     kl: float
-    d2h: float
     posterior: float
     outlier: float
 
@@ -144,13 +144,14 @@ def convexity_signal(level_state: LevelState, m: int) -> bool:
     """True when the last ``m`` consecutive second differences are all > 0."""
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    samples = level_state.series.samples
-    if len(samples) < m + 2:
+    series = level_state.series
+    if len(series) < m + 2:
         raise InsufficientSamples(
             f"convexity over {m} windows needs {m + 2} samples, level "
-            f"{level_state.level_id!r} has {len(samples)}"
+            f"{level_state.level_id!r} has {len(series)}"
         )
-    for end in range(len(samples) - m, len(samples)):
+    samples = series.latest(m + 2)
+    for end in range(2, m + 2):
         s0, s1, s2 = samples[end - 2], samples[end - 1], samples[end]
         accel = _second_diff_triple(s0.timestamp, s0.value, s1.timestamp, s1.value,
                                     s2.timestamp, s2.value)
@@ -159,8 +160,9 @@ def convexity_signal(level_state: LevelState, m: int) -> bool:
     return True
 
 
-def fused_confidence(score: DeviationScore, config: DetectorConfig) -> float:
-    return (1.0 - config.outlier_weight) * score.posterior + config.outlier_weight * score.outlier
+def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -> float:
+    """Blend of a source's posterior and its outlier score, weighted by ``outlier_weight``."""
+    return (1.0 - config.outlier_weight) * posterior + config.outlier_weight * outlier
 
 
 def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bool,
@@ -172,7 +174,7 @@ def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bo
     benign-to-ransomware transition. A known ground-truth onset is attached
     to the alert only when it does not postdate the alert itself.
     """
-    fused = fused_confidence(score, config)
+    fused = fused_confidence(score.posterior, score.outlier, config)
     is_attack = fused >= config.posterior_threshold and (
         score.kl >= config.kl_threshold or convexity
     )

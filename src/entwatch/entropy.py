@@ -5,8 +5,7 @@ Conventions used throughout the package:
 * Entropy is measured in bits per byte over the 256-symbol byte alphabet,
   so values live in [0, 8]. An empty histogram has entropy 0 by definition,
   which keeps stream starts total.
-* First differences are rates (bits/second) over the two most recent
-  samples; second differences use the three most recent samples and require
+* Second differences use the three most recent samples and require
   near-uniform spacing (each gap within 10% of their mean).
 * KL divergence is computed in bits. Zero reference-bins are floored at
   ``EPSILON_MASS`` before the ratio so the divergence stays finite; the
@@ -16,6 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -143,19 +143,27 @@ class EntropySeries:
         self.level_id = level_id
         self.window = window if window is not None else WindowConfig()
         self._samples: deque[EntropySample] = deque(maxlen=self.window.capacity)
+        # Most recent sample, None while the series is empty.
+        self.last: EntropySample | None = None
 
     def append(self, timestamp: float, value: float) -> EntropySample:
-        if self._samples and timestamp <= self._samples[-1].timestamp:
+        if self.last is not None and timestamp <= self.last.timestamp:
             raise ValueError(
-                f"timestamps must be strictly increasing: {timestamp} after {self._samples[-1].timestamp}"
+                f"timestamps must be strictly increasing: {timestamp} after {self.last.timestamp}"
             )
         sample = EntropySample(timestamp, value)
         self._samples.append(sample)
+        self.last = sample
         return sample
 
     @property
     def samples(self) -> tuple[EntropySample, ...]:
         return tuple(self._samples)
+
+    def latest(self, k: int) -> list[EntropySample]:
+        """The ``k`` most recent samples, oldest first, without copying the series."""
+        samples = self._samples
+        return [samples[i] for i in range(-k, 0)]
 
     def values(self) -> list[float]:
         return [s.value for s in self._samples]
@@ -165,14 +173,6 @@ class EntropySeries:
 
     def __repr__(self):
         return f"EntropySeries({self.source_id!r}, level={self.level_id!r}, n={len(self)})"
-
-
-def first_difference(series: EntropySeries) -> float:
-    """Rate of entropy change (bits/second) over the two most recent samples."""
-    if len(series) < 2:
-        raise InsufficientSamples(f"first difference needs 2 samples, series has {len(series)}")
-    a, b = series.samples[-2], series.samples[-1]
-    return (b.value - a.value) / (b.timestamp - a.timestamp)
 
 
 def _second_diff_triple(t0, v0, t1, v1, t2, v2) -> float:
@@ -189,7 +189,7 @@ def second_difference(series: EntropySeries) -> float:
     """
     if len(series) < 3:
         raise InsufficientSamples(f"second difference needs 3 samples, series has {len(series)}")
-    s0, s1, s2 = series.samples[-3], series.samples[-2], series.samples[-1]
+    s0, s1, s2 = series.latest(3)
     dt1 = s1.timestamp - s0.timestamp
     dt2 = s2.timestamp - s1.timestamp
     mean_dt = (dt1 + dt2) / 2.0
@@ -211,14 +211,15 @@ class BinnedDistribution:
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins, dtype=np.float64)
-        if self.lo >= self.hi:
-            raise ValueError(f"support bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError(f"support bounds must be finite with lo < hi, got [{self.lo}, {self.hi}]")
         if self.bins.ndim != 1 or self.bins.size == 0:
             raise ValueError("bins must be a non-empty 1-d sequence")
         if (self.bins < 0).any():
             raise ValueError("bin masses must be non-negative")
         total = float(self.bins.sum())
-        if abs(total - 1.0) > 1e-9:
+        # Written so that a NaN mass (and so a NaN total) fails the check.
+        if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"bin masses must sum to 1 within 1e-9, got {total!r}")
 
     @property
@@ -266,10 +267,6 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
         return 0.0
     value = float((p.bins[mask] * np.log2(p.bins[mask] / q_floored[mask])).sum())
     return max(value, 0.0)
-
-
-def uniform_distribution(lo: float = 0.0, hi: float = MAX_ENTROPY_BITS, bin_count: int = 64) -> BinnedDistribution:
-    return BinnedDistribution(lo, hi, np.full(bin_count, 1.0 / bin_count))
 
 
 def series_from_values(values, dt: float = 1.0, source_id: str = "s", level_id: str = "L",

@@ -10,12 +10,13 @@ writer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Mapping, Sequence
 
-from .entropy import EntropySeries, WindowConfig, second_difference
-from .errors import EmptyLevel, InsufficientSamples, MissingLevelValue, NoLevels
+from .entropy import EntropySeries, WindowConfig
+from .errors import EmptyLevel, MissingLevelValue, NoLevels
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -30,8 +31,8 @@ class LevelConfig:
     def __post_init__(self):
         if self.kind not in LEVEL_KINDS:
             raise ValueError(f"unknown level kind {self.kind!r}, expected one of {LEVEL_KINDS}")
-        if self.weight < 0:
-            raise ValueError(f"level weight must be non-negative, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight >= 0):
+            raise ValueError(f"level weight must be finite and non-negative, got {self.weight}")
         object.__setattr__(self, "path_patterns", tuple(self.path_patterns))
 
 
@@ -45,9 +46,6 @@ class HierarchyConfig:
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate level ids in hierarchy: {ids}")
-
-    def level_ids(self) -> tuple[str, ...]:
-        return tuple(lvl.level_id for lvl in self.levels)
 
     def effective_weights(self) -> dict[str, float]:
         """Raw weights, or weights scaled to sum to 1 when normalize is set."""
@@ -158,21 +156,4 @@ def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]
         if lvl.level_id not in level_values:
             raise MissingLevelValue(f"no entropy value supplied for level {lvl.level_id!r}")
         total += weights[lvl.level_id] * level_values[lvl.level_id]
-    return total
-
-
-def aggregate_second_derivative(config: HierarchyConfig,
-                                level_states: Mapping[str, LevelState]) -> float:
-    """Weighted sum of per-level second differences over the latest samples."""
-    weights = config.effective_weights()
-    total = 0.0
-    for lvl in config.levels:
-        state = level_states.get(lvl.level_id)
-        if state is None:
-            raise MissingLevelValue(f"no state supplied for level {lvl.level_id!r}")
-        if len(state.series) < 3:
-            raise InsufficientSamples(
-                f"level {lvl.level_id!r} has {len(state.series)} samples, second difference needs 3"
-            )
-        total += weights[lvl.level_id] * second_difference(state.series)
     return total

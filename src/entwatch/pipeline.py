@@ -1,19 +1,24 @@
 """Streaming detection over event records.
 
-Records are consumed in timestamp order and bucketed into fixed windows of
-``DetectorConfig.window_seconds``. At each window close:
+Records are consumed in timestamp order. ``SourceWindows`` buckets them into
+fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
+a level at its first record. At each window close every source with payload
+activity gets one entropy sample (entropy of its merged window histogram),
+and sources with two or more samples yield an absolute entropy deviation
+|dH|. ``collect_trace_deviations`` drives it alone to gather deviations for
+profile fitting; ``TraceProcessor`` composes it and, at each close:
 
-1. every source with payload activity gets one entropy sample (entropy of its
-   merged window histogram), and sources with two or more samples yield an
-   absolute entropy deviation |dH|;
-2. each level's series receives the mean of its members' latest entropies,
-   and the weighted across-level aggregate is extended (over the levels that
+1. folds each new deviation into the source's recent-deviation window and its
+   max |dH|, and the second difference of its entropy series into its max
+   acceleration;
+2. extends each level's series with the mean of its sampled members' latest
+   entropies, and the weighted across-level aggregate (over the levels that
    have data so far);
 3. per deviation: KL of the source's recent deviation window against its
    level baseline, and a Bayes update of the source posterior by the
    attack-vs-baseline likelihood ratio of the new deviation;
-4. sources are clustered in feature space and outlier-scored whenever that
-   could change a label this window, then fused verdicts are emitted.
+4. clusters sources in feature space and outlier-scores them whenever that
+   could change a label this window, then emits fused verdicts.
 
 Labels latch (benign -> ransomware only) and each source alerts at most once.
 One processor handles one trace; processors share nothing and may run
@@ -24,14 +29,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
 
 from .baseline import (
     BaselineProfile,
     DEFAULT_BIN_COUNT,
-    DEVIATION_SUPPORT,
     empirical_distribution,
+    smoothed_distribution,
 )
 from .clustering import FeatureVector, OutlierReport, agglomerate, outliers
 from .detector import (
@@ -52,13 +56,20 @@ from .entropy import (
     ByteHistogram,
     EntropySeries,
     WindowConfig,
-    _second_diff_triple,
     kl_divergence,
+    second_difference,
     shannon_entropy,
-    smooth_probabilities,
 )
-from .errors import InsufficientSamples
-from .hierarchy import HierarchyConfig, LevelState, default_hierarchy, route_kind, route_source
+from .errors import InsufficientSamples, IrregularSpacing
+from .hierarchy import (
+    HierarchyConfig,
+    LevelState,
+    aggregate_entropy,
+    default_hierarchy,
+    level_entropy,
+    route_kind,
+    route_source,
+)
 from .simulate import ScenarioSpec, simulate_scenario
 from .traces import EventRecord
 
@@ -80,11 +91,22 @@ ATTACK_FIT_DURATION = 60.0
 
 
 @dataclass
-class SourceTrack:
+class SourceWindow:
+    """One source's open-window histogram and entropy series."""
+
     source_id: str
     level_id: str
     series: EntropySeries
     pending: ByteHistogram | None = None
+    # |dH| between the source's last two samples, set at each close that
+    # samples it; None at its first sample.
+    deviation: float | None = None
+
+
+@dataclass
+class SourceTrack(SourceWindow):
+    """A source's window state plus the detector's evidence about it."""
+
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
     posterior: float = 0.0
     kl: float = 0.0
@@ -93,7 +115,71 @@ class SourceTrack:
     max_accel: float = 0.0
     flagged: bool = False
     verdict: Verdict | None = None
-    new_deviation: float | None = None
+
+
+class SourceWindows:
+    """Per-source entropy over fixed windows, fed one record at a time.
+
+    A record belongs to window ``int(timestamp // window_seconds)``. A record
+    from a later window first closes the open one; the windows skipped in
+    between hold no records, so a gap of any length costs one close. Each
+    source is routed to a level at its first record, built by ``new_source``
+    and kept in first-record order.
+    """
+
+    def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
+                 new_source=SourceWindow):
+        self.hierarchy = hierarchy
+        self.window_seconds = window_seconds
+        self.new_source = new_source
+        self.series_window = WindowConfig(capacity=SOURCE_SERIES_CAPACITY, dt=window_seconds)
+        self.sources: dict[str, SourceWindow] = {}
+        self.index: int | None = None  # open window; None until the first record
+
+    def push(self, rec: EventRecord) -> tuple[float, list] | None:
+        """Add one record; returns ``close()``'s result when the record closed a window."""
+        idx = int(rec.timestamp // self.window_seconds)
+        closed = None
+        if self.index is None:
+            self.index = idx
+        elif idx > self.index:
+            closed = self.close()
+            self.index = idx
+        src = self.sources.get(rec.source_path)
+        if src is None:
+            src = self._add_source(rec)
+        if rec.bytes > 0:
+            if src.pending is None:
+                src.pending = rec.histogram.copy()
+            else:
+                src.pending.merge(rec.histogram)
+        return closed
+
+    def close(self) -> tuple[float, list]:
+        """Sample the open window: its end time and the sources sampled, in source order."""
+        t_end = (self.index + 1) * self.window_seconds
+        fresh = []
+        for src in self.sources.values():
+            if src.pending is None:
+                continue
+            value = shannon_entropy(src.pending)
+            src.pending = None
+            prev = src.series.last
+            src.series.append(t_end, value)
+            src.deviation = None if prev is None else min(abs(value - prev.value), 8.0)
+            fresh.append(src)
+        return t_end, fresh
+
+    def _add_source(self, rec: EventRecord) -> SourceWindow:
+        level_id = None
+        if rec.level_hint is not None:
+            level_id = route_kind(self.hierarchy, rec.level_hint)
+        if level_id is None:
+            level_id = route_source(self.hierarchy, rec.source_path)
+        src = self.new_source(rec.source_path, level_id,
+                              EntropySeries(rec.source_path, level_id, self.series_window))
+        self.sources[rec.source_path] = src
+        return src
 
 
 @dataclass
@@ -114,48 +200,38 @@ class TraceResult:
     post_onset_at_alert: int | None
 
     @property
-    def first_alert(self) -> Alert | None:
-        return self.alerts[0] if self.alerts else None
-
-    @property
     def latency_ms(self) -> float | None:
-        alert = self.first_alert
-        return None if alert is None or alert.latency_ms is None else alert.latency_ms
+        """Latency of the trace's first alert; None without an alert or a known onset."""
+        return self.alerts[0].latency_ms if self.alerts else None
 
 
 class TraceProcessor:
-    """Single-trace streaming state. Feed records in order, then call finish()."""
+    """Single-trace detection state. Feed records in order, then call finish()."""
 
     def __init__(self, hierarchy: HierarchyConfig | None = None,
-                 detector: DetectorConfig | None = None,
-                 profile: BaselineProfile | None = None,
+                 detector: DetectorConfig | None = None, *,
+                 profile: BaselineProfile,
                  attack_model: BinnedDistribution | None = None,
                  trace_name: str = "", label: str | None = None,
-                 onset_at: float | None = None,
-                 collect_deviations: bool = False):
+                 onset_at: float | None = None):
         self.hierarchy = hierarchy if hierarchy is not None else default_hierarchy()
         self.detector = detector if detector is not None else DetectorConfig()
         self.profile = profile
-        self.attack_model = attack_model
-        if profile is not None and attack_model is None:
-            self.attack_model = fit_attack_model()
+        self.attack_model = attack_model if attack_model is not None else fit_attack_model()
         self.trace_name = trace_name
         self.label = label
         self.onset_at = onset_at
-        self.collecting = collect_deviations
 
-        self._window = self.detector.window_seconds
-        self._win_index: int | None = None
-        self._source_window = WindowConfig(capacity=SOURCE_SERIES_CAPACITY, dt=self._window)
-        self.sources: dict[str, SourceTrack] = {}
+        self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
+                                      partial(SourceTrack, posterior=profile.prior))
+        self.sources: dict[str, SourceTrack] = self._windows.sources
         self.levels: dict[str, LevelState] = {}
-        self._level_members: dict[str, list[str]] = {}
-        self._latest_entropy: dict[str, float] = {}
+        # Per level, its sources with at least one sample, in first-sample order.
+        self._level_members: dict[str, list[SourceTrack]] = {}
         self._aggregate = LevelState(
             AGGREGATE_SERIES_ID,
-            EntropySeries(AGGREGATE_SERIES_ID, AGGREGATE_SERIES_ID, self._source_window),
+            EntropySeries(AGGREGATE_SERIES_ID, AGGREGATE_SERIES_ID, self._windows.series_window),
         )
-        self.collected: dict[str, list[tuple[float, float]]] = {}
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
@@ -173,84 +249,37 @@ class TraceProcessor:
         self.records_seen += 1
         if self.onset_at is not None and rec.timestamp >= self.onset_at:
             self.post_onset_seen += 1
-
-        idx = int(rec.timestamp // self._window)
-        if self._win_index is None:
-            self._win_index = idx
-        while idx > self._win_index:
-            self._close_window()
-
-        track = self.sources.get(rec.source_path)
-        if track is None:
-            track = self._new_track(rec)
-        if rec.bytes > 0:
-            if track.pending is None:
-                track.pending = rec.histogram.copy()
-            else:
-                track.pending.merge(rec.histogram)
+        closed = self._windows.push(rec)
+        if closed is not None:
+            self._close_window(*closed)
 
     def process(self, records) -> "TraceProcessor":
         for rec in records:
             self.process_record(rec)
         return self
 
-    def _new_track(self, rec: EventRecord) -> SourceTrack:
-        level_id = None
-        if rec.level_hint is not None:
-            level_id = route_kind(self.hierarchy, rec.level_hint)
-        if level_id is None:
-            level_id = route_source(self.hierarchy, rec.source_path)
-        prior = self.profile.prior if self.profile is not None else 0.0
-        track = SourceTrack(
-            source_id=rec.source_path,
-            level_id=level_id,
-            series=EntropySeries(rec.source_path, level_id, self._source_window),
-            posterior=prior,
-        )
-        self.sources[rec.source_path] = track
-        self._level_members.setdefault(level_id, []).append(rec.source_path)
-        return track
-
     # -- window close ------------------------------------------------------
 
-    def _close_window(self) -> None:
-        t_end = (self._win_index + 1) * self._window
-        fresh: list[SourceTrack] = []
-        for track in self.sources.values():
-            if track.pending is None:
+    def _close_window(self, t_end: float, fresh: list[SourceTrack]) -> None:
+        for track in fresh:
+            dev = track.deviation
+            if dev is None:
+                self._level_members.setdefault(track.level_id, []).append(track)
                 continue
-            value = shannon_entropy(track.pending)
-            track.pending = None
-            track.series.append(t_end, value)
-            self._latest_entropy[track.source_id] = value
-            track.new_deviation = None
-            if len(track.series) >= 2:
-                samples = track.series.samples
-                dev = min(abs(samples[-1].value - samples[-2].value), 8.0)
-                track.deviations.append(dev)
-                track.new_deviation = dev
-                track.max_abs_delta = max(track.max_abs_delta, dev)
-                if self.collecting:
-                    self.collected.setdefault(track.level_id, []).append((t_end, dev))
+            track.deviations.append(dev)
+            track.max_abs_delta = max(track.max_abs_delta, dev)
             if len(track.series) >= 3:
                 self._update_accel(track)
-            fresh.append(track)
-
-        if self.profile is not None and fresh:
+        if fresh:
             self._update_levels(t_end)
             self._score_and_decide(t_end, fresh)
 
-        self._win_index += 1
-
     def _update_accel(self, track: SourceTrack) -> None:
-        s0, s1, s2 = track.series.samples[-3:]
-        dt1 = s1.timestamp - s0.timestamp
-        dt2 = s2.timestamp - s1.timestamp
-        mean_dt = (dt1 + dt2) / 2.0
-        if abs(dt1 - mean_dt) <= 0.10 * mean_dt:
-            accel = _second_diff_triple(s0.timestamp, s0.value, s1.timestamp, s1.value,
-                                        s2.timestamp, s2.value)
-            track.max_accel = max(track.max_accel, accel)
+        try:
+            accel = second_difference(track.series)
+        except IrregularSpacing:
+            return
+        track.max_accel = max(track.max_accel, accel)
 
     def _update_levels(self, t_end: float) -> None:
         values: dict[str, float] = {}
@@ -258,34 +287,22 @@ class TraceProcessor:
             members = self._level_members.get(lvl.level_id)
             if not members:
                 continue
-            mean = sum(self._latest_entropy[sid] for sid in members) / len(members)
-            values[lvl.level_id] = mean
             state = self.levels.get(lvl.level_id)
             if state is None:
-                state = LevelState.create(lvl.level_id, self._source_window)
+                state = LevelState.create(lvl.level_id, self._windows.series_window)
                 self.levels[lvl.level_id] = state
-            state.series.append(t_end, mean)
-            state.source_count = len(members)
-            self.level_samples.append((lvl.level_id, t_end - self._window, mean))
+            mean = level_entropy(state, [m.series.last.value for m in members], t_end)
+            values[lvl.level_id] = mean
+            self.level_samples.append((lvl.level_id, t_end - self._windows.window_seconds, mean))
 
         # Aggregate over the levels that have data; weights renormalize over
         # that subset when the hierarchy is normalized.
-        active = self.hierarchy.subset(values.keys())
-        if active.levels:
+        if values:
             try:
-                weights = active.effective_weights()
-            except ValueError:
+                total = aggregate_entropy(self.hierarchy.subset(values), values)
+            except ValueError:  # the active levels' weights sum to 0
                 return
-            total = sum(weights[k] * values[k] for k in weights)
             self._aggregate.series.append(t_end, min(max(total, 0.0), 8.0))
-
-    def _aggregate_accel(self) -> float:
-        samples = self._aggregate.series.samples
-        if len(samples) < 3:
-            return 0.0
-        s0, s1, s2 = samples[-3:]
-        return _second_diff_triple(s0.timestamp, s0.value, s1.timestamp, s1.value,
-                                   s2.timestamp, s2.value)
 
     def _convexity(self) -> bool:
         try:
@@ -319,17 +336,16 @@ class TraceProcessor:
         convex = self._convexity()
         if convex:
             self.convexity_true_at.append(t_end)
-        d2h = self._aggregate_accel()
 
         scored: list[SourceTrack] = []
         for track in fresh:
-            if track.new_deviation is None:
+            if track.deviation is None:
                 continue
             q = self.profile.per_level.get(track.level_id)
             if q is not None:
                 emp = empirical_distribution(list(track.deviations), q.lo, q.hi, q.bin_count)
                 track.kl = kl_divergence(emp, q)
-                lr = likelihood_ratio(track.new_deviation, q, self.attack_model)
+                lr = likelihood_ratio(track.deviation, q, self.attack_model)
                 updated = posterior(track.posterior, lr)
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             scored.append(track)
@@ -337,10 +353,9 @@ class TraceProcessor:
         # Outlier scores can only flip a label for a source whose fused
         # confidence could clear the threshold even at outlier = 1; skip the
         # clustering pass entirely when no such source exists this window.
-        w = cfg.outlier_weight
         needs_outliers = any(
             not t.flagged
-            and (1.0 - w) * t.posterior + w >= cfg.posterior_threshold
+            and fused_confidence(t.posterior, 1.0, cfg) >= cfg.posterior_threshold
             and (t.kl >= cfg.kl_threshold or convex)
             for t in scored
         )
@@ -352,7 +367,6 @@ class TraceProcessor:
                 source_id=track.source_id,
                 timestamp=t_end,
                 kl=track.kl,
-                d2h=d2h,
                 posterior=track.posterior,
                 outlier=track.outlier,
             )
@@ -376,19 +390,17 @@ class TraceProcessor:
     def finish(self) -> TraceResult:
         if self._finished:
             raise RuntimeError("processor already finished")
-        if self._win_index is not None:
-            self._close_window()
-        if self.profile is not None:
-            self._refresh_outliers()
+        if self._windows.index is not None:
+            self._close_window(*self._windows.close())
+        self._refresh_outliers()
         self._finished = True
 
         per_source: dict[str, Verdict] = {}
         for sid, track in self.sources.items():
-            if track.flagged and track.verdict is not None:
+            if track.flagged:
                 per_source[sid] = track.verdict
             else:
-                fused = (1.0 - self.detector.outlier_weight) * track.posterior \
-                    + self.detector.outlier_weight * track.outlier
+                fused = fused_confidence(track.posterior, track.outlier, self.detector)
                 per_source[sid] = Verdict(sid, BENIGN, min(max(fused, 0.0), 1.0))
 
         any_flagged = any(v.label == RANSOMWARE for v in per_source.values())
@@ -413,16 +425,31 @@ def collect_trace_deviations(records, hierarchy: HierarchyConfig | None = None,
                              detector: DetectorConfig | None = None,
                              onset_at: float | None = None,
                              after_onset_only: bool = False) -> dict[str, list[float]]:
-    """Per-level deviation samples from a record stream, for profile fitting."""
-    proc = TraceProcessor(hierarchy, detector, collect_deviations=True, onset_at=onset_at)
-    proc.process(records)
-    proc.finish()
+    """Per-level deviation samples from a record stream, for profile fitting.
+
+    With ``after_onset_only`` and a known onset, deviations from windows that
+    end at or before the onset are dropped; their levels still get a key.
+    """
+    windows = SourceWindows(
+        hierarchy if hierarchy is not None else default_hierarchy(),
+        (detector if detector is not None else DetectorConfig()).window_seconds,
+    )
+    cutoff = onset_at if after_onset_only else None
     out: dict[str, list[float]] = {}
-    for level_id, pairs in proc.collected.items():
-        if after_onset_only and onset_at is not None:
-            out[level_id] = [d for t, d in pairs if t > onset_at]
-        else:
-            out[level_id] = [d for _, d in pairs]
+
+    def collect(t_end: float, fresh: list[SourceWindow]) -> None:
+        for src in fresh:
+            if src.deviation is not None:
+                devs = out.setdefault(src.level_id, [])
+                if cutoff is None or t_end > cutoff:
+                    devs.append(src.deviation)
+
+    for rec in records:
+        closed = windows.push(rec)
+        if closed is not None:
+            collect(*closed)
+    if windows.index is not None:
+        collect(*windows.close())
     return out
 
 
@@ -439,7 +466,6 @@ def fit_attack_model(bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
     if cached is not None:
         return cached
 
-    lo, hi = DEVIATION_SUPPORT
     pooled: list[float] = []
     for seed in ATTACK_MODEL_SEEDS:
         trace = simulate_scenario(ScenarioSpec("ransomware", seed, duration=ATTACK_FIT_DURATION))
@@ -449,9 +475,6 @@ def fit_attack_model(bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
         for devs in per_level.values():
             pooled.extend(devs)
 
-    arr = np.asarray(pooled, dtype=np.float64)
-    idx = np.clip(((arr - lo) / (hi - lo) * bin_count).astype(np.int64), 0, bin_count - 1)
-    counts = np.bincount(idx, minlength=bin_count).astype(np.float64)
-    model = BinnedDistribution(lo, hi, smooth_probabilities(counts / counts.sum()))
+    model = smoothed_distribution(pooled, bin_count)
     _attack_model_cache[bin_count] = model
     return model

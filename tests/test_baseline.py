@@ -153,6 +153,29 @@ class TestPersistence:
         with pytest.raises(UnsupportedVersion):
             load_profile(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("bins", float("nan")),
+        ("lo", float("nan")),
+        ("hi", float("inf")),
+    ])
+    def test_non_finite_numbers_are_corrupt(self, tmp_path, field, value):
+        from entwatch.baseline import _checksum
+
+        path = tmp_path / "p.json"
+        save_profile(random_profile(np.random.default_rng(4)), path)
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        level = doc["levels"][0]
+        if field == "bins":
+            level["bins"][0] = value
+        else:
+            level[field] = value
+        # re-checksum so only the non-finite number is wrong
+        doc["crc32"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptProfile):
+            load_profile(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_profile(tmp_path / "nope.json")

@@ -4,6 +4,9 @@ import sys
 
 import pytest
 
+from entwatch.entropy import histogram_from_bytes
+from entwatch.traces import EventRecord, Trace, TraceMeta, write_trace
+
 CLI = [sys.executable, "-m", "entwatch"]
 
 
@@ -163,6 +166,38 @@ class TestDetect:
         res = run_cli("detect", "--config", str(cfg_path), "--frozen-clock")
         assert res.returncode == 0, res.stderr
         assert (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("config", [
+        {"detector": {"kl_threshold": float("nan")}},
+        {"detector": {"window_seconds": float("nan")}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem",
+                                   "weight": float("nan")}]}},
+    ], ids=["kl_threshold", "window_seconds", "level_weight"])
+    def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "run"))
+        assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_zero_byte_first_record_keeps_every_row(self, workspace, tmp_path):
+        # /home/u/never joins fs-user with no entropy sample; the window close
+        # that samples /home/u/x must still compute the level mean.
+        records = [
+            EventRecord(0.5, "/home/u/never", "delete", histogram_from_bytes(b""), 0),
+            EventRecord(1.5, "/home/u/x", "write", histogram_from_bytes(b"abc" * 20), 60),
+            EventRecord(2.5, "/home/u/x", "write", histogram_from_bytes(b"abcd" * 20), 80),
+        ]
+        trace = tmp_path / "zero.jsonl"
+        write_trace(Trace(TraceMeta("benign_edit", 0, "benign"), records), trace)
+        out = tmp_path / "run"
+        res = run_cli("detect", str(trace), str(workspace / "ben0.jsonl"),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(row.split(",")[2] == "benign" for row in rows)
 
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

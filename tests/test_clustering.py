@@ -5,7 +5,6 @@ from entwatch.clustering import (
     FeatureVector,
     agglomerate,
     outliers,
-    pairwise_distance,
     scaled_distance_matrix,
 )
 from entwatch.errors import InvalidQuantile, TooFewVectors
@@ -41,19 +40,22 @@ def naive_average_linkage(vectors):
 class TestPairwiseDistance:
     def test_identity(self):
         a = fv("a", 1.0, 2.0, 3.0, 4.0)
-        assert pairwise_distance(a, a) == 0.0
+        b = fv("b", 5.0, 6.0, 7.0, 8.0)
+        dist = scaled_distance_matrix([a, b, a])
+        assert np.all(np.diag(dist) == 0.0)
+        assert dist[0, 2] == 0.0
 
     def test_unit_displacement(self):
         a = fv("a", 1.0, 5.0)
         b = fv("b", 1.0, 9.0)
-        assert pairwise_distance(a, b) == pytest.approx(1.0)
+        assert scaled_distance_matrix([a, b])[0, 1] == pytest.approx(1.0)
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            a = fv("a", *rng.uniform(0, 8, size=4))
-            b = fv("b", *rng.uniform(0, 8, size=4))
-            assert pairwise_distance(a, b) == pytest.approx(pairwise_distance(b, a), abs=1e-12)
+            vectors = [fv(f"v{i}", *rng.uniform(0, 8, size=4)) for i in range(4)]
+            dist = scaled_distance_matrix(vectors)
+            assert np.allclose(dist, dist.T, rtol=0.0, atol=1e-12)
 
 
 class TestAgglomerate:

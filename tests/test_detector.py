@@ -31,8 +31,8 @@ def level_from_values(values):
     return state
 
 
-def score(source="s", kl=0.0, d2h=0.0, post=0.0, outlier=0.0, t=1.0):
-    return DeviationScore(source, t, kl, d2h, post, outlier)
+def score(source="s", kl=0.0, post=0.0, outlier=0.0, t=1.0):
+    return DeviationScore(source, t, kl, post, outlier)
 
 
 class TestLikelihoodRatio:
@@ -163,7 +163,7 @@ class TestFuseAndDecide:
 
     def test_fused_confidence_blend(self):
         cfg = DetectorConfig(outlier_weight=0.25)
-        assert fused_confidence(score(post=0.8, outlier=0.4), cfg) == pytest.approx(0.7)
+        assert fused_confidence(0.8, 0.4, cfg) == pytest.approx(0.7)
 
 
 class TestAlerts:

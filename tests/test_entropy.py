@@ -11,7 +11,6 @@ from entwatch.entropy import (
     EntropySample,
     EntropySeries,
     WindowConfig,
-    first_difference,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
@@ -129,29 +128,6 @@ class TestSeries:
     def test_capacity_minimum(self):
         with pytest.raises(ValueError):
             WindowConfig(capacity=2)
-
-
-class TestFirstDifference:
-    def test_constant_series(self):
-        assert first_difference(series_from_values([7.5, 7.5, 7.5])) == 0.0
-
-    def test_ramp_endpoints_slope(self):
-        series = EntropySeries("s", "L", WindowConfig(capacity=3))
-        series.append(0.0, 2.1)
-        series.append(100.0, 7.8)
-        assert first_difference(series) == pytest.approx(0.057, abs=1e-12)
-
-    def test_direct_arithmetic(self):
-        series = EntropySeries("s", "L", WindowConfig(capacity=3))
-        series.append(0.0, 0.0)
-        series.append(4.0, 2.0)
-        assert first_difference(series) == 0.5
-
-    def test_too_few_samples(self):
-        series = EntropySeries("s", "L")
-        series.append(0.0, 1.0)
-        with pytest.raises(InsufficientSamples):
-            first_difference(series)
 
 
 class TestSecondDifference:

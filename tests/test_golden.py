@@ -1,0 +1,76 @@
+"""Golden outputs: a fixed simulate/profile/detect run must reproduce byte for byte.
+
+The hashes below pin the frozen-clock outputs of the CLI on a small seeded
+corpus, plus the fitted attack model. A refactor must leave all of them
+unchanged. A deliberate behaviour change updates the hashes in the same
+change and says so, with the old and new values, in a CHANGES.md line.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from entwatch.cli import main
+from entwatch.pipeline import fit_attack_model
+
+SIMULATED = (
+    ("benign_edit", 7000, "ben_7000.jsonl"),
+    ("benign_edit", 7001, "ben_7001.jsonl"),
+    ("benign_edit", 7002, "ben_7002.jsonl"),
+    ("ransomware", 7010, "rw_7010.jsonl"),
+    ("ransomware", 7011, "rw_7011.jsonl"),
+    ("benign_edit", 7012, "ben_7012.jsonl"),
+    ("compressor", 7013, "zip_7013.jsonl"),
+)
+
+GOLDEN = {
+    "profile.json": "2d6861bd16c7a565fcaf001b46edefc12d43de62ed30e9527fdaf821aa34c1ea",
+    "run/report.csv": "77ef33aaf16cc7637672c1232811f67d3a2ddfd84b6a1f52123bc91441ed946e",
+    "run/metrics.json": "def27c28fc088aa4685606ce5617248f8b6f749a39fcbd54b1f2800f6233cc6a",
+    "run/heatmap.csv": "eab42644230e2d0f3c862154d1d2c3d2985bc8a151dff039062abbe77ed84019",
+}
+GOLDEN_DETECT_STDOUT = "cfb613ef9ed8807b4a9d6b7c4355fcf2768781d0db378069b9f97d44c420efe1"
+GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    """Run the CLI in a fresh directory with relative names; returns (dir, detect stdout)."""
+    root = tmp_path_factory.mktemp("golden")
+    mp = pytest.MonkeyPatch()
+    mp.chdir(root)
+    try:
+        for kind, seed, name in SIMULATED:
+            assert main(["simulate", "--kind", kind, "--seed", str(seed), "--out", name]) == 0
+        assert main(["profile", "ben_7000.jsonl", "ben_7001.jsonl", "ben_7002.jsonl",
+                     "--out", "profile.json", "--frozen-clock"]) == 0
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["detect", "rw_7010.jsonl", "rw_7011.jsonl", "ben_7012.jsonl",
+                         "zip_7013.jsonl", "--baseline", "profile.json", "--out", "run",
+                         "--frozen-clock"])
+        assert code == 0
+    finally:
+        mp.undo()
+    return root, buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_frozen_clock_outputs_match_golden(golden_run, name):
+    root, _ = golden_run
+    assert sha256((root / name).read_bytes()) == GOLDEN[name]
+
+
+def test_detect_stdout_matches_golden(golden_run):
+    _, stdout = golden_run
+    assert sha256(stdout.encode("utf-8")) == GOLDEN_DETECT_STDOUT
+
+
+def test_attack_model_bins_match_golden():
+    assert sha256(fit_attack_model().bins.tobytes()) == GOLDEN_ATTACK_MODEL

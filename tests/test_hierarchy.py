@@ -2,14 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwatch.entropy import series_from_values
-from entwatch.errors import EmptyLevel, InsufficientSamples, MissingLevelValue, NoLevels
+from entwatch.errors import EmptyLevel, MissingLevelValue, NoLevels
 from entwatch.hierarchy import (
     HierarchyConfig,
     LevelConfig,
     LevelState,
     aggregate_entropy,
-    aggregate_second_derivative,
     default_hierarchy,
     level_entropy,
     route_source,
@@ -25,13 +23,6 @@ def three_levels(normalize=False, weights=(0.5, 0.3, 0.2)):
         ),
         normalize=normalize,
     )
-
-
-def state_from_values(level_id, values):
-    state = LevelState.create(level_id)
-    for i, v in enumerate(values):
-        state.series.append(float(i), v)
-    return state
 
 
 class TestRouting:
@@ -129,57 +120,6 @@ class TestAggregateEntropy:
         cfg = three_levels()
         reordered = HierarchyConfig(levels=tuple(reversed(cfg.levels)), normalize=False)
         assert aggregate_entropy(cfg, values) == pytest.approx(aggregate_entropy(reordered, values))
-
-
-class TestAggregateSecondDerivative:
-    def test_all_linear_is_zero(self):
-        cfg = three_levels()
-        states = {
-            "user": state_from_values("user", [1.0, 2.0, 3.0]),
-            "system": state_from_values("system", [2.0, 2.5, 3.0]),
-            "net": state_from_values("net", [0.0, 0.1, 0.2]),
-        }
-        assert aggregate_second_derivative(cfg, states) == pytest.approx(0.0, abs=1e-12)
-
-    def test_single_quadratic_level(self):
-        cfg = HierarchyConfig(levels=(
-            LevelConfig("quad", "filesystem", 0.5),
-            LevelConfig("flat", "filesystem", 0.7),
-        ), normalize=False)
-        states = {
-            "quad": state_from_values("quad", [0.0, 1.0, 4.0]),
-            "flat": state_from_values("flat", [3.0, 3.0, 3.0]),
-        }
-        assert aggregate_second_derivative(cfg, states) == pytest.approx(1.0, abs=1e-12)
-
-    def test_weight_scaling(self):
-        states = lambda: {
-            "user": state_from_values("user", [0.0, 1.0, 4.0]),
-            "system": state_from_values("system", [0.0, 0.5, 2.0]),
-            "net": state_from_values("net", [1.0, 1.0, 1.0]),
-        }
-        base = aggregate_second_derivative(three_levels(), states())
-        doubled = aggregate_second_derivative(three_levels(weights=(1.0, 0.6, 0.4)), states())
-        assert doubled == pytest.approx(2.0 * base, rel=1e-12)
-
-    def test_convexity_propagation(self):
-        cfg = three_levels(weights=(0.5, 0.0, 0.2))
-        states = {
-            "user": state_from_values("user", [0.0, 1.0, 4.0]),
-            "system": state_from_values("system", [0.0, 0.5, 1.5]),
-            "net": state_from_values("net", [0.0, 0.2, 0.5]),
-        }
-        assert aggregate_second_derivative(cfg, states) > 0.0
-
-    def test_insufficient_samples_names_level(self):
-        cfg = three_levels()
-        states = {
-            "user": state_from_values("user", [1.0, 2.0, 3.0]),
-            "system": state_from_values("system", [2.0, 2.5]),
-            "net": state_from_values("net", [0.0, 0.1, 0.2]),
-        }
-        with pytest.raises(InsufficientSamples, match="system"):
-            aggregate_second_derivative(cfg, states)
 
 
 class TestDefaults:

@@ -130,6 +130,30 @@ class TestLevelSeries:
         assert {lvl for lvl, _, _ in result.level_samples} == {"docs", "sys"}
 
 
+class TestProcessor:
+    def test_profile_is_required(self):
+        with pytest.raises(TypeError):
+            TraceProcessor()
+
+    def test_long_gap_closes_once(self, benign_profile, attack_model, monkeypatch):
+        closes = []
+        original = TraceProcessor._close_window
+
+        def counting(proc, t_end, fresh):
+            closes.append(t_end)
+            original(proc, t_end, fresh)
+
+        monkeypatch.setattr(TraceProcessor, "_close_window", counting)
+        hist = histogram_from_bytes(b"abcd" * 16)
+        records = [EventRecord(t, "/home/u/x", "write", hist, 64) for t in (0.5, 1e9 + 0.5)]
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        proc.process(records)
+        assert closes == [1.0]
+        proc.finish()
+        assert closes == [1.0, 1e9 + 1.0]
+        assert [s.timestamp for s in proc.sources["/home/u/x"].series.samples] == closes
+
+
 class TestWindowing:
     def test_windowed_source_entropy(self, benign_profile, attack_model):
         # two writes in one window must merge before the entropy sample is taken
