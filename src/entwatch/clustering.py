@@ -4,8 +4,18 @@ Average linkage over Euclidean distances in min-max-scaled feature space.
 Cluster ids follow the usual convention: leaves are 0..n-1 and merge k
 creates cluster n+k. Ties on merge distance break on the smallest
 (cluster_a, cluster_b) pair, which makes the merge sequence a pure function
-of input order and values. Everything here is batch computation with no
-shared state; disjoint batches can run concurrently.
+of input order and values. A tie here means equal computed Lance-Williams
+distances: two mathematically equal averages that round apart in the last
+ulp do not tie.
+
+`agglomerate` is Müllner's generic algorithm with a cached minimum per
+row: a row whose partner was merged is rescanned and takes the smallest id
+among ties, and any other row moves to the new cluster only on a strictly
+smaller distance. That keeps the smallest-pair tie-break exactly, at O(n^2)
+cost in practice and O(n^3) in the worst case.
+
+Everything here is batch computation with no shared state; disjoint
+batches can run concurrently.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ def scaled_distance_matrix(vectors) -> np.ndarray:
 
     Each feature is min-max scaled over the batch, so a constant feature
     contributes 0 and, between two vectors, a single differing feature
-    contributes exactly 1.
+    contributes exactly 1. Squared differences are summed in feature order.
     """
     mat = np.asarray([v.features for v in vectors], dtype=np.float64)
     lo = mat.min(axis=0)
@@ -89,15 +99,32 @@ def scaled_distance_matrix(vectors) -> np.ndarray:
     scaled = np.zeros_like(mat)
     active = span > 0
     scaled[:, active] = (mat[:, active] - lo[active]) / span[active]
-    diff = scaled[:, None, :] - scaled[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    squared = np.zeros((len(mat), len(mat)))
+    for column in scaled.T:
+        diff = np.subtract.outer(column, column)
+        squared += diff * diff
+    return np.sqrt(squared)
 
 
 def agglomerate(vectors) -> Dendrogram:
     """Average-linkage merge sequence over batch-scaled Euclidean distances.
 
-    Uses the Lance-Williams update, so each merge costs one vector operation;
-    heights match a brute-force recomputation from the scaled matrix.
+    Müllner's generic algorithm ("Modern hierarchical, agglomerative
+    clustering algorithms", arXiv:1109.2378) with a cache of each row's
+    minimum. Every active cluster c caches its nearest active partner among
+    the ids above c, the smallest such id among equal distances, and the
+    distance to it. The merge pair is (a, partner of a) for the smallest a
+    holding the least cached distance: the smallest (a, b) pair among equal
+    distances, as a row-major scan of the upper triangle would find it.
+
+    A merge sets distances to the new cluster with the Lance-Williams
+    update, so heights match a brute-force recomputation from the scaled
+    matrix up to rounding. Then only the rows whose partner was a or b are
+    rescanned, taking the smallest id among ties. Every other row moves its
+    partner to the new cluster only on a strictly smaller distance; the new
+    id is larger than every other, so it loses all ties. Cost is O(n^2) in
+    practice and O(n^3) in the worst case, when most rows need a rescan at
+    every merge.
     """
     vectors = list(vectors)
     n = len(vectors)
@@ -105,45 +132,49 @@ def agglomerate(vectors) -> Dendrogram:
         raise TooFewVectors(f"clustering needs at least 2 vectors, got {n}")
 
     size = 2 * n - 1
+    # Slots of merged-away clusters and of clusters not created yet hold inf,
+    # so a scan of row c over the ids above c sees only active partners.
     dist = np.full((size, size), np.inf)
     dist[:n, :n] = scaled_distance_matrix(vectors)
     np.fill_diagonal(dist, np.inf)
-
-    active = np.zeros(size, dtype=bool)
-    active[:n] = True
     cluster_sizes = np.zeros(size, dtype=np.int64)
     cluster_sizes[:n] = 1
 
-    # Only consider ordered pairs a < b; row-major argmin then lands on the
-    # smallest (a, b) among equal distances.
-    masked = dist.copy()
-    masked[np.tril_indices(size)] = np.inf
+    # Row cache: partner[c] is c's nearest active cluster among the ids above
+    # c (-1 for none), row_min[c] the distance to it (inf for none).
+    partner = np.full(size, -1, dtype=np.int64)
+    row_min = np.full(size, np.inf)
+
+    def rescan(c):
+        # argmin returns the first index, so the smallest id among ties.
+        partner[c] = c + 1 + dist[c, c + 1:].argmin()
+        row_min[c] = dist[c, partner[c]]
+
+    for c in range(n - 1):
+        rescan(c)
 
     merges = []
-    for step in range(n - 1):
-        flat = int(np.argmin(masked))
-        a, b = divmod(flat, size)
-        height = float(masked[a, b])
-        new = n + step
+    for new in range(n, size):
+        a = int(row_min.argmin())
+        b = int(partner[a])
         new_size = int(cluster_sizes[a] + cluster_sizes[b])
-        merges.append(Merge(a, b, height, new_size))
+        merges.append(Merge(a, b, float(row_min[a]), new_size))
 
-        others = np.flatnonzero(active)
-        others = others[(others != a) & (others != b)]
-        if others.size:
-            updated = (cluster_sizes[a] * dist[a, others] + cluster_sizes[b] * dist[b, others]) / new_size
-            dist[new, others] = updated
-            dist[others, new] = updated
-            lower = others[others < new]
-            masked[lower, new] = dist[lower, new]
-
-        active[a] = active[b] = False
-        active[new] = True
+        partner[a] = partner[b] = -1
+        row_min[a] = row_min[b] = np.inf
+        dist[:, a] = dist[:, b] = np.inf
+        # Lance-Williams; inactive columns stay inf.
+        updated = (cluster_sizes[a] * dist[a] + cluster_sizes[b] * dist[b]) / new_size
+        dist[new] = updated
+        dist[:, new] = updated
         cluster_sizes[new] = new_size
-        masked[a, :] = np.inf
-        masked[:, a] = np.inf
-        masked[b, :] = np.inf
-        masked[:, b] = np.inf
+
+        stale = (partner == a) | (partner == b)
+        closer = (updated < row_min) & ~stale
+        np.copyto(partner, new, where=closer)
+        np.copyto(row_min, updated, where=closer)
+        for c in np.flatnonzero(stale):
+            rescan(c)
 
     return Dendrogram(tuple(merges), n_leaves=n)
 

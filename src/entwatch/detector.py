@@ -44,8 +44,9 @@ class DetectorConfig:
             raise ValueError(f"kl_threshold must be finite and non-negative, got {self.kl_threshold}")
         if not 0.0 < self.posterior_threshold < 1.0:
             raise ValueError(f"posterior_threshold must be in (0, 1), got {self.posterior_threshold}")
-        if not self.convexity_run >= 1:
-            raise ValueError(f"convexity_run must be a positive integer, got {self.convexity_run}")
+        run = self.convexity_run
+        if isinstance(run, bool) or not isinstance(run, int) or run < 1:
+            raise ValueError(f"convexity_run must be a positive integer, got {run!r}")
         if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
             raise ValueError(f"window_seconds must be finite and positive, got {self.window_seconds}")
         if not 0.0 <= self.outlier_weight <= 1.0:

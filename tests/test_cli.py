@@ -172,7 +172,10 @@ class TestDetect:
         {"detector": {"window_seconds": float("nan")}},
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem",
                                    "weight": float("nan")}]}},
-    ], ids=["kl_threshold", "window_seconds", "level_weight"])
+        {"detector": {"convexity_run": 3.0}},
+        {"detector": {"convexity_run": True}},
+    ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
+            "convexity_run_bool"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from entwatch.clustering import (
+    Dendrogram,
     FeatureVector,
+    Merge,
     agglomerate,
     outliers,
     scaled_distance_matrix,
@@ -37,6 +41,82 @@ def naive_average_linkage(vectors):
     return merges
 
 
+def masked_argmin_linkage(vectors):
+    """The O(n^3) formulation: Lance-Williams updates, then at every merge a
+    row-major argmin over the active upper triangle. Same arithmetic as
+    `agglomerate`, so merges and heights must be bit-identical."""
+    n = len(vectors)
+    size = 2 * n - 1
+    dist = np.full((size, size), np.inf)
+    dist[:n, :n] = scaled_distance_matrix(vectors)
+    sizes = np.zeros(size, dtype=np.int64)
+    sizes[:n] = 1
+    active = list(range(n))
+    merges = []
+    for new in range(n, size):
+        live = np.zeros(size, dtype=bool)
+        live[active] = True
+        masked = np.where(np.triu(np.outer(live, live), 1), dist, np.inf)
+        a, b = divmod(int(np.argmin(masked)), size)
+        new_size = int(sizes[a] + sizes[b])
+        merges.append(Merge(a, b, float(dist[a, b]), new_size))
+        active.remove(a)
+        active.remove(b)
+        others = np.asarray(active, dtype=np.int64)
+        updated = (sizes[a] * dist[a, others] + sizes[b] * dist[b, others]) / new_size
+        dist[new, others] = dist[others, new] = updated
+        sizes[new] = new_size
+        active.append(new)
+    return Dendrogram(tuple(merges), n_leaves=n)
+
+
+def assert_matches_naive(vectors):
+    got = agglomerate(vectors)
+    expected = naive_average_linkage(vectors)
+    assert len(got.merges) == len(expected)
+    for merge, (a, b, height, size) in zip(got.merges, expected):
+        assert (merge.cluster_a, merge.cluster_b) == (a, b)
+        assert merge.height == pytest.approx(height, abs=1e-9)
+        assert merge.new_size == size
+
+
+def assert_average_linkage_up_to_float_ties(vectors):
+    """Replay each merge against brute-force mean distances.
+
+    The merged pair must be at the minimum mean distance, within 1e-9; where
+    no other pair is that close to the minimum, it is the only choice.
+    Mathematically equal means can differ in the last ulp between the
+    Lance-Williams recursion and a direct mean, so exact pairs are not
+    compared where such a tie exists.
+    """
+    dist = scaled_distance_matrix(vectors)
+    n = len(vectors)
+    clusters = {i: [i] for i in range(n)}
+    for step, merge in enumerate(agglomerate(vectors).merges):
+        means = {(a, b): float(np.mean(dist[np.ix_(clusters[a], clusters[b])]))
+                 for a, b in combinations(sorted(clusters), 2)}
+        best = min(means.values())
+        assert (merge.cluster_a, merge.cluster_b) in {p for p, d in means.items() if d - best <= 1e-9}
+        assert merge.height == pytest.approx(best, abs=1e-9)
+        clusters[n + step] = clusters.pop(merge.cluster_a) + clusters.pop(merge.cluster_b)
+        assert merge.new_size == len(clusters[n + step])
+
+
+def integer_grid_batch(rng):
+    """Features in {0, 1, 2}: many pairs share a distance, so most merges
+    are decided by the (a, b) tie-break."""
+    n = int(rng.integers(2, 41))
+    return [fv(f"s{i}", *rng.integers(0, 3, size=4)) for i in range(n)]
+
+
+def repeated_rows_batch(rng):
+    """A few distinct rows repeated in random order: zero-height merges,
+    then clusters of equal members at equal distances."""
+    rows = rng.uniform(0, 8, size=(int(rng.integers(1, 5)), 4))
+    n = int(rng.integers(2, 41))
+    return [fv(f"s{i}", *rows[rng.integers(len(rows))]) for i in range(n)]
+
+
 class TestPairwiseDistance:
     def test_identity(self):
         a = fv("a", 1.0, 2.0, 3.0, 4.0)
@@ -49,6 +129,16 @@ class TestPairwiseDistance:
         a = fv("a", 1.0, 5.0)
         b = fv("b", 1.0, 9.0)
         assert scaled_distance_matrix([a, b])[0, 1] == pytest.approx(1.0)
+
+    def test_matches_broadcast_sum(self):
+        # Per-feature accumulation must equal the (n, n, 4) broadcast sum bit for bit.
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            vectors = [fv(f"v{i}", *rng.uniform(0, 8, size=4)) for i in range(int(rng.integers(2, 60)))]
+            mat = np.asarray([v.features for v in vectors])
+            scaled = (mat - mat.min(axis=0)) / (mat.max(axis=0) - mat.min(axis=0))
+            diff = scaled[:, None, :] - scaled[None, :, :]
+            assert np.array_equal(scaled_distance_matrix(vectors), np.sqrt((diff * diff).sum(axis=2)))
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
@@ -90,14 +180,28 @@ class TestAgglomerate:
         rng = np.random.default_rng(2024)
         for _ in range(25):
             n = int(rng.integers(2, 20))
-            vectors = [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(n)]
-            got = agglomerate(vectors)
-            expected = naive_average_linkage(vectors)
-            assert len(got.merges) == len(expected)
-            for merge, (a, b, height, size) in zip(got.merges, expected):
-                assert (merge.cluster_a, merge.cluster_b) == (a, b)
-                assert merge.height == pytest.approx(height, abs=1e-9)
-                assert merge.new_size == size
+            assert_matches_naive([fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(n)])
+
+    def test_matches_naive_reference_on_repeated_rows(self):
+        rng = np.random.default_rng(78)
+        for _ in range(20):
+            assert_matches_naive(repeated_rows_batch(rng))
+
+    def test_integer_grid_is_average_linkage(self):
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            assert_average_linkage_up_to_float_ties(integer_grid_batch(rng))
+
+    @pytest.mark.parametrize("make_batch", [
+        integer_grid_batch,
+        repeated_rows_batch,
+        lambda rng: [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(int(rng.integers(2, 41)))],
+    ], ids=["integer_grid", "repeated_rows", "uniform"])
+    def test_bit_identical_to_masked_argmin(self, make_batch):
+        rng = np.random.default_rng(79)
+        for _ in range(40):
+            vectors = make_batch(rng)
+            assert agglomerate(vectors) == masked_argmin_linkage(vectors)
 
     def test_reference_agreement_with_duplicates(self):
         vectors = [fv("a", 1.0), fv("b", 1.0), fv("c", 1.0), fv("d", 5.0)]

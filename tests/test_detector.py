@@ -198,6 +198,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DetectorConfig(convexity_run=0)
         with pytest.raises(ValueError):
+            DetectorConfig(convexity_run=3.0)
+        with pytest.raises(ValueError):
+            DetectorConfig(convexity_run=True)
+        with pytest.raises(ValueError):
             DetectorConfig(outlier_weight=1.5)
 
     def test_verdict_validation(self):

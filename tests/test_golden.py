@@ -1,9 +1,11 @@
 """Golden outputs: a fixed simulate/profile/detect run must reproduce byte for byte.
 
 The hashes below pin the frozen-clock outputs of the CLI on a small seeded
-corpus, plus the fitted attack model. A refactor must leave all of them
-unchanged. A deliberate behaviour change updates the hashes in the same
-change and says so, with the old and new values, in a CHANGES.md line.
+corpus, plus the fitted attack model. A second detect over one wide trace
+(120 files, so clustering batches of up to 120 sources) pins the large-batch
+path of average linkage. A refactor must leave all of them unchanged. A
+deliberate behaviour change updates the hashes in the same change and says
+so, with the old and new values, in a CHANGES.md line.
 """
 
 import contextlib
@@ -24,12 +26,16 @@ SIMULATED = (
     ("benign_edit", 7012, "ben_7012.jsonl"),
     ("compressor", 7013, "zip_7013.jsonl"),
 )
+WIDE_TRACE = ("--kind", "ransomware", "--seed", "7020", "--duration", "300",
+              "--file-count", "120", "--out", "rw_wide_7020.jsonl")
 
 GOLDEN = {
     "profile.json": "2d6861bd16c7a565fcaf001b46edefc12d43de62ed30e9527fdaf821aa34c1ea",
     "run/report.csv": "77ef33aaf16cc7637672c1232811f67d3a2ddfd84b6a1f52123bc91441ed946e",
     "run/metrics.json": "def27c28fc088aa4685606ce5617248f8b6f749a39fcbd54b1f2800f6233cc6a",
     "run/heatmap.csv": "eab42644230e2d0f3c862154d1d2c3d2985bc8a151dff039062abbe77ed84019",
+    "wide/report.csv": "15d9cd699a3984313927ae5b269beef84a76118d5a5388a13700d45260fbe046",
+    "wide/metrics.json": "9f6b11940b843af177158660a5747ea2321e9f58eef0d5515508d117c64f0a6d",
 }
 GOLDEN_DETECT_STDOUT = "cfb613ef9ed8807b4a9d6b7c4355fcf2768781d0db378069b9f97d44c420efe1"
 GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"
@@ -56,6 +62,10 @@ def golden_run(tmp_path_factory):
                          "zip_7013.jsonl", "--baseline", "profile.json", "--out", "run",
                          "--frozen-clock"])
         assert code == 0
+        assert main(["simulate", *WIDE_TRACE]) == 0
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["detect", "rw_wide_7020.jsonl", "--baseline", "profile.json",
+                         "--out", "wide", "--frozen-clock"]) == 0
     finally:
         mp.undo()
     return root, buf.getvalue()
