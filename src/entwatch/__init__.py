@@ -14,7 +14,6 @@ from .detector import (
     DeviationScore,
     Verdict,
     convexity_signal,
-    detection_latency,
     fuse_and_decide,
     likelihood_ratio,
     posterior,
@@ -24,7 +23,6 @@ from .entropy import (
     ByteHistogram,
     EntropySample,
     EntropySeries,
-    WindowConfig,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
@@ -33,7 +31,6 @@ from .entropy import (
 from .hierarchy import (
     HierarchyConfig,
     LevelConfig,
-    LevelState,
     aggregate_entropy,
     default_hierarchy,
     level_entropy,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import MAX_ENTROPY_BITS
-from .errors import InvalidQuantile, TooFewVectors
+from .errors import TooFewVectors
 
 FEATURE_NAMES = ("mean_entropy", "max_abs_delta", "max_accel", "kl_to_baseline")
 
@@ -77,13 +77,9 @@ class Dendrogram:
 
 @dataclass(frozen=True)
 class OutlierReport:
-    scores: dict[str, float]
-    flagged: frozenset[str]
+    """Outlier score in [0, 1] per source id."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "flagged", frozenset(self.flagged))
-        if not self.flagged <= set(self.scores):
-            raise ValueError("flagged sources must be a subset of scored sources")
+    scores: dict[str, float]
 
 
 def scaled_distance_matrix(vectors) -> np.ndarray:
@@ -179,16 +175,13 @@ def agglomerate(vectors) -> Dendrogram:
     return Dendrogram(tuple(merges), n_leaves=n)
 
 
-def outliers(dendrogram: Dendrogram, vectors, threshold_quantile: float) -> OutlierReport:
+def outliers(dendrogram: Dendrogram, vectors) -> OutlierReport:
     """Score sources by how high their small cluster last merged.
 
     A source that stays in a singleton (or a cluster no bigger than 10% of
     the batch) until a late, tall merge scores near 1; sources absorbed early
-    into the bulk score near 0. Flagged sources are those strictly above the
-    requested quantile of all scores.
+    into the bulk score near 0.
     """
-    if not 0.0 < threshold_quantile < 1.0:
-        raise InvalidQuantile(f"threshold quantile must be in (0, 1), got {threshold_quantile}")
     vectors = list(vectors)
     n = dendrogram.n_leaves
     if len(vectors) != n:
@@ -212,7 +205,4 @@ def outliers(dendrogram: Dendrogram, vectors, threshold_quantile: float) -> Outl
     else:
         raw = [0.0] * n
 
-    scores = {vectors[i].source_id: raw[i] for i in range(n)}
-    threshold = float(np.quantile(np.asarray(raw), threshold_quantile))
-    flagged = frozenset(sid for sid, s in scores.items() if s > threshold)
-    return OutlierReport(scores=scores, flagged=flagged)
+    return OutlierReport({vectors[i].source_id: raw[i] for i in range(n)})

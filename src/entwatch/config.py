@@ -28,12 +28,15 @@ def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
             LevelConfig(
                 level_id=entry["level_id"],
                 kind=entry["kind"],
-                weight=float(entry["weight"]),
+                weight=entry["weight"],
                 path_patterns=tuple(entry.get("path_patterns", ())),
             )
             for entry in obj["levels"]
         )
-        return HierarchyConfig(levels, normalize=bool(obj.get("normalize", True)))
+        normalize = obj.get("normalize", True)
+        if not isinstance(normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {normalize!r}")
+        return HierarchyConfig(levels, normalize=normalize)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid hierarchy config: {exc}") from exc
 

@@ -21,9 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .entropy import BinnedDistribution, MAX_ENTROPY_BITS, EPSILON_MASS, _second_diff_triple
-from .errors import InsufficientSamples, MissingOnset, ShapeMismatch
-from .hierarchy import LevelState
+from .entropy import (
+    BinnedDistribution,
+    EPSILON_MASS,
+    EntropySeries,
+    MAX_ENTROPY_BITS,
+    _second_diff_triple,
+)
+from .errors import InsufficientSamples, ShapeMismatch
 
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
@@ -40,6 +45,10 @@ class DetectorConfig:
     outlier_weight: float = 0.2
 
     def __post_init__(self):
+        # A bool passes the numeric checks below as 0 or 1.
+        for name in ("kl_threshold", "posterior_threshold", "window_seconds", "outlier_weight"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not (math.isfinite(self.kl_threshold) and self.kl_threshold >= 0):
             raise ValueError(f"kl_threshold must be finite and non-negative, got {self.kl_threshold}")
         if not 0.0 < self.posterior_threshold < 1.0:
@@ -141,15 +150,13 @@ def posterior(prior: float, lr: float) -> float:
     return prior * lr / (prior * lr + (1.0 - prior))
 
 
-def convexity_signal(level_state: LevelState, m: int) -> bool:
-    """True when the last ``m`` consecutive second differences are all > 0."""
+def convexity_signal(series: EntropySeries, m: int) -> bool:
+    """True when the last ``m`` consecutive second differences of ``series`` are all > 0."""
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    series = level_state.series
     if len(series) < m + 2:
         raise InsufficientSamples(
-            f"convexity over {m} windows needs {m + 2} samples, level "
-            f"{level_state.level_id!r} has {len(series)}"
+            f"convexity over {m} windows needs {m + 2} samples, series has {len(series)}"
         )
     samples = series.latest(m + 2)
     for end in range(2, m + 2):
@@ -186,9 +193,3 @@ def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bo
         alert = Alert.create(score.source_id, score.timestamp, score, usable_onset)
     return verdict, alert
 
-
-def detection_latency(alert: Alert) -> float:
-    """Milliseconds from ground-truth onset to the alert."""
-    if alert.onset_at is None or alert.latency_ms is None:
-        raise MissingOnset(f"alert for {alert.source_id!r} has no ground-truth onset")
-    return alert.latency_ms

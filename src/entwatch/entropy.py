@@ -117,32 +117,17 @@ class EntropySample:
             raise ValueError(f"entropy out of [0, 8]: {self.value}")
 
 
-@dataclass(frozen=True)
-class WindowConfig:
-    """Retention and nominal sampling interval for an entropy series."""
-
-    capacity: int = 256
-    dt: float = 1.0
-
-    def __post_init__(self):
-        if self.capacity < 3:
-            raise ValueError("capacity must be >= 3 (second differences need three points)")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-
-
 class EntropySeries:
-    """Time-ordered entropy samples for one source, bounded by the window capacity.
+    """Time-ordered entropy samples, keeping the most recent ``capacity`` of them.
 
     Timestamps must be strictly increasing. Single-writer: a series must not
     be mutated concurrently, though distinct series are independent.
     """
 
-    def __init__(self, source_id: str, level_id: str, window: WindowConfig | None = None):
-        self.source_id = source_id
-        self.level_id = level_id
-        self.window = window if window is not None else WindowConfig()
-        self._samples: deque[EntropySample] = deque(maxlen=self.window.capacity)
+    def __init__(self, capacity: int = 256):
+        if capacity < 3:
+            raise ValueError("capacity must be >= 3 (second differences need three points)")
+        self._samples: deque[EntropySample] = deque(maxlen=capacity)
         # Most recent sample, None while the series is empty.
         self.last: EntropySample | None = None
 
@@ -172,7 +157,7 @@ class EntropySeries:
         return len(self._samples)
 
     def __repr__(self):
-        return f"EntropySeries({self.source_id!r}, level={self.level_id!r}, n={len(self)})"
+        return f"EntropySeries(n={len(self)})"
 
 
 def _second_diff_triple(t0, v0, t1, v1, t2, v2) -> float:
@@ -269,12 +254,10 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     return max(value, 0.0)
 
 
-def series_from_values(values, dt: float = 1.0, source_id: str = "s", level_id: str = "L",
-                       t0: float = 0.0, capacity: int | None = None) -> EntropySeries:
-    """Build a uniformly spaced series from raw values. Test/tooling helper."""
+def series_from_values(values, dt: float = 1.0, t0: float = 0.0) -> EntropySeries:
+    """Build a uniformly spaced series holding every given value. Test/tooling helper."""
     values = list(values)
-    cap = capacity if capacity is not None else max(3, len(values))
-    series = EntropySeries(source_id, level_id, WindowConfig(capacity=cap, dt=dt))
+    series = EntropySeries(max(3, len(values)))
     for i, v in enumerate(values):
         series.append(t0 + i * dt, v)
     return series

@@ -25,10 +25,6 @@ class EmptyLevel(EntwatchError):
     """A level aggregate was requested with no member entropies."""
 
 
-class MissingLevelValue(EntwatchError):
-    """A configured level has no value in the supplied snapshot."""
-
-
 class TooFewSamples(EntwatchError):
     """Not enough samples to fit a baseline distribution for a level."""
 
@@ -55,14 +51,6 @@ class IoFailure(EntwatchError):
 
 class TooFewVectors(EntwatchError):
     """Clustering needs at least two feature vectors."""
-
-
-class InvalidQuantile(EntwatchError):
-    """Outlier threshold quantile outside the open interval (0, 1)."""
-
-
-class MissingOnset(EntwatchError):
-    """Latency requested for an alert without a known ground-truth onset."""
 
 
 class MalformedRecord(EntwatchError):

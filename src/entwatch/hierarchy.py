@@ -3,9 +3,11 @@
 A hierarchy is a fixed, ordered list of levels (filesystem, process, network)
 with non-negative weights. Source paths are routed to the first level whose
 glob pattern matches (fnmatch semantics, ``*`` crosses path separators);
-unmatched sources fall back to the first filesystem level. The config is
-immutable after construction and safe to share; each LevelState has a single
-writer.
+unmatched sources fall back to the first filesystem level. A level's entropy
+is the mean of its members' latest entropies, and the aggregate is the
+weighted sum over the levels that have a value, with the weights rescaled
+over those levels when the hierarchy is normalized. The config is immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Mapping, Sequence
 
-from .entropy import EntropySeries, WindowConfig
-from .errors import EmptyLevel, MissingLevelValue, NoLevels
+from .errors import EmptyLevel, NoLevels
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -31,6 +32,10 @@ class LevelConfig:
     def __post_init__(self):
         if self.kind not in LEVEL_KINDS:
             raise ValueError(f"unknown level kind {self.kind!r}, expected one of {LEVEL_KINDS}")
+        # A bool is an int to isinstance, and float() would read it as 0 or 1.
+        if isinstance(self.weight, bool) or not isinstance(self.weight, (int, float)):
+            raise ValueError(f"level weight must be a number, got {self.weight!r}")
+        object.__setattr__(self, "weight", float(self.weight))
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"level weight must be finite and non-negative, got {self.weight}")
         object.__setattr__(self, "path_patterns", tuple(self.path_patterns))
@@ -46,26 +51,6 @@ class HierarchyConfig:
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate level ids in hierarchy: {ids}")
-
-    def effective_weights(self) -> dict[str, float]:
-        """Raw weights, or weights scaled to sum to 1 when normalize is set."""
-        if not self.levels:
-            raise NoLevels("hierarchy has no levels")
-        raw = {lvl.level_id: lvl.weight for lvl in self.levels}
-        if not self.normalize:
-            return raw
-        total = sum(raw.values())
-        if total <= 0:
-            raise ValueError("cannot normalize a hierarchy whose weights sum to 0")
-        return {k: w / total for k, w in raw.items()}
-
-    def subset(self, level_ids) -> "HierarchyConfig":
-        """Hierarchy restricted to the given levels, declaration order kept."""
-        keep = set(level_ids)
-        return HierarchyConfig(
-            tuple(lvl for lvl in self.levels if lvl.level_id in keep),
-            normalize=self.normalize,
-        )
 
 
 def default_hierarchy() -> HierarchyConfig:
@@ -83,25 +68,6 @@ def default_hierarchy() -> HierarchyConfig:
         ),
         normalize=True,
     )
-
-
-@dataclass
-class LevelState:
-    """Live aggregate entropy series for one level."""
-
-    level_id: str
-    series: EntropySeries
-    source_count: int = 0
-
-    def __post_init__(self):
-        if self.series.level_id != self.level_id:
-            raise ValueError(
-                f"series level {self.series.level_id!r} does not match state level {self.level_id!r}"
-            )
-
-    @classmethod
-    def create(cls, level_id: str, window: WindowConfig | None = None) -> "LevelState":
-        return cls(level_id, EntropySeries(f"level:{level_id}", level_id, window))
 
 
 def route_source(config: HierarchyConfig, source_path: str) -> str:
@@ -129,31 +95,28 @@ def route_kind(config: HierarchyConfig, kind: str) -> str | None:
     return None
 
 
-def level_entropy(state: LevelState, member_entropies: Sequence[float],
-                  timestamp: float | None = None) -> float:
-    """Mean of the current member-source entropies, appended to the level series.
-
-    When ``timestamp`` is omitted the sample lands one nominal interval after
-    the latest one (or at 0 for an empty series).
-    """
-    members = list(member_entropies)
-    if not members:
-        raise EmptyLevel(f"level {state.level_id!r} has no member entropies")
-    value = sum(members) / len(members)
-    if timestamp is None:
-        samples = state.series.samples
-        timestamp = samples[-1].timestamp + state.series.window.dt if samples else 0.0
-    state.series.append(timestamp, value)
-    state.source_count = len(members)
-    return value
+def level_entropy(member_entropies: Sequence[float]) -> float:
+    """Mean of a level's current member-source entropies."""
+    if not member_entropies:
+        raise EmptyLevel("a level mean needs at least one member entropy")
+    return sum(member_entropies) / len(member_entropies)
 
 
 def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]) -> float:
-    """Weighted sum of per-level entropies using effective weights."""
-    weights = config.effective_weights()
+    """Weighted sum of the entropies of the levels present in ``level_values``.
+
+    Levels without a value are left out. Under ``normalize`` the weights of
+    the present levels are divided by their sum, so they add up to 1; a
+    ValueError is raised when that sum is 0.
+    """
+    present = [lvl for lvl in config.levels if lvl.level_id in level_values]
+    if not present:
+        raise NoLevels("no hierarchy level has a value to aggregate")
+    weight_sum = sum(lvl.weight for lvl in present)
+    if config.normalize and weight_sum <= 0:
+        raise ValueError("cannot normalize level weights that sum to 0")
     total = 0.0
-    for lvl in config.levels:
-        if lvl.level_id not in level_values:
-            raise MissingLevelValue(f"no entropy value supplied for level {lvl.level_id!r}")
-        total += weights[lvl.level_id] * level_values[lvl.level_id]
+    for lvl in present:
+        weight = lvl.weight / weight_sum if config.normalize else lvl.weight
+        total += weight * level_values[lvl.level_id]
     return total

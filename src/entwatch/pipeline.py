@@ -11,16 +11,17 @@ profile fitting; ``TraceProcessor`` composes it and, at each close:
 1. folds each new deviation into the source's recent-deviation window and its
    max |dH|, and the second difference of its entropy series into its max
    acceleration;
-2. extends each level's series with the mean of its sampled members' latest
-   entropies, and the weighted across-level aggregate (over the levels that
-   have data so far);
+2. takes each level's mean of its sampled members' latest entropies (the
+   heatmap's samples) and extends the aggregate series with their weighted
+   sum, over the levels that have data so far;
 3. per deviation: KL of the source's recent deviation window against its
    level baseline, and a Bayes update of the source posterior by the
    attack-vs-baseline likelihood ratio of the new deviation;
 4. clusters sources in feature space and outlier-scores them whenever that
    could change a label this window, then emits fused verdicts.
 
-Labels latch (benign -> ransomware only) and each source alerts at most once.
+Labels latch (benign -> ransomware only): a source keeps the verdict of the
+close that flagged it, and alerts at most once.
 One processor handles one trace; processors share nothing and may run
 concurrently on distinct traces.
 """
@@ -29,15 +30,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
-from .baseline import (
-    BaselineProfile,
-    DEFAULT_BIN_COUNT,
-    empirical_distribution,
-    smoothed_distribution,
-)
-from .clustering import FeatureVector, OutlierReport, agglomerate, outliers
+from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
+from .clustering import FeatureVector, agglomerate, outliers
 from .detector import (
     Alert,
     BENIGN,
@@ -55,7 +51,6 @@ from .entropy import (
     BinnedDistribution,
     ByteHistogram,
     EntropySeries,
-    WindowConfig,
     kl_divergence,
     second_difference,
     shannon_entropy,
@@ -63,7 +58,6 @@ from .entropy import (
 from .errors import InsufficientSamples, IrregularSpacing
 from .hierarchy import (
     HierarchyConfig,
-    LevelState,
     aggregate_entropy,
     default_hierarchy,
     level_entropy,
@@ -76,14 +70,10 @@ from .traces import EventRecord
 # How many recent deviations form the per-source empirical distribution.
 DEVIATION_HISTORY = 16
 
-# Quantile used for the flagged set of the outlier report.
-OUTLIER_QUANTILE = 0.9
-
 # Posterior clamp; keeps sequential updates recoverable in both directions.
 POSTERIOR_FLOOR = 1e-6
 
 SOURCE_SERIES_CAPACITY = 256
-AGGREGATE_SERIES_ID = "__aggregate__"
 
 # Seeded encryptor runs used to fit the attack-conditional deviation model.
 ATTACK_MODEL_SEEDS = (9101, 9102, 9103)
@@ -113,7 +103,7 @@ class SourceTrack(SourceWindow):
     outlier: float = 0.0
     max_abs_delta: float = 0.0
     max_accel: float = 0.0
-    flagged: bool = False
+    # The verdict of the close that flagged the source; None while unflagged.
     verdict: Verdict | None = None
 
 
@@ -132,7 +122,6 @@ class SourceWindows:
         self.hierarchy = hierarchy
         self.window_seconds = window_seconds
         self.new_source = new_source
-        self.series_window = WindowConfig(capacity=SOURCE_SERIES_CAPACITY, dt=window_seconds)
         self.sources: dict[str, SourceWindow] = {}
         self.index: int | None = None  # open window; None until the first record
 
@@ -176,8 +165,7 @@ class SourceWindows:
             level_id = route_kind(self.hierarchy, rec.level_hint)
         if level_id is None:
             level_id = route_source(self.hierarchy, rec.source_path)
-        src = self.new_source(rec.source_path, level_id,
-                              EntropySeries(rec.source_path, level_id, self.series_window))
+        src = self.new_source(rec.source_path, level_id, EntropySeries(SOURCE_SERIES_CAPACITY))
         self.sources[rec.source_path] = src
         return src
 
@@ -192,10 +180,8 @@ class TraceResult:
     confidence: float
     alerts: list[Alert]
     per_source: dict[str, Verdict]
-    outlier_report: OutlierReport | None
     level_samples: list[tuple[str, float, float]]
     convexity_true_at: list[float]
-    records_seen: int
     post_onset_total: int
     post_onset_at_alert: int | None
 
@@ -225,18 +211,12 @@ class TraceProcessor:
         self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
                                       partial(SourceTrack, posterior=profile.prior))
         self.sources: dict[str, SourceTrack] = self._windows.sources
-        self.levels: dict[str, LevelState] = {}
         # Per level, its sources with at least one sample, in first-sample order.
         self._level_members: dict[str, list[SourceTrack]] = {}
-        self._aggregate = LevelState(
-            AGGREGATE_SERIES_ID,
-            EntropySeries(AGGREGATE_SERIES_ID, AGGREGATE_SERIES_ID, self._windows.series_window),
-        )
+        self._aggregate = EntropySeries(SOURCE_SERIES_CAPACITY)
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
-        self.outlier_report: OutlierReport | None = None
-        self.records_seen = 0
         self.post_onset_seen = 0
         self._post_onset_at_alert: int | None = None
         self._finished = False
@@ -246,7 +226,6 @@ class TraceProcessor:
     def process_record(self, rec: EventRecord) -> None:
         if self._finished:
             raise RuntimeError("processor already finished")
-        self.records_seen += 1
         if self.onset_at is not None and rec.timestamp >= self.onset_at:
             self.post_onset_seen += 1
         closed = self._windows.push(rec)
@@ -287,22 +266,16 @@ class TraceProcessor:
             members = self._level_members.get(lvl.level_id)
             if not members:
                 continue
-            state = self.levels.get(lvl.level_id)
-            if state is None:
-                state = LevelState.create(lvl.level_id, self._windows.series_window)
-                self.levels[lvl.level_id] = state
-            mean = level_entropy(state, [m.series.last.value for m in members], t_end)
+            mean = level_entropy([m.series.last.value for m in members])
             values[lvl.level_id] = mean
             self.level_samples.append((lvl.level_id, t_end - self._windows.window_seconds, mean))
 
-        # Aggregate over the levels that have data; weights renormalize over
-        # that subset when the hierarchy is normalized.
         if values:
             try:
-                total = aggregate_entropy(self.hierarchy.subset(values), values)
+                total = aggregate_entropy(self.hierarchy, values)
             except ValueError:  # the active levels' weights sum to 0
                 return
-            self._aggregate.series.append(t_end, min(max(total, 0.0), 8.0))
+            self._aggregate.append(t_end, min(max(total, 0.0), 8.0))
 
     def _convexity(self) -> bool:
         try:
@@ -326,9 +299,7 @@ class TraceProcessor:
         vectors = self._feature_vectors()
         if len(vectors) < 2:
             return
-        report = outliers(agglomerate(vectors), vectors, OUTLIER_QUANTILE)
-        self.outlier_report = report
-        for sid, score in report.scores.items():
+        for sid, score in outliers(agglomerate(vectors), vectors).scores.items():
             self.sources[sid].outlier = score
 
     def _score_and_decide(self, t_end: float, fresh: list[SourceTrack]) -> None:
@@ -354,7 +325,7 @@ class TraceProcessor:
         # confidence could clear the threshold even at outlier = 1; skip the
         # clustering pass entirely when no such source exists this window.
         needs_outliers = any(
-            not t.flagged
+            t.verdict is None
             and fused_confidence(t.posterior, 1.0, cfg) >= cfg.posterior_threshold
             and (t.kl >= cfg.kl_threshold or convex)
             for t in scored
@@ -372,18 +343,15 @@ class TraceProcessor:
             )
             verdict, alert = fuse_and_decide(
                 score, cfg, convex,
-                previously_flagged=track.flagged,
+                previously_flagged=track.verdict is not None,
                 onset_at=self.onset_at,
             )
             if alert is not None:
                 self.alerts.append(alert)
                 if self._post_onset_at_alert is None:
                     self._post_onset_at_alert = self.post_onset_seen
-            if track.flagged:
-                continue  # label and confidence latched at flag time
-            track.verdict = verdict
-            if verdict.label == RANSOMWARE:
-                track.flagged = True
+            if track.verdict is None and verdict.label == RANSOMWARE:
+                track.verdict = verdict
 
     # -- completion --------------------------------------------------------
 
@@ -397,7 +365,7 @@ class TraceProcessor:
 
         per_source: dict[str, Verdict] = {}
         for sid, track in self.sources.items():
-            if track.flagged:
+            if track.verdict is not None:
                 per_source[sid] = track.verdict
             else:
                 fused = fused_confidence(track.posterior, track.outlier, self.detector)
@@ -412,10 +380,8 @@ class TraceProcessor:
             confidence=confidence,
             alerts=list(self.alerts),
             per_source=per_source,
-            outlier_report=self.outlier_report,
             level_samples=list(self.level_samples),
             convexity_true_at=list(self.convexity_true_at),
-            records_seen=self.records_seen,
             post_onset_total=self.post_onset_seen,
             post_onset_at_alert=self._post_onset_at_alert,
         )
@@ -453,19 +419,13 @@ def collect_trace_deviations(records, hierarchy: HierarchyConfig | None = None,
     return out
 
 
-_attack_model_cache: dict[int, BinnedDistribution] = {}
-
-
-def fit_attack_model(bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
+@cache
+def fit_attack_model() -> BinnedDistribution:
     """Deviation distribution under encryption, fit from seeded simulator runs.
 
     The encryptor scenarios behind this model are fixed, so the result is a
-    process-wide constant; repeated calls are cached.
+    process-wide constant, computed once and shared by every caller.
     """
-    cached = _attack_model_cache.get(bin_count)
-    if cached is not None:
-        return cached
-
     pooled: list[float] = []
     for seed in ATTACK_MODEL_SEEDS:
         trace = simulate_scenario(ScenarioSpec("ransomware", seed, duration=ATTACK_FIT_DURATION))
@@ -474,7 +434,4 @@ def fit_attack_model(bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
         )
         for devs in per_level.values():
             pooled.extend(devs)
-
-    model = smoothed_distribution(pooled, bin_count)
-    _attack_model_cache[bin_count] = model
-    return model
+    return smoothed_distribution(pooled)

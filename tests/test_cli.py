@@ -174,8 +174,17 @@ class TestDetect:
                                    "weight": float("nan")}]}},
         {"detector": {"convexity_run": 3.0}},
         {"detector": {"convexity_run": True}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0}],
+                       "normalize": "false"}},
+        {"detector": {"kl_threshold": True}},
+        {"detector": {"posterior_threshold": True}},
+        {"detector": {"window_seconds": True}},
+        {"detector": {"outlier_weight": True}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": True}]}},
     ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
-            "convexity_run_bool"])
+            "convexity_run_bool", "normalize_string", "kl_threshold_bool",
+            "posterior_threshold_bool", "window_seconds_bool", "outlier_weight_bool",
+            "level_weight_bool"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts

@@ -11,7 +11,7 @@ from entwatch.clustering import (
     outliers,
     scaled_distance_matrix,
 )
-from entwatch.errors import InvalidQuantile, TooFewVectors
+from entwatch.errors import TooFewVectors
 
 
 def fv(sid, *features):
@@ -220,27 +220,18 @@ class TestAgglomerate:
 class TestOutliers:
     def test_identical_vectors_score_zero(self):
         vectors = [fv(f"s{i}", 3.0) for i in range(5)]
-        report = outliers(agglomerate(vectors), vectors, 0.9)
+        report = outliers(agglomerate(vectors), vectors)
         assert all(s == 0.0 for s in report.scores.values())
-        assert report.flagged == frozenset()
 
     def test_far_point_flagged(self):
         vectors = [fv(f"s{i}", 0.01 * i) for i in range(9)] + [fv("far", 8.0)]
-        report = outliers(agglomerate(vectors), vectors, 0.9)
-        assert report.flagged == {"far"}
+        report = outliers(agglomerate(vectors), vectors)
         assert report.scores["far"] == 1.0
-
-    def test_quantile_open_interval(self):
-        vectors = [fv("a", 1.0), fv("b", 2.0)]
-        dendro = agglomerate(vectors)
-        with pytest.raises(InvalidQuantile):
-            outliers(dendro, vectors, 1.0)
-        with pytest.raises(InvalidQuantile):
-            outliers(dendro, vectors, 0.0)
+        assert all(s < 1.0 for sid, s in report.scores.items() if sid != "far")
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(31)
         vectors = [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(15)]
-        report = outliers(agglomerate(vectors), vectors, 0.8)
+        report = outliers(agglomerate(vectors), vectors)
         assert all(0.0 <= s <= 1.0 for s in report.scores.values())
-        assert report.flagged <= set(report.scores)
+        assert set(report.scores) == {v.source_id for v in vectors}

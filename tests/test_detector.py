@@ -9,26 +9,17 @@ from entwatch.detector import (
     DeviationScore,
     Verdict,
     convexity_signal,
-    detection_latency,
     fuse_and_decide,
     fused_confidence,
     likelihood_ratio,
     posterior,
 )
-from entwatch.entropy import BinnedDistribution
-from entwatch.errors import InsufficientSamples, MissingOnset, ShapeMismatch
-from entwatch.hierarchy import LevelState
+from entwatch.entropy import BinnedDistribution, series_from_values
+from entwatch.errors import InsufficientSamples, ShapeMismatch
 
 
 def dist(masses):
     return BinnedDistribution(0.0, 8.0, np.asarray(masses, dtype=np.float64))
-
-
-def level_from_values(values):
-    state = LevelState.create("L")
-    for i, v in enumerate(values):
-        state.series.append(float(i), v)
-    return state
 
 
 def score(source="s", kl=0.0, post=0.0, outlier=0.0, t=1.0):
@@ -94,22 +85,22 @@ class TestPosterior:
 class TestConvexitySignal:
     def test_quadratic_ramp(self):
         # t^2 shape scaled into the valid entropy range
-        state = level_from_values([v / 2.0 for v in [0.0, 1.0, 4.0, 9.0, 16.0]])
-        assert convexity_signal(state, 2) is True
+        series = series_from_values([v / 2.0 for v in [0.0, 1.0, 4.0, 9.0, 16.0]])
+        assert convexity_signal(series, 2) is True
 
     def test_linear_ramp_is_not_convex(self):
-        state = level_from_values([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert convexity_signal(state, 2) is False
+        series = series_from_values([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert convexity_signal(series, 2) is False
 
     def test_plateau_after_fast_rise(self):
         # S-curve style trajectory evaluated on the plateau
-        state = level_from_values([2.1, 5.0, 7.0, 7.7, 7.8, 7.8])
-        assert convexity_signal(state, 2) is False
+        series = series_from_values([2.1, 5.0, 7.0, 7.7, 7.8, 7.8])
+        assert convexity_signal(series, 2) is False
 
     def test_insufficient_samples(self):
-        state = level_from_values([1.0, 2.0, 3.0])
+        series = series_from_values([1.0, 2.0, 3.0])
         with pytest.raises(InsufficientSamples):
-            convexity_signal(state, 2)
+            convexity_signal(series, 2)
 
 
 class TestFuseAndDecide:
@@ -169,11 +160,11 @@ class TestFuseAndDecide:
 class TestAlerts:
     def test_zero_latency(self):
         alert = Alert.create("s", 10.0, score(), onset_at=10.0)
-        assert detection_latency(alert) == 0.0
+        assert alert.latency_ms == 0.0
 
     def test_390ms(self):
         alert = Alert.create("s", 10.39, score(), onset_at=10.0)
-        assert detection_latency(alert) == pytest.approx(390.0)
+        assert alert.latency_ms == pytest.approx(390.0)
 
     def test_negative_latency_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -181,8 +172,7 @@ class TestAlerts:
 
     def test_missing_onset(self):
         alert = Alert.create("s", 10.0, score())
-        with pytest.raises(MissingOnset):
-            detection_latency(alert)
+        assert alert.onset_at is None and alert.latency_ms is None
 
     def test_latency_present_iff_onset(self):
         with pytest.raises(ValueError):
@@ -203,6 +193,9 @@ class TestConfigValidation:
             DetectorConfig(convexity_run=True)
         with pytest.raises(ValueError):
             DetectorConfig(outlier_weight=1.5)
+        for name in ("kl_threshold", "posterior_threshold", "window_seconds", "outlier_weight"):
+            with pytest.raises(ValueError, match=name):
+                DetectorConfig(**{name: True})
 
     def test_verdict_validation(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from entwatch.entropy import (
     ByteHistogram,
     EntropySample,
     EntropySeries,
-    WindowConfig,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
@@ -109,13 +108,13 @@ class TestShannonEntropy:
 
 class TestSeries:
     def test_timestamps_strictly_increasing(self):
-        series = EntropySeries("s", "L")
+        series = EntropySeries()
         series.append(0.0, 1.0)
         with pytest.raises(ValueError):
             series.append(0.0, 2.0)
 
     def test_capacity_evicts_oldest(self):
-        series = EntropySeries("s", "L", WindowConfig(capacity=3))
+        series = EntropySeries(capacity=3)
         for i in range(5):
             series.append(float(i), 1.0)
         assert len(series) == 3
@@ -127,7 +126,7 @@ class TestSeries:
 
     def test_capacity_minimum(self):
         with pytest.raises(ValueError):
-            WindowConfig(capacity=2)
+            EntropySeries(capacity=2)
 
 
 class TestSecondDifference:
@@ -145,7 +144,7 @@ class TestSecondDifference:
             second_difference(series_from_values([1.0, 2.0]))
 
     def test_irregular_spacing_rejected(self):
-        series = EntropySeries("s", "L", WindowConfig(capacity=3))
+        series = EntropySeries(capacity=3)
         series.append(0.0, 1.0)
         series.append(1.0, 2.0)
         series.append(2.5, 3.0)  # gaps 1.0 and 1.5: 20% off the mean
@@ -153,7 +152,7 @@ class TestSecondDifference:
             second_difference(series)
 
     def test_spacing_within_tolerance_accepted(self):
-        series = EntropySeries("s", "L", WindowConfig(capacity=3))
+        series = EntropySeries(capacity=3)
         series.append(0.0, 1.0)
         series.append(1.0, 2.0)
         series.append(2.1, 3.0)  # gaps 1.0 and 1.1: under 10% of the mean

@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwatch.errors import EmptyLevel, MissingLevelValue, NoLevels
+from entwatch.errors import EmptyLevel, NoLevels
 from entwatch.hierarchy import (
     HierarchyConfig,
     LevelConfig,
-    LevelState,
     aggregate_entropy,
     default_hierarchy,
     level_entropy,
@@ -55,27 +54,17 @@ class TestRouting:
 
 class TestLevelEntropy:
     def test_single_member_identity(self):
-        state = LevelState.create("user")
-        assert level_entropy(state, [7.5], timestamp=0.0) == 7.5
+        assert level_entropy([7.5]) == 7.5
 
     def test_mean_of_two(self):
-        state = LevelState.create("user")
-        assert level_entropy(state, [7.5, 7.8], timestamp=0.0) == pytest.approx(7.65)
+        assert level_entropy([7.5, 7.8]) == pytest.approx(7.65)
 
     def test_mean_of_three(self):
-        state = LevelState.create("user")
-        assert level_entropy(state, [6.2, 5.9, 6.5], timestamp=0.0) == pytest.approx(6.2)
-
-    def test_appends_to_series(self):
-        state = LevelState.create("user")
-        level_entropy(state, [5.0], timestamp=1.0)
-        level_entropy(state, [6.0], timestamp=2.0)
-        assert [s.value for s in state.series.samples] == [5.0, 6.0]
-        assert state.source_count == 1
+        assert level_entropy([6.2, 5.9, 6.5]) == pytest.approx(6.2)
 
     def test_empty_members(self):
         with pytest.raises(EmptyLevel):
-            level_entropy(LevelState.create("user"), [])
+            level_entropy([])
 
 
 class TestAggregateEntropy:
@@ -96,9 +85,31 @@ class TestAggregateEntropy:
         with pytest.raises(ValueError):
             aggregate_entropy(cfg, {"user": 7.5, "system": 6.2, "net": 5.9})
 
-    def test_missing_level_named(self):
-        with pytest.raises(MissingLevelValue, match="net"):
-            aggregate_entropy(three_levels(), {"user": 7.5, "system": 6.2})
+    def test_subset_renormalized(self):
+        # The weights of the present levels are summed in declaration order,
+        # each divided by that sum, then multiply-added in declaration order.
+        # These numbers round differently if the division is replaced by a
+        # multiplication with the reciprocal of the sum.
+        weights = {"user": 0.5, "system": 0.3}
+        values = {"system": 6.2, "user": 7.5}
+        weight_sum = sum(weights.values())
+        expected = 0.0
+        for level_id in ("user", "system"):
+            expected += weights[level_id] / weight_sum * values[level_id]
+        assert aggregate_entropy(three_levels(normalize=True), values) == expected
+        assert expected == pytest.approx((0.5 * 7.5 + 0.3 * 6.2) / 0.8)
+
+    def test_subset_without_normalization_uses_raw_weights(self):
+        assert aggregate_entropy(three_levels(), {"user": 7.5, "net": 5.9}) == 0.5 * 7.5 + 0.2 * 5.9
+
+    def test_zero_weight_subset_rejected_with_normalization(self):
+        cfg = three_levels(normalize=True, weights=(0.5, 0.3, 0.0))
+        with pytest.raises(ValueError):
+            aggregate_entropy(cfg, {"net": 5.9})
+
+    def test_no_level_present(self):
+        with pytest.raises(NoLevels):
+            aggregate_entropy(three_levels(), {"other": 5.9})
 
     @given(st.floats(0.1, 10.0))
     def test_weight_scaling_linearity(self, c):
@@ -125,7 +136,9 @@ class TestAggregateEntropy:
 class TestDefaults:
     def test_default_hierarchy_normalized(self):
         cfg = default_hierarchy()
-        assert sum(cfg.effective_weights().values()) == pytest.approx(1.0, abs=1e-9)
+        assert cfg.normalize
+        values = {lvl.level_id: 4.0 for lvl in cfg.levels}
+        assert aggregate_entropy(cfg, values) == pytest.approx(4.0, abs=1e-9)
 
     def test_default_routes_user_paths_first(self):
         cfg = default_hierarchy()

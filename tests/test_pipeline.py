@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entwatch.baseline import fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
 from entwatch.entropy import shannon_entropy
-from entwatch.hierarchy import HierarchyConfig, LevelConfig
+from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 from entwatch.pipeline import (
     TraceProcessor,
     collect_trace_deviations,
@@ -128,6 +130,27 @@ class TestLevelSeries:
         proc.process(records)
         result = proc.finish()
         assert {lvl for lvl, _, _ in result.level_samples} == {"docs", "sys"}
+
+
+    def test_zero_weight_active_level_skips_aggregate(self, benign_profile, attack_model,
+                                                      run_detection):
+        # Only fs-user has data and its weight is 0, so under normalize the
+        # aggregate cannot be formed: each close skips it, and with it the
+        # convexity signal, but still scores and decides every source.
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
+        assert run_detection(trace, "rw").convexity_true_at
+        default = default_hierarchy()
+        hierarchy = HierarchyConfig(
+            levels=tuple(replace(lvl, weight=0.0) if lvl.level_id == "fs-user" else lvl
+                         for lvl in default.levels),
+            normalize=True,
+        )
+        proc = TraceProcessor(hierarchy, profile=benign_profile, attack_model=attack_model)
+        proc.process(trace.records)
+        result = proc.finish()
+        assert result.convexity_true_at == []
+        assert {lvl for lvl, _, _ in result.level_samples} == {"fs-user"}
+        assert set(result.per_source) == {r.source_path for r in trace.records}
 
 
 class TestProcessor:
