@@ -68,19 +68,17 @@ def empirical_distribution(window_samples: Sequence[float],
     return BinnedDistribution(lo, hi, counts / counts.sum())
 
 
-def smoothed_distribution(samples: Sequence[float],
-                          bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
+def smoothed_distribution(samples: Sequence[float]) -> BinnedDistribution:
     """Smoothed histogram of deviation samples over DEVIATION_SUPPORT; no empty bins."""
     lo, hi = DEVIATION_SUPPORT
-    counts = _bin_counts(samples, lo, hi, bin_count)
+    counts = _bin_counts(samples, lo, hi, DEFAULT_BIN_COUNT)
     return BinnedDistribution(lo, hi, smooth_probabilities(counts / counts.sum()))
 
 
 def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
                  prior: float = DEFAULT_PRIOR,
                  created_at: float | None = None,
-                 inputs: Sequence[str] = (),
-                 bin_count: int = DEFAULT_BIN_COUNT) -> BaselineProfile:
+                 inputs: Sequence[str] = ()) -> BaselineProfile:
     """Fit per-level smoothed deviation distributions from benign observations.
 
     Every level present in ``benign_samples`` must carry at least
@@ -97,7 +95,7 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
             raise TooFewSamples(
                 f"level {level_id!r} has {len(samples)} samples, fitting needs {MIN_FIT_SAMPLES}"
             )
-        per_level[level_id] = smoothed_distribution(samples, bin_count)
+        per_level[level_id] = smoothed_distribution(samples)
         sample_counts[level_id] = len(samples)
     return BaselineProfile(
         version=PROFILE_VERSION,

@@ -23,32 +23,18 @@ class RunConfig:
 
 
 def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
+    """JSON keys are ``HierarchyConfig`` and ``LevelConfig`` fields; others are rejected."""
     try:
-        levels = tuple(
-            LevelConfig(
-                level_id=entry["level_id"],
-                kind=entry["kind"],
-                weight=entry["weight"],
-                path_patterns=tuple(entry.get("path_patterns", ())),
-            )
-            for entry in obj["levels"]
-        )
-        normalize = obj.get("normalize", True)
-        if not isinstance(normalize, bool):
-            raise ValueError(f"normalize must be true or false, got {normalize!r}")
-        return HierarchyConfig(levels, normalize=normalize)
+        levels = tuple(LevelConfig(**entry) for entry in obj["levels"])
+        return HierarchyConfig(**{**obj, "levels": levels})
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid hierarchy config: {exc}") from exc
 
 
-_DETECTOR_FIELDS = ("kl_threshold", "posterior_threshold", "convexity_run",
-                    "window_seconds", "outlier_weight")
-
-
 def detector_from_dict(obj: dict) -> DetectorConfig:
+    """JSON keys are ``DetectorConfig`` fields; others are rejected."""
     try:
-        kwargs = {k: obj[k] for k in _DETECTOR_FIELDS if k in obj}
-        return DetectorConfig(**kwargs)
+        return DetectorConfig(**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid detector config: {exc}") from exc
 
@@ -66,10 +52,7 @@ def load_run_config(path) -> RunConfig:
 
     hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()
     detector = detector_from_dict(doc.get("detector", {}))
-    return RunConfig(
-        hierarchy=hierarchy,
-        detector=detector,
-        baseline_path=doc.get("baseline_path"),
-        inputs=tuple(doc.get("inputs", ())),
-        report_dir=doc.get("report_dir"),
-    )
+    try:
+        return RunConfig(**{**doc, "hierarchy": hierarchy, "detector": detector})
+    except TypeError as exc:
+        raise ConfigError(f"invalid config {path}: {exc}") from exc

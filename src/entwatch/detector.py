@@ -5,15 +5,17 @@ Per-source evidence is combined in two stages:
 1. A two-hypothesis Bayes update turns the likelihood ratio of the observed
    entropy deviation (attack model vs baseline) into a posterior.
 2. The posterior is blended with the clustering outlier score,
-   ``fused = (1 - w) * posterior + w * outlier``, and a source is labelled
-   ransomware only when the fused confidence clears the decision threshold
-   AND a corroborating gate holds: KL divergence of its recent deviation
-   window above the KL threshold, or a sustained positive second derivative
-   of level entropy (the convexity signal).
+   ``fused = (1 - w) * posterior + w * outlier``. The attack rule,
+   ``is_attack``, labels a source ransomware only when the fused confidence
+   clears the decision threshold AND a corroborating gate holds: KL
+   divergence of its recent deviation window above the KL threshold, or a
+   sustained positive second derivative of level entropy (the convexity
+   signal).
 
-Labels are monotone within a run (once ransomware, always ransomware) and at
-most one alert is raised per source. Decision state is per-source with a
-single writer.
+The rule is monotone in the outlier score, so evaluating it at outlier 1.0
+tells whether any outlier score could flag a source. The caller owns the
+latch (once ransomware, always ransomware) and raises at most one alert per
+source.
 """
 
 from __future__ import annotations
@@ -173,23 +175,16 @@ def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -
     return (1.0 - config.outlier_weight) * posterior + config.outlier_weight * outlier
 
 
-def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bool,
-                    previously_flagged: bool = False,
-                    onset_at: float | None = None) -> tuple[Verdict, Alert | None]:
-    """Label a source from its fused confidence, gated on KL or convexity.
-
-    Returns the verdict plus an alert when this call is the source's first
-    benign-to-ransomware transition. A known ground-truth onset is attached
-    to the alert only when it does not postdate the alert itself.
-    """
-    fused = fused_confidence(score.posterior, score.outlier, config)
-    is_attack = fused >= config.posterior_threshold and (
-        score.kl >= config.kl_threshold or convexity
+def is_attack(posterior: float, outlier: float, kl: float, convexity: bool,
+              config: DetectorConfig) -> bool:
+    """The attack rule: fused >= posterior_threshold, and KL >= kl_threshold or convexity."""
+    return fused_confidence(posterior, outlier, config) >= config.posterior_threshold and (
+        kl >= config.kl_threshold or convexity
     )
-    verdict = Verdict(score.source_id, RANSOMWARE if is_attack else BENIGN, fused)
-    alert = None
-    if is_attack and not previously_flagged:
-        usable_onset = onset_at if onset_at is not None and onset_at <= score.timestamp else None
-        alert = Alert.create(score.source_id, score.timestamp, score, usable_onset)
-    return verdict, alert
 
+
+def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bool) -> Verdict:
+    """Label a source by the attack rule, with its fused confidence."""
+    attack = is_attack(score.posterior, score.outlier, score.kl, convexity, config)
+    fused = fused_confidence(score.posterior, score.outlier, config)
+    return Verdict(score.source_id, RANSOMWARE if attack else BENIGN, fused)

@@ -47,12 +47,15 @@ class ByteHistogram:
             self.counts = np.zeros(256, dtype=np.int64)
             self.total = 0
             return
-        arr = np.asarray(counts, dtype=np.int64)
+        try:
+            arr = np.array(counts, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"histogram counts out of the 64-bit range: {exc}") from exc
         if arr.shape != (256,):
             raise ValueError(f"histogram needs exactly 256 buckets, got shape {arr.shape}")
         if (arr < 0).any():
             raise ValueError("histogram counts must be non-negative")
-        self.counts = arr.copy()
+        self.counts = arr
         self.total = int(arr.sum())
 
     def merge(self, other: "ByteHistogram") -> None:

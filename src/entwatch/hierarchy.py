@@ -38,7 +38,11 @@ class LevelConfig:
         object.__setattr__(self, "weight", float(self.weight))
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"level weight must be finite and non-negative, got {self.weight}")
-        object.__setattr__(self, "path_patterns", tuple(self.path_patterns))
+        # Not any iterable: a string would be one pattern per character, "*" among them.
+        patterns = self.path_patterns
+        if not isinstance(patterns, (list, tuple)) or not all(isinstance(p, str) for p in patterns):
+            raise ValueError(f"path_patterns must be a list of strings, got {patterns!r}")
+        object.__setattr__(self, "path_patterns", tuple(patterns))
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,8 @@ class HierarchyConfig:
     normalize: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         object.__setattr__(self, "levels", tuple(self.levels))
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):

@@ -8,20 +8,24 @@ and sources with two or more samples yield an absolute entropy deviation
 |dH|. ``collect_trace_deviations`` drives it alone to gather deviations for
 profile fitting; ``TraceProcessor`` composes it and, at each close:
 
-1. folds each new deviation into the source's recent-deviation window and its
-   max |dH|, and the second difference of its entropy series into its max
-   acceleration;
+1. walks the sampled sources once. Each new deviation goes into the source's
+   recent-deviation window and its max |dH|, the second difference of its
+   entropy series into its max acceleration; then the source's KL (recent
+   deviations against its level baseline) and its posterior (a Bayes update
+   by the attack-vs-baseline likelihood ratio of the deviation) are updated;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) and extends the aggregate series with their weighted
    sum, over the levels that have data so far;
-3. per deviation: KL of the source's recent deviation window against its
-   level baseline, and a Bayes update of the source posterior by the
-   attack-vs-baseline likelihood ratio of the new deviation;
-4. clusters sources in feature space and outlier-scores them whenever that
-   could change a label this window, then emits fused verdicts.
+3. clusters sources in feature space and outlier-scores them only when the
+   attack rule (``detector.is_attack``) at outlier 1.0 flags a scored,
+   still-unflagged source: that is the only case in which an outlier score
+   can change a label;
+4. decides each scored source that is not yet flagged by the same rule at its
+   actual outlier score.
 
-Labels latch (benign -> ransomware only): a source keeps the verdict of the
-close that flagged it, and alerts at most once.
+Labels latch (benign -> ransomware only): a flagged source keeps the verdict
+of the close that flagged it and is not decided again, and its one alert is
+raised here, with the trace's onset attached unless it postdates the alert.
 One processor handles one trace; processors share nothing and may run
 concurrently on distinct traces.
 """
@@ -44,6 +48,7 @@ from .detector import (
     convexity_signal,
     fuse_and_decide,
     fused_confidence,
+    is_attack,
     likelihood_ratio,
     posterior,
 )
@@ -240,6 +245,9 @@ class TraceProcessor:
     # -- window close ------------------------------------------------------
 
     def _close_window(self, t_end: float, fresh: list[SourceTrack]) -> None:
+        if not fresh:
+            return
+        undecided: list[SourceTrack] = []
         for track in fresh:
             dev = track.deviation
             if dev is None:
@@ -249,9 +257,38 @@ class TraceProcessor:
             track.max_abs_delta = max(track.max_abs_delta, dev)
             if len(track.series) >= 3:
                 self._update_accel(track)
-        if fresh:
-            self._update_levels(t_end)
-            self._score_and_decide(t_end, fresh)
+            q = self.profile.per_level.get(track.level_id)
+            if q is not None:
+                emp = empirical_distribution(list(track.deviations), q.lo, q.hi, q.bin_count)
+                track.kl = kl_divergence(emp, q)
+                lr = likelihood_ratio(dev, q, self.attack_model)
+                updated = posterior(track.posterior, lr)
+                track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
+            if track.verdict is None:
+                undecided.append(track)
+        self._update_levels(t_end)
+
+        cfg = self.detector
+        convex = self._convexity()
+        if convex:
+            self.convexity_true_at.append(t_end)
+        # The attack rule is monotone in the outlier score: when no undecided
+        # source would be flagged even at outlier 1.0, outlier scores cannot
+        # change a label this window, and clustering is skipped.
+        if any(is_attack(t.posterior, 1.0, t.kl, convex, cfg) for t in undecided):
+            self._refresh_outliers()
+        for track in undecided:
+            score = DeviationScore(track.source_id, t_end, track.kl, track.posterior, track.outlier)
+            verdict = fuse_and_decide(score, cfg, convex)
+            if verdict.label != RANSOMWARE:
+                continue
+            track.verdict = verdict
+            onset = self.onset_at
+            if onset is not None and onset > t_end:
+                onset = None  # an onset after the alert is not attached
+            self.alerts.append(Alert.create(track.source_id, t_end, score, onset))
+            if self._post_onset_at_alert is None:
+                self._post_onset_at_alert = self.post_onset_seen
 
     def _update_accel(self, track: SourceTrack) -> None:
         try:
@@ -302,57 +339,6 @@ class TraceProcessor:
         for sid, score in outliers(agglomerate(vectors), vectors).scores.items():
             self.sources[sid].outlier = score
 
-    def _score_and_decide(self, t_end: float, fresh: list[SourceTrack]) -> None:
-        cfg = self.detector
-        convex = self._convexity()
-        if convex:
-            self.convexity_true_at.append(t_end)
-
-        scored: list[SourceTrack] = []
-        for track in fresh:
-            if track.deviation is None:
-                continue
-            q = self.profile.per_level.get(track.level_id)
-            if q is not None:
-                emp = empirical_distribution(list(track.deviations), q.lo, q.hi, q.bin_count)
-                track.kl = kl_divergence(emp, q)
-                lr = likelihood_ratio(track.deviation, q, self.attack_model)
-                updated = posterior(track.posterior, lr)
-                track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
-            scored.append(track)
-
-        # Outlier scores can only flip a label for a source whose fused
-        # confidence could clear the threshold even at outlier = 1; skip the
-        # clustering pass entirely when no such source exists this window.
-        needs_outliers = any(
-            t.verdict is None
-            and fused_confidence(t.posterior, 1.0, cfg) >= cfg.posterior_threshold
-            and (t.kl >= cfg.kl_threshold or convex)
-            for t in scored
-        )
-        if needs_outliers:
-            self._refresh_outliers()
-
-        for track in scored:
-            score = DeviationScore(
-                source_id=track.source_id,
-                timestamp=t_end,
-                kl=track.kl,
-                posterior=track.posterior,
-                outlier=track.outlier,
-            )
-            verdict, alert = fuse_and_decide(
-                score, cfg, convex,
-                previously_flagged=track.verdict is not None,
-                onset_at=self.onset_at,
-            )
-            if alert is not None:
-                self.alerts.append(alert)
-                if self._post_onset_at_alert is None:
-                    self._post_onset_at_alert = self.post_onset_seen
-            if track.verdict is None and verdict.label == RANSOMWARE:
-                track.verdict = verdict
-
     # -- completion --------------------------------------------------------
 
     def finish(self) -> TraceResult:
@@ -389,18 +375,16 @@ class TraceProcessor:
 
 def collect_trace_deviations(records, hierarchy: HierarchyConfig | None = None,
                              detector: DetectorConfig | None = None,
-                             onset_at: float | None = None,
-                             after_onset_only: bool = False) -> dict[str, list[float]]:
+                             cutoff: float | None = None) -> dict[str, list[float]]:
     """Per-level deviation samples from a record stream, for profile fitting.
 
-    With ``after_onset_only`` and a known onset, deviations from windows that
-    end at or before the onset are dropped; their levels still get a key.
+    With a ``cutoff``, deviations from windows that end at or before it are
+    dropped; their levels still get a key.
     """
     windows = SourceWindows(
         hierarchy if hierarchy is not None else default_hierarchy(),
         (detector if detector is not None else DetectorConfig()).window_seconds,
     )
-    cutoff = onset_at if after_onset_only else None
     out: dict[str, list[float]] = {}
 
     def collect(t_end: float, fresh: list[SourceWindow]) -> None:
@@ -429,9 +413,7 @@ def fit_attack_model() -> BinnedDistribution:
     pooled: list[float] = []
     for seed in ATTACK_MODEL_SEEDS:
         trace = simulate_scenario(ScenarioSpec("ransomware", seed, duration=ATTACK_FIT_DURATION))
-        per_level = collect_trace_deviations(
-            trace.records, onset_at=trace.meta.onset_at, after_onset_only=True,
-        )
+        per_level = collect_trace_deviations(trace.records, cutoff=trace.meta.onset_at)
         for devs in per_level.values():
             pooled.extend(devs)
     return smoothed_distribution(pooled)

@@ -10,6 +10,7 @@ fractional digits and exactly enough precision to round-trip the float.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
@@ -51,8 +52,10 @@ class EventRecord:
     level_hint: str | None = None
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
+        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
+            raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
+        if not isinstance(self.source_path, str):
+            raise ValueError(f"source path must be a string, got {self.source_path!r}")
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r}, expected one of {OPS}")
         if self.histogram.total != self.bytes:
@@ -80,6 +83,10 @@ class TraceMeta:
             raise ValueError(f"label must be benign or ransomware, got {self.label!r}")
         if self.label == LABEL_RANSOMWARE and self.onset_at is None:
             raise ValueError("ransomware traces must carry onset_at")
+        for name in ("created_at", "duration", "onset_at"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.ramp is not None:
             object.__setattr__(self, "ramp", (float(self.ramp[0]), float(self.ramp[1])))
         if self.target_dirs is not None:
@@ -164,18 +171,24 @@ def _parse_meta(obj: dict, line_number: int) -> TraceMeta:
 
 def _parse_record(obj: dict, line_number: int) -> EventRecord:
     try:
-        hist = ByteHistogram()
-        for key, count in obj.get("histogram", {}).items():
+        if not isinstance(obj, dict):
+            raise ValueError(f"record must be a JSON object, got {obj!r}")
+        sparse = obj.get("histogram", {})
+        if not isinstance(sparse, dict):
+            raise ValueError(f"histogram must be an object, got {sparse!r}")
+        counts = [0] * 256
+        for key, count in sparse.items():
             bucket = int(key)
             if not 0 <= bucket <= 255:
                 raise ValueError(f"byte bucket out of range: {bucket}")
-            hist.counts[bucket] = int(count)
-        hist.total = int(hist.counts.sum())
+            if type(count) is not int:  # rejects floats and bools
+                raise ValueError(f"count for byte {bucket} must be an integer, got {count!r}")
+            counts[bucket] = count
         return EventRecord(
             timestamp=float(obj["timestamp"]),
             source_path=obj["source_path"],
             op=obj["op"],
-            histogram=hist,
+            histogram=ByteHistogram(counts),
             bytes=int(obj["bytes"]),
             level_hint=obj.get("level_hint"),
         )

@@ -1,9 +1,9 @@
 """The names the benchmark's traced run wraps must exist in entwatch.
 
 ``perfbench/traced.py`` replaces functions on entwatch's modules by name and
-reads what some of them return. A renamed or deleted name would otherwise
-show up only as a broken traced benchmark run, which these tests do not
-start.
+reads what some of them return, and ``perfbench/untraced.py`` drives
+``TraceProcessor`` directly. A renamed or deleted name would otherwise show
+up only as a broken benchmark run, which these tests do not start.
 """
 
 import importlib
@@ -13,17 +13,23 @@ from pathlib import Path
 import pytest
 
 from entwatch.clustering import FeatureVector, agglomerate, outliers
+from entwatch.detector import BENIGN, RANSOMWARE
+from entwatch.simulate import ScenarioSpec, simulate_scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def wrapped_functions():
+def perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("traced").FUNCTIONS
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def wrapped_functions():
+    return perfbench_module("traced").FUNCTIONS
 
 
 def test_every_wrapped_name_exists(wrapped_functions):
@@ -38,3 +44,14 @@ def test_outliers_report_has_scores():
     vectors = [FeatureVector("a", (1.0, 0.0, 0.0, 0.0)), FeatureVector("b", (2.0, 0.0, 0.0, 0.0))]
     report = outliers(agglomerate(vectors), vectors)
     assert set(report.scores) == {"a", "b"}
+
+
+def test_library_pass_yields_a_verdict(benign_profile, attack_model):
+    # The untraced run's library pass: TraceProcessor's keywords,
+    # proc.detector.window_seconds and finish().verdict.
+    trace = simulate_scenario(ScenarioSpec("ransomware", seed=950, duration=20.0))
+    library = perfbench_module("untraced").LibraryPass(
+        [("rw.jsonl", trace)], benign_profile, attack_model, chunks=1)
+    library.run_chunk(0)
+    assert library.verdicts["rw.jsonl"] in (BENIGN, RANSOMWARE)
+    assert library.window_ms(at_nominal_speed=False)

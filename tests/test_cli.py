@@ -181,10 +181,19 @@ class TestDetect:
         {"detector": {"window_seconds": True}},
         {"detector": {"outlier_weight": True}},
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": True}]}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0,
+                                   "path_patterns": "/etc/**"}]}},
+        {"detector": {"kl_treshold": 9.0}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0}],
+                       "normalise": False}},
+        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0,
+                                   "path_pattern": ["/etc/**"]}]}},
+        {"detectors": {"kl_threshold": 9.0}},
     ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
             "convexity_run_bool", "normalize_string", "kl_threshold_bool",
             "posterior_threshold_bool", "window_seconds_bool", "outlier_weight_bool",
-            "level_weight_bool"])
+            "level_weight_bool", "path_patterns_string", "detector_unknown_key",
+            "hierarchy_unknown_key", "level_unknown_key", "top_level_unknown_key"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts
@@ -192,6 +201,22 @@ class TestDetect:
                       "--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "run"))
         assert res.returncode == 2, res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_malformed_value_gives_error_row_not_traceback(self, workspace, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        lines = (workspace / "ben0.jsonl").read_text().splitlines()
+        record = json.loads(lines[2])
+        record["timestamp"] = float("nan")
+        lines[2] = json.dumps(record)
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        res = run_cli("detect", str(bad), str(workspace / "ben1.jsonl"),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert [row.split(",")[2] for row in rows].count("error") == 1
 
     def test_zero_byte_first_record_keeps_every_row(self, workspace, tmp_path):
         # /home/u/never joins fs-user with no entropy sample; the window close

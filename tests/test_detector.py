@@ -11,6 +11,7 @@ from entwatch.detector import (
     convexity_signal,
     fuse_and_decide,
     fused_confidence,
+    is_attack,
     likelihood_ratio,
     posterior,
 )
@@ -106,51 +107,39 @@ class TestConvexitySignal:
 class TestFuseAndDecide:
     def test_high_posterior_with_kl_gate(self):
         cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9, outlier_weight=0.0)
-        verdict, alert = fuse_and_decide(score(post=0.99, kl=3.2), cfg, convexity=False)
+        verdict = fuse_and_decide(score(post=0.99, kl=3.2), cfg, convexity=False)
         assert verdict.label == "ransomware"
         assert verdict.confidence == pytest.approx(0.99)
-        assert alert is not None
 
     def test_below_threshold_is_benign(self):
         cfg = DetectorConfig()
-        verdict, alert = fuse_and_decide(score(post=0.2, kl=100.0), cfg, convexity=True)
+        verdict = fuse_and_decide(score(post=0.2, kl=100.0), cfg, convexity=True)
         assert verdict.label == "benign"
-        assert alert is None
 
     def test_gate_requires_kl_or_convexity(self):
         cfg = DetectorConfig(kl_threshold=1.0, outlier_weight=0.0)
-        verdict, _ = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=False)
+        verdict = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=False)
         assert verdict.label == "benign"
-        verdict, _ = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=True)
+        verdict = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=True)
         assert verdict.label == "ransomware"
-
-    def test_alert_only_on_first_transition(self):
-        cfg = DetectorConfig(outlier_weight=0.0)
-        s = score(post=0.99, kl=5.0)
-        _, first = fuse_and_decide(s, cfg, convexity=False, previously_flagged=False)
-        _, second = fuse_and_decide(s, cfg, convexity=False, previously_flagged=True)
-        assert first is not None
-        assert second is None
-
-    def test_onset_attached_when_known(self):
-        cfg = DetectorConfig(outlier_weight=0.0)
-        _, alert = fuse_and_decide(score(post=0.99, kl=5.0, t=10.39), cfg,
-                                   convexity=False, onset_at=10.0)
-        assert alert.latency_ms == pytest.approx(390.0)
-
-    def test_premature_onset_not_attached(self):
-        cfg = DetectorConfig(outlier_weight=0.0)
-        _, alert = fuse_and_decide(score(post=0.99, kl=5.0, t=5.0), cfg,
-                                   convexity=False, onset_at=10.0)
-        assert alert is not None
-        assert alert.onset_at is None and alert.latency_ms is None
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans())
     def test_gate_soundness(self, post, outlier, kl, convexity):
         cfg = DetectorConfig()
-        verdict, _ = fuse_and_decide(score(post=post, outlier=outlier, kl=kl), cfg, convexity)
+        verdict = fuse_and_decide(score(post=post, outlier=outlier, kl=kl), cfg, convexity)
         if verdict.label == "ransomware":
             assert verdict.confidence >= cfg.posterior_threshold
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans(),
+           st.floats(0.0, 1.0), st.floats(0.01, 0.99), st.floats(0.0, 5.0))
+    def test_attack_rule_flags_at_full_outlier(self, post, outlier, kl, convexity,
+                                               weight, threshold, kl_threshold):
+        # The outlier gate skips clustering when the rule does not flag at outlier 1.0.
+        cfg = DetectorConfig(kl_threshold=kl_threshold, posterior_threshold=threshold,
+                             outlier_weight=weight)
+        if is_attack(post, outlier, kl, convexity, cfg):
+            assert is_attack(post, 1.0, kl, convexity, cfg)
+            assert fused_confidence(post, outlier, cfg) >= cfg.posterior_threshold
 
     def test_fused_confidence_blend(self):
         cfg = DetectorConfig(outlier_weight=0.25)

@@ -43,9 +43,8 @@ class TestDeviationCollection:
 
     def test_onset_filter(self):
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=801))
-        all_devs = collect_trace_deviations(trace.records, onset_at=trace.meta.onset_at)
-        post_only = collect_trace_deviations(trace.records, onset_at=trace.meta.onset_at,
-                                             after_onset_only=True)
+        all_devs = collect_trace_deviations(trace.records)
+        post_only = collect_trace_deviations(trace.records, cutoff=trace.meta.onset_at)
         assert len(post_only["fs-user"]) < len(all_devs["fs-user"])
         assert max(post_only["fs-user"]) > 1.5
 
@@ -94,6 +93,42 @@ class TestVerdicts:
         assert a.per_source == b.per_source
         assert [al.raised_at for al in a.alerts] == [al.raised_at for al in b.alerts]
         assert a.level_samples == b.level_samples
+
+
+class TestAlerts:
+    """Alerting: the latch, the single alert per source and the onset rule."""
+
+    # KL >= 0 always holds and the floored posterior always clears the
+    # threshold, so every source is flagged at its first deviation (t = 2.0).
+    FLAG_ALL = DetectorConfig(kl_threshold=0.0, posterior_threshold=1e-7)
+
+    def run(self, attack_model, onset_at=None):
+        profile = fit_baseline({"fs-user": [0.01] * 40}, created_at=0.0)
+        records = [
+            EventRecord(w + 0.1 * k, f"/home/u/{k}", "write",
+                        histogram_from_bytes(bytes(range(8 * (w + k + 1)))), 8 * (w + k + 1))
+            for w in range(6) for k in range(3)
+        ]
+        proc = TraceProcessor(detector=self.FLAG_ALL, profile=profile,
+                              attack_model=attack_model, onset_at=onset_at)
+        return proc.process(records).finish()
+
+    def test_alert_only_on_first_transition(self, attack_model):
+        result = self.run(attack_model)
+        assert [(a.source_id, a.raised_at) for a in result.alerts] == [
+            (f"/home/u/{k}", 2.0) for k in range(3)
+        ]
+        assert all(v.label == RANSOMWARE for v in result.per_source.values())
+
+    def test_onset_attached_when_known(self, attack_model):
+        alerts = self.run(attack_model, onset_at=1.61).alerts
+        assert alerts and all(a.onset_at == 1.61 for a in alerts)
+        assert all(a.latency_ms == pytest.approx(390.0) for a in alerts)
+
+    def test_premature_onset_not_attached(self, attack_model):
+        alerts = self.run(attack_model, onset_at=10.0).alerts
+        assert len(alerts) == 3
+        assert all(a.onset_at is None and a.latency_ms is None for a in alerts)
 
 
 class TestLevelSeries:

@@ -103,6 +103,34 @@ class TestValidation:
             read_trace(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line, changes", [
+        (2, {"timestamp": float("nan")}),
+        (3, {"timestamp": float("inf")}),
+        (2, {"histogram": {"0": 100000000000000000000000}}),
+        (3, {"histogram": [], "bytes": 0}),
+        (2, {"source_path": 5}),
+        (2, {"histogram": {"0": 10, "1": -5}, "bytes": 5}),
+        (3, {"histogram": {"0": 1.9}, "bytes": 1}),
+        (2, {"histogram": {"0": True}, "bytes": 1}),
+        (1, {"onset_at": float("nan")}),
+        (1, {"created_at": float("inf")}),
+        (1, {"duration": float("-inf")}),
+        (3, [1, 2]),  # not an object: replaces the whole line
+    ], ids=["timestamp_nan", "timestamp_inf", "count_overflow", "histogram_list",
+            "path_not_string", "count_negative", "count_float", "count_bool",
+            "onset_nan", "created_at_inf", "duration_inf", "record_not_object"])
+    def test_malformed_value_reports_line(self, tmp_path, line, changes):
+        path = tmp_path / "t.jsonl"
+        write_trace(small_trace(), path)
+        lines = path.read_text().splitlines()
+        if isinstance(changes, dict):
+            changes = {**json.loads(lines[line - 1]), **changes}
+        lines[line - 1] = json.dumps(changes)  # writes NaN/Infinity, which json.loads accepts
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_trace(path)
+        assert err.value.line_number == line
+
     def test_unsorted_records_rejected(self, tmp_path):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
