@@ -11,7 +11,6 @@ from .clustering import Dendrogram, FeatureVector, OutlierReport, agglomerate, o
 from .detector import (
     Alert,
     DetectorConfig,
-    DeviationScore,
     Verdict,
     convexity_signal,
     fuse_and_decide,

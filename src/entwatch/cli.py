@@ -138,8 +138,8 @@ def cmd_detect(args) -> int:
                 latency = "" if alert.latency_ms is None else f" latency_ms={alert.latency_ms:.0f}"
                 print(
                     f"ALERT trace={path} source={alert.source_id} "
-                    f"raised_at={alert.raised_at:.3f}s kl={alert.score.kl:.3f} "
-                    f"posterior={alert.score.posterior:.4f}{latency}"
+                    f"raised_at={alert.raised_at:.3f}s kl={alert.kl:.3f} "
+                    f"posterior={alert.posterior:.4f}{latency}"
                 )
             rows.append(PerTraceRow(path, result.label, result.verdict,
                                     result.confidence, result.latency_ms))

@@ -14,6 +14,10 @@ among ties, and any other row moves to the new cluster only on a strictly
 smaller distance. That keeps the smallest-pair tie-break exactly, at O(n^2)
 cost in practice and O(n^3) in the worst case.
 
+`agglomerate` and `outliers` read two attributes of each item, given in the
+same order to both: ``features`` (4 finite floats, in ``FEATURE_NAMES``
+order) and ``source_id``. ``FeatureVector`` is one such item, validated.
+
 Everything here is batch computation with no shared state; disjoint
 batches can run concurrently.
 """

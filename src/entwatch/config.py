@@ -19,7 +19,10 @@ class RunConfig:
     report_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        inputs = self.inputs
+        if not isinstance(inputs, (list, tuple)) or not all(isinstance(p, str) for p in inputs):
+            raise ValueError(f"inputs must be a list of strings, got {inputs!r}")
+        object.__setattr__(self, "inputs", tuple(inputs))
 
 
 def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
@@ -54,5 +57,5 @@ def load_run_config(path) -> RunConfig:
     detector = detector_from_dict(doc.get("detector", {}))
     try:
         return RunConfig(**{**doc, "hierarchy": hierarchy, "detector": detector})
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc

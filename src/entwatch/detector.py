@@ -13,9 +13,9 @@ Per-source evidence is combined in two stages:
    signal).
 
 The rule is monotone in the outlier score, so evaluating it at outlier 1.0
-tells whether any outlier score could flag a source. The caller owns the
-latch (once ransomware, always ransomware) and raises at most one alert per
-source.
+tells whether any outlier score could flag a source. The caller keeps the
+evidence, owns the latch (once ransomware, always ransomware) and raises at
+most one alert per source, which holds the source's KL and posterior then.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .entropy import (
     MAX_ENTROPY_BITS,
     _second_diff_triple,
 )
-from .errors import InsufficientSamples, ShapeMismatch
+from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch
 
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
@@ -65,31 +65,13 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class DeviationScore:
-    """Joint evidence snapshot for one source at one window close."""
-
-    source_id: str
-    timestamp: float
-    kl: float
-    posterior: float
-    outlier: float
-
-    def __post_init__(self):
-        if self.kl < 0:
-            raise ValueError(f"kl must be non-negative, got {self.kl}")
-        if not 0.0 <= self.posterior <= 1.0:
-            raise ValueError(f"posterior out of [0, 1]: {self.posterior}")
-        if not 0.0 <= self.outlier <= 1.0:
-            raise ValueError(f"outlier score out of [0, 1]: {self.outlier}")
-
-
-@dataclass(frozen=True)
 class Alert:
-    """First ransomware flag for a source, with latency bookkeeping."""
+    """First ransomware flag for a source: its KL and posterior then, and the latency."""
 
     source_id: str
     raised_at: float
-    score: DeviationScore
+    kl: float
+    posterior: float
     onset_at: float | None = None
     latency_ms: float | None = None
 
@@ -100,10 +82,10 @@ class Alert:
             raise ValueError(f"latency must be non-negative, got {self.latency_ms}")
 
     @classmethod
-    def create(cls, source_id: str, raised_at: float, score: DeviationScore,
+    def create(cls, source_id: str, raised_at: float, kl: float, posterior: float,
                onset_at: float | None = None) -> "Alert":
         latency = None if onset_at is None else (raised_at - onset_at) * 1000.0
-        return cls(source_id, raised_at, score, onset_at, latency)
+        return cls(source_id, raised_at, kl, posterior, onset_at, latency)
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,7 @@ def posterior(prior: float, lr: float) -> float:
 
 
 def convexity_signal(series: EntropySeries, m: int) -> bool:
-    """True when the last ``m`` consecutive second differences of ``series`` are all > 0."""
+    """True when the last ``m`` second differences of ``series`` are evenly spaced and > 0."""
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
     if len(series) < m + 2:
@@ -161,13 +143,10 @@ def convexity_signal(series: EntropySeries, m: int) -> bool:
             f"convexity over {m} windows needs {m + 2} samples, series has {len(series)}"
         )
     samples = series.latest(m + 2)
-    for end in range(2, m + 2):
-        s0, s1, s2 = samples[end - 2], samples[end - 1], samples[end]
-        accel = _second_diff_triple(s0.timestamp, s0.value, s1.timestamp, s1.value,
-                                    s2.timestamp, s2.value)
-        if accel <= 0:
-            return False
-    return True
+    try:
+        return all(_second_diff_triple(*samples[end - 2:end + 1]) > 0 for end in range(2, m + 2))
+    except IrregularSpacing:
+        return False
 
 
 def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -> float:
@@ -183,8 +162,9 @@ def is_attack(posterior: float, outlier: float, kl: float, convexity: bool,
     )
 
 
-def fuse_and_decide(score: DeviationScore, config: DetectorConfig, convexity: bool) -> Verdict:
+def fuse_and_decide(source_id: str, posterior: float, outlier: float, kl: float,
+                    convexity: bool, config: DetectorConfig) -> Verdict:
     """Label a source by the attack rule, with its fused confidence."""
-    attack = is_attack(score.posterior, score.outlier, score.kl, convexity, config)
-    fused = fused_confidence(score.posterior, score.outlier, config)
-    return Verdict(score.source_id, RANSOMWARE if attack else BENIGN, fused)
+    attack = is_attack(posterior, outlier, kl, convexity, config)
+    fused = fused_confidence(posterior, outlier, config)
+    return Verdict(source_id, RANSOMWARE if attack else BENIGN, fused)

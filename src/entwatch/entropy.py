@@ -28,6 +28,8 @@ MAX_ENTROPY_BITS = 8.0
 # Floor applied to zero probability masses before ratios/logs.
 EPSILON_MASS = 1e-9
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 # Maximum per-gap deviation from the mean gap for second differences.
 SPACING_TOLERANCE = 0.10
 
@@ -35,9 +37,8 @@ SPACING_TOLERANCE = 0.10
 class ByteHistogram:
     """256-bucket count vector over byte values.
 
-    ``total`` is kept equal to ``counts.sum()``; the invariant is re-checked
-    on every merge. Instances are plain mutable accumulators and must not be
-    shared between concurrent writers.
+    ``total`` is kept equal to ``counts.sum()``. Instances are plain mutable
+    accumulators and must not be shared between concurrent writers.
     """
 
     __slots__ = ("counts", "total")
@@ -59,11 +60,16 @@ class ByteHistogram:
         self.total = int(arr.sum())
 
     def merge(self, other: "ByteHistogram") -> None:
-        """Bucket-wise accumulate ``other`` into this histogram."""
+        """Bucket-wise accumulate ``other`` into this histogram.
+
+        Raises OverflowError, changing nothing, when the total would pass int64
+        (and with it any bucket, since none exceeds the total).
+        """
+        total = self.total + other.total
+        if total > INT64_MAX:
+            raise OverflowError(f"merged byte count {total} passes the 64-bit range")
         self.counts += other.counts
-        self.total += other.total
-        if self.total != int(self.counts.sum()):
-            raise ValueError("histogram total drifted from bucket sum on merge")
+        self.total = total
 
     def copy(self) -> "ByteHistogram":
         out = ByteHistogram()
@@ -127,7 +133,7 @@ class EntropySeries:
     be mutated concurrently, though distinct series are independent.
     """
 
-    def __init__(self, capacity: int = 256):
+    def __init__(self, capacity: int):
         if capacity < 3:
             raise ValueError("capacity must be >= 3 (second differences need three points)")
         self._samples: deque[EntropySample] = deque(maxlen=capacity)
@@ -144,17 +150,10 @@ class EntropySeries:
         self.last = sample
         return sample
 
-    @property
-    def samples(self) -> tuple[EntropySample, ...]:
-        return tuple(self._samples)
-
     def latest(self, k: int) -> list[EntropySample]:
         """The ``k`` most recent samples, oldest first, without copying the series."""
         samples = self._samples
         return [samples[i] for i in range(-k, 0)]
-
-    def values(self) -> list[float]:
-        return [s.value for s in self._samples]
 
     def __len__(self):
         return len(self._samples)
@@ -163,30 +162,32 @@ class EntropySeries:
         return f"EntropySeries(n={len(self)})"
 
 
-def _second_diff_triple(t0, v0, t1, v1, t2, v2) -> float:
-    """Central second difference over one sample triple, ignoring spacing drift."""
-    mean_dt = (t2 - t0) / 2.0
-    return (v2 - 2.0 * v1 + v0) / (mean_dt * mean_dt)
+def _second_diff_triple(s0: EntropySample, s1: EntropySample, s2: EntropySample) -> float:
+    """Central second difference over one sample triple.
+
+    Raises IrregularSpacing when either gap deviates from the mean gap by
+    more than 10%; trace timestamps are nominal, not hard-real-time.
+    """
+    mean_dt = (s2.timestamp - s0.timestamp) / 2.0
+    dt1 = s1.timestamp - s0.timestamp
+    if abs(dt1 - mean_dt) > SPACING_TOLERANCE * mean_dt:
+        dt2 = s2.timestamp - s1.timestamp
+        raise IrregularSpacing(
+            f"sample gaps {dt1:.6g}s/{dt2:.6g}s deviate more than "
+            f"{SPACING_TOLERANCE:.0%} from their mean"
+        )
+    return (s2.value - 2.0 * s1.value + s0.value) / (mean_dt * mean_dt)
 
 
 def second_difference(series: EntropySeries) -> float:
     """Discrete second derivative (bits/second^2) over the three most recent samples.
 
     Raises IrregularSpacing when either gap deviates from the mean gap by
-    more than 10%; trace timestamps are nominal, not hard-real-time.
+    more than 10%.
     """
     if len(series) < 3:
         raise InsufficientSamples(f"second difference needs 3 samples, series has {len(series)}")
-    s0, s1, s2 = series.latest(3)
-    dt1 = s1.timestamp - s0.timestamp
-    dt2 = s2.timestamp - s1.timestamp
-    mean_dt = (dt1 + dt2) / 2.0
-    if abs(dt1 - mean_dt) > SPACING_TOLERANCE * mean_dt:
-        raise IrregularSpacing(
-            f"sample gaps {dt1:.6g}s/{dt2:.6g}s deviate more than "
-            f"{SPACING_TOLERANCE:.0%} from their mean"
-        )
-    return _second_diff_triple(s0.timestamp, s0.value, s1.timestamp, s1.value, s2.timestamp, s2.value)
+    return _second_diff_triple(*series.latest(3))
 
 
 @dataclass(eq=False)

@@ -8,20 +8,22 @@ and sources with two or more samples yield an absolute entropy deviation
 |dH|. ``collect_trace_deviations`` drives it alone to gather deviations for
 profile fitting; ``TraceProcessor`` composes it and, at each close:
 
-1. walks the sampled sources once. Each new deviation goes into the source's
-   recent-deviation window and its max |dH|, the second difference of its
-   entropy series into its max acceleration; then the source's KL (recent
-   deviations against its level baseline) and its posterior (a Bayes update
-   by the attack-vs-baseline likelihood ratio of the deviation) are updated;
+1. walks the sampled sources once. Each new sample goes into the source's
+   entropy sum and sample count, each new deviation into its recent-deviation
+   window and its max |dH|, the second difference of its entropy series into
+   its max acceleration; then the source's KL (recent deviations against its
+   level baseline) and its posterior (a Bayes update by the attack-vs-baseline
+   likelihood ratio of the deviation) are updated;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) and extends the aggregate series with their weighted
    sum, over the levels that have data so far;
-3. clusters sources in feature space and outlier-scores them only when the
+3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
+   max |dH|, max acceleration, KL) and outlier-scores them only when the
    attack rule (``detector.is_attack``) at outlier 1.0 flags a scored,
    still-unflagged source: that is the only case in which an outlier score
    can change a label;
 4. decides each scored source that is not yet flagged by the same rule at its
-   actual outlier score.
+   actual outlier score, reading the evidence off its ``SourceTrack``.
 
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
@@ -37,12 +39,11 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 
 from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
-from .clustering import FeatureVector, agglomerate, outliers
+from .clustering import agglomerate, outliers
 from .detector import (
     Alert,
     BENIGN,
     DetectorConfig,
-    DeviationScore,
     RANSOMWARE,
     Verdict,
     convexity_signal,
@@ -60,7 +61,7 @@ from .entropy import (
     second_difference,
     shannon_entropy,
 )
-from .errors import InsufficientSamples, IrregularSpacing
+from .errors import InsufficientSamples, IrregularSpacing, MalformedRecord
 from .hierarchy import (
     HierarchyConfig,
     aggregate_entropy,
@@ -77,8 +78,6 @@ DEVIATION_HISTORY = 16
 
 # Posterior clamp; keeps sequential updates recoverable in both directions.
 POSTERIOR_FLOOR = 1e-6
-
-SOURCE_SERIES_CAPACITY = 256
 
 # Seeded encryptor runs used to fit the attack-conditional deviation model.
 ATTACK_MODEL_SEEDS = (9101, 9102, 9103)
@@ -102,6 +101,9 @@ class SourceWindow:
 class SourceTrack(SourceWindow):
     """A source's window state plus the detector's evidence about it."""
 
+    # Sum and count of every entropy sample the source has had, for its mean.
+    entropy_sum: float = 0.0
+    sample_count: int = 0
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
     posterior: float = 0.0
     kl: float = 0.0
@@ -110,6 +112,11 @@ class SourceTrack(SourceWindow):
     max_accel: float = 0.0
     # The verdict of the close that flagged the source; None while unflagged.
     verdict: Verdict | None = None
+
+    @property
+    def features(self) -> tuple[float, float, float, float]:
+        """Clustering features, in ``clustering.FEATURE_NAMES`` order."""
+        return (self.entropy_sum / self.sample_count, self.max_abs_delta, self.max_accel, self.kl)
 
 
 class SourceWindows:
@@ -146,7 +153,11 @@ class SourceWindows:
             if src.pending is None:
                 src.pending = rec.histogram.copy()
             else:
-                src.pending.merge(rec.histogram)
+                try:
+                    src.pending.merge(rec.histogram)
+                except OverflowError as exc:
+                    raise MalformedRecord(
+                        f"source {rec.source_path} at {rec.timestamp}s: {exc}") from exc
         return closed
 
     def close(self) -> tuple[float, list]:
@@ -170,7 +181,8 @@ class SourceWindows:
             level_id = route_kind(self.hierarchy, rec.level_hint)
         if level_id is None:
             level_id = route_source(self.hierarchy, rec.source_path)
-        src = self.new_source(rec.source_path, level_id, EntropySeries(SOURCE_SERIES_CAPACITY))
+        # Second differences read the last three samples, the level mean the last one.
+        src = self.new_source(rec.source_path, level_id, EntropySeries(3))
         self.sources[rec.source_path] = src
         return src
 
@@ -218,7 +230,8 @@ class TraceProcessor:
         self.sources: dict[str, SourceTrack] = self._windows.sources
         # Per level, its sources with at least one sample, in first-sample order.
         self._level_members: dict[str, list[SourceTrack]] = {}
-        self._aggregate = EntropySeries(SOURCE_SERIES_CAPACITY)
+        # Convexity over a run of m second differences reads the last m + 2 samples.
+        self._aggregate = EntropySeries(max(3, self.detector.convexity_run + 2))
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
@@ -249,6 +262,8 @@ class TraceProcessor:
             return
         undecided: list[SourceTrack] = []
         for track in fresh:
+            track.entropy_sum += track.series.last.value
+            track.sample_count += 1
             dev = track.deviation
             if dev is None:
                 self._level_members.setdefault(track.level_id, []).append(track)
@@ -278,15 +293,16 @@ class TraceProcessor:
         if any(is_attack(t.posterior, 1.0, t.kl, convex, cfg) for t in undecided):
             self._refresh_outliers()
         for track in undecided:
-            score = DeviationScore(track.source_id, t_end, track.kl, track.posterior, track.outlier)
-            verdict = fuse_and_decide(score, cfg, convex)
+            verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier, track.kl,
+                                      convex, cfg)
             if verdict.label != RANSOMWARE:
                 continue
             track.verdict = verdict
             onset = self.onset_at
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
-            self.alerts.append(Alert.create(track.source_id, t_end, score, onset))
+            self.alerts.append(
+                Alert.create(track.source_id, t_end, track.kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
 
@@ -320,23 +336,12 @@ class TraceProcessor:
         except InsufficientSamples:
             return False
 
-    def _feature_vectors(self) -> list[FeatureVector]:
-        vectors = []
-        for track in self.sources.values():
-            if len(track.series) == 0:
-                continue
-            mean_entropy = sum(track.series.values()) / len(track.series)
-            vectors.append(FeatureVector(
-                track.source_id,
-                (mean_entropy, track.max_abs_delta, track.max_accel, track.kl),
-            ))
-        return vectors
-
     def _refresh_outliers(self) -> None:
-        vectors = self._feature_vectors()
-        if len(vectors) < 2:
+        # Sampled sources in first-record order; the order breaks linkage ties.
+        tracks = [t for t in self.sources.values() if t.sample_count]
+        if len(tracks) < 2:
             return
-        for sid, score in outliers(agglomerate(vectors), vectors).scores.items():
+        for sid, score in outliers(agglomerate(tracks), tracks).scores.items():
             self.sources[sid].outlier = score
 
     # -- completion --------------------------------------------------------

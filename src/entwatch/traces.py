@@ -165,7 +165,7 @@ def _parse_meta(obj: dict, line_number: int) -> TraceMeta:
             file_count=None if obj.get("file_count") is None else int(obj["file_count"]),
             target_dirs=None if target_dirs is None else tuple(target_dirs),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
@@ -184,17 +184,21 @@ def _parse_record(obj: dict, line_number: int) -> EventRecord:
             if type(count) is not int:  # rejects floats and bools
                 raise ValueError(f"count for byte {bucket} must be an integer, got {count!r}")
             counts[bucket] = count
+        timestamp, nbytes = obj["timestamp"], obj["bytes"]
+        if type(timestamp) not in (int, float) or type(nbytes) is not int:  # rejects str, bool
+            raise ValueError(f"timestamp must be a number and bytes an integer, "
+                             f"got {timestamp!r} and {nbytes!r}")
         return EventRecord(
-            timestamp=float(obj["timestamp"]),
+            timestamp=float(timestamp),
             source_path=obj["source_path"],
             op=obj["op"],
             histogram=ByteHistogram(counts),
-            bytes=int(obj["bytes"]),
+            bytes=nbytes,
             level_hint=obj.get("level_hint"),
         )
     except MalformedRecord:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400)
         raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
 
 

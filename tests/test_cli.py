@@ -189,11 +189,13 @@ class TestDetect:
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0,
                                    "path_pattern": ["/etc/**"]}]}},
         {"detectors": {"kl_threshold": 9.0}},
+        {"inputs": "b.jsonl"},
     ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
             "convexity_run_bool", "normalize_string", "kl_threshold_bool",
             "posterior_threshold_bool", "window_seconds_bool", "outlier_weight_bool",
             "level_weight_bool", "path_patterns_string", "detector_unknown_key",
-            "hierarchy_unknown_key", "level_unknown_key", "top_level_unknown_key"])
+            "hierarchy_unknown_key", "level_unknown_key", "top_level_unknown_key",
+            "inputs_string"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts
@@ -214,6 +216,24 @@ class TestDetect:
                       "--baseline", str(workspace / "base.json"), "--out", str(out))
         assert res.returncode == 1
         assert "Traceback" not in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert [row.split(",")[2] for row in rows].count("error") == 1
+
+    def test_window_byte_overflow_gives_error_row_not_traceback(self, workspace, tmp_path):
+        # Each record is valid alone; the source's window total passes 2^63.
+        big = {"0": 6_000_000_000_000_000_000, "1": 1}
+        records = [{"timestamp": t, "source_path": "/home/u/x", "op": "write",
+                    "bytes": 6_000_000_000_000_000_001, "histogram": big} for t in (0.1, 0.2)]
+        bad = tmp_path / "overflow.jsonl"
+        meta = json.dumps({"scenario": "benign_edit", "seed": 0, "label": "benign"})
+        bad.write_text("\n".join([meta] + [json.dumps(r) for r in records]) + "\n")
+        out = tmp_path / "run"
+        res = run_cli("detect", str(bad), str(workspace / "ben1.jsonl"),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "/home/u/x" in res.stderr
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert [row.split(",")[2] for row in rows].count("error") == 1

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from entwatch.detector import (
     Alert,
     DetectorConfig,
-    DeviationScore,
     Verdict,
     convexity_signal,
     fuse_and_decide,
@@ -15,16 +14,12 @@ from entwatch.detector import (
     likelihood_ratio,
     posterior,
 )
-from entwatch.entropy import BinnedDistribution, series_from_values
+from entwatch.entropy import BinnedDistribution, EntropySeries, series_from_values
 from entwatch.errors import InsufficientSamples, ShapeMismatch
 
 
 def dist(masses):
     return BinnedDistribution(0.0, 8.0, np.asarray(masses, dtype=np.float64))
-
-
-def score(source="s", kl=0.0, post=0.0, outlier=0.0, t=1.0):
-    return DeviationScore(source, t, kl, post, outlier)
 
 
 class TestLikelihoodRatio:
@@ -103,30 +98,42 @@ class TestConvexitySignal:
         with pytest.raises(InsufficientSamples):
             convexity_signal(series, 2)
 
+    def test_linear_across_gap_is_not_convex(self):
+        # Linear in time (slope 0.5/s), so not convex; the unequal gaps
+        # (1 s, then 9 s) would read as convex without the spacing check.
+        series = EntropySeries(3)
+        for t, v in ((0.0, 1.0), (1.0, 1.5), (10.0, 6.0)):
+            series.append(t, v)
+        assert convexity_signal(series, 1) is False
+
 
 class TestFuseAndDecide:
     def test_high_posterior_with_kl_gate(self):
         cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9, outlier_weight=0.0)
-        verdict = fuse_and_decide(score(post=0.99, kl=3.2), cfg, convexity=False)
+        verdict = fuse_and_decide("s", posterior=0.99, outlier=0.0, kl=3.2, convexity=False,
+                                  config=cfg)
         assert verdict.label == "ransomware"
         assert verdict.confidence == pytest.approx(0.99)
 
     def test_below_threshold_is_benign(self):
         cfg = DetectorConfig()
-        verdict = fuse_and_decide(score(post=0.2, kl=100.0), cfg, convexity=True)
+        verdict = fuse_and_decide("s", posterior=0.2, outlier=0.0, kl=100.0, convexity=True,
+                                  config=cfg)
         assert verdict.label == "benign"
 
     def test_gate_requires_kl_or_convexity(self):
         cfg = DetectorConfig(kl_threshold=1.0, outlier_weight=0.0)
-        verdict = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=False)
+        verdict = fuse_and_decide("s", posterior=0.95, outlier=0.0, kl=0.1, convexity=False,
+                                  config=cfg)
         assert verdict.label == "benign"
-        verdict = fuse_and_decide(score(post=0.95, kl=0.1), cfg, convexity=True)
+        verdict = fuse_and_decide("s", posterior=0.95, outlier=0.0, kl=0.1, convexity=True,
+                                  config=cfg)
         assert verdict.label == "ransomware"
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans())
     def test_gate_soundness(self, post, outlier, kl, convexity):
         cfg = DetectorConfig()
-        verdict = fuse_and_decide(score(post=post, outlier=outlier, kl=kl), cfg, convexity)
+        verdict = fuse_and_decide("s", post, outlier, kl, convexity, cfg)
         if verdict.label == "ransomware":
             assert verdict.confidence >= cfg.posterior_threshold
 
@@ -148,24 +155,24 @@ class TestFuseAndDecide:
 
 class TestAlerts:
     def test_zero_latency(self):
-        alert = Alert.create("s", 10.0, score(), onset_at=10.0)
+        alert = Alert.create("s", 10.0, 0.0, 0.0, onset_at=10.0)
         assert alert.latency_ms == 0.0
 
     def test_390ms(self):
-        alert = Alert.create("s", 10.39, score(), onset_at=10.0)
+        alert = Alert.create("s", 10.39, 0.0, 0.0, onset_at=10.0)
         assert alert.latency_ms == pytest.approx(390.0)
 
     def test_negative_latency_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            Alert.create("s", 9.0, score(), onset_at=10.0)
+            Alert.create("s", 9.0, 0.0, 0.0, onset_at=10.0)
 
     def test_missing_onset(self):
-        alert = Alert.create("s", 10.0, score())
+        alert = Alert.create("s", 10.0, 0.0, 0.0)
         assert alert.onset_at is None and alert.latency_ms is None
 
     def test_latency_present_iff_onset(self):
         with pytest.raises(ValueError):
-            Alert("s", 10.0, score(), onset_at=None, latency_ms=5.0)
+            Alert("s", 10.0, 0.0, 0.0, onset_at=None, latency_ms=5.0)
 
 
 class TestConfigValidation:

@@ -108,7 +108,7 @@ class TestShannonEntropy:
 
 class TestSeries:
     def test_timestamps_strictly_increasing(self):
-        series = EntropySeries()
+        series = EntropySeries(3)
         series.append(0.0, 1.0)
         with pytest.raises(ValueError):
             series.append(0.0, 2.0)
@@ -118,7 +118,7 @@ class TestSeries:
         for i in range(5):
             series.append(float(i), 1.0)
         assert len(series) == 3
-        assert series.samples[0].timestamp == 2.0
+        assert [s.timestamp for s in series.latest(3)] == [2.0, 3.0, 4.0]
 
     def test_value_range_enforced(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from entwatch.baseline import fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
-from entwatch.entropy import shannon_entropy
+from entwatch.entropy import ByteHistogram, shannon_entropy
 from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 from entwatch.pipeline import (
     TraceProcessor,
@@ -187,6 +187,29 @@ class TestLevelSeries:
         assert {lvl for lvl, _, _ in result.level_samples} == {"fs-user"}
         assert set(result.per_source) == {r.source_path for r in trace.records}
 
+    def test_long_convexity_run_is_evaluated(self, benign_profile, attack_model):
+        # One source whose entropy follows 0.9 * (k / 309)^2 over 310 windows:
+        # every second difference of the aggregate is positive, so a run of
+        # 300 holds from the 302nd sample on.
+        total = 2 ** 40
+        records = []
+        for k in range(310):
+            target = 0.9 * (k / 309) ** 2
+            lo, hi = 0, total // 2  # two-symbol entropy rises with the minority count
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if shannon_entropy(ByteHistogram([mid, total - mid] + [0] * 254)) < target:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            hist = ByteHistogram([lo, total - lo] + [0] * 254)
+            records.append(EventRecord(k + 0.5, "/home/u/x", "write", hist, total))
+        proc = TraceProcessor(detector=DetectorConfig(convexity_run=300),
+                              profile=benign_profile, attack_model=attack_model)
+        proc.process(records)
+        result = proc.finish()
+        assert result.convexity_true_at == [float(t) for t in range(302, 311)]
+
 
 class TestProcessor:
     def test_profile_is_required(self):
@@ -209,7 +232,7 @@ class TestProcessor:
         assert closes == [1.0]
         proc.finish()
         assert closes == [1.0, 1e9 + 1.0]
-        assert [s.timestamp for s in proc.sources["/home/u/x"].series.samples] == closes
+        assert [s.timestamp for s in proc.sources["/home/u/x"].series.latest(2)] == closes
 
 
 class TestWindowing:
@@ -225,7 +248,7 @@ class TestWindowing:
         proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
         proc.process(records)
         proc.finish()
-        values = proc.sources["/home/u/x"].series.values()
+        values = [s.value for s in proc.sources["/home/u/x"].series.latest(2)]
         assert values[0] == pytest.approx(1.0)  # two half-and-half symbols
         assert values[1] == pytest.approx(0.0)
 

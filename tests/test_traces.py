@@ -116,9 +116,18 @@ class TestValidation:
         (1, {"created_at": float("inf")}),
         (1, {"duration": float("-inf")}),
         (3, [1, 2]),  # not an object: replaces the whole line
+        (2, {"histogram": {"0": 4}, "bytes": 4.9}),
+        (2, {"histogram": {"0": 1}, "bytes": True}),
+        (3, {"histogram": {"0": 4}, "bytes": "4"}),
+        (3, {"timestamp": "1.5"}),
+        (3, {"timestamp": True}),
+        (3, {"timestamp": 10 ** 400}),
+        (1, {"onset_at": 10 ** 400}),
     ], ids=["timestamp_nan", "timestamp_inf", "count_overflow", "histogram_list",
             "path_not_string", "count_negative", "count_float", "count_bool",
-            "onset_nan", "created_at_inf", "duration_inf", "record_not_object"])
+            "onset_nan", "created_at_inf", "duration_inf", "record_not_object",
+            "bytes_float", "bytes_bool", "bytes_string", "timestamp_string",
+            "timestamp_bool", "timestamp_huge_int", "onset_huge_int"])
     def test_malformed_value_reports_line(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
