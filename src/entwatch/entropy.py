@@ -37,8 +37,9 @@ SPACING_TOLERANCE = 0.10
 class ByteHistogram:
     """256-bucket count vector over byte values.
 
-    ``total`` is kept equal to ``counts.sum()``. Instances are plain mutable
-    accumulators and must not be shared between concurrent writers.
+    ``total`` is kept equal to the exact sum of ``counts``, and never passes
+    int64. Instances are plain mutable accumulators and must not be shared
+    between concurrent writers.
     """
 
     __slots__ = ("counts", "total")
@@ -56,8 +57,12 @@ class ByteHistogram:
             raise ValueError(f"histogram needs exactly 256 buckets, got shape {arr.shape}")
         if (arr < 0).any():
             raise ValueError("histogram counts must be non-negative")
+        # Summed as Python ints: an int64 sum of buckets that each fit can wrap.
+        total = sum(arr.tolist())
+        if total > INT64_MAX:
+            raise ValueError(f"histogram total {total} passes the 64-bit range")
         self.counts = arr
-        self.total = int(arr.sum())
+        self.total = total
 
     def merge(self, other: "ByteHistogram") -> None:
         """Bucket-wise accumulate ``other`` into this histogram.
@@ -76,11 +81,6 @@ class ByteHistogram:
         out.counts = self.counts.copy()
         out.total = self.total
         return out
-
-    def nonzero_items(self):
-        """(byte value, count) pairs for the occupied buckets, ascending."""
-        for b in np.flatnonzero(self.counts):
-            yield int(b), int(self.counts[b])
 
     def __eq__(self, other):
         if not isinstance(other, ByteHistogram):

@@ -2,9 +2,12 @@
 
 File layout: line 1 is the metadata object, every following line is one event
 record. Histograms are serialized as sparse ``{"byte": count}`` maps of the
-nonzero buckets only; raw payload bytes are never stored. All integers are
-decimal; timestamps are decimal seconds written with at least three
-fractional digits and exactly enough precision to round-trip the float.
+nonzero buckets only; raw payload bytes are never stored. A bucket key is
+exactly one of ``"0"`` to ``"255"``: no sign, padding, spaces or underscores,
+so no two keys name the same bucket. Counts are JSON integers whose sum fits
+int64. All integers are decimal; timestamps are decimal seconds written with
+at least three fractional digits and exactly enough precision to round-trip
+the float.
 """
 
 from __future__ import annotations
@@ -13,8 +16,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
+from itertools import compress
 from pathlib import Path
 from typing import Iterator
+
+import numpy as np
 
 from .entropy import ByteHistogram, histogram_from_bytes
 from .errors import IoFailure, MalformedRecord
@@ -24,6 +30,12 @@ OPS = ("write", "read", "rename", "delete", "net_tx")
 
 LABEL_BENIGN = "benign"
 LABEL_RANSOMWARE = "ransomware"
+
+# The canonical key of each bucket, and the text of one occupied bucket.
+_BUCKET_OF_KEY = {str(b): b for b in range(256)}
+_BUCKET_FORMATS = tuple(f'"{b}":%d' for b in range(256))
+
+_NUMBER = (int, float)
 
 
 def format_seconds(ts: float) -> str:
@@ -134,7 +146,8 @@ def _record_line(rec: EventRecord) -> str:
         parts.append(f'"level_hint":{json.dumps(rec.level_hint)}')
     parts.append(f'"op":{json.dumps(rec.op)}')
     parts.append(f'"bytes":{rec.bytes}')
-    hist = ",".join(f'"{b}":{c}' for b, c in rec.histogram.nonzero_items())
+    counts = rec.histogram.counts.tolist()
+    hist = ",".join(compress(_BUCKET_FORMATS, counts)) % tuple(filter(None, counts))
     parts.append('"histogram":{' + hist + "}")
     return "{" + ",".join(parts) + "}"
 
@@ -150,22 +163,42 @@ def write_trace(trace: Trace, path) -> None:
         raise IoFailure(f"cannot write trace to {path}: {exc}") from exc
 
 
+def _typed(value, name: str, types: tuple):
+    """``value`` when its exact type is one of ``types``: a bool is no number, a string no count."""
+    if type(value) not in types:
+        raise ValueError(f"{name} must be of type {'/'.join(t.__name__ for t in types)}, "
+                         f"got {value!r}")
+    return value
+
+
 def _parse_meta(obj: dict, line_number: int) -> TraceMeta:
+    def optional(name, types):
+        value = obj.get(name)
+        return None if value is None else _typed(value, name, types)
+
     try:
-        ramp = obj.get("ramp")
-        target_dirs = obj.get("target_dirs")
+        if not isinstance(obj, dict):
+            raise ValueError(f"metadata must be a JSON object, got {obj!r}")
+        ramp = optional("ramp", (list,))
+        if ramp is not None and (len(ramp) != 2 or not all(type(v) in _NUMBER for v in ramp)):
+            raise ValueError(f"ramp must be a list of two numbers, got {ramp!r}")
+        target_dirs = optional("target_dirs", (list,))
+        if target_dirs is not None and not all(type(d) is str for d in target_dirs):
+            raise ValueError(f"target_dirs must be a list of strings, got {target_dirs!r}")
+        duration = optional("duration", _NUMBER)
+        onset_at = optional("onset_at", _NUMBER)
         return TraceMeta(
-            scenario=obj["scenario"],
-            seed=int(obj["seed"]),
+            scenario=_typed(obj["scenario"], "scenario", (str,)),
+            seed=_typed(obj["seed"], "seed", (int,)),
             label=obj["label"],
-            created_at=float(obj.get("created_at", 0.0)),
-            duration=None if obj.get("duration") is None else float(obj["duration"]),
-            onset_at=None if obj.get("onset_at") is None else float(obj["onset_at"]),
-            ramp=None if ramp is None else (float(ramp[0]), float(ramp[1])),
-            file_count=None if obj.get("file_count") is None else int(obj["file_count"]),
+            created_at=float(_typed(obj.get("created_at", 0.0), "created_at", _NUMBER)),
+            duration=None if duration is None else float(duration),
+            onset_at=None if onset_at is None else float(onset_at),
+            ramp=None if ramp is None else tuple(ramp),
+            file_count=optional("file_count", (int,)),
             target_dirs=None if target_dirs is None else tuple(target_dirs),
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
@@ -176,24 +209,24 @@ def _parse_record(obj: dict, line_number: int) -> EventRecord:
         sparse = obj.get("histogram", {})
         if not isinstance(sparse, dict):
             raise ValueError(f"histogram must be an object, got {sparse!r}")
-        counts = [0] * 256
-        for key, count in sparse.items():
-            bucket = int(key)
-            if not 0 <= bucket <= 255:
-                raise ValueError(f"byte bucket out of range: {bucket}")
-            if type(count) is not int:  # rejects floats and bools
-                raise ValueError(f"count for byte {bucket} must be an integer, got {count!r}")
-            counts[bucket] = count
-        timestamp, nbytes = obj["timestamp"], obj["bytes"]
-        if type(timestamp) not in (int, float) or type(nbytes) is not int:  # rejects str, bool
-            raise ValueError(f"timestamp must be a number and bytes an integer, "
-                             f"got {timestamp!r} and {nbytes!r}")
+        size = len(sparse)
+        try:
+            buckets = np.fromiter(map(_BUCKET_OF_KEY.__getitem__, sparse), np.intp, size)
+        except KeyError as exc:
+            raise ValueError(f"byte bucket key must be one of '0' to '255', "
+                             f"got {exc.args[0]!r}") from None
+        if not {int}.issuperset(map(type, sparse.values())):  # rejects floats and bools
+            bad = next(c for c in sparse.values() if type(c) is not int)
+            raise ValueError(f"histogram counts must be integers, got {bad!r}")
+        counts = np.zeros(256, dtype=np.int64)
+        # A count outside int64 raises OverflowError.
+        counts[buckets] = np.fromiter(sparse.values(), np.int64, size)
         return EventRecord(
-            timestamp=float(timestamp),
+            timestamp=float(_typed(obj["timestamp"], "timestamp", _NUMBER)),
             source_path=obj["source_path"],
             op=obj["op"],
             histogram=ByteHistogram(counts),
-            bytes=nbytes,
+            bytes=_typed(obj["bytes"], "bytes", (int,)),
             level_hint=obj.get("level_hint"),
         )
     except MalformedRecord:

@@ -52,6 +52,11 @@ class TestHistogram:
         with pytest.raises(ValueError):
             ByteHistogram([1, 2, 3])
 
+    def test_total_past_int64_rejected(self):
+        # Each count fits int64, but their sum is 2^64, which an int64 sum wraps to 0.
+        with pytest.raises(ValueError):
+            ByteHistogram([2**62] * 4 + [0] * 252)
+
     @given(st.binary(max_size=512), st.binary(max_size=512))
     def test_merge_additivity(self, left, right):
         merged = histogram_from_bytes(left)

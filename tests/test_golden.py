@@ -1,9 +1,9 @@
 """Golden outputs: a fixed simulate/profile/detect run must reproduce byte for byte.
 
 The hashes below pin the frozen-clock outputs of the CLI on a small seeded
-corpus, plus the fitted attack model. A second detect over one wide trace
-(120 files, so clustering batches of up to 120 sources) pins the large-batch
-path of average linkage. A refactor must leave all of them unchanged. A
+corpus, the trace files it simulates, and the fitted attack model. A second
+detect over one wide trace (120 files, so clustering batches of up to 120
+sources) pins the large-batch path of average linkage. A refactor must leave all of them unchanged. A
 deliberate behaviour change updates the hashes in the same change and says
 so, with the old and new values, in a CHANGES.md line.
 """
@@ -36,6 +36,16 @@ GOLDEN = {
     "run/heatmap.csv": "eab42644230e2d0f3c862154d1d2c3d2985bc8a151dff039062abbe77ed84019",
     "wide/report.csv": "15d9cd699a3984313927ae5b269beef84a76118d5a5388a13700d45260fbe046",
     "wide/metrics.json": "9f6b11940b843af177158660a5747ea2321e9f58eef0d5515508d117c64f0a6d",
+}
+GOLDEN_TRACES = {
+    "ben_7000.jsonl": "8f3827a0d71782e320438705aeab5da1489ebce399ba1695036288e1c73e5e50",
+    "ben_7001.jsonl": "1d80f46144f1418bf1014f0ebfc590e571f2c1b9c90b5be7d717ce3b9d48342a",
+    "ben_7002.jsonl": "d55b67cb0f0cd54bbc61a1c86c48b2962b3d0839ff887eb259c35af74ea77ba5",
+    "rw_7010.jsonl": "4b6faa5572104ef7c9d27d957fd102c81cfea0acb51085e777aa17613ee9fba6",
+    "rw_7011.jsonl": "1bb445776077f0ef4414c07d02c6cfeee970c0c42375abc4f650a4ec212bc475",
+    "ben_7012.jsonl": "f64e25f30e8b81fa26476c4512727ff529a29ae0e2489e98ac9a1537fb161515",
+    "zip_7013.jsonl": "9bb9ec61ad0f61853076e2b7c281ae30b5fa09cae82cecbcfbc458b8039c1ff5",
+    "rw_wide_7020.jsonl": "3d4841b0eb2d27aa5f7e92c25619c21709bde78895c36e5f8114e8fd80b2fb19",
 }
 GOLDEN_DETECT_STDOUT = "cfb613ef9ed8807b4a9d6b7c4355fcf2768781d0db378069b9f97d44c420efe1"
 GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"
@@ -75,6 +85,12 @@ def golden_run(tmp_path_factory):
 def test_frozen_clock_outputs_match_golden(golden_run, name):
     root, _ = golden_run
     assert sha256((root / name).read_bytes()) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_simulated_trace_matches_golden(golden_run, name):
+    root, _ = golden_run
+    assert sha256((root / name).read_bytes()) == GOLDEN_TRACES[name]
 
 
 def test_detect_stdout_matches_golden(golden_run):

@@ -1,10 +1,15 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from entwatch.entropy import ByteHistogram, histogram_from_bytes, shannon_entropy
+from entwatch.entropy import INT64_MAX, ByteHistogram, histogram_from_bytes, shannon_entropy
 from entwatch.errors import IoFailure, MalformedRecord
+from entwatch.hierarchy import LEVEL_KINDS
 from entwatch.traces import (
+    OPS,
     EventRecord,
     Trace,
     TraceMeta,
@@ -123,11 +128,36 @@ class TestValidation:
         (3, {"timestamp": True}),
         (3, {"timestamp": 10 ** 400}),
         (1, {"onset_at": 10 ** 400}),
+        # Each count fits int64, but the sum wraps to the negative "bytes" in int64.
+        (2, {"histogram": {"0": 6000000000000000000, "1": 6000000000000000000},
+             "bytes": -6446744073709551616}),
+        (1, {"seed": 4.9}),
+        (1, {"seed": True}),
+        (1, {"created_at": "1.5"}),
+        (1, {"duration": True}),
+        (1, {"file_count": "7"}),
+        (1, {"file_count": False}),
+        (1, {"scenario": 5}),
+        (1, {"target_dirs": "/home/user"}),
+        (1, {"target_dirs": ["/home/user", 5]}),
+        (1, {"ramp": ["2.1", 7.8]}),
+        (1, [1, 2]),  # not an object: replaces the whole line
+        (2, {"histogram": {"05": 11}}),
+        (2, {"histogram": {" 5": 11}}),
+        (3, {"histogram": {"+5": 6}}),
+        (3, {"histogram": {"1_0": 6}}),
+        (2, {"histogram": {"256": 11}}),
+        (3, {"histogram": {"-1": 6}}),
     ], ids=["timestamp_nan", "timestamp_inf", "count_overflow", "histogram_list",
             "path_not_string", "count_negative", "count_float", "count_bool",
             "onset_nan", "created_at_inf", "duration_inf", "record_not_object",
             "bytes_float", "bytes_bool", "bytes_string", "timestamp_string",
-            "timestamp_bool", "timestamp_huge_int", "onset_huge_int"])
+            "timestamp_bool", "timestamp_huge_int", "onset_huge_int",
+            "count_sum_overflow", "seed_float", "seed_bool", "created_at_string",
+            "duration_bool", "file_count_string", "file_count_bool", "scenario_not_string",
+            "target_dirs_string", "target_dirs_not_strings", "ramp_string",
+            "meta_not_object", "key_zero_padded", "key_space", "key_plus_sign",
+            "key_underscore", "key_past_255", "key_negative"])
     def test_malformed_value_reports_line(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
@@ -170,6 +200,68 @@ class TestValidation:
     def test_ransomware_label_requires_onset(self):
         with pytest.raises(ValueError):
             TraceMeta(scenario="ransomware", seed=1, label="ransomware")
+
+
+def reference_record_line(rec: EventRecord) -> str:
+    """The record formatter before the whole-array writer: one generator step per bucket."""
+    parts = [
+        f'"timestamp":{format_seconds(rec.timestamp)}',
+        f'"source_path":{json.dumps(rec.source_path)}',
+    ]
+    if rec.level_hint is not None:
+        parts.append(f'"level_hint":{json.dumps(rec.level_hint)}')
+    parts.append(f'"op":{json.dumps(rec.op)}')
+    parts.append(f'"bytes":{rec.bytes}')
+    counts = rec.histogram.counts
+    items = ((int(b), int(counts[b])) for b in np.flatnonzero(counts))
+    hist = ",".join(f'"{b}":{c}' for b, c in items)
+    parts.append('"histogram":{' + hist + "}")
+    return "{" + ",".join(parts) + "}"
+
+
+@st.composite
+def histograms(draw):
+    shape = draw(st.sampled_from(["zeros", "single", "int64_max", "sparse", "dense"]))
+    counts = [0] * 256
+    if shape == "single":
+        counts[draw(st.integers(0, 255))] = draw(st.integers(1, INT64_MAX))
+    elif shape == "int64_max":
+        # Cut points split exactly INT64_MAX bytes over some of the buckets.
+        buckets = sorted(draw(st.sets(st.integers(0, 255), min_size=1)))
+        cuts = sorted(draw(st.lists(st.integers(0, INT64_MAX),
+                                    min_size=len(buckets) - 1, max_size=len(buckets) - 1)))
+        for b, lo, hi in zip(buckets, [0, *cuts], [*cuts, INT64_MAX]):
+            counts[b] = hi - lo
+    elif shape == "sparse":
+        for b, c in draw(st.dictionaries(st.integers(0, 255), st.integers(0, 2**40))).items():
+            counts[b] = c
+    elif shape == "dense":
+        counts = draw(st.lists(st.integers(0, 2**40), min_size=256, max_size=256))
+    return ByteHistogram(counts)
+
+
+@st.composite
+def traces(draw):
+    hists = draw(st.lists(histograms(), max_size=4))
+    times = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=len(hists), max_size=len(hists))))
+    records = tuple(
+        EventRecord(t, draw(st.sampled_from(["/home/user/a.txt", "/tmp/\u00e9 \"q\""])),
+                    draw(st.sampled_from(OPS)), h, h.total,
+                    draw(st.sampled_from([None, *LEVEL_KINDS])))
+        for t, h in zip(times, hists)
+    )
+    return Trace(TraceMeta(scenario="benign_edit", seed=1, label="benign"), records)
+
+
+class TestWriterBytes:
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(traces())
+    def test_round_trip_and_reference_lines(self, tmp_path, trace):
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert lines == [reference_record_line(rec) for rec in trace.records]
 
 
 class TestStreaming:
