@@ -10,6 +10,7 @@ immutable after fit/load and safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from .errors import (
     IoFailure,
     TooFewSamples,
     UnsupportedVersion,
+    checked,
 )
 
 PROFILE_VERSION = 1
@@ -44,9 +46,23 @@ class BaselineProfile:
     inputs: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if not 0.0 <= self.prior <= 1.0:
-            raise InvalidPrior(f"prior must be in [0, 1], got {self.prior}")
-        object.__setattr__(self, "inputs", tuple(self.inputs))
+        if checked(self.version, "version", int) != PROFILE_VERSION:
+            raise UnsupportedVersion(f"profile version {self.version} is not supported "
+                                     f"(expected {PROFILE_VERSION})")
+        prior = checked(self.prior, "prior", float)
+        if not 0.0 <= prior <= 1.0:
+            raise InvalidPrior(f"prior must be in [0, 1], got {prior}")
+        created_at = checked(self.created_at, "created_at", float)
+        if not math.isfinite(created_at):
+            raise ValueError(f"created_at must be finite, got {created_at}")
+        checked(list(self.per_level), "level ids", (str,))
+        if set(self.sample_counts) != set(self.per_level):
+            raise ValueError(f"sample counts are for levels {list(self.sample_counts)}, "
+                             f"distributions for {list(self.per_level)}")
+        checked(list(self.sample_counts.values()), "sample counts", (int,))
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "created_at", created_at)
+        object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
 
 
 def _bin_counts(samples: Sequence[float], lo: float, hi: float, bin_count: int) -> np.ndarray:
@@ -85,8 +101,6 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
     MIN_FIT_SAMPLES observations; short levels produce degenerate single-bin
     baselines and are rejected.
     """
-    if not 0.0 <= prior <= 1.0:
-        raise InvalidPrior(f"prior must be in [0, 1], got {prior}")
     per_level: dict[str, BinnedDistribution] = {}
     sample_counts: dict[str, int] = {}
     for level_id in sorted(benign_samples):
@@ -103,7 +117,7 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
         created_at=time.time() if created_at is None else created_at,
         per_level=per_level,
         sample_counts=sample_counts,
-        inputs=tuple(inputs),
+        inputs=inputs,
     )
 
 
@@ -119,7 +133,7 @@ def _profile_document(profile: BaselineProfile) -> dict:
                 "lo": dist.lo,
                 "hi": dist.hi,
                 "bins": [float(b) for b in dist.bins],
-                "sample_count": profile.sample_counts.get(level_id, 0),
+                "sample_count": profile.sample_counts[level_id],
             }
             for level_id, dist in sorted(profile.per_level.items())
         ],
@@ -163,19 +177,13 @@ def load_profile(path) -> BaselineProfile:
     if version != PROFILE_VERSION:
         raise UnsupportedVersion(f"profile version {version!r} is not supported (expected {PROFILE_VERSION})")
     try:
-        per_level = {}
-        sample_counts = {}
-        for entry in doc["levels"]:
-            dist = BinnedDistribution(entry["lo"], entry["hi"], np.asarray(entry["bins"], dtype=np.float64))
-            per_level[entry["level_id"]] = dist
-            sample_counts[entry["level_id"]] = int(entry["sample_count"])
-        return BaselineProfile(
-            version=version,
-            prior=float(doc["prior"]),
-            created_at=float(doc["created_at"]),
-            per_level=per_level,
-            sample_counts=sample_counts,
-            inputs=tuple(doc.get("inputs", ())),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        per_level, sample_counts = {}, {}
+        for entry in checked(doc.pop("levels"), "levels", (dict,)):
+            level_id = entry.pop("level_id")
+            if level_id in per_level:
+                raise ValueError(f"level {level_id!r} is listed more than once")
+            sample_counts[level_id] = entry.pop("sample_count")
+            per_level[level_id] = BinnedDistribution(**entry)
+        return BaselineProfile(**doc, per_level=per_level, sample_counts=sample_counts)
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError: an unknown key
         raise CorruptProfile(f"profile {path} has an invalid structure: {exc}") from exc

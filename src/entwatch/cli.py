@@ -27,7 +27,7 @@ from .metrics import (
     write_report_csv,
 )
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
-from .simulate import DEFAULT_RAMP, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
+from .simulate import DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
 from .traces import LABEL_BENIGN, iter_trace, scan_directory, write_trace
 
 DEFAULT_CHUNK_BYTES = 4096
@@ -166,16 +166,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    extra = {}
-    if args.target_dir:
-        extra["target_dirs"] = tuple(args.target_dir)
     spec = ScenarioSpec(
         kind=args.kind,
         seed=args.seed,
         duration=args.duration,
         file_count=args.file_count,
+        target_dirs=args.target_dir or DEFAULT_TARGET_DIRS,
         ramp=(args.ramp_start, args.ramp_end),
-        **extra,
     )
     trace = simulate_scenario(spec)
     write_trace(trace, args.out)

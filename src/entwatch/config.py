@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 
 from .detector import DetectorConfig
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 
 
@@ -19,10 +19,9 @@ class RunConfig:
     report_dir: str | None = None
 
     def __post_init__(self):
-        inputs = self.inputs
-        if not isinstance(inputs, (list, tuple)) or not all(isinstance(p, str) for p in inputs):
-            raise ValueError(f"inputs must be a list of strings, got {inputs!r}")
-        object.__setattr__(self, "inputs", tuple(inputs))
+        checked(self.baseline_path, "baseline_path", str, optional=True)
+        checked(self.report_dir, "report_dir", str, optional=True)
+        object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
 
 
 def hierarchy_from_dict(obj: dict) -> HierarchyConfig:

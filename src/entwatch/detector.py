@@ -30,7 +30,7 @@ from .entropy import (
     MAX_ENTROPY_BITS,
     _second_diff_triple,
 )
-from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch
+from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch, checked
 
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
@@ -47,17 +47,14 @@ class DetectorConfig:
     outlier_weight: float = 0.2
 
     def __post_init__(self):
-        # A bool passes the numeric checks below as 0 or 1.
         for name in ("kl_threshold", "posterior_threshold", "window_seconds", "outlier_weight"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, checked(getattr(self, name), name, float))
         if not (math.isfinite(self.kl_threshold) and self.kl_threshold >= 0):
             raise ValueError(f"kl_threshold must be finite and non-negative, got {self.kl_threshold}")
         if not 0.0 < self.posterior_threshold < 1.0:
             raise ValueError(f"posterior_threshold must be in (0, 1), got {self.posterior_threshold}")
-        run = self.convexity_run
-        if isinstance(run, bool) or not isinstance(run, int) or run < 1:
-            raise ValueError(f"convexity_run must be a positive integer, got {run!r}")
+        if checked(self.convexity_run, "convexity_run", int) < 1:
+            raise ValueError(f"convexity_run must be positive, got {self.convexity_run}")
         if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
             raise ValueError(f"window_seconds must be finite and positive, got {self.window_seconds}")
         if not 0.0 <= self.outlier_weight <= 1.0:
@@ -66,26 +63,22 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class Alert:
-    """First ransomware flag for a source: its KL and posterior then, and the latency."""
+    """First ransomware flag for a source: its KL and posterior then, and the trace's onset."""
 
     source_id: str
     raised_at: float
     kl: float
     posterior: float
     onset_at: float | None = None
-    latency_ms: float | None = None
 
     def __post_init__(self):
-        if (self.onset_at is None) != (self.latency_ms is None):
-            raise ValueError("latency_ms must be present exactly when onset_at is")
-        if self.latency_ms is not None and self.latency_ms < 0:
-            raise ValueError(f"latency must be non-negative, got {self.latency_ms}")
+        if self.onset_at is not None and self.onset_at > self.raised_at:
+            raise ValueError(f"onset {self.onset_at} is after the alert at {self.raised_at}")
 
-    @classmethod
-    def create(cls, source_id: str, raised_at: float, kl: float, posterior: float,
-               onset_at: float | None = None) -> "Alert":
-        latency = None if onset_at is None else (raised_at - onset_at) * 1000.0
-        return cls(source_id, raised_at, kl, posterior, onset_at, latency)
+    @property
+    def latency_ms(self) -> float | None:
+        """Milliseconds from the onset to the alert; None without an onset."""
+        return None if self.onset_at is None else (self.raised_at - self.onset_at) * 1000.0
 
 
 @dataclass(frozen=True)

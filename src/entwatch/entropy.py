@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch
+from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch, checked
 
 MAX_ENTROPY_BITS = 8.0
 
@@ -37,8 +37,9 @@ SPACING_TOLERANCE = 0.10
 class ByteHistogram:
     """256-bucket count vector over byte values.
 
-    ``total`` is kept equal to the exact sum of ``counts``, and never passes
-    int64. Instances are plain mutable accumulators and must not be shared
+    ``counts`` is an integer array or a list of 256 ints (not bools or
+    floats). ``total`` is kept equal to the exact sum of ``counts``, and never
+    passes int64. Instances are plain mutable accumulators and must not be shared
     between concurrent writers.
     """
 
@@ -49,6 +50,11 @@ class ByteHistogram:
             self.counts = np.zeros(256, dtype=np.int64)
             self.total = 0
             return
+        # An integer array holds only ints; anything else is checked item by item.
+        if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu":
+            values = counts.tolist()
+        else:
+            values = checked(counts, "histogram counts", (int,))
         try:
             arr = np.array(counts, dtype=np.int64)
         except OverflowError as exc:
@@ -58,7 +64,7 @@ class ByteHistogram:
         if (arr < 0).any():
             raise ValueError("histogram counts must be non-negative")
         # Summed as Python ints: an int64 sum of buckets that each fit can wrap.
-        total = sum(arr.tolist())
+        total = sum(values)
         if total > INT64_MAX:
             raise ValueError(f"histogram total {total} passes the 64-bit range")
         self.counts = arr
@@ -199,7 +205,12 @@ class BinnedDistribution:
     bins: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.bins = np.asarray(self.bins, dtype=np.float64)
+        self.lo = checked(self.lo, "lo", float)
+        self.hi = checked(self.hi, "hi", float)
+        bins = self.bins
+        if not (isinstance(bins, np.ndarray) and bins.dtype.kind == "f"):
+            bins = checked(bins, "bins", (float,))
+        self.bins = np.asarray(bins, dtype=np.float64)
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ValueError(f"support bounds must be finite with lo < hi, got [{self.lo}, {self.hi}]")
         if self.bins.ndim != 1 or self.bins.size == 0:

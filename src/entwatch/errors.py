@@ -71,3 +71,34 @@ class EmptyInput(EntwatchError):
 
 class ConfigError(EntwatchError):
     """Run configuration file is missing, malformed, or inconsistent."""
+
+
+
+# The exact types that ``checked`` accepts for a kind, and its name in messages.
+_KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number")}
+
+
+def checked(value, name: str, kind, *, optional: bool = False):
+    """``value`` if its exact type fits ``kind``, else ValueError naming ``name``.
+
+    A bool is neither an int nor a number, and a string is not a list. Kind
+    ``float`` takes an int or a float and returns a float; a one-type tuple
+    ``(item,)`` takes a list or tuple of ``item`` values and returns a tuple.
+    ``optional`` lets None through.
+    """
+    if type(value) is kind:  # the common case, and already the type it becomes
+        return value
+    if optional and value is None:
+        return None
+    item = kind[0] if type(kind) is tuple else kind
+    allowed, what = _KINDS.get(item) or ({item}, f"a {item.__name__}")
+    try:
+        if type(kind) is not tuple:
+            if type(value) not in allowed:
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+            return float(value) if kind is float else value
+        if type(value) not in (list, tuple) or not allowed.issuperset(map(type, value)):
+            raise ValueError(f"{name} must be a list, each item {what}, got {value!r}")
+        return tuple(map(float, value)) if item is float else tuple(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} is past the float range, got {value!r}") from None

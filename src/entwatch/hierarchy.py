@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Mapping, Sequence
 
-from .errors import EmptyLevel, NoLevels
+from .errors import EmptyLevel, NoLevels, checked
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -30,19 +30,14 @@ class LevelConfig:
     path_patterns: tuple[str, ...] = ()
 
     def __post_init__(self):
+        checked(self.level_id, "level_id", str)
         if self.kind not in LEVEL_KINDS:
             raise ValueError(f"unknown level kind {self.kind!r}, expected one of {LEVEL_KINDS}")
-        # A bool is an int to isinstance, and float() would read it as 0 or 1.
-        if isinstance(self.weight, bool) or not isinstance(self.weight, (int, float)):
-            raise ValueError(f"level weight must be a number, got {self.weight!r}")
-        object.__setattr__(self, "weight", float(self.weight))
+        object.__setattr__(self, "weight", checked(self.weight, "level weight", float))
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"level weight must be finite and non-negative, got {self.weight}")
         # Not any iterable: a string would be one pattern per character, "*" among them.
-        patterns = self.path_patterns
-        if not isinstance(patterns, (list, tuple)) or not all(isinstance(p, str) for p in patterns):
-            raise ValueError(f"path_patterns must be a list of strings, got {patterns!r}")
-        object.__setattr__(self, "path_patterns", tuple(patterns))
+        object.__setattr__(self, "path_patterns", checked(self.path_patterns, "path_patterns", (str,)))
 
 
 @dataclass(frozen=True)
@@ -51,8 +46,7 @@ class HierarchyConfig:
     normalize: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.normalize, bool):
-            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
+        checked(self.normalize, "normalize", bool)
         object.__setattr__(self, "levels", tuple(self.levels))
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):

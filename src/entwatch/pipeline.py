@@ -301,8 +301,7 @@ class TraceProcessor:
             onset = self.onset_at
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
-            self.alerts.append(
-                Alert.create(track.source_id, t_end, track.kl, track.posterior, onset))
+            self.alerts.append(Alert(track.source_id, t_end, track.kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import ByteHistogram
-from .errors import InvalidSpec
+from .errors import InvalidSpec, checked
 from .traces import LABEL_BENIGN, LABEL_RANSOMWARE, EventRecord, Trace, TraceMeta
 
 SCENARIO_KINDS = ("benign_edit", "compressor", "ransomware")
@@ -64,21 +64,25 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise InvalidSpec(f"unknown scenario kind {self.kind!r}, expected one of {SCENARIO_KINDS}")
+        try:
+            checked(self.seed, "seed", int)
+            checked(self.file_count, "file_count", int, optional=True)
+            for name, kind in (("duration", float), ("target_dirs", (str,)), ("ramp", (float,))):
+                object.__setattr__(self, name, checked(getattr(self, name), name, kind))
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from exc
         if not 0 <= self.seed < 2 ** 64:
             raise InvalidSpec(f"seed must fit in 64 bits, got {self.seed}")
-        if self.duration <= 0:
-            raise InvalidSpec(f"duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < float("inf"):
+            raise InvalidSpec(f"duration must be finite and positive, got {self.duration}")
         if self.file_count is None:
             object.__setattr__(self, "file_count", max(2, int(round(self.duration / 5.0))))
         if self.file_count < 1:
             raise InvalidSpec(f"file_count must be positive, got {self.file_count}")
         if not self.target_dirs:
             raise InvalidSpec("at least one target directory is required")
-        object.__setattr__(self, "target_dirs", tuple(self.target_dirs))
-        start, end = self.ramp
-        if not 0.0 <= start <= end <= 8.0:
+        if not (len(self.ramp) == 2 and 0.0 <= self.ramp[0] <= self.ramp[1] <= 8.0):
             raise InvalidSpec(f"ramp must satisfy 0 <= start <= end <= 8, got {self.ramp}")
-        object.__setattr__(self, "ramp", (float(start), float(end)))
 
 
 def _mixture_entropy(lam: np.ndarray) -> np.ndarray:

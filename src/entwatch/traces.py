@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from .entropy import ByteHistogram, histogram_from_bytes
-from .errors import IoFailure, MalformedRecord
+from .errors import IoFailure, MalformedRecord, checked
 from .hierarchy import LEVEL_KINDS
 
 OPS = ("write", "read", "rename", "delete", "net_tx")
@@ -35,13 +35,9 @@ LABEL_RANSOMWARE = "ransomware"
 _BUCKET_OF_KEY = {str(b): b for b in range(256)}
 _BUCKET_FORMATS = tuple(f'"{b}":%d' for b in range(256))
 
-_NUMBER = (int, float)
-
 
 def format_seconds(ts: float) -> str:
-    """Shortest decimal that round-trips ``ts``, padded to >= 3 fraction digits."""
-    if ts < 0:
-        raise ValueError(f"timestamps are non-negative, got {ts}")
+    """Shortest decimal that round-trips ``ts`` (non-negative), padded to >= 3 fraction digits."""
     text = repr(float(ts))
     if "e" in text or "E" in text:
         # repr falls back to scientific notation below 1e-4; expand exactly.
@@ -64,12 +60,14 @@ class EventRecord:
     level_hint: str | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "timestamp", checked(self.timestamp, "timestamp", float))
         if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
             raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
-        if not isinstance(self.source_path, str):
-            raise ValueError(f"source path must be a string, got {self.source_path!r}")
+        checked(self.source_path, "source_path", str)
         if self.op not in OPS:
             raise ValueError(f"unknown op {self.op!r}, expected one of {OPS}")
+        checked(self.histogram, "histogram", ByteHistogram)
+        checked(self.bytes, "bytes", int)
         if self.histogram.total != self.bytes:
             raise ValueError(
                 f"histogram total {self.histogram.total} does not match payload length {self.bytes}"
@@ -80,6 +78,8 @@ class EventRecord:
 
 @dataclass(frozen=True)
 class TraceMeta:
+    """Trace metadata: its time fields are finite non-negative floats, ``ramp`` two finite floats."""
+
     scenario: str
     seed: int
     label: str
@@ -91,18 +91,23 @@ class TraceMeta:
     target_dirs: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        checked(self.scenario, "scenario", str)
+        checked(self.seed, "seed", int)
         if self.label not in (LABEL_BENIGN, LABEL_RANSOMWARE):
             raise ValueError(f"label must be benign or ransomware, got {self.label!r}")
         if self.label == LABEL_RANSOMWARE and self.onset_at is None:
             raise ValueError("ransomware traces must carry onset_at")
         for name in ("created_at", "duration", "onset_at"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.ramp is not None:
-            object.__setattr__(self, "ramp", (float(self.ramp[0]), float(self.ramp[1])))
-        if self.target_dirs is not None:
-            object.__setattr__(self, "target_dirs", tuple(self.target_dirs))
+            value = checked(getattr(self, name), name, float, optional=name != "created_at")
+            if value is not None and not 0.0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            object.__setattr__(self, name, value)
+        ramp = checked(self.ramp, "ramp", (float,), optional=True)
+        if ramp is not None and not (len(ramp) == 2 and all(map(math.isfinite, ramp))):
+            raise ValueError(f"ramp must be two finite numbers, got {self.ramp!r}")
+        object.__setattr__(self, "ramp", ramp)
+        checked(self.file_count, "file_count", int, optional=True)
+        object.__setattr__(self, "target_dirs", checked(self.target_dirs, "target_dirs", (str,), optional=True))
 
 
 @dataclass(frozen=True)
@@ -163,75 +168,31 @@ def write_trace(trace: Trace, path) -> None:
         raise IoFailure(f"cannot write trace to {path}: {exc}") from exc
 
 
-def _typed(value, name: str, types: tuple):
-    """``value`` when its exact type is one of ``types``: a bool is no number, a string no count."""
-    if type(value) not in types:
-        raise ValueError(f"{name} must be of type {'/'.join(t.__name__ for t in types)}, "
-                         f"got {value!r}")
-    return value
-
-
-def _parse_meta(obj: dict, line_number: int) -> TraceMeta:
-    def optional(name, types):
-        value = obj.get(name)
-        return None if value is None else _typed(value, name, types)
-
+def _parse_meta(obj, line_number: int) -> TraceMeta:
     try:
-        if not isinstance(obj, dict):
-            raise ValueError(f"metadata must be a JSON object, got {obj!r}")
-        ramp = optional("ramp", (list,))
-        if ramp is not None and (len(ramp) != 2 or not all(type(v) in _NUMBER for v in ramp)):
-            raise ValueError(f"ramp must be a list of two numbers, got {ramp!r}")
-        target_dirs = optional("target_dirs", (list,))
-        if target_dirs is not None and not all(type(d) is str for d in target_dirs):
-            raise ValueError(f"target_dirs must be a list of strings, got {target_dirs!r}")
-        duration = optional("duration", _NUMBER)
-        onset_at = optional("onset_at", _NUMBER)
-        return TraceMeta(
-            scenario=_typed(obj["scenario"], "scenario", (str,)),
-            seed=_typed(obj["seed"], "seed", (int,)),
-            label=obj["label"],
-            created_at=float(_typed(obj.get("created_at", 0.0), "created_at", _NUMBER)),
-            duration=None if duration is None else float(duration),
-            onset_at=None if onset_at is None else float(onset_at),
-            ramp=None if ramp is None else tuple(ramp),
-            file_count=optional("file_count", (int,)),
-            target_dirs=None if target_dirs is None else tuple(target_dirs),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return TraceMeta(**checked(obj, "metadata", dict))
+    except (TypeError, ValueError) as exc:  # TypeError: a key TraceMeta does not have
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
-def _parse_record(obj: dict, line_number: int) -> EventRecord:
+def _parse_record(obj, line_number: int) -> EventRecord:
     try:
-        if not isinstance(obj, dict):
-            raise ValueError(f"record must be a JSON object, got {obj!r}")
-        sparse = obj.get("histogram", {})
-        if not isinstance(sparse, dict):
-            raise ValueError(f"histogram must be an object, got {sparse!r}")
+        checked(obj, "record", dict)
+        sparse = checked(obj.get("histogram", {}), "histogram", dict)
         size = len(sparse)
         try:
             buckets = np.fromiter(map(_BUCKET_OF_KEY.__getitem__, sparse), np.intp, size)
         except KeyError as exc:
             raise ValueError(f"byte bucket key must be one of '0' to '255', "
                              f"got {exc.args[0]!r}") from None
-        if not {int}.issuperset(map(type, sparse.values())):  # rejects floats and bools
-            bad = next(c for c in sparse.values() if type(c) is not int)
-            raise ValueError(f"histogram counts must be integers, got {bad!r}")
+        # The int64 array would truncate a float or bool count, so their types
+        # are checked first; a count outside int64 raises OverflowError.
+        values = checked(tuple(sparse.values()), "histogram counts", (int,))
         counts = np.zeros(256, dtype=np.int64)
-        # A count outside int64 raises OverflowError.
-        counts[buckets] = np.fromiter(sparse.values(), np.int64, size)
-        return EventRecord(
-            timestamp=float(_typed(obj["timestamp"], "timestamp", _NUMBER)),
-            source_path=obj["source_path"],
-            op=obj["op"],
-            histogram=ByteHistogram(counts),
-            bytes=_typed(obj["bytes"], "bytes", (int,)),
-            level_hint=obj.get("level_hint"),
-        )
-    except MalformedRecord:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # float(10**400)
+        counts[buckets] = np.fromiter(values, np.int64, size)
+        obj["histogram"] = ByteHistogram(counts)
+        return EventRecord(**obj)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
 
 

@@ -2,18 +2,21 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entwatch.baseline import (
     BaselineProfile,
     DEFAULT_BIN_COUNT,
     MIN_FIT_SAMPLES,
+    PROFILE_VERSION,
     empirical_distribution,
     fit_baseline,
     load_profile,
     save_profile,
+    smoothed_distribution,
 )
+from entwatch.entropy import BinnedDistribution
 from entwatch.errors import (
     CorruptProfile,
     EmptyWindow,
@@ -113,6 +116,40 @@ def random_profile(rng):
     return fit_baseline(levels, prior=float(rng.uniform(0, 1)), created_at=float(rng.uniform(0, 1e9)))
 
 
+# Values the loader rejects, each put in place of one constructor argument.
+ODD_PROFILE = {
+    "version": [2, True],
+    "prior": [True, "0.5", 1.5],
+    "created_at": [float("nan"), "0", True],
+    "sample_counts": [{}, {"other": 1}],
+    "inputs": ["abc", ("a", 5)],
+}
+
+
+@st.composite
+def distributions(draw):
+    weights = np.asarray(draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8)))
+    lo = draw(st.floats(-10.0, 10.0) | st.integers(-10, 10))
+    return BinnedDistribution(lo, lo + draw(st.floats(0.5, 10.0)), weights / weights.sum())
+
+
+@st.composite
+def profile_arguments(draw):
+    ids = draw(st.lists(st.text(max_size=6), max_size=3, unique=True))
+    args = {
+        "version": PROFILE_VERSION,
+        "prior": draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
+        "created_at": draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers()),
+        "per_level": {level_id: draw(distributions()) for level_id in ids},
+        "sample_counts": {level_id: draw(st.integers(0, 10 ** 6)) for level_id in ids},
+        "inputs": draw(st.lists(st.text(max_size=8), max_size=3) | st.tuples(st.text())),
+    }
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(ODD_PROFILE)))
+        args[name] = draw(st.sampled_from(ODD_PROFILE[name]))
+    return args
+
+
 class TestPersistence:
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(42)
@@ -186,6 +223,50 @@ class TestPersistence:
         path = tmp_path / "p.json"
         save_profile(profile, path)
         assert load_profile(path).inputs == ("a.jsonl", "b.jsonl")
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc.update(inputs="abc"),
+        lambda doc: doc.update(prior=True),
+        lambda doc: doc.update(created_at="1.5"),
+        lambda doc: doc.update(priors=0.5),
+        lambda doc: doc["levels"][0].update(sample_count=4.9),
+        lambda doc: doc["levels"][0].update(lo=True),
+        lambda doc: doc["levels"][0].update(bins=[str(b) for b in doc["levels"][0]["bins"]]),
+        lambda doc: doc["levels"][0].update(level_id=5),
+        lambda doc: doc["levels"].append(dict(doc["levels"][0])),
+        lambda doc: doc.update(levels=doc["levels"][0]),
+        lambda doc: doc["levels"][0].update(weight=1.0),
+    ], ids=["inputs_string", "prior_bool", "created_at_string", "unknown_key",
+            "sample_count_float", "lo_bool", "bins_strings", "level_id_not_string",
+            "level_id_twice", "levels_not_list", "level_unknown_key"])
+    def test_coerced_value_is_corrupt(self, tmp_path, change):
+        from entwatch.baseline import _checksum
+
+        path = tmp_path / "p.json"
+        save_profile(random_profile(np.random.default_rng(5)), path)
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        change(doc)
+        # re-checksum so only the changed value is wrong
+        doc["crc32"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptProfile):
+            load_profile(path)
+
+    @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(profile_arguments())
+    @example({"version": 1, "prior": 0.5, "created_at": float("nan"), "per_level": {},
+              "sample_counts": {}})
+    @example({"version": 1, "prior": 0.5, "created_at": 0.0,
+              "per_level": {"L": smoothed_distribution([1.0])}, "sample_counts": {}})
+    def test_constructed_profile_reads_back_equal(self, tmp_path, args):
+        try:
+            profile = BaselineProfile(**args)
+        except (TypeError, ValueError, InvalidPrior, UnsupportedVersion):
+            return
+        path = tmp_path / "p.json"
+        save_profile(profile, path)
+        assert load_profile(path) == profile
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_prior_survives_exactly(self, prior):

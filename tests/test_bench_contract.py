@@ -15,6 +15,7 @@ import pytest
 from entwatch.clustering import FeatureVector, agglomerate, outliers
 from entwatch.detector import BENIGN, RANSOMWARE
 from entwatch.simulate import ScenarioSpec, simulate_scenario
+from entwatch.traces import read_trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -55,3 +56,13 @@ def test_library_pass_yields_a_verdict(benign_profile, attack_model):
     library.run_chunk(0)
     assert library.verdicts["rw.jsonl"] in (BENIGN, RANSOMWARE)
     assert library.window_ms(at_nominal_speed=False)
+
+
+def test_benchmark_traces_read_back(tmp_path):
+    # The set-up probe's meta-only trace and the generated inputs must pass the reader.
+    common = perfbench_module("common")
+    spec = perfbench_module("workloads").InputSpec("ransomware", 951, 20.0)
+    paths, records, _ = common.generate_inputs([spec], tmp_path)
+    assert len(read_trace(paths[0]).records) == records
+    common.write_meta_only_trace(tmp_path / "meta.jsonl")
+    assert read_trace(tmp_path / "meta.jsonl").records == ()

@@ -190,12 +190,14 @@ class TestDetect:
                                    "path_pattern": ["/etc/**"]}]}},
         {"detectors": {"kl_threshold": 9.0}},
         {"inputs": "b.jsonl"},
+        {"hierarchy": {"levels": [{"level_id": 5, "kind": "filesystem", "weight": 1.0}]}},
+        {"baseline_path": 5},
     ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
             "convexity_run_bool", "normalize_string", "kl_threshold_bool",
             "posterior_threshold_bool", "window_seconds_bool", "outlier_weight_bool",
             "level_weight_bool", "path_patterns_string", "detector_unknown_key",
             "hierarchy_unknown_key", "level_unknown_key", "top_level_unknown_key",
-            "inputs_string"])
+            "inputs_string", "level_id_not_string", "baseline_path_not_string"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts

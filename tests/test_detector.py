@@ -155,24 +155,20 @@ class TestFuseAndDecide:
 
 class TestAlerts:
     def test_zero_latency(self):
-        alert = Alert.create("s", 10.0, 0.0, 0.0, onset_at=10.0)
+        alert = Alert("s", 10.0, 0.0, 0.0, onset_at=10.0)
         assert alert.latency_ms == 0.0
 
     def test_390ms(self):
-        alert = Alert.create("s", 10.39, 0.0, 0.0, onset_at=10.0)
+        alert = Alert("s", 10.39, 0.0, 0.0, onset_at=10.0)
         assert alert.latency_ms == pytest.approx(390.0)
 
     def test_negative_latency_rejected_at_construction(self):
         with pytest.raises(ValueError):
-            Alert.create("s", 9.0, 0.0, 0.0, onset_at=10.0)
+            Alert("s", 9.0, 0.0, 0.0, onset_at=10.0)
 
     def test_missing_onset(self):
-        alert = Alert.create("s", 10.0, 0.0, 0.0)
+        alert = Alert("s", 10.0, 0.0, 0.0)
         assert alert.onset_at is None and alert.latency_ms is None
-
-    def test_latency_present_iff_onset(self):
-        with pytest.raises(ValueError):
-            Alert("s", 10.0, 0.0, 0.0, onset_at=None, latency_ms=5.0)
 
 
 class TestConfigValidation:

@@ -52,6 +52,18 @@ class TestHistogram:
         with pytest.raises(ValueError):
             ByteHistogram([1, 2, 3])
 
+    @pytest.mark.parametrize("counts", [
+        [1.9] * 256,
+        [True] * 256,
+        [1] * 255 + [True],
+        np.full(256, 1.5),
+        np.ones(256, dtype=bool),
+        ["1"] * 256,
+    ], ids=["floats", "bools", "one_bool", "float_array", "bool_array", "strings"])
+    def test_non_integer_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            ByteHistogram(counts)
+
     def test_total_past_int64_rejected(self):
         # Each count fits int64, but their sum is 2^64, which an int64 sum wraps to 0.
         with pytest.raises(ValueError):

@@ -58,6 +58,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             ScenarioSpec("benign_edit", seed=2 ** 64)
 
+    @pytest.mark.parametrize("args", [
+        {"seed": True},
+        {"seed": 4.9},
+        {"duration": True},
+        {"duration": float("nan")},
+        {"file_count": 2.5},
+        {"target_dirs": "/home/u"},
+        {"ramp": (True, 7.8)},
+    ], ids=["seed_bool", "seed_float", "duration_bool", "duration_nan", "file_count_float",
+            "target_dirs_string", "ramp_bool"])
+    def test_mistyped_field_is_invalid_spec(self, args):
+        with pytest.raises(InvalidSpec):
+            ScenarioSpec("ransomware", **{"seed": 1, **args})
+
     def test_default_file_count_scales_with_duration(self):
         assert ScenarioSpec("benign_edit", seed=1, duration=100.0).file_count == 20
         assert ScenarioSpec("benign_edit", seed=1, duration=60.0).file_count == 12

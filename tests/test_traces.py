@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entwatch.entropy import INT64_MAX, ByteHistogram, histogram_from_bytes, shannon_entropy
@@ -29,6 +29,58 @@ def rec(t, path="/home/user/documents/a.txt", payload=b"hello world", op="write"
 def small_trace():
     meta = TraceMeta(scenario="benign_edit", seed=3, label="benign", duration=10.0)
     return Trace(meta, (rec(0.125), rec(1.25, payload=b"abcabc"), rec(2.5, op="net_tx")))
+
+
+# (line, changes): a value that the constructor of the type it maps onto
+# rejects as well, so the reader and the constructor agree on it.
+MALFORMED_VALUES = [
+    pytest.param(2, {"timestamp": float("nan")}, id="timestamp_nan"),
+    pytest.param(3, {"timestamp": float("inf")}, id="timestamp_inf"),
+    pytest.param(2, {"histogram": {"0": 100000000000000000000000}}, id="count_overflow"),
+    pytest.param(3, {"histogram": [], "bytes": 0}, id="histogram_list"),
+    pytest.param(2, {"source_path": 5}, id="path_not_string"),
+    pytest.param(2, {"histogram": {"0": 10, "1": -5}, "bytes": 5}, id="count_negative"),
+    pytest.param(3, {"histogram": {"0": 1.9}, "bytes": 1}, id="count_float"),
+    pytest.param(2, {"histogram": {"0": True}, "bytes": 1}, id="count_bool"),
+    pytest.param(1, {"onset_at": float("nan")}, id="onset_nan"),
+    pytest.param(1, {"created_at": float("inf")}, id="created_at_inf"),
+    pytest.param(1, {"duration": float("-inf")}, id="duration_inf"),
+    pytest.param(3, [1, 2], id="record_not_object"),  # replaces the whole line
+    pytest.param(2, {"histogram": {"0": 4}, "bytes": 4.9}, id="bytes_float"),
+    pytest.param(2, {"histogram": {"0": 1}, "bytes": True}, id="bytes_bool"),
+    pytest.param(3, {"histogram": {"0": 4}, "bytes": "4"}, id="bytes_string"),
+    pytest.param(3, {"timestamp": "1.5"}, id="timestamp_string"),
+    pytest.param(3, {"timestamp": True}, id="timestamp_bool"),
+    pytest.param(3, {"timestamp": 10 ** 400}, id="timestamp_huge_int"),
+    pytest.param(1, {"onset_at": 10 ** 400}, id="onset_huge_int"),
+    # Each count fits int64, but the sum wraps to the negative "bytes" in int64.
+    pytest.param(2, {"histogram": {"0": 6000000000000000000, "1": 6000000000000000000},
+                     "bytes": -6446744073709551616}, id="count_sum_overflow"),
+    pytest.param(1, {"seed": 4.9}, id="seed_float"),
+    pytest.param(1, {"seed": True}, id="seed_bool"),
+    pytest.param(1, {"created_at": "1.5"}, id="created_at_string"),
+    pytest.param(1, {"duration": True}, id="duration_bool"),
+    pytest.param(1, {"file_count": "7"}, id="file_count_string"),
+    pytest.param(1, {"file_count": False}, id="file_count_bool"),
+    pytest.param(1, {"scenario": 5}, id="scenario_not_string"),
+    pytest.param(1, {"target_dirs": "/home/user"}, id="target_dirs_string"),
+    pytest.param(1, {"target_dirs": ["/home/user", 5]}, id="target_dirs_not_strings"),
+    pytest.param(1, {"ramp": ["2.1", 7.8]}, id="ramp_string"),
+    pytest.param(1, [1, 2], id="meta_not_object"),  # replaces the whole line
+    pytest.param(1, {"created_at": -1.0}, id="created_at_negative"),
+    pytest.param(1, {"onset_at": -0.5}, id="onset_negative"),
+]
+
+# Bucket keys other than the canonical "0" to "255": the sparse-histogram
+# codec alone rejects them, since a dense histogram has no keys.
+MALFORMED_KEYS = [
+    pytest.param(2, {"histogram": {"05": 11}}, id="key_zero_padded"),
+    pytest.param(2, {"histogram": {" 5": 11}}, id="key_space"),
+    pytest.param(3, {"histogram": {"+5": 6}}, id="key_plus_sign"),
+    pytest.param(3, {"histogram": {"1_0": 6}}, id="key_underscore"),
+    pytest.param(2, {"histogram": {"256": 11}}, id="key_past_255"),
+    pytest.param(3, {"histogram": {"-1": 6}}, id="key_negative"),
+]
 
 
 class TestTimestampFormat:
@@ -108,56 +160,7 @@ class TestValidation:
             read_trace(path)
         assert err.value.line_number == 2
 
-    @pytest.mark.parametrize("line, changes", [
-        (2, {"timestamp": float("nan")}),
-        (3, {"timestamp": float("inf")}),
-        (2, {"histogram": {"0": 100000000000000000000000}}),
-        (3, {"histogram": [], "bytes": 0}),
-        (2, {"source_path": 5}),
-        (2, {"histogram": {"0": 10, "1": -5}, "bytes": 5}),
-        (3, {"histogram": {"0": 1.9}, "bytes": 1}),
-        (2, {"histogram": {"0": True}, "bytes": 1}),
-        (1, {"onset_at": float("nan")}),
-        (1, {"created_at": float("inf")}),
-        (1, {"duration": float("-inf")}),
-        (3, [1, 2]),  # not an object: replaces the whole line
-        (2, {"histogram": {"0": 4}, "bytes": 4.9}),
-        (2, {"histogram": {"0": 1}, "bytes": True}),
-        (3, {"histogram": {"0": 4}, "bytes": "4"}),
-        (3, {"timestamp": "1.5"}),
-        (3, {"timestamp": True}),
-        (3, {"timestamp": 10 ** 400}),
-        (1, {"onset_at": 10 ** 400}),
-        # Each count fits int64, but the sum wraps to the negative "bytes" in int64.
-        (2, {"histogram": {"0": 6000000000000000000, "1": 6000000000000000000},
-             "bytes": -6446744073709551616}),
-        (1, {"seed": 4.9}),
-        (1, {"seed": True}),
-        (1, {"created_at": "1.5"}),
-        (1, {"duration": True}),
-        (1, {"file_count": "7"}),
-        (1, {"file_count": False}),
-        (1, {"scenario": 5}),
-        (1, {"target_dirs": "/home/user"}),
-        (1, {"target_dirs": ["/home/user", 5]}),
-        (1, {"ramp": ["2.1", 7.8]}),
-        (1, [1, 2]),  # not an object: replaces the whole line
-        (2, {"histogram": {"05": 11}}),
-        (2, {"histogram": {" 5": 11}}),
-        (3, {"histogram": {"+5": 6}}),
-        (3, {"histogram": {"1_0": 6}}),
-        (2, {"histogram": {"256": 11}}),
-        (3, {"histogram": {"-1": 6}}),
-    ], ids=["timestamp_nan", "timestamp_inf", "count_overflow", "histogram_list",
-            "path_not_string", "count_negative", "count_float", "count_bool",
-            "onset_nan", "created_at_inf", "duration_inf", "record_not_object",
-            "bytes_float", "bytes_bool", "bytes_string", "timestamp_string",
-            "timestamp_bool", "timestamp_huge_int", "onset_huge_int",
-            "count_sum_overflow", "seed_float", "seed_bool", "created_at_string",
-            "duration_bool", "file_count_string", "file_count_bool", "scenario_not_string",
-            "target_dirs_string", "target_dirs_not_strings", "ramp_string",
-            "meta_not_object", "key_zero_padded", "key_space", "key_plus_sign",
-            "key_underscore", "key_past_255", "key_negative"])
+    @pytest.mark.parametrize("line, changes", MALFORMED_VALUES + MALFORMED_KEYS)
     def test_malformed_value_reports_line(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
@@ -165,6 +168,34 @@ class TestValidation:
         if isinstance(changes, dict):
             changes = {**json.loads(lines[line - 1]), **changes}
         lines[line - 1] = json.dumps(changes)  # writes NaN/Infinity, which json.loads accepts
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_trace(path)
+        assert err.value.line_number == line
+
+    @pytest.mark.parametrize("line, changes", MALFORMED_VALUES)
+    def test_malformed_value_rejected_at_construction(self, tmp_path, line, changes):
+        path = tmp_path / "t.jsonl"
+        write_trace(small_trace(), path)
+        obj = json.loads(path.read_text().splitlines()[line - 1])
+        if isinstance(changes, dict):
+            changes = {**obj, **changes}
+        with pytest.raises((TypeError, ValueError)):
+            if line == 1:
+                TraceMeta(**changes)
+            else:
+                if isinstance(changes, dict) and isinstance(changes["histogram"], dict):
+                    sparse = changes["histogram"]
+                    dense = ByteHistogram([sparse.get(str(b), 0) for b in range(256)])
+                    changes = {**changes, "histogram": dense}
+                EventRecord(**changes)
+
+    @pytest.mark.parametrize("line, key", [(1, "seeds"), (2, "payload")])
+    def test_unknown_key_reports_line(self, tmp_path, line, key):
+        path = tmp_path / "t.jsonl"
+        write_trace(small_trace(), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = json.dumps({**json.loads(lines[line - 1]), key: 1})
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(MalformedRecord) as err:
             read_trace(path)
@@ -262,6 +293,85 @@ class TestWriterBytes:
         assert read_trace(path) == trace
         lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert lines == [reference_record_line(rec) for rec in trace.records]
+
+
+# Values the readers reject, each put in place of one constructor argument.
+ODD_META = {
+    "scenario": [5, None],
+    "seed": [True, 4.9, "4"],
+    "created_at": [-1.0, True, "1.5", float("nan"), 10 ** 400],
+    "duration": [False, float("inf"), "9", -2.0],
+    "onset_at": [-0.5, True],
+    "ramp": [(True, 7.8), ("2.1", 7.8), (1.0,), "ab", (float("nan"), 1.0)],
+    "file_count": [2.5, True, "7"],
+    "target_dirs": ["/home/u", ("/a", 5)],
+}
+ODD_RECORD = {
+    "timestamp": [True, -1.0, "1.5", float("nan"), 10 ** 400],
+    "source_path": [5, None],
+    "bytes": [4.9, "4"],
+    "level_hint": [5, "disk"],
+}
+times = st.floats(0.0, 1e12) | st.integers(0, 10 ** 12)
+finite = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10 ** 6, 10 ** 6)
+
+
+def with_one_odd(draw, args, odd):
+    if draw(st.booleans()):
+        name = draw(st.sampled_from(sorted(odd)))
+        args[name] = draw(st.sampled_from(odd[name]))
+    return args
+
+
+@st.composite
+def meta_arguments(draw):
+    label = draw(st.sampled_from(["benign", "ransomware"]))
+    return with_one_odd(draw, {
+        "scenario": draw(st.text(max_size=8)),
+        "seed": draw(st.integers()),
+        "label": label,
+        "created_at": draw(times),
+        "duration": draw(st.none() | times),
+        "onset_at": draw(times if label == "ransomware" else st.none() | times),
+        "ramp": draw(st.none() | st.tuples(finite, finite) | st.lists(finite, min_size=2, max_size=2)),
+        "file_count": draw(st.none() | st.integers()),
+        "target_dirs": draw(st.none() | st.lists(st.text(max_size=8), max_size=3)),
+    }, ODD_META)
+
+
+@st.composite
+def record_arguments(draw):
+    hist = draw(histograms())
+    return with_one_odd(draw, {
+        "timestamp": draw(times),
+        "source_path": draw(st.text(max_size=12)),
+        "op": draw(st.sampled_from(OPS)),
+        "histogram": hist,
+        "bytes": hist.total,
+        "level_hint": draw(st.sampled_from([None, *LEVEL_KINDS])),
+    }, ODD_RECORD)
+
+
+class TestConstructedReadsBackEqual:
+    """What the constructors accept writes and reads back equal; the rest they reject."""
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(meta_arguments(), st.lists(record_arguments(), max_size=3))
+    @example({"scenario": "s", "seed": True, "label": "benign"}, [])
+    @example({"scenario": "s", "seed": 1, "label": "benign", "created_at": -1.0}, [])
+    @example({"scenario": "s", "seed": 1, "label": "benign"},
+             [{"timestamp": 0.0, "source_path": "p", "op": "write",
+               "histogram": ByteHistogram([1] + [0] * 255), "bytes": True}])
+    def test_trace(self, tmp_path, meta_args, record_args):
+        try:
+            meta = TraceMeta(**meta_args)
+            records = [EventRecord(**args) for args in record_args]
+        except (TypeError, ValueError):
+            return
+        trace = Trace(meta, sorted(records, key=lambda r: r.timestamp))
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
 
 class TestStreaming:
