@@ -3,7 +3,10 @@
 The hashes below pin the frozen-clock outputs of the CLI on a small seeded
 corpus, the trace files it simulates, and the fitted attack model. A second
 detect over one wide trace (120 files, so clustering batches of up to 120
-sources) pins the large-batch path of average linkage. A refactor must leave all of them unchanged. A
+sources) pins the large-batch path of average linkage. The edge specs pin
+the simulator's schedules away from the defaults: empty schedules, a single
+file, custom directories and ramps, and durations off the 0.25 s event grid.
+A refactor must leave all of them unchanged. A
 deliberate behaviour change updates the hashes in the same change and says
 so, with the old and new values, in a CHANGES.md line.
 """
@@ -46,6 +49,29 @@ GOLDEN_TRACES = {
     "ben_7012.jsonl": "f64e25f30e8b81fa26476c4512727ff529a29ae0e2489e98ac9a1537fb161515",
     "zip_7013.jsonl": "9bb9ec61ad0f61853076e2b7c281ae30b5fa09cae82cecbcfbc458b8039c1ff5",
     "rw_wide_7020.jsonl": "3d4841b0eb2d27aa5f7e92c25619c21709bde78895c36e5f8114e8fd80b2fb19",
+}
+EDGE_DIRS = ("--target-dir", "/srv/a", "--target-dir", "/srv/b", "--target-dir", "/srv/c")
+EDGE_SPECS = {  # name: (simulate arguments, sha256 of the trace file)
+    "zip_header_only": (("--kind", "compressor", "--seed", "7101", "--duration", "0.5"),
+                        "b28e21a6d4513ea1e7bd0b512f7a5fa9b33fad6ecad6a42eb9047b9ca5c63002"),
+    "zip_off_grid": (("--kind", "compressor", "--seed", "7102", "--duration", "37.3"),
+                     "fce6c6b2674b2defbd7e93761fcb852f0bf7de7fcb0f99cfacd03afaaf4ada19"),
+    "ben_empty": (("--kind", "benign_edit", "--seed", "7103", "--duration", "0.05"),
+                  "c95996340957a5ea107e7f8da7c17970a4c99cf4f597ade614948c0cde8d21e1"),
+    "ben_one_file_dirs": (("--kind", "benign_edit", "--seed", "7104", "--duration", "13.7",
+                           "--file-count", "1", *EDGE_DIRS),
+                          "6613e0d6ee4a5f116e1100f072bdcf2626867df78b8579b7b1fca7aea57f0ce2"),
+    "rw_empty": (("--kind", "ransomware", "--seed", "7105", "--duration", "0.2"),
+                 "e7c3d03faf3f5afc9815905da2408b7a9876a190159be6ff878fb25d98e7a81f"),
+    "rw_one_file": (("--kind", "ransomware", "--seed", "7106", "--duration", "0.3",
+                     "--file-count", "1"),
+                    "f0c0aeb9668386c303aed80ac3b3d668c9627249279a4bab69191a741fe4de6c"),
+    "rw_dirs_ramp": (("--kind", "ransomware", "--seed", "7107", "--duration", "77.7",
+                      "--file-count", "7", *EDGE_DIRS, "--ramp-start", "3.5", "--ramp-end", "6.0"),
+                     "0ed0f510fded19d4f276f214016b8281b79f1d1ead3584b922e43be3a23bd6d3"),
+    "rw_instant": (("--kind", "ransomware", "--seed", "7108", "--duration", "400",
+                    "--file-count", "3", "--ramp-start", "7.8", "--ramp-end", "7.9"),
+                   "be9def01640c93547d6df1d2c55a4cea751ac1b3bc2f4ddd415ce0e84cc74636"),
 }
 GOLDEN_DETECT_STDOUT = "cfb613ef9ed8807b4a9d6b7c4355fcf2768781d0db378069b9f97d44c420efe1"
 GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"
@@ -100,3 +126,12 @@ def test_detect_stdout_matches_golden(golden_run):
 
 def test_attack_model_bins_match_golden():
     assert sha256(fit_attack_model().bins.tobytes()) == GOLDEN_ATTACK_MODEL
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_SPECS))
+def test_edge_spec_trace_matches_golden(tmp_path, name):
+    args, digest = EDGE_SPECS[name]
+    out = tmp_path / f"{name}.jsonl"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", *args, "--out", str(out)]) == 0
+    assert sha256(out.read_bytes()) == digest
