@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .entropy import BinnedDistribution, MAX_ENTROPY_BITS, smooth_probabilities
+from .entropy import BinnedDistribution, MAX_ENTROPY_BITS, bin_indices, smooth_probabilities
 from .errors import (
     CorruptProfile,
     EmptyWindow,
@@ -60,15 +60,17 @@ class BaselineProfile:
             raise ValueError(f"sample counts are for levels {list(self.sample_counts)}, "
                              f"distributions for {list(self.per_level)}")
         checked(list(self.sample_counts.values()), "sample counts", (int,))
+        for level_id, dist in self.per_level.items():
+            if (dist.lo, dist.hi, dist.bin_count) != (*DEVIATION_SUPPORT, DEFAULT_BIN_COUNT):
+                raise ValueError(f"level {level_id!r} is binned {dist!r}, profiles bin deviations "
+                                 f"over {list(DEVIATION_SUPPORT)} in {DEFAULT_BIN_COUNT} bins")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "created_at", created_at)
         object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
 
 
 def _bin_counts(samples: Sequence[float], lo: float, hi: float, bin_count: int) -> np.ndarray:
-    arr = np.asarray(list(samples), dtype=np.float64)
-    idx = ((arr - lo) / (hi - lo) * bin_count).astype(np.int64)
-    idx = np.clip(idx, 0, bin_count - 1)
+    idx = bin_indices(np.asarray(list(samples), dtype=np.float64), lo, hi, bin_count)
     return np.bincount(idx, minlength=bin_count).astype(np.float64)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from .baseline import DEFAULT_PRIOR, fit_baseline, load_profile, save_profile
 from .config import RunConfig, load_run_config
 from .detector import DetectorConfig
-from .errors import EntwatchError, ConfigError, InvalidSpec
+from .errors import EntwatchError, ConfigError, InvalidSpec, IoFailure
 from .hierarchy import default_hierarchy
 from .metrics import (
     PerTraceRow,
@@ -40,6 +40,24 @@ def _peak_rss_bytes() -> int:
         return 0
     # ru_maxrss is kilobytes on Linux.
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a size: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _make_report_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create report directory {path}: {exc}") from exc
 
 
 def _input_records(path: str, chunk_bytes: int):
@@ -117,7 +135,7 @@ def cmd_detect(args) -> int:
 
     profile = load_profile(baseline_path)
     attack_model = fit_attack_model()
-    os.makedirs(report_dir, exist_ok=True)
+    _make_report_dir(report_dir)
 
     started = time.perf_counter()
     rows: list[PerTraceRow] = []
@@ -188,7 +206,7 @@ def cmd_report(args) -> int:
     print(f"accuracy={report.accuracy:.3f} fpr={report.fpr:.3f} fnr={report.fnr:.3f} "
           f"mean_latency={latency} traces={len(rows)}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_report_dir(args.out)
         write_metrics_json(os.path.join(args.out, "metrics.json"), report)
     return 0
 
@@ -205,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="profile output path")
     p.add_argument("--prior", type=float, default=DEFAULT_PRIOR, help="prior attack probability")
     p.add_argument("--config", help="run config JSON")
-    p.add_argument("--chunk-bytes", type=int, default=DEFAULT_CHUNK_BYTES)
+    p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true", help="deterministic timestamps")
     p.set_defaults(func=cmd_profile)
 
@@ -214,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", help="baseline profile path")
     p.add_argument("--out", help="report directory")
     p.add_argument("--config", help="run config JSON")
-    p.add_argument("--chunk-bytes", type=int, default=DEFAULT_CHUNK_BYTES)
+    p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true",
                    help="zero out wall time and RSS for byte-stable reports")
     p.set_defaults(func=cmd_detect)

@@ -196,6 +196,19 @@ def second_difference(series: EntropySeries) -> float:
     return _second_diff_triple(*series.latest(3))
 
 
+def bin_indices(values, lo: float, hi: float, bin_count: int):
+    """Bin of a value, or of each value in an array, among ``bin_count`` equal bins over [lo, hi].
+
+    Values below ``lo`` fall in the first bin, ``hi`` and above in the last.
+    A lone value stays off numpy, which would cost more than the rest of a
+    likelihood ratio.
+    """
+    scaled = (values - lo) / (hi - lo) * bin_count
+    if isinstance(scaled, np.ndarray):
+        return np.clip(scaled.astype(np.int64), 0, bin_count - 1)
+    return min(max(int(scaled), 0), bin_count - 1)
+
+
 @dataclass(eq=False)
 class BinnedDistribution:
     """Probability masses over uniform bins spanning [lo, hi]."""
@@ -228,9 +241,7 @@ class BinnedDistribution:
 
     def bin_index(self, value: float) -> int:
         """Bin containing ``value``; the upper bound maps into the last bin."""
-        span = self.hi - self.lo
-        idx = int((value - self.lo) / span * self.bin_count)
-        return min(max(idx, 0), self.bin_count - 1)
+        return bin_indices(value, self.lo, self.hi, self.bin_count)
 
     def same_binning(self, other: "BinnedDistribution") -> bool:
         return self.lo == other.lo and self.hi == other.hi and self.bin_count == other.bin_count

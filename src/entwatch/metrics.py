@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, IoFailure, MalformedRecord, checked
 from .traces import LABEL_BENIGN, LABEL_RANSOMWARE
 
 VERDICT_ERROR = "error"
@@ -21,6 +23,21 @@ class PerTraceRow:
     verdict: str
     confidence: float
     latency_ms: float | None
+
+    def __post_init__(self):
+        checked(self.trace, "trace", str)
+        if self.label not in (LABEL_BENIGN, LABEL_RANSOMWARE, None):
+            raise ValueError(f"label must be benign, ransomware or None, got {self.label!r}")
+        if self.verdict not in (LABEL_BENIGN, LABEL_RANSOMWARE, VERDICT_ERROR):
+            raise ValueError(f"verdict must be benign, ransomware or error, got {self.verdict!r}")
+        confidence = checked(self.confidence, "confidence", float)
+        if not 0.0 <= confidence <= 1.0:  # NaN fails too
+            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+        latency = checked(self.latency_ms, "latency_ms", float, optional=True)
+        if latency is not None and not 0.0 <= latency < math.inf:
+            raise ValueError(f"latency_ms must be finite and non-negative, got {latency}")
+        object.__setattr__(self, "confidence", confidence)
+        object.__setattr__(self, "latency_ms", latency)
 
 
 @dataclass(frozen=True)
@@ -80,8 +97,18 @@ def compute_metrics(rows, wall_time_ms: float = 0.0, peak_rss_estimate: int = 0)
     )
 
 
+@contextlib.contextmanager
+def _writing(path, **open_args):
+    """``path`` opened for writing; any OSError, on open or while writing, is an IoFailure."""
+    try:
+        with open(path, "w", encoding="utf-8", **open_args) as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
 def write_report_csv(path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
@@ -94,21 +121,29 @@ def write_report_csv(path, rows) -> None:
             ])
 
 
+def _report_row(fields: list[str]) -> PerTraceRow:
+    if len(fields) != len(REPORT_COLUMNS):
+        raise ValueError(f"expected {len(REPORT_COLUMNS)} fields, got {len(fields)}")
+    trace, label, verdict, confidence, latency = fields
+    return PerTraceRow(trace, None if label == "unknown" else label, verdict,
+                       float(confidence), float(latency) if latency else None)
+
+
 def read_report_csv(path) -> list[PerTraceRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for entry in reader:
-            label = entry["label"]
-            latency = entry["latency_ms"]
-            rows.append(PerTraceRow(
-                trace=entry["trace"],
-                label=None if label == "unknown" else label,
-                verdict=entry["verdict"],
-                confidence=float(entry["confidence"]),
-                latency_ms=float(latency) if latency else None,
-            ))
-    return rows
+    """Rows of a report.csv laid out as write_report_csv writes it, header included."""
+    try:
+        fh = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise IoFailure(f"cannot read report {path}: {exc}") from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            if next(reader, None) != list(REPORT_COLUMNS):
+                raise ValueError(f"the header must be {','.join(REPORT_COLUMNS)}")
+            return [_report_row(fields) for fields in reader]
+        except (csv.Error, ValueError) as exc:
+            raise MalformedRecord(f"report {path} line {reader.line_num}: {exc}",
+                                  reader.line_num) from exc
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:
@@ -130,7 +165,7 @@ def write_metrics_json(path, report: MetricsReport) -> None:
             for row in report.per_trace
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -150,7 +185,7 @@ def write_heatmap_csv(path, level_samples) -> None:
         max_bucket = max(max_bucket, bucket)
 
     levels = sorted({key[0] for key in cells})
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["level"] + [str(b) for b in range(max_bucket + 1)])
         for level_id in levels:

@@ -274,7 +274,7 @@ class TraceProcessor:
                 self._update_accel(track)
             q = self.profile.per_level.get(track.level_id)
             if q is not None:
-                emp = empirical_distribution(list(track.deviations), q.lo, q.hi, q.bin_count)
+                emp = empirical_distribution(list(track.deviations))
                 track.kl = kl_divergence(emp, q)
                 lr = likelihood_ratio(dev, q, self.attack_model)
                 updated = posterior(track.posterior, lr)

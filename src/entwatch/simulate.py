@@ -19,6 +19,18 @@ Payload histograms are constructed directly (no raw bytes): a one-parameter
 mixture between a point mass and the uniform byte distribution is solved for
 the target entropy, then quantized to integer counts by largest remainder.
 Realized entropy lands within a few thousandths of a bit of the target.
+
+Each kind schedules its writes and draws their heavy bytes; the golden trace
+hashes pin the order of the RNG draws, per kind:
+
+* benign_edit: ``uniform(base, size=file_count)``; then, per edit,
+  ``uniform(±jitter)`` then ``integers(1024, 8193)``; then
+  ``integers(32, 127, size=file_count)``.
+* compressor: the header's ``uniform``; then, per body write, ``uniform``
+  then ``integers(2048, 16385)``; then one ``integers(0, 256)`` per record.
+* ransomware: the pre-onset edits as for benign_edit, without the base draw;
+  then ``integers(32, 127, size=file_count)``; then ``permutation(file_count)``;
+  then one ``integers(0, 256)`` per rewrite.
 """
 
 from __future__ import annotations
@@ -138,129 +150,77 @@ def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int,
     return hist
 
 
-def _write_record(t: float, path: str, target: float, size: int, heavy: int,
-                  lam: float) -> EventRecord:
-    return EventRecord(
-        timestamp=t,
-        source_path=path,
-        op="write",
-        histogram=synthesize_histogram(target, size, heavy, mixture_weight=lam),
-        bytes=size,
-    )
+def _times(start: float, step: float, until: float) -> list[float]:
+    """``start + i * step`` for i = 0, 1, ... while below ``until``."""
+    times = []
+    while (t := start + len(times) * step) < until:
+        times.append(t)
+    return times
 
 
-def _file_paths(spec: ScenarioSpec) -> list[str]:
-    dirs = spec.target_dirs
-    return [f"{dirs[i % len(dirs)]}/doc_{i:04d}.txt" for i in range(spec.file_count)]
-
-
-def _benign_events(spec: ScenarioSpec, rng: np.random.Generator, until: float,
-                   base_entropies: np.ndarray, jitter: float) -> list[tuple[float, int, float, int]]:
-    """(timestamp, file index, target entropy, size) for the steady edit phase."""
+def _edits(rng: np.random.Generator, base_entropies: np.ndarray, jitter: float, until: float):
+    """Rows editing each file in turn near its base entropy, and their printable heavy bytes."""
     step = 1.0 / BENIGN_EVENT_RATE
-    offset = step / 4.0
-    events = []
-    i = 0
-    while True:
-        t = offset + i * step
-        if t >= until:
-            break
+    rows = []
+    for i, t in enumerate(_times(step / 4.0, step, until)):
         fidx = i % len(base_entropies)
         target = float(np.clip(base_entropies[fidx] + rng.uniform(-jitter, jitter), 0.0, 8.0))
-        size = int(rng.integers(1024, 8193))
-        events.append((t, fidx, target, size))
-        i += 1
-    return events
+        rows.append((t, fidx, target, int(rng.integers(1024, 8193))))
+    per_file = rng.integers(32, 127, size=len(base_entropies))  # one per file, text-like
+    return rows, per_file[[fidx for _, fidx, _, _ in rows]]
+
+
+def _writes(rows, paths: list[str], heavies) -> list[EventRecord]:
+    """A write record per (timestamp, file index, target entropy, size) row and heavy byte."""
+    lams = solve_mixture_weights(np.asarray([target for _, _, target, _ in rows]))
+    return [
+        EventRecord(t, paths[fidx], "write",
+                    synthesize_histogram(target, size, int(heavy), mixture_weight=float(lam)), size)
+        for (t, fidx, target, size), heavy, lam in zip(rows, heavies, lams)
+    ]
 
 
 def simulate_scenario(spec: ScenarioSpec) -> Trace:
     """Generate one trace; byte-identical output for identical specs."""
     rng = np.random.default_rng(spec.seed)
-    paths = _file_paths(spec)
+    dirs = spec.target_dirs
+    paths = [f"{dirs[i % len(dirs)]}/doc_{i:04d}.txt" for i in range(spec.file_count)]
+    attack = spec.kind == "ransomware"
+    onset = ONSET_FRACTION * spec.duration if attack else None
+    renames = []
 
     if spec.kind == "benign_edit":
         base = rng.uniform(*BENIGN_SOURCE_ENTROPY, size=spec.file_count)
-        events = _benign_events(spec, rng, spec.duration, base, BENIGN_JITTER)
-        records = _materialize_writes(events, paths, rng)
-        meta = TraceMeta(
-            scenario=spec.kind, seed=spec.seed, label=LABEL_BENIGN,
-            duration=spec.duration, file_count=spec.file_count, target_dirs=spec.target_dirs,
-        )
-        return Trace(meta, tuple(records))
-
-    if spec.kind == "compressor":
-        out_path = f"{spec.target_dirs[0]}/archive_{spec.seed % 10000:04d}.pack"
-        header_target = float(rng.uniform(*COMPRESSOR_HEADER_ENTROPY))
-        specs = [(1.0 / BENIGN_EVENT_RATE / 4.0, header_target, 512)]
+        rows, heavies = _edits(rng, base, BENIGN_JITTER, spec.duration)
+    elif spec.kind == "compressor":
+        paths = [f"{dirs[0]}/archive_{spec.seed % 10000:04d}.pack"]
         step = 1.0 / BENIGN_EVENT_RATE
-        i = 0
-        while True:
-            t = 1.0 + step / 4.0 + i * step
-            if t >= spec.duration:
-                break
-            specs.append((t, float(rng.uniform(*COMPRESSOR_BODY_ENTROPY)), int(rng.integers(2048, 16385))))
-            i += 1
-        lams = solve_mixture_weights(np.asarray([s[1] for s in specs]))
-        records = []
-        for (t, target, size), lam in zip(specs, lams):
-            heavy = int(rng.integers(0, 256))
-            records.append(_write_record(t, out_path, target, size, heavy, float(lam)))
-        meta = TraceMeta(
-            scenario=spec.kind, seed=spec.seed, label=LABEL_BENIGN,
-            duration=spec.duration, file_count=1, target_dirs=spec.target_dirs,
-        )
-        return Trace(meta, tuple(records))
+        rows = [(step / 4.0, 0, float(rng.uniform(*COMPRESSOR_HEADER_ENTROPY)), 512)]
+        for t in _times(1.0 + step / 4.0, step, spec.duration):
+            target = float(rng.uniform(*COMPRESSOR_BODY_ENTROPY))
+            rows.append((t, 0, target, int(rng.integers(2048, 16385))))
+        heavies = rng.integers(0, 256, size=len(rows))
+    else:
+        base = np.full(spec.file_count, PRE_ONSET_ENTROPY)
+        rows, heavies = _edits(rng, base, PRE_ONSET_JITTER, onset)
+        order = rng.permutation(spec.file_count)
+        ramp_start, ramp_end = spec.ramp
+        ramp_span = spec.duration - onset
+        step = 1.0 / REWRITE_RATE
+        times = _times(onset + step / 2.0, step, spec.duration)
+        for j, t in enumerate(times):
+            fidx = int(order[j % spec.file_count])
+            target = ramp_start + (ramp_end - ramp_start) * (t - onset) / ramp_span
+            rows.append((t, fidx, target, REWRITE_PAYLOAD_BYTES))
+            if (j + 1) % RENAME_EVERY == 0:
+                renames.append(EventRecord(t + step / 4.0, paths[fidx], "rename",
+                                           ByteHistogram(), 0))
+        heavies = np.concatenate([heavies, rng.integers(0, 256, size=len(times))])
 
-    # ransomware
-    onset = ONSET_FRACTION * spec.duration
-    ramp_start, ramp_end = spec.ramp
-    ramp_span = spec.duration - onset
-
-    pre_base = np.full(spec.file_count, PRE_ONSET_ENTROPY)
-    pre_events = _benign_events(spec, rng, onset, pre_base, PRE_ONSET_JITTER)
-    pre_records = _materialize_writes(pre_events, paths, rng)
-
-    order = rng.permutation(spec.file_count)
-    step = 1.0 / REWRITE_RATE
-    offset = step / 2.0
-    rewrites = []
-    j = 0
-    while True:
-        t = onset + offset + j * step
-        if t >= spec.duration:
-            break
-        target = ramp_start + (ramp_end - ramp_start) * (t - onset) / ramp_span
-        rewrites.append((t, int(order[j % spec.file_count]), target))
-        j += 1
-
-    lams = solve_mixture_weights(np.asarray([r[2] for r in rewrites]))
-    post_records = []
-    for k, ((t, fidx, target), lam) in enumerate(zip(rewrites, lams)):
-        heavy = int(rng.integers(0, 256))
-        post_records.append(_write_record(t, paths[fidx], target, REWRITE_PAYLOAD_BYTES,
-                                          heavy, float(lam)))
-        if (k + 1) % RENAME_EVERY == 0:
-            post_records.append(EventRecord(
-                timestamp=t + step / 4.0,
-                source_path=paths[fidx],
-                op="rename",
-                histogram=ByteHistogram(),
-                bytes=0,
-            ))
-
+    records = sorted(_writes(rows, paths, heavies) + renames, key=lambda rec: rec.timestamp)
     meta = TraceMeta(
-        scenario=spec.kind, seed=spec.seed, label=LABEL_RANSOMWARE,
-        duration=spec.duration, onset_at=onset, ramp=spec.ramp,
-        file_count=spec.file_count, target_dirs=spec.target_dirs,
+        scenario=spec.kind, seed=spec.seed, label=LABEL_RANSOMWARE if attack else LABEL_BENIGN,
+        duration=spec.duration, onset_at=onset, ramp=spec.ramp if attack else None,
+        file_count=len(paths), target_dirs=spec.target_dirs,
     )
-    return Trace(meta, tuple(pre_records + post_records))
-
-
-def _materialize_writes(events, paths, rng) -> list[EventRecord]:
-    """Give each file a stable heavy byte and synthesize all write payloads."""
-    heavies = rng.integers(32, 127, size=len(paths))  # printable range, text-like
-    lams = solve_mixture_weights(np.asarray([e[2] for e in events])) if events else []
-    records = []
-    for (t, fidx, target, size), lam in zip(events, lams):
-        records.append(_write_record(t, paths[fidx], target, size, int(heavies[fidx]), float(lam)))
-    return records
+    return Trace(meta, tuple(records))

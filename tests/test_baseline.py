@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entwatch.baseline import (
     BaselineProfile,
     DEFAULT_BIN_COUNT,
+    DEVIATION_SUPPORT,
     MIN_FIT_SAMPLES,
     PROFILE_VERSION,
     empirical_distribution,
@@ -128,6 +129,11 @@ ODD_PROFILE = {
 
 @st.composite
 def distributions(draw):
+    """Mostly the deviation binning profiles require; one draw in four any other binning."""
+    if draw(st.integers(0, 3)):
+        weights = np.asarray(draw(st.lists(st.floats(0.001, 1.0), min_size=DEFAULT_BIN_COUNT,
+                                           max_size=DEFAULT_BIN_COUNT)))
+        return BinnedDistribution(*DEVIATION_SUPPORT, weights / weights.sum())
     weights = np.asarray(draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8)))
     lo = draw(st.floats(-10.0, 10.0) | st.integers(-10, 10))
     return BinnedDistribution(lo, lo + draw(st.floats(0.5, 10.0)), weights / weights.sum())
@@ -236,9 +242,11 @@ class TestPersistence:
         lambda doc: doc["levels"].append(dict(doc["levels"][0])),
         lambda doc: doc.update(levels=doc["levels"][0]),
         lambda doc: doc["levels"][0].update(weight=1.0),
+        lambda doc: doc["levels"][0].update(bins=[1.0 / 32] * 32),
+        lambda doc: doc["levels"][0].update(hi=4.0),
     ], ids=["inputs_string", "prior_bool", "created_at_string", "unknown_key",
             "sample_count_float", "lo_bool", "bins_strings", "level_id_not_string",
-            "level_id_twice", "levels_not_list", "level_unknown_key"])
+            "level_id_twice", "levels_not_list", "level_unknown_key", "bins_32", "hi_4"])
     def test_coerced_value_is_corrupt(self, tmp_path, change):
         from entwatch.baseline import _checksum
 

@@ -14,6 +14,13 @@ def run_cli(*args, cwd=None):
     return subprocess.run(CLI + list(args), capture_output=True, text=True, cwd=cwd)
 
 
+def assert_one_error_line(res):
+    """Exit status 1 with a single ``error:`` line on stderr, not a traceback."""
+    assert res.returncode == 1
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Small simulated corpus plus a fitted profile, all via the CLI."""
@@ -258,6 +265,13 @@ class TestDetect:
         assert len(rows) == 2
         assert all(row.split(",")[2] == "benign" for row in rows)
 
+    def test_unwritable_report_dir_is_one_error_line(self, workspace, tmp_path):
+        blocker = tmp_path / "x.jsonl"
+        blocker.write_text("")
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--baseline",
+                      str(workspace / "base.json"), "--out", str(blocker / "sub"))
+        assert_one_error_line(res)
+
     def test_bad_config_is_usage_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
@@ -265,7 +279,44 @@ class TestDetect:
         assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["profile", "detect"])
+@pytest.mark.parametrize("chunk_bytes", ["0", "-4096"])
+def test_non_positive_chunk_bytes_is_usage_error(workspace, tmp_path, command, chunk_bytes):
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_bytes(b"plain text content " * 50)
+    args = ["--out", str(tmp_path / "out")]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, str(docs), *args, "--chunk-bytes", chunk_bytes)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--chunk-bytes" in res.stderr
+
+
+GOOD_REPORT = "trace,label,verdict,confidence,latency_ms\na.jsonl,ransomware,ransomware,0.9,12.5\n"
+BAD_REPORTS = {
+    "confidence_not_number": GOOD_REPORT + "b.jsonl,benign,benign,abc,\n",
+    "confidence_nan": GOOD_REPORT + "b.jsonl,benign,benign,nan,\n",
+    "verdict_unknown": GOOD_REPORT + "b.jsonl,benign,maybe,0.5,\n",
+    "latency_column_missing": "trace,label,verdict,confidence\nb.jsonl,benign,benign,0.5\n",
+    "missing_file": None,
+}
+
+
 class TestReport:
+    @pytest.mark.parametrize("name", sorted(BAD_REPORTS))
+    def test_bad_report_is_one_error_line(self, tmp_path, name):
+        path = tmp_path / "report.csv"
+        if BAD_REPORTS[name] is not None:
+            path.write_text(BAD_REPORTS[name])
+        assert_one_error_line(run_cli("report", str(path)))
+
+    def test_unwritable_out_dir_is_one_error_line(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(GOOD_REPORT)
+        assert_one_error_line(run_cli("report", str(path), "--out", str(path / "sub")))
+
     def test_recompute_from_report_csv(self, workspace, tmp_path):
         out = tmp_path / "run"
         run_cli("detect", str(workspace / "rw.jsonl"), str(workspace / "ben0.jsonl"),

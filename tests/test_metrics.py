@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from entwatch.errors import EmptyInput
+from entwatch.errors import EmptyInput, IoFailure, MalformedRecord
 from entwatch.metrics import (
     MetricsReport,
     PerTraceRow,
@@ -135,3 +135,66 @@ class TestReportFiles:
         assert lines[0] == "level,0,1,2"
         assert lines[1] == "fs-user,4.500000,,6.000000"
         assert lines[2] == "net,,1.500000,"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trace", 5),
+    ("label", "unknown"),
+    ("label", "maybe"),
+    ("verdict", "maybe"),
+    ("verdict", None),
+    ("confidence", float("nan")),
+    ("confidence", 1.5),
+    ("confidence", -0.1),
+    ("confidence", True),
+    ("confidence", "0.5"),
+    ("latency_ms", -1.0),
+    ("latency_ms", float("inf")),
+    ("latency_ms", float("nan")),
+    ("latency_ms", True),
+])
+def test_row_rejects_bad_field(field, value):
+    fields = {"trace": "t", "label": "benign", "verdict": "benign", "confidence": 0.5,
+              "latency_ms": None}
+    with pytest.raises(ValueError, match=field):
+        PerTraceRow(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("line", [
+    "b,benign,benign,abc,",
+    "b,benign,benign,nan,",
+    "b,benign,maybe,0.5,",
+    "b,benign,benign,0.5,-3",
+    "b,benign,benign,0.5",
+], ids=["confidence_text", "confidence_nan", "verdict", "latency_negative", "field_count"])
+def test_bad_report_row_names_its_line(tmp_path, line):
+    path = tmp_path / "report.csv"
+    write_report_csv(path, [row("benign", "benign", trace="a")])
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(MalformedRecord, match="line 3") as info:
+        read_report_csv(path)
+    assert info.value.line_number == 3
+
+
+def test_report_header_must_match(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("trace,label,verdict,confidence\nb,benign,benign,0.5\n")
+    with pytest.raises(MalformedRecord, match="line 1"):
+        read_report_csv(path)
+
+
+def test_missing_report_is_io_failure(tmp_path):
+    with pytest.raises(IoFailure):
+        read_report_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: write_report_csv(path, [row("benign", "benign")]),
+    lambda path: write_metrics_json(path, compute_metrics([row("benign", "benign")])),
+    lambda path: write_heatmap_csv(path, [("fs-user", 0.0, 4.0)]),
+], ids=["report_csv", "metrics_json", "heatmap_csv"])
+def test_unwritable_report_path_is_io_failure(tmp_path, write):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(IoFailure):
+        write(blocker / "out")
