@@ -8,11 +8,13 @@ of input order and values. A tie here means equal computed Lance-Williams
 distances: two mathematically equal averages that round apart in the last
 ulp do not tie.
 
-`agglomerate` is Müllner's generic algorithm with a cached minimum per
-row: a row whose partner was merged is rescanned and takes the smallest id
-among ties, and any other row moves to the new cluster only on a strictly
-smaller distance. That keeps the smallest-pair tie-break exactly, at O(n^2)
-cost in practice and O(n^3) in the worst case.
+`agglomerate` is Müllner's generic algorithm with a lower bound on each
+row's minimum: a merge leaves bounds stale rather than rescanning the rows
+that pointed at the merged pair, and a popped row whose bound proves stale
+is rescanned, takes its true minimum as the bound, and the pop repeats.
+Ties still break on the smallest pair: the pop takes the first row among
+equal bounds, and a bound is never above its row's minimum. Cost is
+O(n^2) in practice and O(n^3) in the worst case.
 
 `agglomerate` and `outliers` read two attributes of each item, given in the
 same order to both: ``features`` (4 finite floats, in ``FEATURE_NAMES``
@@ -25,6 +27,7 @@ batches can run concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,15 @@ class FeatureVector:
     features: tuple[float, float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "features", tuple(float(f) for f in self.features))
+        features = tuple(self.features)
+        # numpy reals pass, as batches are built from arrays; a bool is an
+        # int subclass, and numpy's bool_ is not a numbers.Real at all.
+        if not all(isinstance(f, numbers.Real) and not isinstance(f, bool) for f in features):
+            raise ValueError(f"features must be real numbers, got {features!r}")
+        try:
+            object.__setattr__(self, "features", tuple(float(f) for f in features))
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"features must be finite, got {features!r}") from None
         if len(self.features) != len(FEATURE_NAMES):
             raise ValueError(f"expected {len(FEATURE_NAMES)} features, got {len(self.features)}")
         if not all(math.isfinite(f) for f in self.features):
@@ -93,38 +104,57 @@ def scaled_distance_matrix(vectors) -> np.ndarray:
     contributes 0 and, between two vectors, a single differing feature
     contributes exactly 1. Squared differences are summed in feature order.
     """
+    vectors = list(vectors)
+    dist = np.empty((len(vectors), len(vectors)))
+    _fill_distances(vectors, dist)
+    return dist
+
+
+def _fill_distances(vectors, out: np.ndarray) -> None:
+    """Write `scaled_distance_matrix(vectors)` into `out`, an n x n view."""
     mat = np.asarray([v.features for v in vectors], dtype=np.float64)
     lo = mat.min(axis=0)
-    span = mat.max(axis=0) - lo
+    with np.errstate(over="ignore"):
+        span = mat.max(axis=0) - lo
+    if not np.isfinite(span).all():
+        raise ValueError(f"feature ranges past the float range: {span}")
     scaled = np.zeros_like(mat)
     active = span > 0
     scaled[:, active] = (mat[:, active] - lo[active]) / span[active]
-    squared = np.zeros((len(mat), len(mat)))
+    out.fill(0.0)
+    diff = np.empty_like(out)
     for column in scaled.T:
-        diff = np.subtract.outer(column, column)
-        squared += diff * diff
-    return np.sqrt(squared)
+        np.subtract.outer(column, column, out=diff)
+        np.multiply(diff, diff, out=diff)
+        out += diff
+    np.sqrt(out, out=out)
 
 
 def agglomerate(vectors) -> Dendrogram:
     """Average-linkage merge sequence over batch-scaled Euclidean distances.
 
     Müllner's generic algorithm ("Modern hierarchical, agglomerative
-    clustering algorithms", arXiv:1109.2378) with a cache of each row's
-    minimum. Every active cluster c caches its nearest active partner among
-    the ids above c, the smallest such id among equal distances, and the
-    distance to it. The merge pair is (a, partner of a) for the smallest a
-    holding the least cached distance: the smallest (a, b) pair among equal
-    distances, as a row-major scan of the upper triangle would find it.
+    clustering algorithms", arXiv:1109.2378) in its lower-bound form.
+    ``row_min[c]`` is a lower bound on the distance from active cluster c to
+    its nearest active cluster among the ids above c. A merge pops the
+    smallest c holding the least bound and rescans that row alone; if the
+    row's true minimum is above the bound, the minimum becomes the bound and
+    the pop repeats. Bounds stay valid because a merge only removes ids from
+    rows, which can only raise their minima, and adds one id, the new
+    cluster, whose distances are folded into every bound with one
+    ``np.minimum``.
+
+    Ties still break on the smallest (a, b) pair, as a row-major scan of the
+    upper triangle would find it. When the popped row a's bound is exact,
+    every row with a smaller id holds a strictly larger bound (the argmin
+    takes the first index), hence a strictly larger minimum, and every other
+    row a minimum no smaller; the rescan's argmin takes the smallest b among
+    equal distances.
 
     A merge sets distances to the new cluster with the Lance-Williams
     update, so heights match a brute-force recomputation from the scaled
-    matrix up to rounding. Then only the rows whose partner was a or b are
-    rescanned, taking the smallest id among ties. Every other row moves its
-    partner to the new cluster only on a strictly smaller distance; the new
-    id is larger than every other, so it loses all ties. Cost is O(n^2) in
-    practice and O(n^3) in the worst case, when most rows need a rescan at
-    every merge.
+    matrix up to rounding. Cost is O(n^2) in practice and O(n^3) in the
+    worst case, when most pops find a stale bound.
     """
     vectors = list(vectors)
     n = len(vectors)
@@ -135,46 +165,44 @@ def agglomerate(vectors) -> Dendrogram:
     # Slots of merged-away clusters and of clusters not created yet hold inf,
     # so a scan of row c over the ids above c sees only active partners.
     dist = np.full((size, size), np.inf)
-    dist[:n, :n] = scaled_distance_matrix(vectors)
+    _fill_distances(vectors, dist[:n, :n])
     np.fill_diagonal(dist, np.inf)
-    cluster_sizes = np.zeros(size, dtype=np.int64)
-    cluster_sizes[:n] = 1
-
-    # Row cache: partner[c] is c's nearest active cluster among the ids above
-    # c (-1 for none), row_min[c] the distance to it (inf for none).
-    partner = np.full(size, -1, dtype=np.int64)
     row_min = np.full(size, np.inf)
-
-    def rescan(c):
-        # argmin returns the first index, so the smallest id among ties.
-        partner[c] = c + 1 + dist[c, c + 1:].argmin()
-        row_min[c] = dist[c, partner[c]]
-
-    for c in range(n - 1):
-        rescan(c)
+    row_min[:n] = np.where(np.tri(n, dtype=bool), np.inf, dist[:n, :n]).min(axis=1)
+    sizes = [1] * n
+    weighted_b = np.empty(size)
 
     merges = []
     for new in range(n, size):
-        a = int(row_min.argmin())
-        b = int(partner[a])
-        new_size = int(cluster_sizes[a] + cluster_sizes[b])
-        merges.append(Merge(a, b, float(row_min[a]), new_size))
+        while True:
+            a = int(row_min.argmin())
+            row = dist[a, a + 1:new]
+            j = int(row.argmin())
+            height = row[j]
+            if not height > row_min[a]:
+                break
+            row_min[a] = height  # the bound was stale; pop again
+        b = a + 1 + j
+        size_a, size_b = sizes[a], sizes[b]
+        new_size = size_a + size_b
+        merges.append(Merge(a, b, float(height), new_size))
+        sizes.append(new_size)
 
-        partner[a] = partner[b] = -1
         row_min[a] = row_min[b] = np.inf
-        dist[:, a] = dist[:, b] = np.inf
-        # Lance-Williams; inactive columns stay inf.
-        updated = (cluster_sizes[a] * dist[a] + cluster_sizes[b] * dist[b]) / new_size
-        dist[new] = updated
-        dist[:, new] = updated
-        cluster_sizes[new] = new_size
-
-        stale = (partner == a) | (partner == b)
-        closer = (updated < row_min) & ~stale
-        np.copyto(partner, new, where=closer)
-        np.copyto(row_min, updated, where=closer)
-        for c in np.flatnonzero(stale):
-            rescan(c)
+        dist[:new, a] = np.inf
+        dist[:new, b] = np.inf
+        # Lance-Williams; inactive columns stay inf. Multiplying by 1 is
+        # exact in IEEE arithmetic, so those products are skipped.
+        updated = dist[new]
+        dist_a, dist_b = dist[a], dist[b]
+        if size_b != 1:
+            dist_b = np.multiply(dist_b, size_b, out=weighted_b)
+        if size_a != 1:
+            dist_a = np.multiply(dist_a, size_a, out=updated)
+        np.add(dist_a, dist_b, out=updated)
+        np.divide(updated, new_size, out=updated)
+        dist[:new, new] = updated[:new]
+        np.minimum(row_min, updated, out=row_min)
 
     return Dendrogram(tuple(merges), n_leaves=n)
 
@@ -184,7 +212,7 @@ def outliers(dendrogram: Dendrogram, vectors) -> OutlierReport:
 
     A source that stays in a singleton (or a cluster no bigger than 10% of
     the batch) until a late, tall merge scores near 1; sources absorbed early
-    into the bulk score near 0.
+    into the bulk score near 0. Scores are keyed in the order of `vectors`.
     """
     vectors = list(vectors)
     n = dendrogram.n_leaves
@@ -192,16 +220,20 @@ def outliers(dendrogram: Dendrogram, vectors) -> OutlierReport:
         raise ValueError(f"dendrogram covers {n} leaves but {len(vectors)} vectors supplied")
 
     small_max = max(1, int(SMALL_CLUSTER_FRACTION * n))
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    # Leaves of each cluster id, kept only while the cluster is small: a
+    # larger cluster's leaves are never read again, since every cluster
+    # that later contains it is larger still.
+    members: list[list[int] | None] = [[i] for i in range(n)]
     last_height = [0.0] * n
 
-    for step, merge in enumerate(dendrogram.merges):
-        for side in (merge.cluster_a, merge.cluster_b):
-            side_members = members[side]
-            if len(side_members) <= small_max:
-                for leaf in side_members:
+    for merge in dendrogram.merges:
+        side_a, side_b = members[merge.cluster_a], members[merge.cluster_b]
+        for side in (side_a, side_b):
+            if side is not None:
+                for leaf in side:
                     last_height[leaf] = merge.height
-        members[n + step] = members[merge.cluster_a] + members[merge.cluster_b]
+        small = side_a is not None and side_b is not None and len(side_a) + len(side_b) <= small_max
+        members.append(side_a + side_b if small else None)
 
     max_height = dendrogram.merges[-1].height if dendrogram.merges else 0.0
     if max_height > 0:

@@ -340,8 +340,9 @@ class TraceProcessor:
         tracks = [t for t in self.sources.values() if t.sample_count]
         if len(tracks) < 2:
             return
-        for sid, score in outliers(agglomerate(tracks), tracks).scores.items():
-            self.sources[sid].outlier = score
+        report = outliers(agglomerate(tracks), tracks)
+        for track, score in zip(tracks, report.scores.values()):
+            track.outlier = score
 
     # -- completion --------------------------------------------------------
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entwatch.clustering import (
+    SMALL_CLUSTER_FRACTION,
     Dendrogram,
     FeatureVector,
     Merge,
@@ -117,6 +118,74 @@ def repeated_rows_batch(rng):
     return [fv(f"s{i}", *rows[rng.integers(len(rows))]) for i in range(n)]
 
 
+def uniform_batch(rng):
+    return [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(int(rng.integers(2, 41)))]
+
+
+def window_close_batch(rng):
+    """About 200 sources shaped like the batches a 200-file ransomware trace
+    clusters: mean entropies in a narrow band, max |dH| sometimes 0, KL on
+    three values. max_accel is 0 for every source (the constant column of a
+    mid-trace batch) or for most of them (a late batch)."""
+    n = int(rng.integers(190, 211))
+    mean = rng.uniform(2.8, 4.1, size=n)
+    delta = np.where(rng.random(n) < 0.12, 0.0, rng.uniform(0.0, 2.4, size=n))
+    accel = np.where(rng.random(n) < rng.choice([1.0, 0.8]), 0.0, rng.exponential(1e-3, size=n))
+    kl = rng.choice([0.0, 28.979, 29.897], size=n)
+    return [fv(f"s{i}", mean[i], delta[i], accel[i], kl[i]) for i in range(n)]
+
+
+def hub_batch(rng):
+    """Arms of points along three features, each nearest (among the ids above
+    it) to one hub placed after every arm point: positions grow by more than
+    2x along an arm, so the hub is closer than any farther point. The hub merges with
+    a point behind it before any arm point merges, which leaves every arm
+    row's bound stale. A random cloud in the negative orthant, after the hub,
+    competes with those stale bounds."""
+    arm = int(rng.integers(6, 12))
+    factor = rng.uniform(2.2, 3.0)
+    rows = [[0.0, 0.0, 0.0, 0.0] for _ in range(3 * arm)]
+    for k in range(3 * arm):
+        rows[k][1 + k % 3] = factor ** (k // 3)
+    rows.append([0.0, 0.0, 0.0, 0.0])
+    rows.append([0.0, -rng.uniform(0.2, 0.9), 0.0, 0.0])
+    rows.extend([0.0, *cloud] for cloud in -rng.uniform(1.5, 3.0, size=(int(rng.integers(2, 10)), 3)))
+    return [fv(f"s{i}", 4.0, *row[1:]) for i, row in enumerate(rows)]
+
+
+def reference_outlier_scores(dendrogram, vectors):
+    """`outliers` as it was before it dropped large clusters' member lists."""
+    n = dendrogram.n_leaves
+    small_max = max(1, int(SMALL_CLUSTER_FRACTION * n))
+    members = {i: [i] for i in range(n)}
+    last_height = [0.0] * n
+    for step, merge in enumerate(dendrogram.merges):
+        for side in (merge.cluster_a, merge.cluster_b):
+            side_members = members[side]
+            if len(side_members) <= small_max:
+                for leaf in side_members:
+                    last_height[leaf] = merge.height
+        members[n + step] = members[merge.cluster_a] + members[merge.cluster_b]
+    max_height = dendrogram.merges[-1].height if dendrogram.merges else 0.0
+    raw = [h / max_height for h in last_height] if max_height > 0 else [0.0] * n
+    return {vectors[i].source_id: raw[i] for i in range(n)}
+
+
+class TestFeatureVector:
+    @pytest.mark.parametrize("bad", ["1.5", True, np.bool_(False)], ids=["str", "bool", "numpy_bool"])
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_strings_and_bools(self, bad, position):
+        features = [1.0, 0.0, 0.0, 0.0]
+        features[position] = bad
+        with pytest.raises(ValueError, match="real numbers"):
+            FeatureVector("a", tuple(features))
+
+    def test_accepts_python_and_numpy_reals(self):
+        vector = FeatureVector("a", (np.float64(1.5), np.int64(2), 3, np.float32(0.5)))
+        assert vector.features == (1.5, 2.0, 3.0, 0.5)
+        assert all(type(f) is float for f in vector.features)
+
+
 class TestPairwiseDistance:
     def test_identity(self):
         a = fv("a", 1.0, 2.0, 3.0, 4.0)
@@ -165,6 +234,12 @@ class TestAgglomerate:
         assert (second.cluster_a, second.cluster_b) == (2, 3)
         assert second.height == pytest.approx(0.95, abs=1e-12)
 
+    def test_feature_range_past_float_range(self):
+        # max - min of the second feature overflows to inf; scaling would give NaN.
+        vectors = [fv("a", 1.0, 1e308), fv("b", 1.0, -1e308), fv("c", 1.0, 0.0)]
+        with pytest.raises(ValueError, match="past the float range"):
+            agglomerate(vectors)
+
     def test_too_few_vectors(self):
         with pytest.raises(TooFewVectors):
             agglomerate([fv("a", 1.0)])
@@ -192,16 +267,29 @@ class TestAgglomerate:
         for _ in range(20):
             assert_average_linkage_up_to_float_ties(integer_grid_batch(rng))
 
-    @pytest.mark.parametrize("make_batch", [
-        integer_grid_batch,
-        repeated_rows_batch,
-        lambda rng: [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(int(rng.integers(2, 41)))],
-    ], ids=["integer_grid", "repeated_rows", "uniform"])
-    def test_bit_identical_to_masked_argmin(self, make_batch):
+    @pytest.mark.parametrize("make_batch, batches", [
+        (integer_grid_batch, 40),
+        (repeated_rows_batch, 40),
+        (uniform_batch, 40),
+        (window_close_batch, 3),
+        (hub_batch, 20),
+    ], ids=["integer_grid", "repeated_rows", "uniform", "window_close", "hub"])
+    def test_bit_identical_to_masked_argmin(self, make_batch, batches):
         rng = np.random.default_rng(79)
-        for _ in range(40):
+        for _ in range(batches):
             vectors = make_batch(rng)
             assert agglomerate(vectors) == masked_argmin_linkage(vectors)
+
+    def test_stale_bound_tied_with_exact_minimum_below_it(self):
+        # Scaled positions 0, 1/4, 3/8, 3/4, 1. Merging (1, 2) at 1/8 leaves
+        # row 0's bound at 1/4, stale: its minimum is now 5/16, to cluster 5.
+        # Row 3's exact minimum is 1/4 too, so the pop takes row 0 first;
+        # its rescan must send the merge to (3, 4).
+        vectors = [fv(f"s{i}", x) for i, x in enumerate((0.0, 2.0, 3.0, 6.0, 8.0))]
+        dendro = agglomerate(vectors)
+        assert dendro == masked_argmin_linkage(vectors)
+        assert [(m.cluster_a, m.cluster_b, m.height) for m in dendro.merges[:2]] == [
+            (1, 2, 0.125), (3, 4, 0.25)]
 
     def test_reference_agreement_with_duplicates(self):
         vectors = [fv("a", 1.0), fv("b", 1.0), fv("c", 1.0), fv("d", 5.0)]
@@ -218,6 +306,16 @@ class TestAgglomerate:
 
 
 class TestOutliers:
+    @pytest.mark.parametrize("make_batch", [integer_grid_batch, repeated_rows_batch, uniform_batch],
+                             ids=["integer_grid", "repeated_rows", "uniform"])
+    def test_bit_identical_to_full_member_lists(self, make_batch):
+        rng = np.random.default_rng(80)
+        for _ in range(40):
+            vectors = make_batch(rng)
+            dendro = agglomerate(vectors)
+            scores = outliers(dendro, vectors).scores
+            assert list(scores.items()) == list(reference_outlier_scores(dendro, vectors).items())
+
     def test_identical_vectors_score_zero(self):
         vectors = [fv(f"s{i}", 3.0) for i in range(5)]
         report = outliers(agglomerate(vectors), vectors)
