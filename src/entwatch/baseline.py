@@ -1,10 +1,12 @@
 """Baseline profiles: expected per-level distributions of entropy deviations.
 
 The deviation random variable is the absolute window-to-window entropy change
-of a source, clamped to [0, 8] bits. A profile holds one smoothed 64-bin
-distribution per level plus a prior probability of attack, and round-trips
-through a single JSON document with an embedded CRC-32 checksum. Profiles are
-immutable after fit/load and safe to share between threads.
+of a source, clamped to [0, 8] bits and binned by ``entropy.bin_index``. A
+profile holds one smoothed distribution over those 64 bins per level plus a
+prior probability of attack, and round-trips through a single JSON document
+with an embedded CRC-32 checksum; a level's ``lo`` and ``hi`` there are 0.0
+and 8.0 or the profile is corrupt. Profiles are immutable after fit/load and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .entropy import BinnedDistribution, MAX_ENTROPY_BITS, bin_indices, smooth_probabilities
+from .entropy import DEVIATION_BINS, EPSILON_MASS, MAX_ENTROPY_BITS, BinnedDistribution, bin_index
 from .errors import (
     CorruptProfile,
     EmptyWindow,
@@ -30,8 +32,6 @@ from .errors import (
 )
 
 PROFILE_VERSION = 1
-DEFAULT_BIN_COUNT = 64
-DEVIATION_SUPPORT = (0.0, MAX_ENTROPY_BITS)
 MIN_FIT_SAMPLES = 30
 DEFAULT_PRIOR = 0.01
 
@@ -60,37 +60,24 @@ class BaselineProfile:
             raise ValueError(f"sample counts are for levels {list(self.sample_counts)}, "
                              f"distributions for {list(self.per_level)}")
         checked(list(self.sample_counts.values()), "sample counts", (int,))
-        for level_id, dist in self.per_level.items():
-            if (dist.lo, dist.hi, dist.bin_count) != (*DEVIATION_SUPPORT, DEFAULT_BIN_COUNT):
-                raise ValueError(f"level {level_id!r} is binned {dist!r}, profiles bin deviations "
-                                 f"over {list(DEVIATION_SUPPORT)} in {DEFAULT_BIN_COUNT} bins")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "created_at", created_at)
         object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
 
 
-def _bin_counts(samples: Sequence[float], lo: float, hi: float, bin_count: int) -> np.ndarray:
-    idx = bin_indices(np.asarray(list(samples), dtype=np.float64), lo, hi, bin_count)
-    return np.bincount(idx, minlength=bin_count).astype(np.float64)
-
-
-def empirical_distribution(window_samples: Sequence[float],
-                           lo: float = DEVIATION_SUPPORT[0],
-                           hi: float = DEVIATION_SUPPORT[1],
-                           bin_count: int = DEFAULT_BIN_COUNT) -> BinnedDistribution:
-    """Normalized histogram of an observation window, no smoothing applied."""
-    samples = list(window_samples)
-    if not samples:
+def empirical_distribution(bins: Sequence[int]) -> BinnedDistribution:
+    """Normalized histogram of a window of deviation bins, no smoothing applied."""
+    if not len(bins):
         raise EmptyWindow("empirical distribution needs at least one sample")
-    counts = _bin_counts(samples, lo, hi, bin_count)
-    return BinnedDistribution(lo, hi, counts / counts.sum())
+    counts = np.bincount(bins, minlength=DEVIATION_BINS)
+    return BinnedDistribution(counts / counts.sum())
 
 
 def smoothed_distribution(samples: Sequence[float]) -> BinnedDistribution:
-    """Smoothed histogram of deviation samples over DEVIATION_SUPPORT; no empty bins."""
-    lo, hi = DEVIATION_SUPPORT
-    counts = _bin_counts(samples, lo, hi, DEFAULT_BIN_COUNT)
-    return BinnedDistribution(lo, hi, smooth_probabilities(counts / counts.sum()))
+    """Histogram of deviation samples with zero masses floored at EPSILON_MASS and renormalized."""
+    counts = np.bincount([bin_index(s) for s in samples], minlength=DEVIATION_BINS)
+    floored = np.maximum(counts / counts.sum(), EPSILON_MASS)
+    return BinnedDistribution(floored / floored.sum())
 
 
 def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
@@ -132,8 +119,8 @@ def _profile_document(profile: BaselineProfile) -> dict:
         "levels": [
             {
                 "level_id": level_id,
-                "lo": dist.lo,
-                "hi": dist.hi,
+                "lo": 0.0,
+                "hi": MAX_ENTROPY_BITS,
                 "bins": [float(b) for b in dist.bins],
                 "sample_count": profile.sample_counts[level_id],
             }
@@ -185,6 +172,10 @@ def load_profile(path) -> BaselineProfile:
             if level_id in per_level:
                 raise ValueError(f"level {level_id!r} is listed more than once")
             sample_counts[level_id] = entry.pop("sample_count")
+            support = checked(entry.pop("lo"), "lo", float), checked(entry.pop("hi"), "hi", float)
+            if support != (0.0, MAX_ENTROPY_BITS):
+                raise ValueError(f"level {level_id!r} spans {list(support)}, "
+                                 f"profiles bin deviations over [0.0, {MAX_ENTROPY_BITS}]")
             per_level[level_id] = BinnedDistribution(**entry)
         return BaselineProfile(**doc, per_level=per_level, sample_counts=sample_counts)
     except (KeyError, TypeError, ValueError) as exc:  # TypeError: an unknown key

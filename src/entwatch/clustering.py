@@ -16,9 +16,10 @@ Ties still break on the smallest pair: the pop takes the first row among
 equal bounds, and a bound is never above its row's minimum. Cost is
 O(n^2) in practice and O(n^3) in the worst case.
 
-`agglomerate` and `outliers` read two attributes of each item, given in the
-same order to both: ``features`` (4 finite floats, in ``FEATURE_NAMES``
-order) and ``source_id``. ``FeatureVector`` is one such item, validated.
+`agglomerate` reads one attribute of each item: ``features`` (4 finite
+floats, in ``FEATURE_NAMES`` order). ``FeatureVector`` is one such item,
+validated. `outliers` reads only the dendrogram and returns one score per
+leaf, in input order, so the caller keeps any ids.
 
 Everything here is batch computation with no shared state; disjoint
 batches can run concurrently.
@@ -92,9 +93,9 @@ class Dendrogram:
 
 @dataclass(frozen=True)
 class OutlierReport:
-    """Outlier score in [0, 1] per source id."""
+    """Outlier score in [0, 1] per leaf, in the order of the clustered vectors."""
 
-    scores: dict[str, float]
+    scores: tuple[float, ...]
 
 
 def scaled_distance_matrix(vectors) -> np.ndarray:
@@ -207,17 +208,15 @@ def agglomerate(vectors) -> Dendrogram:
     return Dendrogram(tuple(merges), n_leaves=n)
 
 
-def outliers(dendrogram: Dendrogram, vectors) -> OutlierReport:
-    """Score sources by how high their small cluster last merged.
+def outliers(dendrogram: Dendrogram) -> OutlierReport:
+    """Score leaves by how high their small cluster last merged.
 
-    A source that stays in a singleton (or a cluster no bigger than 10% of
-    the batch) until a late, tall merge scores near 1; sources absorbed early
-    into the bulk score near 0. Scores are keyed in the order of `vectors`.
+    A leaf that stays in a singleton (or a cluster no bigger than 10% of
+    the batch) until a late, tall merge scores near 1; leaves absorbed early
+    into the bulk score near 0. Scores are in leaf order, the order of the
+    vectors given to `agglomerate`.
     """
-    vectors = list(vectors)
     n = dendrogram.n_leaves
-    if len(vectors) != n:
-        raise ValueError(f"dendrogram covers {n} leaves but {len(vectors)} vectors supplied")
 
     small_max = max(1, int(SMALL_CLUSTER_FRACTION * n))
     # Leaves of each cluster id, kept only while the cluster is small: a
@@ -237,8 +236,5 @@ def outliers(dendrogram: Dendrogram, vectors) -> OutlierReport:
 
     max_height = dendrogram.merges[-1].height if dendrogram.merges else 0.0
     if max_height > 0:
-        raw = [h / max_height for h in last_height]
-    else:
-        raw = [0.0] * n
-
-    return OutlierReport({vectors[i].source_id: raw[i] for i in range(n)})
+        return OutlierReport(tuple(h / max_height for h in last_height))
+    return OutlierReport((0.0,) * n)

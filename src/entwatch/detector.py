@@ -29,8 +29,9 @@ from .entropy import (
     EntropySeries,
     MAX_ENTROPY_BITS,
     _second_diff_triple,
+    bin_index,
 )
-from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch, checked
+from .errors import InsufficientSamples, IrregularSpacing, checked
 
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
@@ -104,13 +105,7 @@ def likelihood_ratio(deviation: float, baseline: BinnedDistribution,
     """
     if not 0.0 <= deviation <= MAX_ENTROPY_BITS:
         raise ValueError(f"deviation out of [0, 8]: {deviation}")
-    if not baseline.same_binning(attack_model):
-        raise ShapeMismatch(
-            f"baseline and attack model disagree on binning: "
-            f"[{baseline.lo}, {baseline.hi}]x{baseline.bin_count} vs "
-            f"[{attack_model.lo}, {attack_model.hi}]x{attack_model.bin_count}"
-        )
-    idx = baseline.bin_index(deviation)
+    idx = bin_index(deviation)
     num = max(float(attack_model.bins[idx]), EPSILON_MASS)
     den = max(float(baseline.bins[idx]), EPSILON_MASS)
     return num / den

@@ -7,6 +7,9 @@ Conventions used throughout the package:
   which keeps stream starts total.
 * Second differences use the three most recent samples and require
   near-uniform spacing (each gap within 10% of their mean).
+* Deviations (absolute entropy changes) have one binning, ``bin_index``:
+  64 equal bins of 1/8 bit over [0, 8]. A ``BinnedDistribution`` is 64
+  probability masses over those bins and carries no bounds of its own.
 * KL divergence is computed in bits. Zero reference-bins are floored at
   ``EPSILON_MASS`` before the ratio so the divergence stays finite; the
   result is clamped at 0 to absorb the tiny negative drift the floor can
@@ -15,15 +18,18 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, IrregularSpacing, ShapeMismatch, checked
+from .errors import InsufficientSamples, IrregularSpacing, checked
 
 MAX_ENTROPY_BITS = 8.0
+
+# Deviations are binned in this many equal bins over [0, MAX_ENTROPY_BITS].
+DEVIATION_BINS = 64
+_BINS_PER_BIT = DEVIATION_BINS / MAX_ENTROPY_BITS  # 8.0, a power of two
 
 # Floor applied to zero probability masses before ratios/logs.
 EPSILON_MASS = 1e-9
@@ -196,38 +202,28 @@ def second_difference(series: EntropySeries) -> float:
     return _second_diff_triple(*series.latest(3))
 
 
-def bin_indices(values, lo: float, hi: float, bin_count: int):
-    """Bin of a value, or of each value in an array, among ``bin_count`` equal bins over [lo, hi].
+def bin_index(deviation: float) -> int:
+    """Deviation bin of ``deviation``: ``DEVIATION_BINS`` equal bins over [0, 8].
 
-    Values below ``lo`` fall in the first bin, ``hi`` and above in the last.
-    A lone value stays off numpy, which would cost more than the rest of a
-    likelihood ratio.
+    Values below 0 fall in the first bin, 8 and above in the last. The bin
+    width, 1/8 bit, is a power of two, so the scaling is exact.
     """
-    scaled = (values - lo) / (hi - lo) * bin_count
-    if isinstance(scaled, np.ndarray):
-        return np.clip(scaled.astype(np.int64), 0, bin_count - 1)
-    return min(max(int(scaled), 0), bin_count - 1)
+    return min(max(int(deviation * _BINS_PER_BIT), 0), DEVIATION_BINS - 1)
 
 
 @dataclass(eq=False)
 class BinnedDistribution:
-    """Probability masses over uniform bins spanning [lo, hi]."""
+    """Probability masses over the ``DEVIATION_BINS`` deviation bins."""
 
-    lo: float
-    hi: float
-    bins: np.ndarray = field(repr=False)
+    bins: np.ndarray
 
     def __post_init__(self):
-        self.lo = checked(self.lo, "lo", float)
-        self.hi = checked(self.hi, "hi", float)
         bins = self.bins
         if not (isinstance(bins, np.ndarray) and bins.dtype.kind == "f"):
             bins = checked(bins, "bins", (float,))
         self.bins = np.asarray(bins, dtype=np.float64)
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise ValueError(f"support bounds must be finite with lo < hi, got [{self.lo}, {self.hi}]")
-        if self.bins.ndim != 1 or self.bins.size == 0:
-            raise ValueError("bins must be a non-empty 1-d sequence")
+        if self.bins.shape != (DEVIATION_BINS,):
+            raise ValueError(f"bins must be {DEVIATION_BINS} masses, got shape {self.bins.shape}")
         if (self.bins < 0).any():
             raise ValueError("bin masses must be non-negative")
         total = float(self.bins.sum())
@@ -235,30 +231,10 @@ class BinnedDistribution:
         if not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"bin masses must sum to 1 within 1e-9, got {total!r}")
 
-    @property
-    def bin_count(self) -> int:
-        return int(self.bins.size)
-
-    def bin_index(self, value: float) -> int:
-        """Bin containing ``value``; the upper bound maps into the last bin."""
-        return bin_indices(value, self.lo, self.hi, self.bin_count)
-
-    def same_binning(self, other: "BinnedDistribution") -> bool:
-        return self.lo == other.lo and self.hi == other.hi and self.bin_count == other.bin_count
-
     def __eq__(self, other):
         if not isinstance(other, BinnedDistribution):
             return NotImplemented
-        return self.same_binning(other) and bool(np.array_equal(self.bins, other.bins))
-
-    def __repr__(self):
-        return f"BinnedDistribution([{self.lo}, {self.hi}], bins={self.bin_count})"
-
-
-def smooth_probabilities(raw: np.ndarray, eps: float = EPSILON_MASS) -> np.ndarray:
-    """Floor zero masses at ``eps`` and renormalize to a proper distribution."""
-    floored = np.maximum(np.asarray(raw, dtype=np.float64), eps)
-    return floored / floored.sum()
+        return bool(np.array_equal(self.bins, other.bins))
 
 
 def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
@@ -267,11 +243,6 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     The result is non-negative and 0 exactly when p equals q bin-wise. Bins
     where p carries no mass contribute nothing regardless of q.
     """
-    if not p.same_binning(q):
-        raise ShapeMismatch(
-            f"distributions disagree on binning: [{p.lo}, {p.hi}]x{p.bin_count} "
-            f"vs [{q.lo}, {q.hi}]x{q.bin_count}"
-        )
     q_floored = np.maximum(q.bins, EPSILON_MASS)
     mask = p.bins > 0
     if not mask.any():

@@ -13,10 +13,6 @@ class IrregularSpacing(EntwatchError):
     """Sample spacing deviates too far from uniform for a finite difference."""
 
 
-class ShapeMismatch(EntwatchError):
-    """Two binned distributions do not share support bounds and bin count."""
-
-
 class NoLevels(EntwatchError):
     """A hierarchy configuration contains no levels."""
 

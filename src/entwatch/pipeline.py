@@ -9,11 +9,11 @@ and sources with two or more samples yield an absolute entropy deviation
 profile fitting; ``TraceProcessor`` composes it and, at each close:
 
 1. walks the sampled sources once. Each new sample goes into the source's
-   entropy sum and sample count, each new deviation into its recent-deviation
-   window and its max |dH|, the second difference of its entropy series into
-   its max acceleration; then the source's KL (recent deviations against its
-   level baseline) and its posterior (a Bayes update by the attack-vs-baseline
-   likelihood ratio of the deviation) are updated;
+   entropy sum and sample count, each new deviation into its max |dH| and,
+   binned once, into its recent-deviation window, the second difference of
+   its entropy series into its max acceleration; then the source's KL (recent
+   deviations against its level baseline) and its posterior (a Bayes update
+   by the attack-vs-baseline likelihood ratio of the deviation) are updated;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) and extends the aggregate series with their weighted
    sum, over the levels that have data so far;
@@ -57,6 +57,7 @@ from .entropy import (
     BinnedDistribution,
     ByteHistogram,
     EntropySeries,
+    bin_index,
     kl_divergence,
     second_difference,
     shannon_entropy,
@@ -104,6 +105,7 @@ class SourceTrack(SourceWindow):
     # Sum and count of every entropy sample the source has had, for its mean.
     entropy_sum: float = 0.0
     sample_count: int = 0
+    # Bins (``entropy.bin_index``) of the most recent deviations.
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
     posterior: float = 0.0
     kl: float = 0.0
@@ -124,9 +126,10 @@ class SourceWindows:
 
     A record belongs to window ``int(timestamp // window_seconds)``. A record
     from a later window first closes the open one; the windows skipped in
-    between hold no records, so a gap of any length costs one close. Each
-    source is routed to a level at its first record, built by ``new_source``
-    and kept in first-record order.
+    between hold no records, so a gap of any length costs one close. A record
+    from a closed window raises MalformedRecord. Each source is routed to a
+    level at its first record, built by ``new_source`` and kept in
+    first-record order.
     """
 
     def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
@@ -146,6 +149,9 @@ class SourceWindows:
         elif idx > self.index:
             closed = self.close()
             self.index = idx
+        elif idx < self.index:
+            raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s is in window "
+                                  f"{idx}, before the open window {self.index}")
         src = self.sources.get(rec.source_path)
         if src is None:
             src = self._add_source(rec)
@@ -268,7 +274,7 @@ class TraceProcessor:
             if dev is None:
                 self._level_members.setdefault(track.level_id, []).append(track)
                 continue
-            track.deviations.append(dev)
+            track.deviations.append(bin_index(dev))
             track.max_abs_delta = max(track.max_abs_delta, dev)
             if len(track.series) >= 3:
                 self._update_accel(track)
@@ -340,8 +346,7 @@ class TraceProcessor:
         tracks = [t for t in self.sources.values() if t.sample_count]
         if len(tracks) < 2:
             return
-        report = outliers(agglomerate(tracks), tracks)
-        for track, score in zip(tracks, report.scores.values()):
+        for track, score in zip(tracks, outliers(agglomerate(tracks)).scores):
             track.outlier = score
 
     # -- completion --------------------------------------------------------

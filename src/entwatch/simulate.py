@@ -15,6 +15,9 @@ Three scenario kinds, all pure functions of their spec (seed included):
   mean entropy down before the ramp pulls it up, which is what gives the
   level series its convex onset.
 
+A trace holds no record at or past its ``duration``: a scheduled write or
+rename that lands there is dropped, after all draws.
+
 Payload histograms are constructed directly (no raw bytes): a one-parameter
 mixture between a point mass and the uniform byte distribution is solved for
 the target entropy, then quantized to integer counts by largest remainder.
@@ -27,7 +30,8 @@ hashes pin the order of the RNG draws, per kind:
   ``uniform(±jitter)`` then ``integers(1024, 8193)``; then
   ``integers(32, 127, size=file_count)``.
 * compressor: the header's ``uniform``; then, per body write, ``uniform``
-  then ``integers(2048, 16385)``; then one ``integers(0, 256)`` per record.
+  then ``integers(2048, 16385)``; then one ``integers(0, 256)`` per scheduled
+  write.
 * ransomware: the pre-onset edits as for benign_edit, without the base draw;
   then ``integers(32, 127, size=file_count)``; then ``permutation(file_count)``;
   then one ``integers(0, 256)`` per rewrite.
@@ -217,7 +221,8 @@ def simulate_scenario(spec: ScenarioSpec) -> Trace:
                                            ByteHistogram(), 0))
         heavies = np.concatenate([heavies, rng.integers(0, 256, size=len(times))])
 
-    records = sorted(_writes(rows, paths, heavies) + renames, key=lambda rec: rec.timestamp)
+    records = sorted((rec for rec in _writes(rows, paths, heavies) + renames
+                      if rec.timestamp < spec.duration), key=lambda rec: rec.timestamp)
     meta = TraceMeta(
         scenario=spec.kind, seed=spec.seed, label=LABEL_RANSOMWARE if attack else LABEL_BENIGN,
         duration=spec.duration, onset_at=onset, ramp=spec.ramp if attack else None,

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from entwatch.baseline import (
     BaselineProfile,
-    DEFAULT_BIN_COUNT,
-    DEVIATION_SUPPORT,
     MIN_FIT_SAMPLES,
     PROFILE_VERSION,
     empirical_distribution,
@@ -17,7 +15,7 @@ from entwatch.baseline import (
     save_profile,
     smoothed_distribution,
 )
-from entwatch.entropy import BinnedDistribution
+from entwatch.entropy import DEVIATION_BINS, BinnedDistribution, bin_index
 from entwatch.errors import (
     CorruptProfile,
     EmptyWindow,
@@ -28,8 +26,9 @@ from entwatch.errors import (
 )
 
 
-def counting_oracle(samples, bin_count=64, lo=0.0, hi=8.0):
-    """Brute-force one-pass histogram: count, then divide."""
+def counting_oracle(samples):
+    """Brute-force one-pass histogram over 64 bins spanning [0, 8]: count, then divide."""
+    lo, hi, bin_count = 0.0, 8.0, 64
     counts = [0] * bin_count
     for s in samples:
         idx = int((s - lo) / (hi - lo) * bin_count)
@@ -37,21 +36,29 @@ def counting_oracle(samples, bin_count=64, lo=0.0, hi=8.0):
     return [c / len(samples) for c in counts]
 
 
+def binned(samples):
+    return [bin_index(s) for s in samples]
+
+
 class TestEmpiricalDistribution:
     def test_single_sample_bin_placement(self):
-        d = empirical_distribution([7.5])
+        d = empirical_distribution(binned([7.5]))
         assert d.bins[60] == 1.0
         assert d.bins.sum() == 1.0
 
     def test_two_samples_same_bin(self):
-        d = empirical_distribution([1.0, 1.01])
+        d = empirical_distribution(binned([1.0, 1.01]))
         assert d.bins[8] == 1.0
 
     def test_matches_counting_oracle(self):
         rng = np.random.default_rng(77)
         samples = rng.uniform(0.0, 8.0, size=1000).tolist()
-        d = empirical_distribution(samples)
+        d = empirical_distribution(binned(samples))
         assert np.array_equal(d.bins, np.asarray(counting_oracle(samples)))
+
+    def test_bin_past_the_last_is_rejected(self):
+        with pytest.raises(ValueError, match="64 masses"):
+            empirical_distribution([DEVIATION_BINS])
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindow):
@@ -69,7 +76,7 @@ class TestFitBaseline:
         samples = [4.0] * 64
         profile = fit_baseline({"L": samples}, created_at=0.0)
         bins = profile.per_level["L"].bins
-        heavy = profile.per_level["L"].bin_index(4.0)
+        heavy = bin_index(4.0)
         assert bins[heavy] == pytest.approx(1.0, abs=1e-6)
         others = np.delete(bins, heavy)
         assert (others > 0).all()
@@ -129,14 +136,11 @@ ODD_PROFILE = {
 
 @st.composite
 def distributions(draw):
-    """Mostly the deviation binning profiles require; one draw in four any other binning."""
-    if draw(st.integers(0, 3)):
-        weights = np.asarray(draw(st.lists(st.floats(0.001, 1.0), min_size=DEFAULT_BIN_COUNT,
-                                           max_size=DEFAULT_BIN_COUNT)))
-        return BinnedDistribution(*DEVIATION_SUPPORT, weights / weights.sum())
-    weights = np.asarray(draw(st.lists(st.floats(0.001, 1.0), min_size=1, max_size=8)))
-    lo = draw(st.floats(-10.0, 10.0) | st.integers(-10, 10))
-    return BinnedDistribution(lo, lo + draw(st.floats(0.5, 10.0)), weights / weights.sum())
+    """Deviation distributions, some with empty bins."""
+    weights = np.asarray(draw(st.lists(st.sampled_from([0.0]) | st.floats(0.001, 1.0),
+                                       min_size=DEVIATION_BINS, max_size=DEVIATION_BINS)
+                              .filter(any)))
+    return BinnedDistribution(weights / weights.sum())
 
 
 @st.composite

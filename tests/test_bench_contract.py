@@ -43,8 +43,11 @@ def test_every_wrapped_name_exists(wrapped_functions):
 
 def test_outliers_report_has_scores():
     vectors = [FeatureVector("a", (1.0, 0.0, 0.0, 0.0)), FeatureVector("b", (2.0, 0.0, 0.0, 0.0))]
-    report = outliers(agglomerate(vectors), vectors)
-    assert set(report.scores) == {"a", "b"}
+    report = outliers(agglomerate(vectors))
+    assert len(report.scores) == 2
+    # The traced hook compares a report's scores with the last ones, or None, by `!=`.
+    assert not report.scores != outliers(agglomerate(vectors)).scores
+    assert report.scores != None  # noqa: E711
 
 
 def test_library_pass_yields_a_verdict(benign_profile, attack_model):

@@ -153,7 +153,7 @@ def hub_batch(rng):
     return [fv(f"s{i}", 4.0, *row[1:]) for i, row in enumerate(rows)]
 
 
-def reference_outlier_scores(dendrogram, vectors):
+def reference_outlier_scores(dendrogram):
     """`outliers` as it was before it dropped large clusters' member lists."""
     n = dendrogram.n_leaves
     small_max = max(1, int(SMALL_CLUSTER_FRACTION * n))
@@ -167,8 +167,7 @@ def reference_outlier_scores(dendrogram, vectors):
                     last_height[leaf] = merge.height
         members[n + step] = members[merge.cluster_a] + members[merge.cluster_b]
     max_height = dendrogram.merges[-1].height if dendrogram.merges else 0.0
-    raw = [h / max_height for h in last_height] if max_height > 0 else [0.0] * n
-    return {vectors[i].source_id: raw[i] for i in range(n)}
+    return tuple(h / max_height for h in last_height) if max_height > 0 else (0.0,) * n
 
 
 class TestFeatureVector:
@@ -313,23 +312,29 @@ class TestOutliers:
         for _ in range(40):
             vectors = make_batch(rng)
             dendro = agglomerate(vectors)
-            scores = outliers(dendro, vectors).scores
-            assert list(scores.items()) == list(reference_outlier_scores(dendro, vectors).items())
+            assert outliers(dendro).scores == reference_outlier_scores(dendro)
 
     def test_identical_vectors_score_zero(self):
         vectors = [fv(f"s{i}", 3.0) for i in range(5)]
-        report = outliers(agglomerate(vectors), vectors)
-        assert all(s == 0.0 for s in report.scores.values())
+        report = outliers(agglomerate(vectors))
+        assert report.scores == (0.0,) * 5
 
     def test_far_point_flagged(self):
         vectors = [fv(f"s{i}", 0.01 * i) for i in range(9)] + [fv("far", 8.0)]
-        report = outliers(agglomerate(vectors), vectors)
-        assert report.scores["far"] == 1.0
-        assert all(s < 1.0 for sid, s in report.scores.items() if sid != "far")
+        *near, far = outliers(agglomerate(vectors)).scores
+        assert far == 1.0
+        assert all(s < 1.0 for s in near)
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(31)
         vectors = [fv(f"s{i}", *rng.uniform(0, 8, size=4)) for i in range(15)]
-        report = outliers(agglomerate(vectors), vectors)
-        assert all(0.0 <= s <= 1.0 for s in report.scores.values())
-        assert set(report.scores) == {v.source_id for v in vectors}
+        report = outliers(agglomerate(vectors))
+        assert all(0.0 <= s <= 1.0 for s in report.scores)
+        assert len(report.scores) == len(vectors)
+
+    def test_repeated_ids_keep_every_score(self):
+        # Scores follow the vectors' positions, so an id given twice loses nothing.
+        vectors = [fv("a", 0.0), fv("a", 0.1), fv("b", 8.0)]
+        scores = outliers(agglomerate(vectors)).scores
+        assert len(scores) == 3
+        assert scores[2] == 1.0

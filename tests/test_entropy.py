@@ -6,21 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwatch.entropy import (
+    DEVIATION_BINS,
     BinnedDistribution,
     ByteHistogram,
     EntropySample,
     EntropySeries,
+    bin_index,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
     series_from_values,
     shannon_entropy,
 )
-from entwatch.errors import InsufficientSamples, IrregularSpacing, ShapeMismatch
+from entwatch.errors import InsufficientSamples, IrregularSpacing
 
 
-def dist(masses, lo=0.0, hi=8.0):
-    return BinnedDistribution(lo, hi, np.asarray(masses, dtype=np.float64))
+def dist(masses):
+    """A distribution with ``masses`` in its first bins and zero mass in the rest.
+
+    Zero padding leaves a KL value unchanged: a bin where p has no mass
+    contributes nothing.
+    """
+    masses = np.asarray(masses, dtype=np.float64)
+    return BinnedDistribution(np.pad(masses, (0, DEVIATION_BINS - masses.size)))
 
 
 class TestHistogram:
@@ -200,10 +208,10 @@ class TestKlDivergence:
         assert got == pytest.approx(0.18872187554086717, abs=1e-9)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            kl_divergence(dist([0.5, 0.5]), dist([0.25, 0.25, 0.5]))
-        with pytest.raises(ShapeMismatch):
-            kl_divergence(dist([0.5, 0.5], hi=4.0), dist([0.5, 0.5]))
+        # Every distribution has the one binning; another bin count cannot be built.
+        for shape in (2, 32, 65, (8, 8)):
+            with pytest.raises(ValueError, match="64 masses"):
+                BinnedDistribution(np.full(shape, 1.0 / np.prod(shape)))
 
     def test_zero_reference_bins_stay_finite(self):
         got = kl_divergence(dist([0.5, 0.5]), dist([1.0, 0.0]))
@@ -227,12 +235,30 @@ class TestBinnedDistribution:
         with pytest.raises(ValueError):
             dist([0.5, 0.6])
 
-    def test_bounds_ordered(self):
-        with pytest.raises(ValueError):
-            BinnedDistribution(8.0, 0.0, np.asarray([1.0]))
-
     def test_bin_index_floor_and_clamp(self):
-        d = BinnedDistribution(0.0, 8.0, np.full(64, 1.0 / 64))
-        assert d.bin_index(7.5) == 60
-        assert d.bin_index(0.0) == 0
-        assert d.bin_index(8.0) == 63
+        assert bin_index(7.5) == 60
+        assert bin_index(0.0) == 0
+        assert bin_index(8.0) == 63
+        assert bin_index(-1.0) == 0
+        assert bin_index(100.0) == 63
+
+
+def reference_bin(value, lo=0.0, hi=8.0, bin_count=64):
+    """The binning formula as it was with explicit support bounds and bin count."""
+    return min(max(int((value - lo) / (hi - lo) * bin_count), 0), bin_count - 1)
+
+
+# 0, each multiple of 1/8 and the float just below it, 8, and a subnormal.
+EDGE_DEVIATIONS = sorted({0.0, 8.0, 5e-324}
+                         | {k / 8 for k in range(65)}
+                         | {math.nextafter(k / 8, 0.0) for k in range(1, 65)})
+
+
+class TestBinIndex:
+    def test_edges_match_reference(self):
+        for value in EDGE_DEVIATIONS:
+            assert bin_index(value) == reference_bin(value), value
+
+    @given(st.floats(0.0, 8.0))
+    def test_matches_reference(self, value):
+        assert bin_index(value) == reference_bin(value)

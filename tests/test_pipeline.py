@@ -6,6 +6,7 @@ import pytest
 from entwatch.baseline import fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
 from entwatch.entropy import ByteHistogram, shannon_entropy
+from entwatch.errors import MalformedRecord
 from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 from entwatch.pipeline import (
     TraceProcessor,
@@ -47,6 +48,13 @@ class TestDeviationCollection:
         post_only = collect_trace_deviations(trace.records, cutoff=trace.meta.onset_at)
         assert len(post_only["fs-user"]) < len(all_devs["fs-user"])
         assert max(post_only["fs-user"]) > 1.5
+
+    def test_record_from_a_closed_window_is_rejected(self):
+        # Reversed, every record after the first window's is from a closed window.
+        trace = simulate_scenario(ScenarioSpec("benign_edit", seed=802, duration=30.0))
+        assert len(collect_trace_deviations(trace.records)["fs-user"]) > 100
+        with pytest.raises(MalformedRecord, match=r"in window 28, before the open window 29"):
+            collect_trace_deviations(trace.records[::-1])
 
 
 class TestVerdicts:
@@ -236,6 +244,12 @@ class TestProcessor:
 
 
 class TestWindowing:
+    def test_record_from_a_closed_window_is_rejected(self, benign_profile, attack_model):
+        trace = simulate_scenario(ScenarioSpec("benign_edit", seed=802, duration=30.0))
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        with pytest.raises(MalformedRecord, match=r"/home/user/\S+ at 28\.\d+s is in window 28"):
+            proc.process(trace.records[::-1])
+
     def test_windowed_source_entropy(self, benign_profile, attack_model):
         # two writes in one window must merge before the entropy sample is taken
         payload_a = b"\x00" * 64

@@ -122,6 +122,11 @@ class TestCompressorScenario:
     def test_labeled_benign(self):
         assert simulate_scenario(ScenarioSpec("compressor", seed=5)).meta.label == "benign"
 
+    def test_header_past_duration_dropped(self):
+        # The header is scheduled at 0.0625 s, after a 0.05 s trace ends.
+        trace = simulate_scenario(ScenarioSpec("compressor", seed=5, duration=0.05))
+        assert trace.records == ()
+
 
 class TestRansomwareScenario:
     def test_onset_at_ten_percent(self):
@@ -158,6 +163,13 @@ class TestRansomwareScenario:
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=5))
         pre = [e for t, e in payload_entropies(trace) if t < trace.meta.onset_at]
         assert all(4.0 <= e <= 5.0 for e in pre)
+
+    def test_rename_past_duration_dropped(self):
+        # The fourth rewrite is at 1.95 s; its rename would land at 2.075 s.
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=5, duration=2.0, file_count=1))
+        assert trace.records
+        assert all(r.timestamp < 2.0 for r in trace.records)
+        assert [r.op for r in trace.records if r.timestamp > trace.meta.onset_at] == ["write"] * 4
 
     def test_custom_ramp_respected(self):
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=5, ramp=(1.0, 6.0)))
