@@ -88,7 +88,8 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
 
     Every level present in ``benign_samples`` must carry at least
     MIN_FIT_SAMPLES observations; short levels produce degenerate single-bin
-    baselines and are rejected.
+    baselines and are rejected. A sample that is not a deviation (NaN, or
+    outside [0, 8]) is a ValueError naming its level, not a clamped bin.
     """
     per_level: dict[str, BinnedDistribution] = {}
     sample_counts: dict[str, int] = {}
@@ -98,6 +99,10 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
             raise TooFewSamples(
                 f"level {level_id!r} has {len(samples)} samples, fitting needs {MIN_FIT_SAMPLES}"
             )
+        bad = next((s for s in samples if not 0.0 <= s <= MAX_ENTROPY_BITS), None)
+        if bad is not None:  # NaN fails the range test too
+            raise ValueError(f"level {level_id!r} has a deviation sample {bad!r} "
+                             f"outside [0.0, {MAX_ENTROPY_BITS}]")
         per_level[level_id] = smoothed_distribution(samples)
         sample_counts[level_id] = len(samples)
     return BaselineProfile(

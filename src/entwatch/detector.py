@@ -4,16 +4,18 @@ Per-source evidence is combined in two stages:
 
 1. A two-hypothesis Bayes update turns the likelihood ratio of the observed
    entropy deviation (attack model vs baseline) into a posterior.
-2. The posterior is blended with the clustering outlier score,
-   ``fused = (1 - w) * posterior + w * outlier``. The attack rule,
-   ``is_attack``, labels a source ransomware only when the fused confidence
-   clears the decision threshold AND a corroborating gate holds: KL
-   divergence of its recent deviation window above the KL threshold, or a
-   sustained positive second derivative of level entropy (the convexity
-   signal).
+2. The clustering outlier score adds evidence and never removes it:
+   ``fused = max(posterior, (1 - w) * posterior + w * outlier)``, so a high
+   outlier score can lift a source's confidence and a low one leaves the
+   posterior as it is. The attack rule, ``is_attack``, labels a source
+   ransomware only when the fused confidence clears the decision threshold
+   AND a corroborating gate holds: KL divergence of its recent deviation
+   window above the KL threshold, or a sustained positive second derivative
+   of level entropy (the convexity signal).
 
 The rule is monotone in the outlier score, so evaluating it at outlier 1.0
-tells whether any outlier score could flag a source. The caller keeps the
+and at 0.0 tells whether an outlier score could decide a source's label:
+only when the first flags it and the second does not. The caller keeps the
 evidence, owns the latch (once ransomware, always ransomware) and raises at
 most one alert per source, which holds the source's KL and posterior then.
 """
@@ -138,8 +140,9 @@ def convexity_signal(series: EntropySeries, m: int) -> bool:
 
 
 def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -> float:
-    """Blend of a source's posterior and its outlier score, weighted by ``outlier_weight``."""
-    return (1.0 - config.outlier_weight) * posterior + config.outlier_weight * outlier
+    """The posterior, raised by its blend with the outlier score when that blend is higher."""
+    w = config.outlier_weight
+    return max(posterior, (1.0 - w) * posterior + w * outlier)
 
 
 def is_attack(posterior: float, outlier: float, kl: float, convexity: bool,

@@ -19,9 +19,10 @@ profile fitting; ``TraceProcessor`` composes it and, at each close:
    sum, over the levels that have data so far;
 3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
    max |dH|, max acceleration, KL) and outlier-scores them only when the
-   attack rule (``detector.is_attack``) at outlier 1.0 flags a scored,
-   still-unflagged source: that is the only case in which an outlier score
-   can change a label;
+   attack rule (``detector.is_attack``) flags a scored, still-unflagged
+   source at outlier 1.0 but not at outlier 0.0: that is the only case in
+   which an outlier score can decide a label. A source the rule flags at
+   0.0 is flagged whatever its score and gives no reason to cluster;
 4. decides each scored source that is not yet flagged by the same rule at its
    actual outlier score, reading the evidence off its ``SourceTrack``.
 
@@ -293,10 +294,11 @@ class TraceProcessor:
         convex = self._convexity()
         if convex:
             self.convexity_true_at.append(t_end)
-        # The attack rule is monotone in the outlier score: when no undecided
-        # source would be flagged even at outlier 1.0, outlier scores cannot
-        # change a label this window, and clustering is skipped.
-        if any(is_attack(t.posterior, 1.0, t.kl, convex, cfg) for t in undecided):
+        # The attack rule is monotone in the outlier score: unless some
+        # undecided source is flagged at outlier 1.0 and not at 0.0, outlier
+        # scores cannot decide a label this window, and clustering is skipped.
+        if any(is_attack(t.posterior, 1.0, t.kl, convex, cfg)
+               and not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in undecided):
             self._refresh_outliers()
         for track in undecided:
             verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier, track.kl,

@@ -186,14 +186,26 @@ def test_criterion_5_end_to_end_detection(acceptance_run):
     ]
     report = compute_metrics(rows)
     elapsed = acceptance_run["elapsed"]
+    # Per-source recall: every file of a ransomware trace is encrypted.
+    flagged = {key: 0 for key in ("ransomware", "benign_edit", "compressor")}
+    sources = dict(flagged)
+    for key, _, res in acceptance_run["results"]:
+        flagged[key] += sum(v.label == "ransomware" for v in res.per_source.values())
+        sources[key] += len(res.per_source)
+    recall = flagged["ransomware"] / sources["ransomware"]
 
-    passed = report.accuracy >= 0.90 and report.fpr <= 0.05 and elapsed < 120.0
+    passed = (report.accuracy >= 0.90 and report.fpr <= 0.05 and elapsed < 120.0
+              and recall >= 0.95)
     outcome(5, passed,
             f"accuracy={report.accuracy:.3f} (>=0.90) fpr={report.fpr:.3f} (<=0.05) "
-            f"runtime={elapsed:.1f}s (<120s) over 300 traces")
+            f"runtime={elapsed:.1f}s (<120s) over 300 traces; per-source recall="
+            f"{flagged['ransomware']}/{sources['ransomware']} (>=0.95), benign/compressor "
+            f"sources flagged {flagged['benign_edit']}/{sources['benign_edit']} and "
+            f"{flagged['compressor']}/{sources['compressor']}")
     assert report.accuracy >= 0.90
     assert report.fpr <= 0.05
     assert elapsed < 120.0
+    assert recall >= 0.95
 
 
 def test_criterion_6_early_detection(acceptance_run):

@@ -94,6 +94,12 @@ class TestFitBaseline:
         with pytest.raises(TooFewSamples, match="short"):
             fit_baseline({"ok": [1.0] * MIN_FIT_SAMPLES, "short": [1.0] * 5})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e30, -3.0])
+    def test_sample_outside_deviation_range_names_level(self, bad):
+        with pytest.raises(ValueError, match="'noisy'"):
+            fit_baseline({"ok": [1.0] * MIN_FIT_SAMPLES,
+                          "noisy": [1.0] * (MIN_FIT_SAMPLES - 1) + [bad]})
+
     def test_invalid_prior(self):
         with pytest.raises(InvalidPrior):
             fit_baseline({"L": [1.0] * 64}, prior=1.5)

@@ -151,7 +151,15 @@ class TestFuseAndDecide:
 
     def test_fused_confidence_blend(self):
         cfg = DetectorConfig(outlier_weight=0.25)
-        assert fused_confidence(0.8, 0.4, cfg) == pytest.approx(0.7)
+        assert fused_confidence(0.8, 0.4, cfg) == pytest.approx(0.8)  # a low score cannot veto
+        assert fused_confidence(0.6, 1.0, cfg) == pytest.approx(0.7)  # a high one adds evidence
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_fused_confidence_never_below_posterior_and_monotone(self, post, o_a, o_b, weight):
+        cfg = DetectorConfig(outlier_weight=weight)
+        lo, hi = sorted((o_a, o_b))
+        assert fused_confidence(post, lo, cfg) >= post
+        assert fused_confidence(post, lo, cfg) <= fused_confidence(post, hi, cfg)
 
 
 class TestAlerts:

@@ -35,10 +35,10 @@ WIDE_TRACE = ("--kind", "ransomware", "--seed", "7020", "--duration", "300",
 GOLDEN = {
     "profile.json": "2d6861bd16c7a565fcaf001b46edefc12d43de62ed30e9527fdaf821aa34c1ea",
     "run/report.csv": "77ef33aaf16cc7637672c1232811f67d3a2ddfd84b6a1f52123bc91441ed946e",
-    "run/metrics.json": "def27c28fc088aa4685606ce5617248f8b6f749a39fcbd54b1f2800f6233cc6a",
+    "run/metrics.json": "fd0ca11d2ff85d5d7925130dad0a108e885ffb020d98e4ad400eedaba3ad3b4f",
     "run/heatmap.csv": "eab42644230e2d0f3c862154d1d2c3d2985bc8a151dff039062abbe77ed84019",
-    "wide/report.csv": "15d9cd699a3984313927ae5b269beef84a76118d5a5388a13700d45260fbe046",
-    "wide/metrics.json": "9f6b11940b843af177158660a5747ea2321e9f58eef0d5515508d117c64f0a6d",
+    "wide/report.csv": "ff184b232b14a01287618cb06ffa981e4ec8de88b3c1be15f8322c015c7bbafb",
+    "wide/metrics.json": "0d5d8709e0894e801ff612544968e9acd581d267ecc7e9a4e0da172c56df2672",
 }
 GOLDEN_TRACES = {
     "ben_7000.jsonl": "8f3827a0d71782e320438705aeab5da1489ebce399ba1695036288e1c73e5e50",
@@ -73,7 +73,7 @@ EDGE_SPECS = {  # name: (simulate arguments, sha256 of the trace file)
                     "--file-count", "3", "--ramp-start", "7.8", "--ramp-end", "7.9"),
                    "be9def01640c93547d6df1d2c55a4cea751ac1b3bc2f4ddd415ce0e84cc74636"),
 }
-GOLDEN_DETECT_STDOUT = "cfb613ef9ed8807b4a9d6b7c4355fcf2768781d0db378069b9f97d44c420efe1"
+GOLDEN_DETECT_STDOUT = "2706cdeb63a6400c5d400937842a37f51d207574853f8d40dcbb52cafd854832"
 GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"
 
 

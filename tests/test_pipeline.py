@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entwatch import pipeline
 from entwatch.baseline import fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
 from entwatch.entropy import ByteHistogram, shannon_entropy
@@ -241,6 +242,35 @@ class TestProcessor:
         proc.finish()
         assert closes == [1.0, 1e9 + 1.0]
         assert [s.timestamp for s in proc.sources["/home/u/x"].series.latest(2)] == closes
+
+
+class TestOutlierGate:
+    def test_wide_trace_clusters_only_in_finish(self, attack_model, monkeypatch):
+        # The golden wide trace: every file it flags is flagged on posterior
+        # and KL alone, so no window close needs an outlier score.
+        pooled = {}
+        for seed in (7000, 7001, 7002):
+            trace = simulate_scenario(ScenarioSpec("benign_edit", seed))
+            for level_id, devs in collect_trace_deviations(trace.records).items():
+                pooled.setdefault(level_id, []).extend(devs)
+        profile = fit_baseline(pooled, created_at=0.0)
+        wide = simulate_scenario(ScenarioSpec("ransomware", 7020, duration=300.0, file_count=120))
+
+        calls = []
+        original = pipeline.agglomerate
+
+        def counting(tracks):
+            calls.append(len(tracks))
+            return original(tracks)
+
+        monkeypatch.setattr(pipeline, "agglomerate", counting)
+        proc = TraceProcessor(profile=profile, attack_model=attack_model,
+                              onset_at=wide.meta.onset_at).process(wide.records)
+        assert calls == []
+        result = proc.finish()
+        assert calls == [120]
+        flagged = sum(v.label == RANSOMWARE for v in result.per_source.values())
+        assert (flagged, len(result.per_source)) == (62, 120)
 
 
 class TestWindowing:
