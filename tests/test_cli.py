@@ -229,6 +229,21 @@ class TestDetect:
         assert len(rows) == 2
         assert [row.split(",")[2] for row in rows].count("error") == 1
 
+    def test_non_utf8_record_gives_error_row_naming_its_line(self, workspace, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        lines = (workspace / "ben0.jsonl").read_bytes().splitlines()
+        lines[3] = lines[3].replace(b'"source_path":"', b'"source_path":"\xff', 1)
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        out = tmp_path / "run"
+        res = run_cli("detect", str(bad), str(workspace / "ben1.jsonl"),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "line 4: record is not valid UTF-8" in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        verdicts = {row.split(",")[0].rsplit("/", 1)[-1]: row.split(",")[2] for row in rows}
+        assert verdicts == {"bad.jsonl": "error", "ben1.jsonl": "benign"}
+
     def test_window_byte_overflow_gives_error_row_not_traceback(self, workspace, tmp_path):
         # Each record is valid alone; the source's window total passes 2^63.
         big = {"0": 6_000_000_000_000_000_000, "1": 1}

@@ -1,4 +1,8 @@
+import gc
 import json
+import math
+import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -6,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entwatch.entropy import INT64_MAX, ByteHistogram, histogram_from_bytes, shannon_entropy
-from entwatch.errors import IoFailure, MalformedRecord
+from entwatch.errors import IoFailure, MalformedRecord, checked
 from entwatch.hierarchy import LEVEL_KINDS
 from entwatch.traces import (
     OPS,
@@ -32,7 +36,9 @@ def small_trace():
 
 
 # (line, changes): a value that the constructor of the type it maps onto
-# rejects as well, so the reader and the constructor agree on it.
+# rejects as well, so the reader and the constructor agree on it. Bytes
+# replace the whole line with a fault below the JSON values, which no
+# constructor sees.
 MALFORMED_VALUES = [
     pytest.param(2, {"timestamp": float("nan")}, id="timestamp_nan"),
     pytest.param(3, {"timestamp": float("inf")}, id="timestamp_inf"),
@@ -69,6 +75,9 @@ MALFORMED_VALUES = [
     pytest.param(1, [1, 2], id="meta_not_object"),  # replaces the whole line
     pytest.param(1, {"created_at": -1.0}, id="created_at_negative"),
     pytest.param(1, {"onset_at": -0.5}, id="onset_negative"),
+    pytest.param(4, b'{"timestamp":2.5,"source_path":"/home/\xff","op":"read","bytes":0,'
+                    b'"histogram":{}}', id="not_utf8"),
+    pytest.param(3, b'{"timestamp":' + b"[" * 100000 + b"]" * 100000 + b"}", id="nesting_deep"),
 ]
 
 # Bucket keys other than the canonical "0" to "255": the sparse-histogram
@@ -164,16 +173,19 @@ class TestValidation:
     def test_malformed_value_reports_line(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
         if isinstance(changes, dict):
             changes = {**json.loads(lines[line - 1]), **changes}
-        lines[line - 1] = json.dumps(changes)  # writes NaN/Infinity, which json.loads accepts
-        path.write_text("\n".join(lines) + "\n")
+        if not isinstance(changes, bytes):
+            changes = json.dumps(changes).encode()  # writes NaN/Infinity, which json.loads accepts
+        lines[line - 1] = changes
+        path.write_bytes(b"\n".join(lines) + b"\n")
         with pytest.raises(MalformedRecord) as err:
             read_trace(path)
         assert err.value.line_number == line
 
-    @pytest.mark.parametrize("line, changes", MALFORMED_VALUES)
+    @pytest.mark.parametrize("line, changes", [p for p in MALFORMED_VALUES
+                                               if not isinstance(p.values[1], bytes)])
     def test_malformed_value_rejected_at_construction(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
@@ -374,6 +386,240 @@ class TestConstructedReadsBackEqual:
         assert read_trace(path) == trace
 
 
+REFERENCE_BUCKETS = {str(b): b for b in range(256)}
+
+
+def reference_record(obj, line_number):
+    """The record parser before the cached bucket index: one ``fromiter`` per histogram."""
+    try:
+        checked(obj, "record", dict)
+        sparse = checked(obj.get("histogram", {}), "histogram", dict)
+        size = len(sparse)
+        try:
+            buckets = np.fromiter(map(REFERENCE_BUCKETS.__getitem__, sparse), np.intp, size)
+        except KeyError as exc:
+            raise ValueError(f"byte bucket key must be one of '0' to '255', "
+                             f"got {exc.args[0]!r}") from None
+        values = checked(tuple(sparse.values()), "histogram counts", (int,))
+        counts = np.zeros(256, dtype=np.int64)
+        counts[buckets] = np.fromiter(values, np.int64, size)
+        obj["histogram"] = ByteHistogram(counts)
+        return EventRecord(**obj)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
+
+
+def reference_read(path):
+    """The reader before orjson: a text-mode file, one ``json.loads`` per line
+    and ``str.strip()`` deciding which lines are blank."""
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise MalformedRecord("line 1: trace file has no metadata line", 1)
+        try:
+            meta_obj = json.loads(first)
+        except ValueError as exc:
+            raise MalformedRecord(f"line 1: metadata is not valid JSON: {exc}", 1) from exc
+        try:
+            meta = TraceMeta(**checked(meta_obj, "metadata", dict))
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecord(f"line 1: invalid trace metadata: {exc}", 1) from exc
+        records, last_ts = [], -1.0
+        for line_number, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise MalformedRecord(
+                    f"line {line_number}: record is not valid JSON: {exc}", line_number
+                ) from exc
+            rec = reference_record(obj, line_number)
+            if rec.timestamp < last_ts:
+                raise MalformedRecord(
+                    f"line {line_number}: timestamps regress ({rec.timestamp} after {last_ts})",
+                    line_number,
+                )
+            last_ts = rec.timestamp
+            records.append(rec)
+    return meta, tuple(records)
+
+
+def read_lazily(path):
+    meta, records = iter_trace(path)
+    return meta, tuple(records)
+
+
+def assert_reads_as_reference(path):
+    """Equal metadata and records, or a MalformedRecord with the same line and message."""
+    outcomes = []
+    for read in (reference_read, read_lazily):
+        try:
+            outcomes.append(read(path))
+        except MalformedRecord as exc:
+            outcomes.append(exc)
+    expected, got = outcomes
+    if isinstance(expected, MalformedRecord):
+        assert isinstance(got, MalformedRecord), got
+        assert (got.line_number, str(got)) == (expected.line_number, str(expected))
+    else:
+        assert got == expected
+
+
+META_LINE = b'{"scenario":"benign_edit","seed":1,"label":"benign"}'
+# Characters str.strip() removes and bytes.strip() keeps, so a line of them is
+# blank to the text reader; text mode does not split lines at any of them.
+STR_ONLY_BLANKS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+REFERENCE_FILES = [
+    pytest.param([b'{ "op" : "write",\t"bytes":3 ,"histogram":{ "97" : 3 },'
+                  b' "source_path":"/a" , "timestamp":1.5}  '], id="reordered_keys_whitespace"),
+    pytest.param([b'{"timestamp":0.5,"source_path":"/caf\\u00e9\\ud83d\\ude00","op":"write",'
+                  b'"bytes":0,"histogram":{}}'], id="unicode_escapes"),
+    pytest.param([b'{"timestamp":0.5,"source_path":"/x\\udcff\\ud800","op":"read",'
+                  b'"bytes":0,"histogram":{}}'], id="lone_surrogate_escapes"),
+    pytest.param([b'{"timestamp":18446744073709551616,"source_path":"/a","op":"write",'
+                  b'"bytes":0,"histogram":{}}',
+                  b'{"timestamp":' + str(10 ** 300 + 1).encode() + b',"source_path":"/a",'
+                  b'"op":"write","bytes":0,"histogram":{}}'], id="timestamp_ints_past_64_bits"),
+    pytest.param([b'{"timestamp":' + format_seconds(1e-7).encode() + b'123456789,'
+                  b'"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
+                  b'{"timestamp":' + format_seconds(5e-324).encode() + b',"source_path":"/a",'
+                  b'"op":"write","bytes":0,"histogram":{}}'], id="timestamp_long_decimals"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":5,'
+                  b'"histogram":{"7":9,"8":2,"7":3}}'], id="duplicate_bucket_keys"),
+    pytest.param([STR_ONLY_BLANKS.encode(), b"\t\x0b\x0c ",
+                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
+                  "\xa0\x1c".encode()], id="str_strip_blank_lines"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}\r'
+                  b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}\r',
+                  b"\r\r{broken"], id="lone_cr_line_ends"),
+    pytest.param([b'{"timestamp":NaN,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
+                 id="nan_literal"),
+    pytest.param([b'{"timestamp":1e400,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
+                 id="float_literal_past_range"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":18446744073709551616,'
+                  b'"histogram":{"0":18446744073709551616}}'], id="ints_past_64_bits_rejected"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":1,'
+                  b'"histogram":{"0":1}} {}'], id="extra_data"),
+    pytest.param([b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
+                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
+                 id="timestamps_regress"),
+    pytest.param([b"null"], id="null_record"),
+    pytest.param([b"[" * 500 + b"]" * 500], id="nested_500_deep"),
+]
+
+
+class TestReferenceReader:
+    """The reader gives the reference reader's records and errors, line for line."""
+
+    @pytest.mark.parametrize("lines", REFERENCE_FILES)
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    def test_cases(self, tmp_path, lines, ending):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(line + ending for line in [META_LINE, *lines]))
+        assert_reads_as_reference(path)
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_equal_records_and_errors(self, tmp_path, data):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(data.draw(trace_files()))
+        assert_reads_as_reference(path)
+
+
+def spaces(draw):
+    return draw(st.text(alphabet=" \t", max_size=2))
+
+
+@st.composite
+def timestamp_texts(draw):
+    """A number as json reads it, in the ways a writer may spell it."""
+    style = draw(st.sampled_from(["seconds", "repr", "int", "big_int", "long_decimal"]))
+    if style == "int":
+        return str(draw(st.integers(0, 2 ** 64)))
+    if style == "big_int":
+        return str(draw(st.integers(2 ** 64, 2 ** 1030)))
+    if style == "long_decimal":
+        text = format(Decimal(draw(st.floats(0.0, 1e-3))), "f")
+        digits = draw(st.text(alphabet="0123456789", max_size=30))
+        return text + ("" if "." in text or not digits else ".") + digits
+    value = draw(st.floats(0.0, 1e9))
+    return format_seconds(value) if style == "seconds" else repr(value)
+
+
+def number_of(text):
+    value = json.loads(text)
+    return float(value) if value <= 1e308 else math.inf
+
+
+path_chars = st.characters(blacklist_categories=("Cs",)) | st.integers(0xD800, 0xDFFF).map(chr)
+
+
+@st.composite
+def record_texts(draw, timestamp):
+    """One record line: keys in any order, optional spaces, any escapes, repeated bucket keys."""
+    hist = draw(histograms())
+    path = draw(st.text(path_chars, max_size=6))
+    lone = any(0xD800 <= ord(c) <= 0xDFFF for c in path)
+    entries = [(f'"{b}"', str(c)) for b, c in enumerate(hist.counts.tolist()) if c]
+    if entries and draw(st.booleans()):
+        # An earlier entry with the same key is overwritten by the later one.
+        key, _ = draw(st.sampled_from(entries))
+        entries.insert(0, (key, str(draw(st.integers(0, 10)))))
+    sep = spaces(draw)
+    pairs = [
+        ('"timestamp"', timestamp),
+        ('"source_path"', json.dumps(path, ensure_ascii=lone or draw(st.booleans()))),
+        ('"op"', json.dumps(draw(st.sampled_from(OPS)))),
+        ('"bytes"', str(hist.total)),
+        ('"histogram"', "{" + ",".join(f"{k}{sep}:{v}" for k, v in entries) + "}"),
+    ]
+    if draw(st.booleans()):
+        pairs.append(('"level_hint"', json.dumps(draw(st.sampled_from(LEVEL_KINDS)))))
+    pairs = draw(st.permutations(pairs))
+    body = ",".join(f"{spaces(draw)}{k}{spaces(draw)}:{spaces(draw)}{v}{spaces(draw)}"
+                    for k, v in pairs)
+    return "{" + body + "}"
+
+
+@st.composite
+def trace_files(draw):
+    """A trace file of valid record lines and blank lines; some files get one fault."""
+    stamps = sorted(draw(st.lists(timestamp_texts(), max_size=4)), key=number_of)
+    lines = [f'{{"scenario":"benign_edit","seed":{draw(st.integers())},"label":"benign"}}']
+    for stamp in stamps:
+        if draw(st.booleans()):
+            lines.append(draw(st.text(alphabet=" \t\x0b\x0c" + STR_ONLY_BLANKS, max_size=3)))
+        lines.append(draw(record_texts(stamp)))
+    fault = draw(st.sampled_from([None, None, "cut", "insert", "swap"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    if fault == "cut":
+        lines[at] = lines[at][:draw(st.integers(0, len(lines[at])))]
+    elif fault == "insert":
+        cut = draw(st.integers(0, len(lines[at])))
+        junk = draw(st.sampled_from(["NaN", "-Infinity", "1e400", "-1", "2.5", '"', ",", "}", "[",
+                                     "x", "\r", "\xa0", "18446744073709551616",
+                                     "9223372036854775808"]))
+        lines[at] = lines[at][:cut] + junk + lines[at][cut:]
+    elif fault == "swap" and len(lines) > 2:
+        other = draw(st.integers(1, len(lines) - 1))
+        lines[at], lines[other] = lines[other], lines[at]
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("utf-8")
+
+
+def resource_warnings(action):
+    """The ResourceWarnings (files never closed) from ``action`` and its garbage."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        action()
+        gc.collect()
+    return [w.message for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 class TestStreaming:
     def test_iter_trace_is_lazy(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -382,6 +628,24 @@ class TestStreaming:
         assert meta.seed == 3
         first = next(records)
         assert first.timestamp == 0.125
+
+    def test_unread_records_close_the_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(small_trace(), path)
+        assert resource_warnings(lambda: iter_trace(path)) == []
+
+    def test_bad_metadata_closes_the_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"scenario": 5}\n')
+
+        def open_bad():
+            try:
+                iter_trace(path)
+            except MalformedRecord:
+                return
+            pytest.fail("bad metadata accepted")
+
+        assert resource_warnings(open_bad) == []
 
 
 class TestScanDirectory:
