@@ -43,8 +43,8 @@ SPACING_TOLERANCE = 0.10
 class ByteHistogram:
     """256-bucket count vector over byte values.
 
-    ``counts`` is an integer array or a list of 256 ints (not bools or
-    floats). ``total`` is kept equal to the exact sum of ``counts``, and never
+    ``counts`` is a list of 256 ints (not bools or floats), stored as an int64
+    array. ``total`` is kept equal to the exact sum of ``counts``, and never
     passes int64. Instances are plain mutable accumulators and must not be shared
     between concurrent writers.
     """
@@ -56,24 +56,17 @@ class ByteHistogram:
             self.counts = np.zeros(256, dtype=np.int64)
             self.total = 0
             return
-        # An integer array holds only ints; anything else is checked item by item.
-        if isinstance(counts, np.ndarray) and counts.dtype.kind in "iu":
-            values = counts.tolist()
-        else:
-            values = checked(counts, "histogram counts", (int,))
-        try:
-            arr = np.array(counts, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"histogram counts out of the 64-bit range: {exc}") from exc
-        if arr.shape != (256,):
-            raise ValueError(f"histogram needs exactly 256 buckets, got shape {arr.shape}")
-        if (arr < 0).any():
+        values = checked(counts, "histogram counts", (int,))
+        if len(values) != 256:
+            raise ValueError(f"histogram needs exactly 256 buckets, got {len(values)}")
+        if min(values) < 0:
             raise ValueError("histogram counts must be non-negative")
         # Summed as Python ints: an int64 sum of buckets that each fit can wrap.
+        # Every count is at most the total, so none passes int64 either.
         total = sum(values)
         if total > INT64_MAX:
             raise ValueError(f"histogram total {total} passes the 64-bit range")
-        self.counts = arr
+        self.counts = np.array(values, dtype=np.int64)
         self.total = total
 
     def merge(self, other: "ByteHistogram") -> None:

@@ -34,7 +34,7 @@ class EmptyWindow(EntwatchError):
 
 
 class UnsupportedVersion(EntwatchError):
-    """Profile file declares a format version this build cannot read."""
+    """A profile or trace file declares a format version this build cannot read."""
 
 
 class CorruptProfile(EntwatchError):

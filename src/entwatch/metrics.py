@@ -174,23 +174,22 @@ def write_heatmap_csv(path, level_samples) -> None:
     """Level x 1-second-bucket matrix of mean level entropy.
 
     ``level_samples`` are (level_id, window_start_seconds, entropy) triples,
-    typically pooled across every trace of a run. Cells with no samples stay
-    blank.
+    typically pooled across every trace of a run. The columns are the buckets
+    that hold at least one sample, in ascending order; a bucket no level
+    sampled has no column. Cells with no samples stay blank.
     """
     cells: dict[tuple[str, int], list[float]] = {}
-    max_bucket = -1
     for level_id, window_start, value in level_samples:
-        bucket = int(window_start // 1.0)
-        cells.setdefault((level_id, bucket), []).append(value)
-        max_bucket = max(max_bucket, bucket)
+        cells.setdefault((level_id, int(window_start // 1.0)), []).append(value)
 
     levels = sorted({key[0] for key in cells})
+    buckets = sorted({key[1] for key in cells})
     with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level"] + [str(b) for b in range(max_bucket + 1)])
+        writer.writerow(["level"] + [str(b) for b in buckets])
         for level_id in levels:
             row = [level_id]
-            for bucket in range(max_bucket + 1):
+            for bucket in buckets:
                 values = cells.get((level_id, bucket))
                 row.append(f"{sum(values) / len(values):.6f}" if values else "")
             writer.writerow(row)

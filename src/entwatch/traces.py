@@ -1,20 +1,22 @@
 """Replayable event traces: line-delimited JSON records plus directory scanning.
 
-File layout: line 1 is the metadata object, every following line is one event
-record. Histograms are serialized as sparse ``{"byte": count}`` maps of the
-nonzero buckets only; raw payload bytes are never stored. A bucket key is
-exactly one of ``"0"`` to ``"255"``: no sign, padding, spaces or underscores,
-so no two keys name the same bucket. Counts are JSON integers whose sum fits
-int64. All integers are decimal; timestamps are decimal seconds written with
-at least three fractional digits and exactly enough precision to round-trip
-the float.
+File layout (trace format 2): line 1 is the metadata object, which carries
+``"format": 2``, and every following line is one event record. A record's
+``"histogram"`` is a JSON list of exactly 256 non-negative integer counts, one
+per byte value and zeros included, whose sum fits int64; raw payload bytes are
+never stored. All integers are decimal; timestamps are decimal seconds written
+with at least three fractional digits and exactly enough precision to
+round-trip the float. A file whose metadata names another format, or none (the
+sparse ``{"byte": count}`` histograms of format 1), raises
+``UnsupportedVersion``; a trace is a pure function of its spec, so re-simulate
+it.
 
 The grammar is ``json``'s, read from UTF-8 text split into lines at ``\\n``,
 ``\\r\\n`` or a lone ``\\r``; a line that ``str.strip()`` empties is blank and
 skipped. The metadata line is read by ``json``: its ``seed`` is an unbounded
 integer, which ``orjson`` would read as a float past 64 bits. Record lines, the
-bulk of a trace, are read by ``orjson``, about four times faster on a full
-256-bucket record. ``orjson`` rejects some lines that ``json`` reads
+bulk of a trace, are read by ``orjson``, about six times faster on a full
+256-count record. ``orjson`` rejects some lines that ``json`` reads
 (lone-surrogate escapes, which traces of non-UTF-8 file names hold, and
 ``NaN``) and reads integers past 64 bits as floats. So a line that ``orjson``
 rejects, or whose record is invalid, is read again by ``json``, and only that
@@ -27,16 +29,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import lru_cache
-from itertools import compress
 from pathlib import Path
 from typing import Iterator
 
-import numpy as np
 import orjson
 
 from .entropy import ByteHistogram, histogram_from_bytes
-from .errors import IoFailure, MalformedRecord, checked
+from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from .hierarchy import LEVEL_KINDS
 
 OPS = ("write", "read", "rename", "delete", "net_tx")
@@ -44,9 +43,8 @@ OPS = ("write", "read", "rename", "delete", "net_tx")
 LABEL_BENIGN = "benign"
 LABEL_RANSOMWARE = "ransomware"
 
-# The canonical key of each bucket, and the text of one occupied bucket.
-_BUCKET_OF_KEY = {str(b): b for b in range(256)}
-_BUCKET_FORMATS = tuple(f'"{b}":%d' for b in range(256))
+# The trace format this build writes and reads; a file without one is format 1.
+TRACE_FORMAT = 2
 
 
 def format_seconds(ts: float) -> str:
@@ -137,6 +135,7 @@ class Trace:
 
 def _meta_line(meta: TraceMeta) -> str:
     parts = [
+        f'"format":{TRACE_FORMAT}',
         f'"scenario":{json.dumps(meta.scenario)}',
         f'"seed":{meta.seed}',
         f'"label":{json.dumps(meta.label)}',
@@ -164,9 +163,8 @@ def _record_line(rec: EventRecord) -> str:
         parts.append(f'"level_hint":{json.dumps(rec.level_hint)}')
     parts.append(f'"op":{json.dumps(rec.op)}')
     parts.append(f'"bytes":{rec.bytes}')
-    counts = rec.histogram.counts.tolist()
-    hist = ",".join(compress(_BUCKET_FORMATS, counts)) % tuple(filter(None, counts))
-    parts.append('"histogram":{' + hist + "}")
+    parts.append('"histogram":' + orjson.dumps(rec.histogram.counts,
+                                               option=orjson.OPT_SERIALIZE_NUMPY).decode())
     return "{" + ",".join(parts) + "}"
 
 
@@ -183,40 +181,25 @@ def write_trace(trace: Trace, path) -> None:
 
 def _parse_meta(obj, line_number: int) -> TraceMeta:
     try:
-        return TraceMeta(**checked(obj, "metadata", dict))
+        checked(obj, "metadata", dict)
+        version = obj.pop("format", 1)
+        if type(version) is not int or version != TRACE_FORMAT:
+            raise UnsupportedVersion(f"trace format {version!r} is not supported (expected "
+                                     f"{TRACE_FORMAT}); re-simulate the trace")
+        return TraceMeta(**obj)
     except (TypeError, ValueError, RecursionError) as exc:
         # TypeError: a key TraceMeta does not have; RecursionError: the repr
         # of a deeply nested value in a message
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
-# Traces repeat few key tuples (every full histogram has the same one); the
-# bound keeps a trace of many sparse histograms from growing the cache.
-@lru_cache(maxsize=256)
-def _bucket_index(keys: tuple[str, ...]) -> np.ndarray:
-    """The bucket of each sparse-histogram key, in key order; read-only, as callers share it."""
-    try:
-        index = np.fromiter(map(_BUCKET_OF_KEY.__getitem__, keys), np.intp, len(keys))
-    except KeyError as exc:
-        raise ValueError(f"byte bucket key must be one of '0' to '255', "
-                         f"got {exc.args[0]!r}") from None
-    index.flags.writeable = False
-    return index
-
-
 def _parse_record(obj, line_number: int) -> EventRecord:
     try:
         checked(obj, "record", dict)
-        sparse = checked(obj.get("histogram", {}), "histogram", dict)
-        index = _bucket_index(tuple(sparse))
-        # The int64 array would truncate a float or bool count, so their types
-        # are checked first; a count outside int64 raises OverflowError.
-        values = checked(tuple(sparse.values()), "histogram counts", (int,))
-        counts = np.zeros(256, dtype=np.int64)
-        counts[index] = values
-        obj["histogram"] = ByteHistogram(counts)
+        if "histogram" in obj:  # ByteHistogram(None) is empty; a null histogram is not
+            obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
         return EventRecord(**obj)
-    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         # RecursionError: the repr of a deeply nested value in a message
         raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
 

@@ -246,11 +246,11 @@ class TestDetect:
 
     def test_window_byte_overflow_gives_error_row_not_traceback(self, workspace, tmp_path):
         # Each record is valid alone; the source's window total passes 2^63.
-        big = {"0": 6_000_000_000_000_000_000, "1": 1}
+        big = [6_000_000_000_000_000_000, 1] + [0] * 254
         records = [{"timestamp": t, "source_path": "/home/u/x", "op": "write",
                     "bytes": 6_000_000_000_000_000_001, "histogram": big} for t in (0.1, 0.2)]
         bad = tmp_path / "overflow.jsonl"
-        meta = json.dumps({"scenario": "benign_edit", "seed": 0, "label": "benign"})
+        meta = json.dumps({"format": 2, "scenario": "benign_edit", "seed": 0, "label": "benign"})
         bad.write_text("\n".join([meta] + [json.dumps(r) for r in records]) + "\n")
         out = tmp_path / "run"
         res = run_cli("detect", str(bad), str(workspace / "ben1.jsonl"),
@@ -279,6 +279,35 @@ class TestDetect:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         assert len(rows) == 2
         assert all(row.split(",")[2] == "benign" for row in rows)
+
+    def test_format_1_trace_gives_error_row_not_traceback(self, workspace, tmp_path):
+        old = tmp_path / "v1.jsonl"
+        old.write_text('{"scenario":"benign_edit","seed":0,"label":"benign"}\n'
+                       '{"timestamp":0.500,"source_path":"/a","op":"write","bytes":3,'
+                       '"histogram":{"97":3}}\n')
+        out = tmp_path / "run"
+        res = run_cli("detect", str(old), str(workspace / "ben1.jsonl"),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "trace format 1 is not supported" in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        verdicts = {row.split(",")[0].rsplit("/", 1)[-1]: row.split(",")[2] for row in rows}
+        assert verdicts == {"v1.jsonl": "error", "ben1.jsonl": "benign"}
+
+    def test_heatmap_has_columns_only_for_sampled_seconds(self, workspace, tmp_path):
+        # Without a column per second up to the last window, a record at 1e6 s
+        # cannot make the heatmap a million columns wide.
+        records = [EventRecord(t, "/home/u/x", "write", histogram_from_bytes(b"abc" * 20), 60)
+                   for t in (0.5, 1.5, 1e6)]
+        trace = tmp_path / "late.jsonl"
+        write_trace(Trace(TraceMeta("benign_edit", 0, "benign"), records), trace)
+        out = tmp_path / "run"
+        res = run_cli("detect", str(trace), "--baseline", str(workspace / "base.json"),
+                      "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        header = (out / "heatmap.csv").read_text().splitlines()[0].split(",")
+        assert header[0] == "level" and 1 <= len(header) - 1 <= 3
 
     def test_unwritable_report_dir_is_one_error_line(self, workspace, tmp_path):
         blocker = tmp_path / "x.jsonl"

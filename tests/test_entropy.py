@@ -72,6 +72,11 @@ class TestHistogram:
         with pytest.raises(ValueError):
             ByteHistogram(counts)
 
+    def test_array_counts_rejected(self):
+        # Counts are a list of exact ints; an array passes .tolist().
+        with pytest.raises(ValueError):
+            ByteHistogram(np.ones(256, dtype=np.int64))
+
     def test_total_past_int64_rejected(self):
         # Each count fits int64, but their sum is 2^64, which an int64 sum wraps to 0.
         with pytest.raises(ValueError):
@@ -86,18 +91,18 @@ class TestHistogram:
 
 class TestShannonEntropy:
     def test_uniform_histogram_is_exactly_eight(self):
-        hist = ByteHistogram(np.full(256, 17))
+        hist = ByteHistogram(np.full(256, 17).tolist())
         assert abs(shannon_entropy(hist) - 8.0) < 1e-12
 
     def test_single_symbol_is_zero(self):
         counts = np.zeros(256, dtype=np.int64)
         counts[42] = 1000
-        assert shannon_entropy(ByteHistogram(counts)) == 0.0
+        assert shannon_entropy(ByteHistogram(counts.tolist())) == 0.0
 
     def test_fair_coin_is_one_bit(self):
         counts = np.zeros(256, dtype=np.int64)
         counts[0] = counts[255] = 500
-        assert abs(shannon_entropy(ByteHistogram(counts)) - 1.0) < 1e-12
+        assert abs(shannon_entropy(ByteHistogram(counts.tolist())) - 1.0) < 1e-12
 
     def test_aaabbc(self):
         expected = -(0.5 * math.log2(0.5) + (1 / 3) * math.log2(1 / 3) + (1 / 6) * math.log2(1 / 6))
@@ -122,12 +127,12 @@ class TestShannonEntropy:
         counts = np.full(256, 4)
         counts[0] = 3
         counts[1] = 5
-        assert shannon_entropy(ByteHistogram(counts)) < 8.0
+        assert shannon_entropy(ByteHistogram(counts.tolist())) < 8.0
 
     @given(st.binary(min_size=1, max_size=512), st.integers(min_value=1, max_value=255))
     def test_permutation_invariance(self, data, shift):
         hist = histogram_from_bytes(data)
-        rolled = ByteHistogram(np.roll(hist.counts, shift))
+        rolled = ByteHistogram(np.roll(hist.counts, shift).tolist())
         assert shannon_entropy(hist) == pytest.approx(shannon_entropy(rolled), abs=1e-12)
 
 

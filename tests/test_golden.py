@@ -41,37 +41,37 @@ GOLDEN = {
     "wide/metrics.json": "0d5d8709e0894e801ff612544968e9acd581d267ecc7e9a4e0da172c56df2672",
 }
 GOLDEN_TRACES = {
-    "ben_7000.jsonl": "8f3827a0d71782e320438705aeab5da1489ebce399ba1695036288e1c73e5e50",
-    "ben_7001.jsonl": "1d80f46144f1418bf1014f0ebfc590e571f2c1b9c90b5be7d717ce3b9d48342a",
-    "ben_7002.jsonl": "d55b67cb0f0cd54bbc61a1c86c48b2962b3d0839ff887eb259c35af74ea77ba5",
-    "rw_7010.jsonl": "4b6faa5572104ef7c9d27d957fd102c81cfea0acb51085e777aa17613ee9fba6",
-    "rw_7011.jsonl": "1bb445776077f0ef4414c07d02c6cfeee970c0c42375abc4f650a4ec212bc475",
-    "ben_7012.jsonl": "f64e25f30e8b81fa26476c4512727ff529a29ae0e2489e98ac9a1537fb161515",
-    "zip_7013.jsonl": "9bb9ec61ad0f61853076e2b7c281ae30b5fa09cae82cecbcfbc458b8039c1ff5",
-    "rw_wide_7020.jsonl": "3d4841b0eb2d27aa5f7e92c25619c21709bde78895c36e5f8114e8fd80b2fb19",
+    "ben_7000.jsonl": "6fbd06ff7b5d7873a4045c127a1426dfcadeb1beede5028184865a97320b03c1",
+    "ben_7001.jsonl": "0b8a3934116f638479a1b10e5f0eea1c7b13b6155ce3374d6fdce05403348f22",
+    "ben_7002.jsonl": "b1f8f195617490de40a37d8dff2cb7c6a5caff23f415a73ca5515aa6b1cca577",
+    "rw_7010.jsonl": "d2ab8fdafbe2476d2624db6650c5c0576a492e101f8d67cbe223501cd99ba557",
+    "rw_7011.jsonl": "cf366166ce9454dcaf296118b1ca557e14641dbc556f8e64d65e5db1f6b202ec",
+    "ben_7012.jsonl": "5bcbe131555c7b57d89fafba7c7d42f4a3218de50720a46215d233d6955ab83c",
+    "zip_7013.jsonl": "b8e9c9d6d193c82a571b53fbc9632dd5bbff30d6258b35d8b851eb380a2759f6",
+    "rw_wide_7020.jsonl": "402e28fb0f2f7f3978c9a481cdd9651c4d9727aa507c4553e1d66087042e6cb3",
 }
 EDGE_DIRS = ("--target-dir", "/srv/a", "--target-dir", "/srv/b", "--target-dir", "/srv/c")
 EDGE_SPECS = {  # name: (simulate arguments, sha256 of the trace file)
     "zip_header_only": (("--kind", "compressor", "--seed", "7101", "--duration", "0.5"),
-                        "b28e21a6d4513ea1e7bd0b512f7a5fa9b33fad6ecad6a42eb9047b9ca5c63002"),
+                        "c3da13e204ec829e19ed1b162edc6c19c7edabce925c8f08263d396da946942f"),
     "zip_off_grid": (("--kind", "compressor", "--seed", "7102", "--duration", "37.3"),
-                     "fce6c6b2674b2defbd7e93761fcb852f0bf7de7fcb0f99cfacd03afaaf4ada19"),
+                     "aea8cb59d452188c7658ec129924a9bc0659fd746df2a68b3f4880e0b9523163"),
     "ben_empty": (("--kind", "benign_edit", "--seed", "7103", "--duration", "0.05"),
-                  "c95996340957a5ea107e7f8da7c17970a4c99cf4f597ade614948c0cde8d21e1"),
+                  "3326c0c29d116848f09d257a6d2a37853bca5534c3aa25ba7635d366abf73e6e"),
     "ben_one_file_dirs": (("--kind", "benign_edit", "--seed", "7104", "--duration", "13.7",
                            "--file-count", "1", *EDGE_DIRS),
-                          "6613e0d6ee4a5f116e1100f072bdcf2626867df78b8579b7b1fca7aea57f0ce2"),
+                          "d3c518aff1406c0f0ebbc6110a8eb52719a3edbedffceeb9b5c08be6a549fd16"),
     "rw_empty": (("--kind", "ransomware", "--seed", "7105", "--duration", "0.2"),
-                 "e7c3d03faf3f5afc9815905da2408b7a9876a190159be6ff878fb25d98e7a81f"),
+                 "64c79247f3bb9929744930df823a9ec5dc211299f9f9444fdb1058f8d86eaf69"),
     "rw_one_file": (("--kind", "ransomware", "--seed", "7106", "--duration", "0.3",
                      "--file-count", "1"),
-                    "f0c0aeb9668386c303aed80ac3b3d668c9627249279a4bab69191a741fe4de6c"),
+                    "7e51803a5295348b04ab7f172402c37825d2b06a4e289f00b9ecfe22a7da9e90"),
     "rw_dirs_ramp": (("--kind", "ransomware", "--seed", "7107", "--duration", "77.7",
                       "--file-count", "7", *EDGE_DIRS, "--ramp-start", "3.5", "--ramp-end", "6.0"),
-                     "0ed0f510fded19d4f276f214016b8281b79f1d1ead3584b922e43be3a23bd6d3"),
+                     "07a3e037243120a97576cce1073156f37f52026dd8d234e42445e6b39a37fdda"),
     "rw_instant": (("--kind", "ransomware", "--seed", "7108", "--duration", "400",
                     "--file-count", "3", "--ramp-start", "7.8", "--ramp-end", "7.9"),
-                   "be9def01640c93547d6df1d2c55a4cea751ac1b3bc2f4ddd415ce0e84cc74636"),
+                   "a5b1bbcc5a6f769cbd0a7e84a26056f6cda178173bbebd1120adcf424288731c"),
 }
 GOLDEN_DETECT_STDOUT = "2706cdeb63a6400c5d400937842a37f51d207574853f8d40dcbb52cafd854832"
 GOLDEN_ATTACK_MODEL = "cf6b64df1c0bbe7401e1a749d80c4cafa9f9b554fc80ff0f980815b2e75134fe"

@@ -136,6 +136,16 @@ class TestReportFiles:
         assert lines[1] == "fs-user,4.500000,,6.000000"
         assert lines[2] == "net,,1.500000,"
 
+    def test_heatmap_skips_seconds_without_samples(self, tmp_path):
+        samples = [("net", 1e5, 2.0), ("fs-user", 3.25, 4.0), ("fs-user", 1e5 + 0.5, 6.0)]
+        path = tmp_path / "heatmap.csv"
+        write_heatmap_csv(path, samples)
+        assert path.read_text().splitlines() == [
+            "level,3,100000",
+            "fs-user,4.000000,6.000000",
+            "net,,2.000000",
+        ]
+
 
 @pytest.mark.parametrize("field, value", [
     ("trace", 5),

@@ -4,13 +4,12 @@ import math
 import warnings
 from decimal import Decimal
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from entwatch.entropy import INT64_MAX, ByteHistogram, histogram_from_bytes, shannon_entropy
-from entwatch.errors import IoFailure, MalformedRecord, checked
+from entwatch.errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from entwatch.hierarchy import LEVEL_KINDS
 from entwatch.traces import (
     OPS,
@@ -35,6 +34,17 @@ def small_trace():
     return Trace(meta, (rec(0.125), rec(1.25, payload=b"abcabc"), rec(2.5, op="net_tx")))
 
 
+def dense(buckets):
+    """The 256 counts of a histogram, zero except at the given buckets."""
+    counts = [0] * 256
+    for b, c in buckets.items():
+        counts[b] = c
+    return counts
+
+
+# The histogram text of an empty payload.
+ZEROS = b"[" + b",".join([b"0"] * 256) + b"]"
+
 # (line, changes): a value that the constructor of the type it maps onto
 # rejects as well, so the reader and the constructor agree on it. Bytes
 # replace the whole line with a fault below the JSON values, which no
@@ -42,25 +52,33 @@ def small_trace():
 MALFORMED_VALUES = [
     pytest.param(2, {"timestamp": float("nan")}, id="timestamp_nan"),
     pytest.param(3, {"timestamp": float("inf")}, id="timestamp_inf"),
-    pytest.param(2, {"histogram": {"0": 100000000000000000000000}}, id="count_overflow"),
-    pytest.param(3, {"histogram": [], "bytes": 0}, id="histogram_list"),
+    pytest.param(2, {"histogram": dense({0: 100000000000000000000000})}, id="count_overflow"),
+    pytest.param(3, {"histogram": [], "bytes": 0}, id="histogram_list"),  # a list of no counts
+    pytest.param(2, {"histogram": {"0": 11}}, id="histogram_dict"),
+    pytest.param(3, {"histogram": None, "bytes": 0}, id="histogram_null"),
+    pytest.param(2, {"histogram": dense({0: 11})[:255]}, id="counts_255"),
+    pytest.param(2, {"histogram": dense({0: 11}) + [0]}, id="counts_257"),
+    pytest.param(2, {"histogram": [dense({0: 11})]}, id="counts_nested"),
+    pytest.param(3, {"histogram": dense({0: [6]}), "bytes": 6}, id="count_list"),
+    pytest.param(2, {"histogram": dense({0: "11"})}, id="count_string"),
+    pytest.param(3, {"histogram": dense({0: None}), "bytes": 0}, id="count_null"),
     pytest.param(2, {"source_path": 5}, id="path_not_string"),
-    pytest.param(2, {"histogram": {"0": 10, "1": -5}, "bytes": 5}, id="count_negative"),
-    pytest.param(3, {"histogram": {"0": 1.9}, "bytes": 1}, id="count_float"),
-    pytest.param(2, {"histogram": {"0": True}, "bytes": 1}, id="count_bool"),
+    pytest.param(2, {"histogram": dense({0: 10, 1: -5}), "bytes": 5}, id="count_negative"),
+    pytest.param(3, {"histogram": dense({0: 1.9}), "bytes": 1}, id="count_float"),
+    pytest.param(2, {"histogram": dense({0: True}), "bytes": 1}, id="count_bool"),
     pytest.param(1, {"onset_at": float("nan")}, id="onset_nan"),
     pytest.param(1, {"created_at": float("inf")}, id="created_at_inf"),
     pytest.param(1, {"duration": float("-inf")}, id="duration_inf"),
     pytest.param(3, [1, 2], id="record_not_object"),  # replaces the whole line
-    pytest.param(2, {"histogram": {"0": 4}, "bytes": 4.9}, id="bytes_float"),
-    pytest.param(2, {"histogram": {"0": 1}, "bytes": True}, id="bytes_bool"),
-    pytest.param(3, {"histogram": {"0": 4}, "bytes": "4"}, id="bytes_string"),
+    pytest.param(2, {"histogram": dense({0: 4}), "bytes": 4.9}, id="bytes_float"),
+    pytest.param(2, {"histogram": dense({0: 1}), "bytes": True}, id="bytes_bool"),
+    pytest.param(3, {"histogram": dense({0: 4}), "bytes": "4"}, id="bytes_string"),
     pytest.param(3, {"timestamp": "1.5"}, id="timestamp_string"),
     pytest.param(3, {"timestamp": True}, id="timestamp_bool"),
     pytest.param(3, {"timestamp": 10 ** 400}, id="timestamp_huge_int"),
     pytest.param(1, {"onset_at": 10 ** 400}, id="onset_huge_int"),
     # Each count fits int64, but the sum wraps to the negative "bytes" in int64.
-    pytest.param(2, {"histogram": {"0": 6000000000000000000, "1": 6000000000000000000},
+    pytest.param(2, {"histogram": dense({0: 6000000000000000000, 1: 6000000000000000000}),
                      "bytes": -6446744073709551616}, id="count_sum_overflow"),
     pytest.param(1, {"seed": 4.9}, id="seed_float"),
     pytest.param(1, {"seed": True}, id="seed_bool"),
@@ -76,19 +94,8 @@ MALFORMED_VALUES = [
     pytest.param(1, {"created_at": -1.0}, id="created_at_negative"),
     pytest.param(1, {"onset_at": -0.5}, id="onset_negative"),
     pytest.param(4, b'{"timestamp":2.5,"source_path":"/home/\xff","op":"read","bytes":0,'
-                    b'"histogram":{}}', id="not_utf8"),
+                    b'"histogram":' + ZEROS + b'}', id="not_utf8"),
     pytest.param(3, b'{"timestamp":' + b"[" * 100000 + b"]" * 100000 + b"}", id="nesting_deep"),
-]
-
-# Bucket keys other than the canonical "0" to "255": the sparse-histogram
-# codec alone rejects them, since a dense histogram has no keys.
-MALFORMED_KEYS = [
-    pytest.param(2, {"histogram": {"05": 11}}, id="key_zero_padded"),
-    pytest.param(2, {"histogram": {" 5": 11}}, id="key_space"),
-    pytest.param(3, {"histogram": {"+5": 6}}, id="key_plus_sign"),
-    pytest.param(3, {"histogram": {"1_0": 6}}, id="key_underscore"),
-    pytest.param(2, {"histogram": {"256": 11}}, id="key_past_255"),
-    pytest.param(3, {"histogram": {"-1": 6}}, id="key_negative"),
 ]
 
 
@@ -117,6 +124,11 @@ class TestTraceRoundTrip:
         loaded = read_trace(path)
         assert loaded.records == ()
         assert loaded.meta.scenario == "benign_edit"
+
+    def test_metadata_line_names_format_2(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(small_trace(), path)
+        assert json.loads(path.read_text().splitlines()[0])["format"] == 2
 
     def test_write_is_deterministic(self, tmp_path):
         trace = small_trace()
@@ -169,7 +181,7 @@ class TestValidation:
             read_trace(path)
         assert err.value.line_number == 2
 
-    @pytest.mark.parametrize("line, changes", MALFORMED_VALUES + MALFORMED_KEYS)
+    @pytest.mark.parametrize("line, changes", MALFORMED_VALUES)
     def test_malformed_value_reports_line(self, tmp_path, line, changes):
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
@@ -190,16 +202,15 @@ class TestValidation:
         path = tmp_path / "t.jsonl"
         write_trace(small_trace(), path)
         obj = json.loads(path.read_text().splitlines()[line - 1])
+        obj.pop("format", None)  # the file's, not the metadata's
         if isinstance(changes, dict):
             changes = {**obj, **changes}
         with pytest.raises((TypeError, ValueError)):
             if line == 1:
                 TraceMeta(**changes)
             else:
-                if isinstance(changes, dict) and isinstance(changes["histogram"], dict):
-                    sparse = changes["histogram"]
-                    dense = ByteHistogram([sparse.get(str(b), 0) for b in range(256)])
-                    changes = {**changes, "histogram": dense}
+                if isinstance(changes, dict) and isinstance(changes["histogram"], list):
+                    changes = {**changes, "histogram": ByteHistogram(changes["histogram"])}
                 EventRecord(**changes)
 
     @pytest.mark.parametrize("line, key", [(1, "seeds"), (2, "payload")])
@@ -246,7 +257,7 @@ class TestValidation:
 
 
 def reference_record_line(rec: EventRecord) -> str:
-    """The record formatter before the whole-array writer: one generator step per bucket."""
+    """The record formatter with json's list of the counts in place of orjson's array writer."""
     parts = [
         f'"timestamp":{format_seconds(rec.timestamp)}',
         f'"source_path":{json.dumps(rec.source_path)}',
@@ -255,10 +266,7 @@ def reference_record_line(rec: EventRecord) -> str:
         parts.append(f'"level_hint":{json.dumps(rec.level_hint)}')
     parts.append(f'"op":{json.dumps(rec.op)}')
     parts.append(f'"bytes":{rec.bytes}')
-    counts = rec.histogram.counts
-    items = ((int(b), int(counts[b])) for b in np.flatnonzero(counts))
-    hist = ",".join(f'"{b}":{c}' for b, c in items)
-    parts.append('"histogram":{' + hist + "}")
+    parts.append('"histogram":' + json.dumps(rec.histogram.counts.tolist(), separators=(",", ":")))
     return "{" + ",".join(parts) + "}"
 
 
@@ -386,26 +394,14 @@ class TestConstructedReadsBackEqual:
         assert read_trace(path) == trace
 
 
-REFERENCE_BUCKETS = {str(b): b for b in range(256)}
-
-
 def reference_record(obj, line_number):
-    """The record parser before the cached bucket index: one ``fromiter`` per histogram."""
+    """The record parser over json's reading: the histogram list becomes a ByteHistogram."""
     try:
         checked(obj, "record", dict)
-        sparse = checked(obj.get("histogram", {}), "histogram", dict)
-        size = len(sparse)
-        try:
-            buckets = np.fromiter(map(REFERENCE_BUCKETS.__getitem__, sparse), np.intp, size)
-        except KeyError as exc:
-            raise ValueError(f"byte bucket key must be one of '0' to '255', "
-                             f"got {exc.args[0]!r}") from None
-        values = checked(tuple(sparse.values()), "histogram counts", (int,))
-        counts = np.zeros(256, dtype=np.int64)
-        counts[buckets] = np.fromiter(values, np.int64, size)
-        obj["histogram"] = ByteHistogram(counts)
+        if "histogram" in obj:
+            obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
         return EventRecord(**obj)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
 
 
@@ -421,7 +417,12 @@ def reference_read(path):
         except ValueError as exc:
             raise MalformedRecord(f"line 1: metadata is not valid JSON: {exc}", 1) from exc
         try:
-            meta = TraceMeta(**checked(meta_obj, "metadata", dict))
+            checked(meta_obj, "metadata", dict)
+            version = meta_obj.pop("format", 1)
+            if type(version) is not int or version != 2:
+                raise UnsupportedVersion(f"trace format {version!r} is not supported "
+                                         f"(expected 2); re-simulate the trace")
+            meta = TraceMeta(**meta_obj)
         except (TypeError, ValueError) as exc:
             raise MalformedRecord(f"line 1: invalid trace metadata: {exc}", 1) from exc
         records, last_ts = [], -1.0
@@ -451,60 +452,66 @@ def read_lazily(path):
 
 
 def assert_reads_as_reference(path):
-    """Equal metadata and records, or a MalformedRecord with the same line and message."""
+    """Equal metadata and records, or the same error with the same line and message."""
     outcomes = []
     for read in (reference_read, read_lazily):
         try:
             outcomes.append(read(path))
-        except MalformedRecord as exc:
+        except (MalformedRecord, UnsupportedVersion) as exc:
             outcomes.append(exc)
     expected, got = outcomes
-    if isinstance(expected, MalformedRecord):
-        assert isinstance(got, MalformedRecord), got
-        assert (got.line_number, str(got)) == (expected.line_number, str(expected))
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected), got
+        assert (getattr(got, "line_number", None), str(got)) == \
+            (getattr(expected, "line_number", None), str(expected))
     else:
         assert got == expected
 
 
-META_LINE = b'{"scenario":"benign_edit","seed":1,"label":"benign"}'
+META_LINE = b'{"format":2,"scenario":"benign_edit","seed":1,"label":"benign"}'
 # Characters str.strip() removes and bytes.strip() keeps, so a line of them is
 # blank to the text reader; text mode does not split lines at any of them.
 STR_ONLY_BLANKS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
 
 REFERENCE_FILES = [
-    pytest.param([b'{ "op" : "write",\t"bytes":3 ,"histogram":{ "97" : 3 },'
+    pytest.param([b'{ "op" : "write",\t"bytes":3 ,"histogram":[ ' + b" , ".join(
+                      b"3" if b == 97 else b"0" for b in range(256)) + b' ],'
                   b' "source_path":"/a" , "timestamp":1.5}  '], id="reordered_keys_whitespace"),
     pytest.param([b'{"timestamp":0.5,"source_path":"/caf\\u00e9\\ud83d\\ude00","op":"write",'
-                  b'"bytes":0,"histogram":{}}'], id="unicode_escapes"),
+                  b'"bytes":0,"histogram":' + ZEROS + b'}'], id="unicode_escapes"),
     pytest.param([b'{"timestamp":0.5,"source_path":"/x\\udcff\\ud800","op":"read",'
-                  b'"bytes":0,"histogram":{}}'], id="lone_surrogate_escapes"),
+                  b'"bytes":0,"histogram":' + ZEROS + b'}'], id="lone_surrogate_escapes"),
     pytest.param([b'{"timestamp":18446744073709551616,"source_path":"/a","op":"write",'
-                  b'"bytes":0,"histogram":{}}',
+                  b'"bytes":0,"histogram":' + ZEROS + b'}',
                   b'{"timestamp":' + str(10 ** 300 + 1).encode() + b',"source_path":"/a",'
-                  b'"op":"write","bytes":0,"histogram":{}}'], id="timestamp_ints_past_64_bits"),
+                  b'"op":"write","bytes":0,"histogram":' + ZEROS + b'}'],
+                 id="timestamp_ints_past_64_bits"),
     pytest.param([b'{"timestamp":' + format_seconds(1e-7).encode() + b'123456789,'
-                  b'"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
+                  b'"source_path":"/a","op":"write","bytes":0,"histogram":' + ZEROS + b'}',
                   b'{"timestamp":' + format_seconds(5e-324).encode() + b',"source_path":"/a",'
-                  b'"op":"write","bytes":0,"histogram":{}}'], id="timestamp_long_decimals"),
-    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":5,'
-                  b'"histogram":{"7":9,"8":2,"7":3}}'], id="duplicate_bucket_keys"),
+                  b'"op":"write","bytes":0,"histogram":' + ZEROS + b'}'], id="timestamp_long_decimals"),
     pytest.param([STR_ONLY_BLANKS.encode(), b"\t\x0b\x0c ",
-                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
+                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}',
                   "\xa0\x1c".encode()], id="str_strip_blank_lines"),
-    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}\r'
-                  b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}\r',
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}\r'
+                  b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}\r',
                   b"\r\r{broken"], id="lone_cr_line_ends"),
-    pytest.param([b'{"timestamp":NaN,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
-                 id="nan_literal"),
-    pytest.param([b'{"timestamp":1e400,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
-                 id="float_literal_past_range"),
+    pytest.param([b'{"timestamp":NaN,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}'], id="nan_literal"),
+    pytest.param([b'{"timestamp":1e400,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}'], id="float_literal_past_range"),
     pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":18446744073709551616,'
-                  b'"histogram":{"0":18446744073709551616}}'], id="ints_past_64_bits_rejected"),
+                  b'"histogram":[18446744073709551616' + b",0" * 255 + b']}'],
+                 id="ints_past_64_bits_rejected"),
     pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":1,'
-                  b'"histogram":{"0":1}} {}'], id="extra_data"),
-    pytest.param([b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}',
-                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,"histogram":{}}'],
-                 id="timestamps_regress"),
+                  b'"histogram":[1' + b",0" * 255 + b']} {}'], id="extra_data"),
+    pytest.param([b'{"timestamp":2.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}',
+                  b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}'], id="timestamps_regress"),
     pytest.param([b"null"], id="null_record"),
     pytest.param([b"[" * 500 + b"]" * 500], id="nested_500_deep"),
 ]
@@ -558,22 +565,17 @@ path_chars = st.characters(blacklist_categories=("Cs",)) | st.integers(0xD800, 0
 
 @st.composite
 def record_texts(draw, timestamp):
-    """One record line: keys in any order, optional spaces, any escapes, repeated bucket keys."""
+    """One record line: keys in any order, optional spaces, any escapes."""
     hist = draw(histograms())
     path = draw(st.text(path_chars, max_size=6))
     lone = any(0xD800 <= ord(c) <= 0xDFFF for c in path)
-    entries = [(f'"{b}"', str(c)) for b, c in enumerate(hist.counts.tolist()) if c]
-    if entries and draw(st.booleans()):
-        # An earlier entry with the same key is overwritten by the later one.
-        key, _ = draw(st.sampled_from(entries))
-        entries.insert(0, (key, str(draw(st.integers(0, 10)))))
-    sep = spaces(draw)
+    comma = spaces(draw) + "," + spaces(draw)
     pairs = [
         ('"timestamp"', timestamp),
         ('"source_path"', json.dumps(path, ensure_ascii=lone or draw(st.booleans()))),
         ('"op"', json.dumps(draw(st.sampled_from(OPS)))),
         ('"bytes"', str(hist.total)),
-        ('"histogram"', "{" + ",".join(f"{k}{sep}:{v}" for k, v in entries) + "}"),
+        ('"histogram"', "[" + comma.join(map(str, hist.counts.tolist())) + "]"),
     ]
     if draw(st.booleans()):
         pairs.append(('"level_hint"', json.dumps(draw(st.sampled_from(LEVEL_KINDS)))))
@@ -587,7 +589,7 @@ def record_texts(draw, timestamp):
 def trace_files(draw):
     """A trace file of valid record lines and blank lines; some files get one fault."""
     stamps = sorted(draw(st.lists(timestamp_texts(), max_size=4)), key=number_of)
-    lines = [f'{{"scenario":"benign_edit","seed":{draw(st.integers())},"label":"benign"}}']
+    lines = [f'{{"format":2,"scenario":"benign_edit","seed":{draw(st.integers())},"label":"benign"}}']
     for stamp in stamps:
         if draw(st.booleans()):
             lines.append(draw(st.text(alphabet=" \t\x0b\x0c" + STR_ONLY_BLANKS, max_size=3)))
@@ -636,7 +638,7 @@ class TestStreaming:
 
     def test_bad_metadata_closes_the_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        path.write_text('{"scenario": 5}\n')
+        path.write_text('{"format": 2, "scenario": 5}\n')
 
         def open_bad():
             try:
@@ -646,6 +648,20 @@ class TestStreaming:
             pytest.fail("bad metadata accepted")
 
         assert resource_warnings(open_bad) == []
+
+    @pytest.mark.parametrize("meta", ['{"scenario": "benign_edit", "seed": 1, "label": "benign"}',
+                                      '{"format": 1, "scenario": "benign_edit", "seed": 1, '
+                                      '"label": "benign"}'], ids=["no_format", "format_1"])
+    def test_format_1_file_is_unsupported_and_closed(self, tmp_path, meta):
+        path = tmp_path / "t.jsonl"
+        record = '{"timestamp": 0.5, "source_path": "/a", "op": "write", "bytes": 3, "histogram": {"97": 3}}'
+        path.write_text(meta + "\n" + record + "\n")
+
+        def open_v1():
+            with pytest.raises(UnsupportedVersion, match="trace format 1 is not supported"):
+                iter_trace(path)
+
+        assert resource_warnings(open_v1) == []
 
 
 class TestScanDirectory:
