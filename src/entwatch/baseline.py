@@ -2,11 +2,11 @@
 
 The deviation random variable is the absolute window-to-window entropy change
 of a source, clamped to [0, 8] bits and binned by ``entropy.bin_index``. A
-profile holds one smoothed distribution over those 64 bins per level plus a
-prior probability of attack, and round-trips through a single JSON document
-with an embedded CRC-32 checksum; a level's ``lo`` and ``hi`` there are 0.0
-and 8.0 or the profile is corrupt. Profiles are immutable after fit/load and
-safe to share between threads.
+profile holds one smoothed distribution over those 64 bins for each of its
+levels, of which it has at least one, plus a prior probability of attack, and
+round-trips through a single JSON document with an embedded CRC-32 checksum;
+a level's ``lo`` and ``hi`` there are 0.0 and 8.0 or the profile is corrupt.
+Profiles are immutable after fit/load and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class BaselineProfile:
         created_at = checked(self.created_at, "created_at", float)
         if not math.isfinite(created_at):
             raise ValueError(f"created_at must be finite, got {created_at}")
+        if not self.per_level:  # it would score no source
+            raise ValueError("a profile needs at least one level")
         checked(list(self.per_level), "level ids", (str,))
         if set(self.sample_counts) != set(self.per_level):
             raise ValueError(f"sample counts are for levels {list(self.sample_counts)}, "
@@ -86,11 +88,15 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
                  inputs: Sequence[str] = ()) -> BaselineProfile:
     """Fit per-level smoothed deviation distributions from benign observations.
 
-    Every level present in ``benign_samples`` must carry at least
-    MIN_FIT_SAMPLES observations; short levels produce degenerate single-bin
-    baselines and are rejected. A sample that is not a deviation (NaN, or
-    outside [0, 8]) is a ValueError naming its level, not a clamped bin.
+    There must be at least one level, and every level present in
+    ``benign_samples`` must carry at least MIN_FIT_SAMPLES observations; short
+    levels produce degenerate single-bin baselines and are rejected. A sample
+    that is not a deviation (NaN, or outside [0, 8]) is a ValueError naming its
+    level, not a clamped bin.
     """
+    if not benign_samples:
+        raise TooFewSamples(f"no level has deviation samples, fitting needs a level with "
+                            f"{MIN_FIT_SAMPLES}")
     per_level: dict[str, BinnedDistribution] = {}
     sample_counts: dict[str, int] = {}
     for level_id in sorted(benign_samples):

@@ -13,10 +13,13 @@ profile fitting; ``TraceProcessor`` composes it and, at each close:
    binned once, into its recent-deviation window, the second difference of
    its entropy series into its max acceleration; then the source's KL (recent
    deviations against its level baseline) and its posterior (a Bayes update
-   by the attack-vs-baseline likelihood ratio of the deviation) are updated;
+   by the attack-vs-baseline likelihood ratio of the deviation) are updated.
+   KL reads only the multiset of the recent bins, so it is read from a
+   per-trace memo keyed by level and that multiset, and computed on a miss;
 2. takes each level's mean of its sampled members' latest entropies (the
-   heatmap's samples) and extends the aggregate series with their weighted
-   sum, over the levels that have data so far;
+   heatmap's samples) from the level's value list, in which each sample
+   overwrites its source's slot, and extends the aggregate series with their
+   weighted sum, over the levels that have data so far;
 3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
    max |dH|, max acceleration, KL) and outlier-scores them only when the
    attack rule (``detector.is_attack``) flags a scored, still-unflagged
@@ -24,7 +27,8 @@ profile fitting; ``TraceProcessor`` composes it and, at each close:
    which an outlier score can decide a label. A source the rule flags at
    0.0 is flagged whatever its score and gives no reason to cluster;
 4. decides each scored source that is not yet flagged by the same rule at its
-   actual outlier score, reading the evidence off its ``SourceTrack``.
+   actual outlier score, reading the evidence off its ``SourceTrack``; a
+   ``Verdict`` is built only for a source the rule flags.
 
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
@@ -38,6 +42,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
+from operator import attrgetter
 
 from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
 from .clustering import agglomerate, outliers
@@ -78,6 +83,10 @@ from .traces import EventRecord
 # How many recent deviations form the per-source empirical distribution.
 DEVIATION_HISTORY = 16
 
+# Entries a processor's KL memo holds before it is cleared, so a trace of
+# ever-new deviation windows cannot grow it without limit.
+KL_MEMO_LIMIT = 4096
+
 # Posterior clamp; keeps sequential updates recoverable in both directions.
 POSTERIOR_FLOOR = 1e-6
 
@@ -97,6 +106,8 @@ class SourceWindow:
     # |dH| between the source's last two samples, set at each close that
     # samples it; None at its first sample.
     deviation: float | None = None
+    # The source's place in first-record order.
+    order: int = 0
 
 
 @dataclass
@@ -108,6 +119,8 @@ class SourceTrack(SourceWindow):
     sample_count: int = 0
     # Bins (``entropy.bin_index``) of the most recent deviations.
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
+    # Index of the source's latest entropy in its level's value list.
+    level_slot: int = -1
     posterior: float = 0.0
     kl: float = 0.0
     outlier: float = 0.0
@@ -130,7 +143,8 @@ class SourceWindows:
     between hold no records, so a gap of any length costs one close. A record
     from a closed window raises MalformedRecord. Each source is routed to a
     level at its first record, built by ``new_source`` and kept in
-    first-record order.
+    first-record order. A close visits only the sources that had payload in
+    the window, so its cost does not grow with the sources seen so far.
     """
 
     def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
@@ -140,6 +154,7 @@ class SourceWindows:
         self.new_source = new_source
         self.sources: dict[str, SourceWindow] = {}
         self.index: int | None = None  # open window; None until the first record
+        self._pending: list[SourceWindow] = []  # sources with payload in the open window
 
     def push(self, rec: EventRecord) -> tuple[float, list] | None:
         """Add one record; returns ``close()``'s result when the record closed a window."""
@@ -159,6 +174,7 @@ class SourceWindows:
         if rec.bytes > 0:
             if src.pending is None:
                 src.pending = rec.histogram.copy()
+                self._pending.append(src)
             else:
                 try:
                     src.pending.merge(rec.histogram)
@@ -170,16 +186,14 @@ class SourceWindows:
     def close(self) -> tuple[float, list]:
         """Sample the open window: its end time and the sources sampled, in source order."""
         t_end = (self.index + 1) * self.window_seconds
-        fresh = []
-        for src in self.sources.values():
-            if src.pending is None:
-                continue
+        fresh = sorted(self._pending, key=attrgetter("order"))
+        self._pending = []
+        for src in fresh:
             value = shannon_entropy(src.pending)
             src.pending = None
             prev = src.series.last
             src.series.append(t_end, value)
             src.deviation = None if prev is None else min(abs(value - prev.value), 8.0)
-            fresh.append(src)
         return t_end, fresh
 
     def _add_source(self, rec: EventRecord) -> SourceWindow:
@@ -189,7 +203,8 @@ class SourceWindows:
         if level_id is None:
             level_id = route_source(self.hierarchy, rec.source_path)
         # Second differences read the last three samples, the level mean the last one.
-        src = self.new_source(rec.source_path, level_id, EntropySeries(3))
+        src = self.new_source(rec.source_path, level_id, EntropySeries(3),
+                              order=len(self.sources))
         self.sources[rec.source_path] = src
         return src
 
@@ -235,8 +250,10 @@ class TraceProcessor:
         self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
                                       partial(SourceTrack, posterior=profile.prior))
         self.sources: dict[str, SourceTrack] = self._windows.sources
-        # Per level, its sources with at least one sample, in first-sample order.
-        self._level_members: dict[str, list[SourceTrack]] = {}
+        # Per level, the latest entropy of each source sampled so far, in first-sample order.
+        self._level_values: dict[str, list[float]] = {}
+        # KL by (level id, sorted deviation bins): KL reads only the bins' multiset.
+        self._kl_memo: dict[tuple[str, tuple[int, ...]], float] = {}
         # Convexity over a run of m second differences reads the last m + 2 samples.
         self._aggregate = EntropySeries(max(3, self.detector.convexity_run + 2))
         self.alerts: list[Alert] = []
@@ -269,20 +286,23 @@ class TraceProcessor:
             return
         undecided: list[SourceTrack] = []
         for track in fresh:
-            track.entropy_sum += track.series.last.value
+            value = track.series.last.value
+            track.entropy_sum += value
             track.sample_count += 1
             dev = track.deviation
             if dev is None:
-                self._level_members.setdefault(track.level_id, []).append(track)
+                level_values = self._level_values.setdefault(track.level_id, [])
+                track.level_slot = len(level_values)
+                level_values.append(value)
                 continue
+            self._level_values[track.level_id][track.level_slot] = value
             track.deviations.append(bin_index(dev))
             track.max_abs_delta = max(track.max_abs_delta, dev)
             if len(track.series) >= 3:
                 self._update_accel(track)
             q = self.profile.per_level.get(track.level_id)
             if q is not None:
-                emp = empirical_distribution(list(track.deviations))
-                track.kl = kl_divergence(emp, q)
+                track.kl = self._kl(track.level_id, q, track.deviations)
                 lr = likelihood_ratio(dev, q, self.attack_model)
                 updated = posterior(track.posterior, lr)
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
@@ -301,17 +321,27 @@ class TraceProcessor:
                and not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in undecided):
             self._refresh_outliers()
         for track in undecided:
-            verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier, track.kl,
-                                      convex, cfg)
-            if verdict.label != RANSOMWARE:
+            if not is_attack(track.posterior, track.outlier, track.kl, convex, cfg):
                 continue
-            track.verdict = verdict
+            track.verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier,
+                                            track.kl, convex, cfg)
             onset = self.onset_at
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
             self.alerts.append(Alert(track.source_id, t_end, track.kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
+
+    def _kl(self, level_id: str, q: BinnedDistribution, deviations) -> float:
+        """KL of the deviation bins against ``q``: ``kl_divergence`` reads only
+        their multiset, so it runs once per level and multiset."""
+        key = (level_id, tuple(sorted(deviations)))
+        kl = self._kl_memo.get(key)
+        if kl is None:
+            if len(self._kl_memo) >= KL_MEMO_LIMIT:
+                self._kl_memo.clear()
+            kl = self._kl_memo[key] = kl_divergence(empirical_distribution(list(deviations)), q)
+        return kl
 
     def _update_accel(self, track: SourceTrack) -> None:
         try:
@@ -323,10 +353,10 @@ class TraceProcessor:
     def _update_levels(self, t_end: float) -> None:
         values: dict[str, float] = {}
         for lvl in self.hierarchy.levels:
-            members = self._level_members.get(lvl.level_id)
-            if not members:
+            latest = self._level_values.get(lvl.level_id)
+            if not latest:
                 continue
-            mean = level_entropy([m.series.last.value for m in members])
+            mean = level_entropy(latest)
             values[lvl.level_id] = mean
             self.level_samples.append((lvl.level_id, t_end - self._windows.window_seconds, mean))
 

@@ -20,7 +20,9 @@ bulk of a trace, are read by ``orjson``, about six times faster on a full
 (lone-surrogate escapes, which traces of non-UTF-8 file names hold, and
 ``NaN``) and reads integers past 64 bits as floats. So a line that ``orjson``
 rejects, or whose record is invalid, is read again by ``json``, and only that
-reading decides the record or its error.
+reading decides the record or its error. A decoded line can hold a bool only
+if its bytes hold a ``true`` or ``false`` literal; the counts of a line that
+holds neither go to ``ByteHistogram.from_json``, the rest to the exact check.
 """
 
 from __future__ import annotations
@@ -193,11 +195,13 @@ def _parse_meta(obj, line_number: int) -> TraceMeta:
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
-def _parse_record(obj, line_number: int) -> EventRecord:
+def _parse_record(obj, line_number: int, bools: bool) -> EventRecord:
+    """The record of a decoded line; ``bools`` is False only if the line cannot hold a bool."""
     try:
         checked(obj, "record", dict)
         if "histogram" in obj:  # ByteHistogram(None) is empty; a null histogram is not
-            obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
+            counts = checked(obj["histogram"], "histogram", list)
+            obj["histogram"] = ByteHistogram(counts) if bools else ByteHistogram.from_json(counts)
         return EventRecord(**obj)
     except (TypeError, ValueError, RecursionError) as exc:
         # RecursionError: the repr of a deeply nested value in a message
@@ -245,14 +249,16 @@ def _read(path) -> Iterator[TraceMeta | EventRecord]:
 
         last_ts = -1.0
         for line_number, line in enumerate(lines, start=2):
+            # JSON spells a bool only as a literal, which the bytes then hold.
+            bools = b"true" in line or b"false" in line
             try:
-                rec = _parse_record(orjson.loads(line), line_number)
+                rec = _parse_record(orjson.loads(line), line_number, bools)
             except (orjson.JSONDecodeError, MalformedRecord):
                 # Blank, or json may read it otherwise: json's reading decides.
                 text = _decoded(line, line_number, "record")
                 if not text.strip():
                     continue
-                rec = _parse_record(_loads(text, line_number, "record"), line_number)
+                rec = _parse_record(_loads(text, line_number, "record"), line_number, bools)
             if rec.timestamp < last_ts:
                 raise MalformedRecord(
                     f"line {line_number}: timestamps regress ({rec.timestamp} after {last_ts})",

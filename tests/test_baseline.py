@@ -94,6 +94,11 @@ class TestFitBaseline:
         with pytest.raises(TooFewSamples, match="short"):
             fit_baseline({"ok": [1.0] * MIN_FIT_SAMPLES, "short": [1.0] * 5})
 
+    def test_no_levels_is_too_few_samples(self):
+        # A profile without levels scores no source, so detect would miss every attack.
+        with pytest.raises(TooFewSamples, match="no level has deviation samples"):
+            fit_baseline({})
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e30, -3.0])
     def test_sample_outside_deviation_range_names_level(self, bad):
         with pytest.raises(ValueError, match="'noisy'"):
@@ -229,6 +234,19 @@ class TestPersistence:
         with pytest.raises(CorruptProfile):
             load_profile(path)
 
+    def test_stored_profile_without_levels_is_corrupt(self, tmp_path):
+        from entwatch.baseline import _checksum
+
+        path = tmp_path / "p.json"
+        save_profile(random_profile(np.random.default_rng(6)), path)
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        doc["levels"] = []
+        doc["crc32"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptProfile, match="at least one level"):
+            load_profile(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             load_profile(tmp_path / "nope.json")
@@ -288,5 +306,5 @@ class TestPersistence:
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_prior_survives_exactly(self, prior):
-        profile = BaselineProfile(1, prior, 0.0, {}, {})
+        profile = BaselineProfile(1, prior, 0.0, {"L": smoothed_distribution([1.0])}, {"L": 1})
         assert profile.prior == prior

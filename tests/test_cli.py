@@ -82,6 +82,29 @@ class TestProfile:
                       "--out", str(tmp_path / "p.json"))
         assert res.returncode == 2
 
+    def test_input_without_deviations_writes_no_profile(self, workspace, tmp_path):
+        from entwatch.baseline import _checksum
+
+        meta_only = tmp_path / "meta_only.jsonl"
+        write_trace(Trace(TraceMeta(scenario="benign_edit", seed=0, label="benign"), ()),
+                    meta_only)
+        out = tmp_path / "p.json"
+        res = run_cli("profile", str(meta_only), "--out", str(out))
+        assert_one_error_line(res)
+        assert "no level has deviation samples" in res.stderr
+        assert not out.exists()
+
+        # A stored profile without levels is refused by detect as well.
+        doc = json.loads((workspace / "base.json").read_text())
+        doc.pop("crc32")
+        doc["levels"] = []
+        doc["crc32"] = _checksum(doc)
+        out.write_text(json.dumps(doc))
+        res = run_cli("detect", str(workspace / "rw.jsonl"), "--baseline", str(out),
+                      "--out", str(tmp_path / "run"))
+        assert_one_error_line(res)
+        assert "at least one level" in res.stderr
+
     def test_deterministic_modulo_created_at(self, workspace, tmp_path):
         paths = [tmp_path / "p1.json", tmp_path / "p2.json"]
         for p in paths:

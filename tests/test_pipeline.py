@@ -1,15 +1,20 @@
+from collections import deque
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwatch import pipeline
-from entwatch.baseline import fit_baseline
+from entwatch.baseline import empirical_distribution, fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
-from entwatch.entropy import ByteHistogram, shannon_entropy
+from entwatch.entropy import DEVIATION_BINS, ByteHistogram, kl_divergence, shannon_entropy
 from entwatch.errors import MalformedRecord
-from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
+from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy, level_entropy
 from entwatch.pipeline import (
+    DEVIATION_HISTORY,
     TraceProcessor,
     collect_trace_deviations,
     fit_attack_model,
@@ -313,3 +318,167 @@ class TestWindowing:
         proc.process(records)
         proc.finish()
         assert proc.sources["/home/u/x"].level_id == "net"
+
+
+def scored_keys(proc, records):
+    """Feed ``records`` and finish: the distinct (level, sorted deviation bins)
+    windows that KL was scored on, and how many samples were scored.
+
+    Read off each source's state after every record, apart from the memo.
+    """
+    keys, scored = set(), 0
+    counts = {}
+
+    def observe():
+        nonlocal scored
+        for sid, track in proc.sources.items():
+            if track.sample_count == counts.get(sid, 0):
+                continue
+            counts[sid] = track.sample_count
+            if track.deviation is not None and track.level_id in proc.profile.per_level:
+                keys.add((track.level_id, tuple(sorted(track.deviations))))
+                scored += 1
+
+    for rec in records:
+        proc.process_record(rec)
+        observe()
+    proc.finish()
+    observe()
+    return keys, scored
+
+
+def uniform_symbols(k, repeat=4):
+    """A payload of ``k`` distinct byte values, each ``repeat`` times: log2(k) bits."""
+    payload = bytes(range(k)) * repeat
+    return histogram_from_bytes(payload), len(payload)
+
+
+class TestKlMemo:
+    """KL is memoised per trace by level and deviation-bin multiset."""
+
+    @pytest.fixture(scope="class")
+    def spread_profile(self):
+        rng = np.random.default_rng(17)
+        return fit_baseline({"fs-user": rng.uniform(0, 8, 400).tolist()}, created_at=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3) | st.integers(0, DEVIATION_BINS - 1),
+                    min_size=1, max_size=6))
+    def test_every_permutation_gives_the_fresh_kl(self, spread_profile, attack_model, bins):
+        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        q = spread_profile.per_level["fs-user"]
+        for perm in permutations(bins):
+            want = kl_divergence(empirical_distribution(list(perm)), q)
+            assert proc._kl("fs-user", q, deque(perm)).hex() == want.hex()
+        assert len(proc._kl_memo) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 7) | st.integers(0, DEVIATION_BINS - 1),
+                    min_size=DEVIATION_HISTORY, max_size=DEVIATION_HISTORY), st.data())
+    def test_full_window_permutations_give_the_fresh_kl(self, spread_profile, attack_model,
+                                                        bins, data):
+        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        q = spread_profile.per_level["fs-user"]
+        for _ in range(5):
+            perm = data.draw(st.permutations(bins))
+            want = kl_divergence(empirical_distribution(perm), q)
+            assert proc._kl("fs-user", q, deque(perm)).hex() == want.hex()
+
+    def test_memo_stays_within_its_bound(self, spread_profile, attack_model, monkeypatch):
+        # Each window's entropy is log2 of a random symbol count, so the last
+        # 16 deviation bins form a new multiset at almost every sample.
+        rng = np.random.default_rng(11)
+        records = []
+        for w in range(300):
+            hist, n = uniform_symbols(int(rng.integers(1, 257)))
+            records.append(EventRecord(w + 0.5, "/home/u/x", "write", hist, n))
+        unbounded = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        kls = []
+        for rec in records:
+            unbounded.process_record(rec)
+            kls.append(unbounded.sources["/home/u/x"].kl)
+
+        monkeypatch.setattr(pipeline, "KL_MEMO_LIMIT", 8)
+        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        sizes, bounded_kls = [], []
+        for rec in records:
+            proc.process_record(rec)
+            sizes.append(len(proc._kl_memo))
+            bounded_kls.append(proc.sources["/home/u/x"].kl)
+        assert len(unbounded._kl_memo) > 250
+        assert max(sizes) == 8
+        assert bounded_kls == kls
+
+    def test_kl_computed_once_per_distinct_key(self, benign_profile, attack_model, monkeypatch):
+        calls = []
+        original = pipeline.kl_divergence
+
+        def counting(p, q):
+            calls.append(1)
+            return original(p, q)
+
+        monkeypatch.setattr(pipeline, "kl_divergence", counting)
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model,
+                              onset_at=trace.meta.onset_at)
+        keys, scored = scored_keys(proc, trace.records)
+        assert len(calls) == len(keys)
+        assert scored > 2 * len(keys)
+
+    def test_processors_keep_their_own_memo(self, benign_profile, attack_model, run_detection):
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=901))
+        first = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        first.process(trace.records).finish()
+        second = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        assert first._kl_memo and not second._kl_memo
+        assert second.process(trace.records).finish().per_source == \
+            run_detection(trace).per_source
+
+
+class TestLevelMeans:
+    def test_level_samples_match_a_recount(self, attack_model):
+        """Every level sample is the mean of its members' latest entropies,
+        recounted from the records, with sources joining mid-trace."""
+        hierarchy = HierarchyConfig(levels=(
+            LevelConfig("docs", "filesystem", 0.6, ("/home/**",)),
+            LevelConfig("sys", "filesystem", 0.4, ("/etc/**",)),
+        ))
+        level_of = {"/home/a": "docs", "/etc/b": "sys", "/home/c": "docs", "/home/d": "docs",
+                    "/etc/e": "sys"}
+        joins = {"/home/a": 0, "/etc/b": 3, "/home/c": 5, "/home/d": 2, "/etc/e": 9}
+        rng = np.random.default_rng(23)
+        records = []
+        for w in range(40):
+            for k, path in enumerate(level_of):
+                if w < joins[path] or rng.random() < 0.3:
+                    continue
+                # /home/d's first records carry no payload, so its first
+                # sample comes after sources whose first record came later.
+                empty = path == "/home/d" and w < 12
+                hist, n = ((histogram_from_bytes(b""), 0) if empty
+                           else uniform_symbols(int(rng.integers(1, 257)), int(rng.integers(1, 4))))
+                records.append(EventRecord(w + 0.1 * (k + 1), path, "write", hist, n))
+        profile = fit_baseline({"docs": [0.01] * 40, "sys": [0.01] * 40}, created_at=0.0)
+        result = TraceProcessor(hierarchy, profile=profile, attack_model=attack_model) \
+            .process(records).finish()
+
+        expected = []
+        latest = {}  # source -> latest entropy, in first-sample order
+        order = list(dict.fromkeys(r.source_path for r in records))  # first-record order
+        for w in sorted({int(r.timestamp) for r in records}):
+            pending = {}
+            for r in records:
+                if int(r.timestamp) == w and r.bytes:
+                    pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+            if not pending:
+                continue
+            for path in order:
+                if path in pending:
+                    latest[path] = shannon_entropy(pending[path])
+            for lvl in ("docs", "sys"):
+                members = [v for path, v in latest.items() if level_of[path] == lvl]
+                if members:
+                    expected.append((lvl, float(w), level_entropy(members)))
+        assert list(latest).index("/home/d") > list(latest).index("/home/c")
+        assert [(lvl, t, m.hex()) for lvl, t, m in result.level_samples] == \
+            [(lvl, t, m.hex()) for lvl, t, m in expected]

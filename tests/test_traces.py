@@ -3,7 +3,9 @@ import json
 import math
 import warnings
 from decimal import Decimal
+from enum import IntEnum
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -512,6 +514,16 @@ REFERENCE_FILES = [
                   b'"histogram":' + ZEROS + b'}',
                   b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
                   b'"histogram":' + ZEROS + b'}'], id="timestamps_regress"),
+    # A `true` or `false` in a line sends its counts to the exact check.
+    pytest.param([b'{"timestamp":1.0,"source_path":"/home/true.txt","op":"write","bytes":3,'
+                  b'"histogram":[3' + b",0" * 255 + b']}',
+                  b'{"timestamp":2.0,"source_path":"/false/untrue","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'}',
+                  b'{"timestamp":3.0,"source_path":"/\\u0074rue","level_hint":"network",'
+                  b'"op":"net_tx","bytes":2,"histogram":' + ZEROS[:-2] + b'2]}'],
+                 id="bool_literals_in_paths"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":2,'
+                  b'"histogram":[1,true' + b",0" * 254 + b']}'], id="bool_among_counts"),
     pytest.param([b"null"], id="null_record"),
     pytest.param([b"[" * 500 + b"]" * 500], id="nested_500_deep"),
 ]
@@ -533,6 +545,67 @@ class TestReferenceReader:
         path = tmp_path / "t.jsonl"
         path.write_bytes(data.draw(trace_files()))
         assert_reads_as_reference(path)
+
+
+class IntCount(IntEnum):
+    ONE = 1
+
+
+class TestCountChecks:
+    """Decoded counts take a numpy fast path only where it accepts exactly what
+    ByteHistogram's exact check accepts."""
+
+    def test_bool_literal_lines_take_the_exact_path(self, tmp_path, monkeypatch):
+        fast = []
+        original = ByteHistogram.from_json.__func__
+
+        def counting(cls, values):
+            fast.append(values)
+            return original(cls, values)
+
+        monkeypatch.setattr(ByteHistogram, "from_json", classmethod(counting))
+        (lines,) = [p.values[0] for p in REFERENCE_FILES if p.id == "bool_literals_in_paths"]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines]))
+        records = read_trace(path).records
+        assert [r.source_path for r in records] == ["/home/true.txt", "/false/untrue", "/true"]
+        assert [r.histogram.total for r in records] == [3, 0, 2]
+        assert len(fast) == 1  # only the line whose `true` is an escaped string
+        assert_reads_as_reference(path)
+
+    def test_bool_count_keeps_its_message(self, tmp_path):
+        counts = "[1,true" + ",0" * 254 + "]"
+        path = tmp_path / "t.jsonl"
+        path.write_text(META_LINE.decode() + "\n" + '{"timestamp":1.0,"source_path":"/a",'
+                        '"op":"write","bytes":2,"histogram":' + counts + "}\n")
+        with pytest.raises(MalformedRecord) as err:
+            read_trace(path)
+        with pytest.raises(ValueError) as exact:
+            ByteHistogram(json.loads(counts))
+        assert str(err.value) == f"line 2: invalid event record: {exact.value}"
+        assert str(exact.value).startswith("histogram counts must be a list, each item an integer")
+
+    @pytest.mark.parametrize("item", [True, np.int64(1), IntCount.ONE],
+                             ids=["bool", "numpy_int64", "int_enum"])
+    def test_constructor_takes_exact_ints_only(self, item):
+        with pytest.raises(ValueError, match="each item an integer"):
+            ByteHistogram([0] * 100 + [item] + [0] * 155)
+
+    @pytest.mark.parametrize("counts", [
+        [0] * 255 + [INT64_MAX >> 8], [5] * 256, [0] * 255 + [(INT64_MAX >> 8) + 1],
+        [INT64_MAX] + [0] * 255, [2 ** 63] + [0] * 255, [-1] + [0] * 255, [1.0] + [0] * 255,
+        [[1]] * 256, [0] * 255, [None] + [0] * 255, ["1"] + [0] * 255,
+    ], ids=["fast_max", "fives", "past_fast_max", "int64_max", "past_int64", "negative",
+            "float", "nested", "count_255", "null", "string"])
+    def test_fast_path_agrees_with_the_exact_check(self, counts):
+        outcomes = []
+        for build in (ByteHistogram, ByteHistogram.from_json):
+            try:
+                hist = build(counts)
+                outcomes.append((hist.total, hist.counts.dtype, hist.counts.tolist()))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 def spaces(draw):
@@ -567,7 +640,8 @@ path_chars = st.characters(blacklist_categories=("Cs",)) | st.integers(0xD800, 0
 def record_texts(draw, timestamp):
     """One record line: keys in any order, optional spaces, any escapes."""
     hist = draw(histograms())
-    path = draw(st.text(path_chars, max_size=6))
+    # A path holding `true` or `false` sends the line to the exact count check.
+    path = draw(st.text(path_chars, max_size=6)) + draw(st.sampled_from(["", "", "true", "false"]))
     lone = any(0xD800 <= ord(c) <= 0xDFFF for c in path)
     comma = spaces(draw) + "," + spaces(draw)
     pairs = [
@@ -601,7 +675,7 @@ def trace_files(draw):
     elif fault == "insert":
         cut = draw(st.integers(0, len(lines[at])))
         junk = draw(st.sampled_from(["NaN", "-Infinity", "1e400", "-1", "2.5", '"', ",", "}", "[",
-                                     "x", "\r", "\xa0", "18446744073709551616",
+                                     "x", "\r", "\xa0", "true", "18446744073709551616",
                                      "9223372036854775808"]))
         lines[at] = lines[at][:cut] + junk + lines[at][cut:]
     elif fault == "swap" and len(lines) > 2:
