@@ -20,8 +20,6 @@ from .detector import (
 from .entropy import (
     BinnedDistribution,
     ByteHistogram,
-    EntropySample,
-    EntropySeries,
     histogram_from_bytes,
     kl_divergence,
     second_difference,

@@ -53,6 +53,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _probability(text: str) -> float:
+    """argparse type for a probability: a number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0.0 <= value <= 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def _make_report_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -134,6 +145,12 @@ def cmd_detect(args) -> int:
         return 2
 
     profile = load_profile(baseline_path)
+    level_ids = [lvl.level_id for lvl in hierarchy.levels]
+    if profile.per_level.keys().isdisjoint(level_ids):
+        # No source would have a baseline, so none would ever be scored.
+        print(f"detect: the hierarchy's levels ({', '.join(level_ids)}) share none with "
+              f"the profile's ({', '.join(sorted(profile.per_level))})", file=sys.stderr)
+        return 2
     attack_model = fit_attack_model()
     _make_report_dir(report_dir)
 
@@ -221,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="fit a baseline profile from benign traces or directories")
     p.add_argument("inputs", nargs="*", help="benign trace files or directories")
     p.add_argument("--out", required=True, help="profile output path")
-    p.add_argument("--prior", type=float, default=DEFAULT_PRIOR, help="prior attack probability")
+    p.add_argument("--prior", type=_probability, default=DEFAULT_PRIOR,
+                   help="prior attack probability, in [0, 1]")
     p.add_argument("--config", help="run config JSON")
     p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true", help="deterministic timestamps")

@@ -28,12 +28,11 @@ from dataclasses import dataclass
 from .entropy import (
     BinnedDistribution,
     EPSILON_MASS,
-    EntropySeries,
     MAX_ENTROPY_BITS,
-    _second_diff_triple,
     bin_index,
+    second_difference,
 )
-from .errors import InsufficientSamples, IrregularSpacing, checked
+from .errors import checked
 
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
@@ -124,19 +123,22 @@ def posterior(prior: float, lr: float) -> float:
     return prior * lr / (prior * lr + (1.0 - prior))
 
 
-def convexity_signal(series: EntropySeries, m: int) -> bool:
-    """True when the last ``m`` second differences of ``series`` are evenly spaced and > 0."""
+def convexity_signal(samples, m: int) -> bool:
+    """True when the last ``m`` second differences over ``samples``, a sequence of
+    ``(timestamp, entropy)`` pairs oldest first, are evenly spaced and > 0.
+
+    False with fewer than ``m + 2`` pairs.
+    """
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    if len(series) < m + 2:
-        raise InsufficientSamples(
-            f"convexity over {m} windows needs {m + 2} samples, series has {len(series)}"
-        )
-    samples = series.latest(m + 2)
-    try:
-        return all(_second_diff_triple(*samples[end - 2:end + 1]) > 0 for end in range(2, m + 2))
-    except IrregularSpacing:
+    if len(samples) < m + 2:
         return False
+    last = list(samples)[-(m + 2):]
+    for i in range(m):
+        accel = second_difference(*last[i:i + 3])
+        if accel is None or not accel > 0:
+            return False
+    return True
 
 
 def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -> float:

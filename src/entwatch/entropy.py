@@ -1,12 +1,14 @@
-"""Byte-level Shannon entropy, windowed series, finite differences, KL divergence.
+"""Byte-level Shannon entropy, second differences over time, KL divergence.
 
 Conventions used throughout the package:
 
 * Entropy is measured in bits per byte over the 256-symbol byte alphabet,
   so values live in [0, 8]. An empty histogram has entropy 0 by definition,
   which keeps stream starts total.
-* Second differences use the three most recent samples and require
-  near-uniform spacing (each gap within 10% of their mean).
+* An entropy series is a sequence of ``(timestamp, entropy)`` pairs, oldest
+  first, with strictly increasing timestamps (seconds). Its second
+  difference over three pairs is defined only for near-uniform spacing
+  (each gap within 10% of their mean), and is None otherwise.
 * Deviations (absolute entropy changes) have one binning, ``bin_index``:
   64 equal bins of 1/8 bit over [0, 8]. A ``BinnedDistribution`` is 64
   probability masses over those bins and carries no bounds of its own.
@@ -18,12 +20,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, IrregularSpacing, checked
+from .errors import checked
 
 MAX_ENTROPY_BITS = 8.0
 
@@ -144,82 +145,19 @@ def shannon_entropy(hist: ByteHistogram) -> float:
     return min(max(value, 0.0), MAX_ENTROPY_BITS)
 
 
-@dataclass(frozen=True)
-class EntropySample:
-    """One entropy observation: seconds since trace start, bits/byte."""
+def second_difference(s0: tuple[float, float], s1: tuple[float, float],
+                      s2: tuple[float, float]) -> float | None:
+    """Central second difference (bits/second^2) over three ``(timestamp, entropy)``
+    pairs, oldest first.
 
-    timestamp: float
-    value: float
-
-    def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
-        if not 0.0 <= self.value <= MAX_ENTROPY_BITS:
-            raise ValueError(f"entropy out of [0, 8]: {self.value}")
-
-
-class EntropySeries:
-    """Time-ordered entropy samples, keeping the most recent ``capacity`` of them.
-
-    Timestamps must be strictly increasing. Single-writer: a series must not
-    be mutated concurrently, though distinct series are independent.
+    None when either gap deviates from the mean gap by more than 10%; trace
+    timestamps are nominal, not hard-real-time.
     """
-
-    def __init__(self, capacity: int):
-        if capacity < 3:
-            raise ValueError("capacity must be >= 3 (second differences need three points)")
-        self._samples: deque[EntropySample] = deque(maxlen=capacity)
-        # Most recent sample, None while the series is empty.
-        self.last: EntropySample | None = None
-
-    def append(self, timestamp: float, value: float) -> EntropySample:
-        if self.last is not None and timestamp <= self.last.timestamp:
-            raise ValueError(
-                f"timestamps must be strictly increasing: {timestamp} after {self.last.timestamp}"
-            )
-        sample = EntropySample(timestamp, value)
-        self._samples.append(sample)
-        self.last = sample
-        return sample
-
-    def latest(self, k: int) -> list[EntropySample]:
-        """The ``k`` most recent samples, oldest first, without copying the series."""
-        samples = self._samples
-        return [samples[i] for i in range(-k, 0)]
-
-    def __len__(self):
-        return len(self._samples)
-
-    def __repr__(self):
-        return f"EntropySeries(n={len(self)})"
-
-
-def _second_diff_triple(s0: EntropySample, s1: EntropySample, s2: EntropySample) -> float:
-    """Central second difference over one sample triple.
-
-    Raises IrregularSpacing when either gap deviates from the mean gap by
-    more than 10%; trace timestamps are nominal, not hard-real-time.
-    """
-    mean_dt = (s2.timestamp - s0.timestamp) / 2.0
-    dt1 = s1.timestamp - s0.timestamp
-    if abs(dt1 - mean_dt) > SPACING_TOLERANCE * mean_dt:
-        dt2 = s2.timestamp - s1.timestamp
-        raise IrregularSpacing(
-            f"sample gaps {dt1:.6g}s/{dt2:.6g}s deviate more than "
-            f"{SPACING_TOLERANCE:.0%} from their mean"
-        )
-    return (s2.value - 2.0 * s1.value + s0.value) / (mean_dt * mean_dt)
-
-
-def second_difference(series: EntropySeries) -> float:
-    """Discrete second derivative (bits/second^2) over the three most recent samples.
-
-    Raises IrregularSpacing when either gap deviates from the mean gap by
-    more than 10%.
-    """
-    if len(series) < 3:
-        raise InsufficientSamples(f"second difference needs 3 samples, series has {len(series)}")
-    return _second_diff_triple(*series.latest(3))
+    (t0, h0), (t1, h1), (t2, h2) = s0, s1, s2
+    mean_dt = (t2 - t0) / 2.0
+    if abs((t1 - t0) - mean_dt) > SPACING_TOLERANCE * mean_dt:
+        return None
+    return (h2 - 2.0 * h1 + h0) / (mean_dt * mean_dt)
 
 
 def bin_index(deviation: float) -> int:
@@ -270,11 +208,3 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     value = float((p.bins[mask] * np.log2(p.bins[mask] / q_floored[mask])).sum())
     return max(value, 0.0)
 
-
-def series_from_values(values, dt: float = 1.0, t0: float = 0.0) -> EntropySeries:
-    """Build a uniformly spaced series holding every given value. Test/tooling helper."""
-    values = list(values)
-    series = EntropySeries(max(3, len(values)))
-    for i, v in enumerate(values):
-        series.append(t0 + i * dt, v)
-    return series

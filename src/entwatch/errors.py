@@ -5,16 +5,8 @@ class EntwatchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InsufficientSamples(EntwatchError):
-    """A series does not contain enough samples for the requested statistic."""
-
-
-class IrregularSpacing(EntwatchError):
-    """Sample spacing deviates too far from uniform for a finite difference."""
-
-
 class NoLevels(EntwatchError):
-    """A hierarchy configuration contains no levels."""
+    """No hierarchy level has a value to aggregate."""
 
 
 class EmptyLevel(EntwatchError):

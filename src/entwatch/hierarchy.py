@@ -1,6 +1,6 @@
 """Weighted level structure: routing sources to levels and aggregating entropy.
 
-A hierarchy is a fixed, ordered list of levels (filesystem, process, network)
+A hierarchy is a fixed, ordered, non-empty list of levels (filesystem, process, network)
 with non-negative weights. Source paths are routed to the first level whose
 glob pattern matches (fnmatch semantics, ``*`` crosses path separators);
 unmatched sources fall back to the first filesystem level. A level's entropy
@@ -48,6 +48,8 @@ class HierarchyConfig:
     def __post_init__(self):
         checked(self.normalize, "normalize", bool)
         object.__setattr__(self, "levels", tuple(self.levels))
+        if not self.levels:
+            raise ValueError("a hierarchy needs at least one level")
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate level ids in hierarchy: {ids}")
@@ -76,8 +78,6 @@ def route_source(config: HierarchyConfig, source_path: str) -> str:
     The default is the first filesystem level (first level overall when no
     filesystem level exists). Declaration order breaks ties.
     """
-    if not config.levels:
-        raise NoLevels("cannot route on an empty hierarchy")
     for lvl in config.levels:
         if any(fnmatchcase(source_path, pat) for pat in lvl.path_patterns):
             return lvl.level_id

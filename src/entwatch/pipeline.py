@@ -3,23 +3,30 @@
 Records are consumed in timestamp order. ``SourceWindows`` buckets them into
 fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
 a level at its first record. At each window close every source with payload
-activity gets one entropy sample (entropy of its merged window histogram),
-and sources with two or more samples yield an absolute entropy deviation
-|dH|. ``collect_trace_deviations`` drives it alone to gather deviations for
-profile fitting; ``TraceProcessor`` composes it and, at each close:
+activity gets one entropy sample, a (window end, entropy) pair for its merged
+window histogram, and keeps its last three; sources with two or more samples
+yield an absolute entropy deviation |dH|. Window ends strictly increase, as a
+window closes only when a later one opens, and entropies are in [0, 8], so
+samples are kept as computed. ``collect_trace_deviations`` drives it alone to
+gather deviations for profile fitting; ``TraceProcessor`` composes it and, at
+each close:
 
 1. walks the sampled sources once. Each new sample goes into the source's
    entropy sum and sample count, each new deviation into its max |dH| and,
    binned once, into its recent-deviation window, the second difference of
-   its entropy series into its max acceleration; then the source's KL (recent
+   its last three samples into its max acceleration (none when they are
+   unevenly spaced, as across a window the source skipped; see
+   ``entropy.second_difference``); then the source's KL (recent
    deviations against its level baseline) and its posterior (a Bayes update
    by the attack-vs-baseline likelihood ratio of the deviation) are updated.
    KL reads only the multiset of the recent bins, so it is read from a
    per-trace memo keyed by level and that multiset, and computed on a miss;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
-   overwrites its source's slot, and extends the aggregate series with their
-   weighted sum, over the levels that have data so far;
+   overwrites its source's slot, and appends their weighted sum, over the
+   levels that have data so far, to the aggregate series: the last
+   ``convexity_run + 2`` (window end, entropy) pairs, all that
+   ``detector.convexity_signal`` reads;
 3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
    max |dH|, max acceleration, KL) and outlier-scores them only when the
    attack rule (``detector.is_attack``) flags a scored, still-unflagged
@@ -62,13 +69,12 @@ from .detector import (
 from .entropy import (
     BinnedDistribution,
     ByteHistogram,
-    EntropySeries,
     bin_index,
     kl_divergence,
     second_difference,
     shannon_entropy,
 )
-from .errors import InsufficientSamples, IrregularSpacing, MalformedRecord
+from .errors import MalformedRecord
 from .hierarchy import (
     HierarchyConfig,
     aggregate_entropy,
@@ -97,11 +103,13 @@ ATTACK_FIT_DURATION = 60.0
 
 @dataclass
 class SourceWindow:
-    """One source's open-window histogram and entropy series."""
+    """One source's open-window histogram and its latest entropy samples."""
 
     source_id: str
     level_id: str
-    series: EntropySeries
+    # The last three (window end, entropy) pairs: second differences read
+    # all three, the level mean and the next deviation the last one.
+    samples: deque = field(default_factory=lambda: deque(maxlen=3))
     pending: ByteHistogram | None = None
     # |dH| between the source's last two samples, set at each close that
     # samples it; None at its first sample.
@@ -191,9 +199,9 @@ class SourceWindows:
         for src in fresh:
             value = shannon_entropy(src.pending)
             src.pending = None
-            prev = src.series.last
-            src.series.append(t_end, value)
-            src.deviation = None if prev is None else min(abs(value - prev.value), 8.0)
+            samples = src.samples
+            src.deviation = min(abs(value - samples[-1][1]), 8.0) if samples else None
+            samples.append((t_end, value))
         return t_end, fresh
 
     def _add_source(self, rec: EventRecord) -> SourceWindow:
@@ -202,9 +210,7 @@ class SourceWindows:
             level_id = route_kind(self.hierarchy, rec.level_hint)
         if level_id is None:
             level_id = route_source(self.hierarchy, rec.source_path)
-        # Second differences read the last three samples, the level mean the last one.
-        src = self.new_source(rec.source_path, level_id, EntropySeries(3),
-                              order=len(self.sources))
+        src = self.new_source(rec.source_path, level_id, order=len(self.sources))
         self.sources[rec.source_path] = src
         return src
 
@@ -254,8 +260,9 @@ class TraceProcessor:
         self._level_values: dict[str, list[float]] = {}
         # KL by (level id, sorted deviation bins): KL reads only the bins' multiset.
         self._kl_memo: dict[tuple[str, tuple[int, ...]], float] = {}
-        # Convexity over a run of m second differences reads the last m + 2 samples.
-        self._aggregate = EntropySeries(max(3, self.detector.convexity_run + 2))
+        # (window end, aggregate entropy) pairs: convexity over a run of m
+        # second differences reads the last m + 2.
+        self._aggregate: deque = deque(maxlen=self.detector.convexity_run + 2)
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
@@ -286,7 +293,8 @@ class TraceProcessor:
             return
         undecided: list[SourceTrack] = []
         for track in fresh:
-            value = track.series.last.value
+            samples = track.samples
+            value = samples[-1][1]
             track.entropy_sum += value
             track.sample_count += 1
             dev = track.deviation
@@ -298,8 +306,10 @@ class TraceProcessor:
             self._level_values[track.level_id][track.level_slot] = value
             track.deviations.append(bin_index(dev))
             track.max_abs_delta = max(track.max_abs_delta, dev)
-            if len(track.series) >= 3:
-                self._update_accel(track)
+            if len(samples) == 3:
+                accel = second_difference(*samples)
+                if accel is not None:  # None: the three samples are unevenly spaced
+                    track.max_accel = max(track.max_accel, accel)
             q = self.profile.per_level.get(track.level_id)
             if q is not None:
                 track.kl = self._kl(track.level_id, q, track.deviations)
@@ -311,7 +321,7 @@ class TraceProcessor:
         self._update_levels(t_end)
 
         cfg = self.detector
-        convex = self._convexity()
+        convex = convexity_signal(self._aggregate, cfg.convexity_run)
         if convex:
             self.convexity_true_at.append(t_end)
         # The attack rule is monotone in the outlier score: unless some
@@ -343,13 +353,6 @@ class TraceProcessor:
             kl = self._kl_memo[key] = kl_divergence(empirical_distribution(list(deviations)), q)
         return kl
 
-    def _update_accel(self, track: SourceTrack) -> None:
-        try:
-            accel = second_difference(track.series)
-        except IrregularSpacing:
-            return
-        track.max_accel = max(track.max_accel, accel)
-
     def _update_levels(self, t_end: float) -> None:
         values: dict[str, float] = {}
         for lvl in self.hierarchy.levels:
@@ -365,13 +368,7 @@ class TraceProcessor:
                 total = aggregate_entropy(self.hierarchy, values)
             except ValueError:  # the active levels' weights sum to 0
                 return
-            self._aggregate.append(t_end, min(max(total, 0.0), 8.0))
-
-    def _convexity(self) -> bool:
-        try:
-            return convexity_signal(self._aggregate, self.detector.convexity_run)
-        except InsufficientSamples:
-            return False
+            self._aggregate.append((t_end, min(max(total, 0.0), 8.0)))
 
     def _refresh_outliers(self) -> None:
         # Sampled sources in first-record order; the order breaks linkage ties.

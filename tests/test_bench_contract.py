@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from entwatch import pipeline
 from entwatch.clustering import FeatureVector, agglomerate, outliers
 from entwatch.detector import BENIGN, RANSOMWARE
 from entwatch.simulate import ScenarioSpec, simulate_scenario
@@ -48,6 +49,33 @@ def test_outliers_report_has_scores():
     # The traced hook compares a report's scores with the last ones, or None, by `!=`.
     assert not report.scores != outliers(agglomerate(vectors)).scores
     assert report.scores != None  # noqa: E711
+
+
+def test_agglomerate_batches_give_features_and_heights(benign_profile, attack_model,
+                                                       monkeypatch):
+    # The traced hook reads `features` off each item the pipeline hands
+    # agglomerate and `height` off each merge of the dendrogram it returns.
+    calls = []
+    original = pipeline.agglomerate
+
+    def capturing(items):
+        dendrogram = original(items)
+        calls.append(((items,), dendrogram))
+        return dendrogram
+
+    monkeypatch.setattr(pipeline, "agglomerate", capturing)
+    trace = simulate_scenario(ScenarioSpec("ransomware", seed=952, duration=20.0))
+    pipeline.TraceProcessor(profile=benign_profile, attack_model=attack_model) \
+        .process(trace.records).finish()
+    assert calls
+    tracer = perfbench_module("traced").Tracer()
+    for args, dendrogram in calls:
+        tracer._after_agglomerate(args, dendrogram)
+    assert len(tracer.batches) == len(calls)
+    for (args, _), (_, features, heights) in zip(calls, tracer.batches):
+        n = len(args[0])
+        assert features.shape == (n, 4)
+        assert heights.shape == (n - 1,)
 
 
 def test_library_pass_yields_a_verdict(benign_profile, attack_model):

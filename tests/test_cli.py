@@ -361,6 +361,50 @@ def test_non_positive_chunk_bytes_is_usage_error(workspace, tmp_path, command, c
     assert "--chunk-bytes" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["profile", "detect"])
+def test_empty_hierarchy_is_usage_error(workspace, tmp_path, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"hierarchy": {"levels": []}}))
+    args = ["--out", str(tmp_path / "out"), "--config", str(cfg_path)]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, str(workspace / "ben0.jsonl"), *args)
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    assert "at least one level" in res.stderr
+
+
+def test_hierarchy_sharing_no_level_with_profile_is_usage_error(workspace, tmp_path):
+    # The profile was fit under the default hierarchy, so its one level is
+    # fs-user: under this config no source would have a baseline to score on.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"hierarchy": {"levels": [
+        {"level_id": "docs", "kind": "filesystem", "weight": 1.0, "path_patterns": ["/home/**"]},
+    ]}}))
+    out = tmp_path / "run"
+    res = run_cli("detect", str(workspace / "rw.jsonl"), "--config", str(cfg_path),
+                  "--baseline", str(workspace / "base.json"), "--out", str(out))
+    assert res.returncode == 2
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("detect:"), res.stderr
+    assert "(docs)" in lines[0] and "(fs-user)" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("prior", ["2", "nan", "-0.5", "x"])
+def test_prior_outside_unit_interval_is_usage_error(tmp_path, prior):
+    # The input is not a trace: the prior is rejected before any input is read.
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("not a trace\n")
+    out = tmp_path / "p.json"
+    res = run_cli("profile", str(bad), "--out", str(out), "--prior", prior)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--prior" in res.stderr
+    assert not out.exists()
+
+
 GOOD_REPORT = "trace,label,verdict,confidence,latency_ms\na.jsonl,ransomware,ransomware,0.9,12.5\n"
 BAD_REPORTS = {
     "confidence_not_number": GOOD_REPORT + "b.jsonl,benign,benign,abc,\n",

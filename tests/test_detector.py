@@ -14,8 +14,7 @@ from entwatch.detector import (
     likelihood_ratio,
     posterior,
 )
-from entwatch.entropy import BinnedDistribution, EntropySeries, series_from_values
-from entwatch.errors import InsufficientSamples
+from entwatch.entropy import BinnedDistribution
 
 
 def dist(masses):
@@ -81,31 +80,38 @@ class TestPosterior:
 
 class TestConvexitySignal:
     def test_quadratic_ramp(self):
-        # t^2 shape scaled into the valid entropy range
-        series = series_from_values([v / 2.0 for v in [0.0, 1.0, 4.0, 9.0, 16.0]])
-        assert convexity_signal(series, 2) is True
+        # t^2 / 2
+        pairs = [(0.0, 0.0), (1.0, 0.5), (2.0, 2.0), (3.0, 4.5), (4.0, 8.0)]
+        assert convexity_signal(pairs, 2) is True
 
     def test_linear_ramp_is_not_convex(self):
-        series = series_from_values([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert convexity_signal(series, 2) is False
+        pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0), (3.0, 4.0), (4.0, 5.0)]
+        assert convexity_signal(pairs, 2) is False
 
     def test_plateau_after_fast_rise(self):
         # S-curve style trajectory evaluated on the plateau
-        series = series_from_values([2.1, 5.0, 7.0, 7.7, 7.8, 7.8])
-        assert convexity_signal(series, 2) is False
+        pairs = [(0.0, 2.1), (1.0, 5.0), (2.0, 7.0), (3.0, 7.7), (4.0, 7.8), (5.0, 7.8)]
+        assert convexity_signal(pairs, 2) is False
 
     def test_insufficient_samples(self):
-        series = series_from_values([1.0, 2.0, 3.0])
-        with pytest.raises(InsufficientSamples):
-            convexity_signal(series, 2)
+        pairs = [(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)]
+        assert convexity_signal(pairs, 1) is True
+        assert convexity_signal(pairs, 2) is False
+
+    def test_reads_only_the_last_run(self):
+        # Concave over the first four pairs, convex over the last four.
+        pairs = [(0.0, 0.0), (1.0, 3.0), (2.0, 4.0), (3.0, 4.5), (4.0, 5.5), (5.0, 7.0)]
+        assert convexity_signal(pairs, 2) is True
+        assert convexity_signal(pairs, 3) is False
 
     def test_linear_across_gap_is_not_convex(self):
         # Linear in time (slope 0.5/s), so not convex; the unequal gaps
         # (1 s, then 9 s) would read as convex without the spacing check.
-        series = EntropySeries(3)
-        for t, v in ((0.0, 1.0), (1.0, 1.5), (10.0, 6.0)):
-            series.append(t, v)
-        assert convexity_signal(series, 1) is False
+        assert convexity_signal([(0.0, 1.0), (1.0, 1.5), (10.0, 6.0)], 1) is False
+
+    def test_run_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="run length"):
+            convexity_signal([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], 0)
 
 
 class TestFuseAndDecide:

@@ -9,16 +9,12 @@ from entwatch.entropy import (
     DEVIATION_BINS,
     BinnedDistribution,
     ByteHistogram,
-    EntropySample,
-    EntropySeries,
     bin_index,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
-    series_from_values,
     shannon_entropy,
 )
-from entwatch.errors import InsufficientSamples, IrregularSpacing
 
 
 def dist(masses):
@@ -136,66 +132,30 @@ class TestShannonEntropy:
         assert shannon_entropy(hist) == pytest.approx(shannon_entropy(rolled), abs=1e-12)
 
 
-class TestSeries:
-    def test_timestamps_strictly_increasing(self):
-        series = EntropySeries(3)
-        series.append(0.0, 1.0)
-        with pytest.raises(ValueError):
-            series.append(0.0, 2.0)
-
-    def test_capacity_evicts_oldest(self):
-        series = EntropySeries(capacity=3)
-        for i in range(5):
-            series.append(float(i), 1.0)
-        assert len(series) == 3
-        assert [s.timestamp for s in series.latest(3)] == [2.0, 3.0, 4.0]
-
-    def test_value_range_enforced(self):
-        with pytest.raises(ValueError):
-            EntropySample(0.0, 8.5)
-
-    def test_capacity_minimum(self):
-        with pytest.raises(ValueError):
-            EntropySeries(capacity=2)
-
-
 class TestSecondDifference:
     def test_linear_is_zero(self):
-        assert second_difference(series_from_values([1.0, 2.0, 3.0])) == 0.0
+        assert second_difference((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)) == 0.0
 
     def test_quadratic(self):
-        assert second_difference(series_from_values([0.0, 1.0, 4.0])) == pytest.approx(2.0, abs=1e-12)
+        assert second_difference((0.0, 0.0), (1.0, 1.0), (2.0, 4.0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_concave(self):
-        assert second_difference(series_from_values([0.0, 2.0, 3.0])) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamples):
-            second_difference(series_from_values([1.0, 2.0]))
+        assert second_difference((0.0, 0.0), (1.0, 2.0), (2.0, 3.0)) == pytest.approx(-1.0, abs=1e-12)
 
     def test_irregular_spacing_rejected(self):
-        series = EntropySeries(capacity=3)
-        series.append(0.0, 1.0)
-        series.append(1.0, 2.0)
-        series.append(2.5, 3.0)  # gaps 1.0 and 1.5: 20% off the mean
-        with pytest.raises(IrregularSpacing):
-            second_difference(series)
+        # gaps 1.0 and 1.5: 20% off the mean
+        assert second_difference((0.0, 1.0), (1.0, 2.0), (2.5, 3.0)) is None
 
     def test_spacing_within_tolerance_accepted(self):
-        series = EntropySeries(capacity=3)
-        series.append(0.0, 1.0)
-        series.append(1.0, 2.0)
-        series.append(2.1, 3.0)  # gaps 1.0 and 1.1: under 10% of the mean
-        second_difference(series)
+        # gaps 1.0 and 1.1: under 10% of the mean
+        assert second_difference((0.0, 1.0), (1.0, 2.0), (2.1, 3.0)) is not None
 
     def test_sin_convergence(self):
         # Halving dt must shrink the error roughly fourfold (second order).
         def error(dt):
             t0 = 1.0
-            values = [math.sin(t0 - dt), math.sin(t0), math.sin(t0 + dt)]
-            # sin values are in [-1, 1]; shift into the valid entropy range.
-            series = series_from_values([v + 2.0 for v in values], dt=dt, t0=t0 - dt)
-            return abs(second_difference(series) - (-math.sin(t0)))
+            pairs = [(t0 + k * dt, math.sin(t0 + k * dt)) for k in (-1, 0, 1)]
+            return abs(second_difference(*pairs) - (-math.sin(t0)))
 
         assert error(0.2) / error(0.1) > 3.5
 

@@ -41,8 +41,9 @@ class TestRouting:
         assert route_source(cfg, "/home/x") == "a"
 
     def test_empty_hierarchy(self):
-        with pytest.raises(NoLevels):
-            route_source(HierarchyConfig(levels=()), "/home/x")
+        # Rejected when built, so routing always has a level to fall back to.
+        with pytest.raises(ValueError, match="at least one level"):
+            HierarchyConfig(levels=())
 
     def test_duplicate_level_ids_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,13 @@ from entwatch.baseline import empirical_distribution, fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
 from entwatch.entropy import DEVIATION_BINS, ByteHistogram, kl_divergence, shannon_entropy
 from entwatch.errors import MalformedRecord
-from entwatch.hierarchy import HierarchyConfig, LevelConfig, default_hierarchy, level_entropy
+from entwatch.hierarchy import (
+    HierarchyConfig,
+    LevelConfig,
+    aggregate_entropy,
+    default_hierarchy,
+    level_entropy,
+)
 from entwatch.pipeline import (
     DEVIATION_HISTORY,
     TraceProcessor,
@@ -205,19 +211,10 @@ class TestLevelSeries:
         # One source whose entropy follows 0.9 * (k / 309)^2 over 310 windows:
         # every second difference of the aggregate is positive, so a run of
         # 300 holds from the 302nd sample on.
-        total = 2 ** 40
         records = []
         for k in range(310):
-            target = 0.9 * (k / 309) ** 2
-            lo, hi = 0, total // 2  # two-symbol entropy rises with the minority count
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if shannon_entropy(ByteHistogram([mid, total - mid] + [0] * 254)) < target:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            hist = ByteHistogram([lo, total - lo] + [0] * 254)
-            records.append(EventRecord(k + 0.5, "/home/u/x", "write", hist, total))
+            hist, n = two_symbols(0.9 * (k / 309) ** 2, total=2 ** 40)
+            records.append(EventRecord(k + 0.5, "/home/u/x", "write", hist, n))
         proc = TraceProcessor(detector=DetectorConfig(convexity_run=300),
                               profile=benign_profile, attack_model=attack_model)
         proc.process(records)
@@ -246,7 +243,7 @@ class TestProcessor:
         assert closes == [1.0]
         proc.finish()
         assert closes == [1.0, 1e9 + 1.0]
-        assert [s.timestamp for s in proc.sources["/home/u/x"].series.latest(2)] == closes
+        assert [t for t, _ in proc.sources["/home/u/x"].samples] == closes
 
 
 class TestOutlierGate:
@@ -297,7 +294,7 @@ class TestWindowing:
         proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
         proc.process(records)
         proc.finish()
-        values = [s.value for s in proc.sources["/home/u/x"].series.latest(2)]
+        values = [h for _, h in proc.sources["/home/u/x"].samples]
         assert values[0] == pytest.approx(1.0)  # two half-and-half symbols
         assert values[1] == pytest.approx(0.0)
 
@@ -309,7 +306,7 @@ class TestWindowing:
         proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
         proc.process(records)
         proc.finish()
-        assert len(proc.sources["/home/u/x"].series) == 1
+        assert len(proc.sources["/home/u/x"].samples) == 1
 
     def test_level_hint_wins_over_patterns(self, benign_profile, attack_model):
         records = [EventRecord(0.1, "/home/u/x", "net_tx", histogram_from_bytes(b"ab"), 2,
@@ -345,6 +342,20 @@ def scored_keys(proc, records):
     proc.finish()
     observe()
     return keys, scored
+
+
+def two_symbols(target, total=2 ** 20):
+    """A histogram of two byte values, ``total`` in all, whose entropy is the
+    least at or above ``target`` (at most 1 bit): found by bisection, as the
+    entropy rises with the minority count."""
+    lo, hi = 0, total // 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if shannon_entropy(ByteHistogram([mid, total - mid] + [0] * 254)) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return ByteHistogram([lo, total - lo] + [0] * 254), total
 
 
 def uniform_symbols(k, repeat=4):
@@ -482,3 +493,76 @@ class TestLevelMeans:
         assert list(latest).index("/home/d") > list(latest).index("/home/c")
         assert [(lvl, t, m.hex()) for lvl, t, m in result.level_samples] == \
             [(lvl, t, m.hex()) for lvl, t, m in expected]
+
+
+class TestAcceleration:
+    def test_skipped_windows_match_a_recount(self, attack_model):
+        """Sources skip windows, and the whole trace skips some, so some sample
+        triples are unevenly spaced. Each source's max acceleration and the
+        convexity signal equal a recount from the records; a recount that
+        ignores spacing does not."""
+        hierarchy = HierarchyConfig(levels=(
+            LevelConfig("docs", "filesystem", 0.6, ("/home/**",)),
+            LevelConfig("sys", "filesystem", 0.4, ("/etc/**",)),
+        ))
+        paths = ("/home/a", "/home/b", "/etc/c")
+        quiet = {20, 21, 22, 41}  # windows in which no source writes
+        rng = np.random.default_rng(29)
+        records = []
+        for w in range(60):
+            for k, path in enumerate(paths):
+                if w in quiet or rng.random() < 0.25:
+                    continue
+                # Each source's entropy rises convexly in time.
+                hist, n = two_symbols(0.9 * (w / 59) ** 2 * (1 - 0.2 * k))
+                records.append(EventRecord(w + 0.1 * (k + 1), path, "write", hist, n))
+        profile = fit_baseline({"docs": [0.01] * 40, "sys": [0.01] * 40}, created_at=0.0)
+        proc = TraceProcessor(hierarchy, profile=profile, attack_model=attack_model)
+        result = proc.process(records).finish()
+
+        def recount(spacing_check):
+            def accel(triple):
+                """(h2 - 2 h1 + h0) / mean_gap^2; None when a gap is more than
+                10% off the mean gap and ``spacing_check`` is on."""
+                (t0, h0), (t1, h1), (t2, h2) = triple
+                mean_dt = (t2 - t0) / 2.0
+                if spacing_check and abs((t1 - t0) - mean_dt) > 0.1 * mean_dt:
+                    return None
+                return (h2 - 2.0 * h1 + h0) / (mean_dt * mean_dt)
+
+            samples = {path: [] for path in paths}
+            latest = {}  # source -> latest entropy, in first-sample order
+            aggregate, convex = [], []
+            for w in sorted({int(r.timestamp) for r in records}):
+                pending = {}
+                for r in records:
+                    if int(r.timestamp) == w:
+                        pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+                for path in paths:
+                    if path in pending:
+                        latest[path] = shannon_entropy(pending[path])
+                        samples[path].append((w + 1.0, latest[path]))
+                means = {}
+                for lvl, prefix in (("docs", "/home/"), ("sys", "/etc/")):
+                    members = [v for path, v in latest.items() if path.startswith(prefix)]
+                    if members:
+                        means[lvl] = level_entropy(members)
+                total = aggregate_entropy(hierarchy, means)
+                aggregate.append((w + 1.0, min(max(total, 0.0), 8.0)))
+                run = aggregate[-5:]  # the default convexity run of 3 reads 5 pairs
+                diffs = [accel(run[i:i + 3]) for i in range(len(run) - 2)]
+                if len(diffs) == 3 and all(d is not None and d > 0 for d in diffs):
+                    convex.append(w + 1.0)
+            max_accel = {}
+            for path, s in samples.items():
+                diffs = [accel(s[i:i + 3]) for i in range(len(s) - 2)]
+                max_accel[path] = max([0.0] + [d for d in diffs if d is not None])
+            return max_accel, convex
+
+        max_accel, convex = recount(spacing_check=True)
+        assert {path: proc.sources[path].max_accel for path in paths} == max_accel
+        assert result.convexity_true_at == convex
+        assert convex
+        blind_accel, blind_convex = recount(spacing_check=False)
+        assert all(blind_accel[path] > max_accel[path] for path in paths)
+        assert set(blind_convex) > set(convex)
