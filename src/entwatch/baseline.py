@@ -76,7 +76,7 @@ def empirical_distribution(bins: Sequence[int]) -> BinnedDistribution:
 
 
 def smoothed_distribution(samples: Sequence[float]) -> BinnedDistribution:
-    """Histogram of deviation samples with zero masses floored at EPSILON_MASS and renormalized."""
+    """Histogram of deviation samples, zero masses floored at EPSILON_MASS, rescaled to sum to 1."""
     counts = np.bincount([bin_index(s) for s in samples], minlength=DEVIATION_BINS)
     floored = np.maximum(counts / counts.sum(), EPSILON_MASS)
     return BinnedDistribution(floored / floored.sum())

@@ -13,10 +13,10 @@ import time
 from pathlib import Path
 
 from .baseline import DEFAULT_PRIOR, fit_baseline, load_profile, save_profile
-from .config import RunConfig, load_run_config
+from .config import load_run_config
 from .detector import DetectorConfig
 from .errors import EntwatchError, ConfigError, InvalidSpec, IoFailure
-from .hierarchy import default_hierarchy
+from .hierarchy import HierarchyConfig, default_hierarchy
 from .metrics import (
     PerTraceRow,
     VERDICT_ERROR,
@@ -64,11 +64,26 @@ def _probability(text: str) -> float:
     return value
 
 
-def _make_report_dir(path: str) -> None:
+def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create report directory {path}: {exc}") from exc
+
+
+def _missing_inputs(args) -> bool:
+    """True, with one line on stderr naming them, when some of the inputs do not exist."""
+    missing = [p for p in args.inputs if not os.path.exists(p)]
+    if missing:
+        print(f"{args.command}: inputs do not exist: {', '.join(missing)}", file=sys.stderr)
+    return bool(missing)
+
+
+def _load_config(args) -> tuple[HierarchyConfig, DetectorConfig]:
+    """The run's hierarchy and detector: from ``--config``, else the defaults."""
+    if args.config:
+        return load_run_config(args.config)
+    return default_hierarchy(), DetectorConfig()
 
 
 def _input_records(path: str, chunk_bytes: int):
@@ -82,14 +97,9 @@ def _input_records(path: str, chunk_bytes: int):
 
 
 def cmd_profile(args) -> int:
-    if not args.inputs:
-        print("profile: at least one benign trace or directory is required", file=sys.stderr)
+    if _missing_inputs(args):
         return 2
-    hierarchy = default_hierarchy()
-    detector = DetectorConfig()
-    if args.config:
-        run_cfg = load_run_config(args.config)
-        hierarchy, detector = run_cfg.hierarchy, run_cfg.detector
+    hierarchy, detector = _load_config(args)
 
     pooled: dict[str, list[float]] = {}
     for path in sorted(args.inputs):
@@ -118,33 +128,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    hierarchy = default_hierarchy()
-    detector = DetectorConfig()
-    baseline_path = args.baseline
-    inputs = list(args.inputs)
-    report_dir = args.out
-    if args.config:
-        run_cfg = load_run_config(args.config)
-        hierarchy, detector = run_cfg.hierarchy, run_cfg.detector
-        baseline_path = baseline_path or run_cfg.baseline_path
-        inputs = inputs or list(run_cfg.inputs)
-        report_dir = report_dir or run_cfg.report_dir
-
-    if not baseline_path:
-        print("detect: a baseline profile is required (--baseline or config)", file=sys.stderr)
+    if _missing_inputs(args):
         return 2
-    if not inputs:
-        print("detect: at least one trace file or directory is required", file=sys.stderr)
-        return 2
-    if not report_dir:
-        print("detect: a report directory is required (--out or config)", file=sys.stderr)
-        return 2
-    missing = [p for p in inputs if not os.path.exists(p)]
-    if missing:
-        print(f"detect: inputs do not exist: {', '.join(missing)}", file=sys.stderr)
-        return 2
-
-    profile = load_profile(baseline_path)
+    hierarchy, detector = _load_config(args)
+    profile = load_profile(args.baseline)
     level_ids = [lvl.level_id for lvl in hierarchy.levels]
     if profile.per_level.keys().isdisjoint(level_ids):
         # No source would have a baseline, so none would ever be scored.
@@ -152,13 +139,13 @@ def cmd_detect(args) -> int:
               f"the profile's ({', '.join(sorted(profile.per_level))})", file=sys.stderr)
         return 2
     attack_model = fit_attack_model()
-    _make_report_dir(report_dir)
+    _make_out_dir(args.out)
 
     started = time.perf_counter()
     rows: list[PerTraceRow] = []
     level_samples: list[tuple[str, float, float]] = []
     failures = 0
-    for path in sorted(inputs):
+    for path in sorted(args.inputs):
         try:
             label, onset, records, skipped = _input_records(path, args.chunk_bytes)
             if skipped:
@@ -188,9 +175,9 @@ def cmd_detect(args) -> int:
     rss = 0 if args.frozen_clock else _peak_rss_bytes()
     report = compute_metrics(rows, wall_time_ms=wall_ms, peak_rss_estimate=rss)
 
-    write_report_csv(os.path.join(report_dir, "report.csv"), report.per_trace)
-    write_metrics_json(os.path.join(report_dir, "metrics.json"), report)
-    write_heatmap_csv(os.path.join(report_dir, "heatmap.csv"), level_samples)
+    write_report_csv(os.path.join(args.out, "report.csv"), report.per_trace)
+    write_metrics_json(os.path.join(args.out, "metrics.json"), report)
+    write_heatmap_csv(os.path.join(args.out, "heatmap.csv"), level_samples)
 
     latency = "n/a" if report.mean_latency_ms is None else f"{report.mean_latency_ms:.0f}ms"
     print(
@@ -223,7 +210,7 @@ def cmd_report(args) -> int:
     print(f"accuracy={report.accuracy:.3f} fpr={report.fpr:.3f} fnr={report.fnr:.3f} "
           f"mean_latency={latency} traces={len(rows)}")
     if args.out:
-        _make_report_dir(args.out)
+        _make_out_dir(args.out)
         write_metrics_json(os.path.join(args.out, "metrics.json"), report)
     return 0
 
@@ -236,20 +223,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="fit a baseline profile from benign traces or directories")
-    p.add_argument("inputs", nargs="*", help="benign trace files or directories")
+    p.add_argument("inputs", nargs="+", help="benign trace files or directories")
     p.add_argument("--out", required=True, help="profile output path")
     p.add_argument("--prior", type=_probability, default=DEFAULT_PRIOR,
                    help="prior attack probability, in [0, 1]")
-    p.add_argument("--config", help="run config JSON")
+    p.add_argument("--config", help="JSON file of hierarchy and detector settings")
     p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true", help="deterministic timestamps")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("detect", help="run detection over traces or directories")
-    p.add_argument("inputs", nargs="*", help="trace files or directories")
-    p.add_argument("--baseline", help="baseline profile path")
-    p.add_argument("--out", help="report directory")
-    p.add_argument("--config", help="run config JSON")
+    p.add_argument("inputs", nargs="+", help="trace files or directories")
+    p.add_argument("--baseline", required=True, help="baseline profile path")
+    p.add_argument("--out", required=True, help="report directory")
+    p.add_argument("--config", help="JSON file of hierarchy and detector settings")
     p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true",
                    help="zero out wall time and RSS for byte-stable reports")

@@ -1,27 +1,18 @@
-"""Run configuration: one JSON document combining hierarchy, detector, and run fields."""
+"""Run configuration: one JSON document holding a ``hierarchy`` and a ``detector``.
+
+Which traces to read, the baseline and the report directory are command-line
+arguments only, so each setting has one place.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .detector import DetectorConfig
-from .errors import ConfigError, checked
+from .errors import ConfigError
 from .hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    hierarchy: HierarchyConfig
-    detector: DetectorConfig
-    baseline_path: str | None = None
-    inputs: tuple[str, ...] = ()
-    report_dir: str | None = None
-
-    def __post_init__(self):
-        checked(self.baseline_path, "baseline_path", str, optional=True)
-        checked(self.report_dir, "report_dir", str, optional=True)
-        object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
+CONFIG_KEYS = ("hierarchy", "detector")
 
 
 def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
@@ -41,7 +32,8 @@ def detector_from_dict(obj: dict) -> DetectorConfig:
         raise ConfigError(f"invalid detector config: {exc}") from exc
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
+    """The hierarchy and detector a config file sets; a key it leaves out keeps its default."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -51,10 +43,10 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    unknown = [key for key in doc if key not in CONFIG_KEYS]
+    if unknown:
+        raise ConfigError(f"config {path} has unknown keys {unknown}; "
+                          f"it holds only {', '.join(CONFIG_KEYS)}")
 
     hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()
-    detector = detector_from_dict(doc.get("detector", {}))
-    try:
-        return RunConfig(**{**doc, "hierarchy": hierarchy, "detector": detector})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return hierarchy, detector_from_dict(doc.get("detector", {}))

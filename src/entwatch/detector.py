@@ -5,9 +5,10 @@ Per-source evidence is combined in two stages:
 1. A two-hypothesis Bayes update turns the likelihood ratio of the observed
    entropy deviation (attack model vs baseline) into a posterior.
 2. The clustering outlier score adds evidence and never removes it:
-   ``fused = max(posterior, (1 - w) * posterior + w * outlier)``, so a high
-   outlier score can lift a source's confidence and a low one leaves the
-   posterior as it is. The attack rule, ``is_attack``, labels a source
+   ``fused = max(posterior, (1 - w) * posterior + w * outlier)`` with
+   ``w = OUTLIER_WEIGHT``, so a high outlier score can lift a source's
+   confidence and a low one leaves the posterior as it is. The weight is a
+   constant, not a setting. The attack rule, ``is_attack``, labels a source
    ransomware only when the fused confidence clears the decision threshold
    AND a corroborating gate holds: KL divergence of its recent deviation
    window above the KL threshold, or a sustained positive second derivative
@@ -37,6 +38,9 @@ from .errors import checked
 BENIGN = "benign"
 RANSOMWARE = "ransomware"
 
+# Weight of the outlier score in its blend with the posterior.
+OUTLIER_WEIGHT = 0.2
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -46,10 +50,9 @@ class DetectorConfig:
     posterior_threshold: float = 0.9
     convexity_run: int = 3
     window_seconds: float = 1.0
-    outlier_weight: float = 0.2
 
     def __post_init__(self):
-        for name in ("kl_threshold", "posterior_threshold", "window_seconds", "outlier_weight"):
+        for name in ("kl_threshold", "posterior_threshold", "window_seconds"):
             object.__setattr__(self, name, checked(getattr(self, name), name, float))
         if not (math.isfinite(self.kl_threshold) and self.kl_threshold >= 0):
             raise ValueError(f"kl_threshold must be finite and non-negative, got {self.kl_threshold}")
@@ -59,8 +62,6 @@ class DetectorConfig:
             raise ValueError(f"convexity_run must be positive, got {self.convexity_run}")
         if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
             raise ValueError(f"window_seconds must be finite and positive, got {self.window_seconds}")
-        if not 0.0 <= self.outlier_weight <= 1.0:
-            raise ValueError(f"outlier_weight must be in [0, 1], got {self.outlier_weight}")
 
 
 @dataclass(frozen=True)
@@ -141,16 +142,15 @@ def convexity_signal(samples, m: int) -> bool:
     return True
 
 
-def fused_confidence(posterior: float, outlier: float, config: DetectorConfig) -> float:
+def fused_confidence(posterior: float, outlier: float) -> float:
     """The posterior, raised by its blend with the outlier score when that blend is higher."""
-    w = config.outlier_weight
-    return max(posterior, (1.0 - w) * posterior + w * outlier)
+    return max(posterior, (1.0 - OUTLIER_WEIGHT) * posterior + OUTLIER_WEIGHT * outlier)
 
 
 def is_attack(posterior: float, outlier: float, kl: float, convexity: bool,
               config: DetectorConfig) -> bool:
     """The attack rule: fused >= posterior_threshold, and KL >= kl_threshold or convexity."""
-    return fused_confidence(posterior, outlier, config) >= config.posterior_threshold and (
+    return fused_confidence(posterior, outlier) >= config.posterior_threshold and (
         kl >= config.kl_threshold or convexity
     )
 
@@ -159,5 +159,5 @@ def fuse_and_decide(source_id: str, posterior: float, outlier: float, kl: float,
                     convexity: bool, config: DetectorConfig) -> Verdict:
     """Label a source by the attack rule, with its fused confidence."""
     attack = is_attack(posterior, outlier, kl, convexity, config)
-    fused = fused_confidence(posterior, outlier, config)
+    fused = fused_confidence(posterior, outlier)
     return Verdict(source_id, RANSOMWARE if attack else BENIGN, fused)

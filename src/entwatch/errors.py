@@ -5,10 +5,6 @@ class EntwatchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NoLevels(EntwatchError):
-    """No hierarchy level has a value to aggregate."""
-
-
 class EmptyLevel(EntwatchError):
     """A level aggregate was requested with no member entropies."""
 

@@ -5,9 +5,9 @@ with non-negative weights. Source paths are routed to the first level whose
 glob pattern matches (fnmatch semantics, ``*`` crosses path separators);
 unmatched sources fall back to the first filesystem level. A level's entropy
 is the mean of its members' latest entropies, and the aggregate is the
-weighted sum over the levels that have a value, with the weights rescaled
-over those levels when the hierarchy is normalized. The config is immutable
-after construction and safe to share.
+weighted mean over the levels that have a value: their weights are rescaled
+to sum to 1 over just those levels. The config is immutable after
+construction and safe to share.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Mapping, Sequence
 
-from .errors import EmptyLevel, NoLevels, checked
+from .errors import EmptyLevel, checked
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -43,10 +43,8 @@ class LevelConfig:
 @dataclass(frozen=True)
 class HierarchyConfig:
     levels: tuple[LevelConfig, ...]
-    normalize: bool = True
 
     def __post_init__(self):
-        checked(self.normalize, "normalize", bool)
         object.__setattr__(self, "levels", tuple(self.levels))
         if not self.levels:
             raise ValueError("a hierarchy needs at least one level")
@@ -68,7 +66,6 @@ def default_hierarchy() -> HierarchyConfig:
                         ("/etc/**", "/var/**", "/usr/**", "/opt/**", "/bin/**", "/srv/**")),
             LevelConfig("net", "network", 0.2, ("net:**", "proc:**")),
         ),
-        normalize=True,
     )
 
 
@@ -102,21 +99,18 @@ def level_entropy(member_entropies: Sequence[float]) -> float:
     return sum(member_entropies) / len(member_entropies)
 
 
-def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]) -> float:
-    """Weighted sum of the entropies of the levels present in ``level_values``.
+def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]) -> float | None:
+    """Weighted mean of the entropies of the levels present in ``level_values``.
 
-    Levels without a value are left out. Under ``normalize`` the weights of
-    the present levels are divided by their sum, so they add up to 1; a
-    ValueError is raised when that sum is 0.
+    Levels without a value are left out, and the weights of the present
+    levels are divided by their sum, so they add up to 1. None when that sum
+    is 0, as it is when no level is present.
     """
     present = [lvl for lvl in config.levels if lvl.level_id in level_values]
-    if not present:
-        raise NoLevels("no hierarchy level has a value to aggregate")
     weight_sum = sum(lvl.weight for lvl in present)
-    if config.normalize and weight_sum <= 0:
-        raise ValueError("cannot normalize level weights that sum to 0")
+    if weight_sum <= 0:
+        return None
     total = 0.0
     for lvl in present:
-        weight = lvl.weight / weight_sum if config.normalize else lvl.weight
-        total += weight * level_values[lvl.level_id]
+        total += lvl.weight / weight_sum * level_values[lvl.level_id]
     return total

@@ -23,10 +23,11 @@ each close:
    per-trace memo keyed by level and that multiset, and computed on a miss;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
-   overwrites its source's slot, and appends their weighted sum, over the
+   overwrites its source's slot, and appends their weighted mean, over the
    levels that have data so far, to the aggregate series: the last
    ``convexity_run + 2`` (window end, entropy) pairs, all that
-   ``detector.convexity_signal`` reads;
+   ``detector.convexity_signal`` reads. When those levels' weights sum to 0
+   there is no mean, and the close appends nothing;
 3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
    max |dH|, max acceleration, KL) and outlier-scores them only when the
    attack rule (``detector.is_attack``) flags a scored, still-unflagged
@@ -149,10 +150,11 @@ class SourceWindows:
     A record belongs to window ``int(timestamp // window_seconds)``. A record
     from a later window first closes the open one; the windows skipped in
     between hold no records, so a gap of any length costs one close. A record
-    from a closed window raises MalformedRecord. Each source is routed to a
-    level at its first record, built by ``new_source`` and kept in
-    first-record order. A close visits only the sources that had payload in
-    the window, so its cost does not grow with the sources seen so far.
+    from a closed window, or whose window index is past the float range,
+    raises MalformedRecord. Each source is routed to a level at its first
+    record, built by ``new_source`` and kept in first-record order. A close
+    visits only the sources that had payload in the window, so its cost does
+    not grow with the sources seen so far.
     """
 
     def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
@@ -166,7 +168,11 @@ class SourceWindows:
 
     def push(self, rec: EventRecord) -> tuple[float, list] | None:
         """Add one record; returns ``close()``'s result when the record closed a window."""
-        idx = int(rec.timestamp // self.window_seconds)
+        try:
+            idx = int(rec.timestamp // self.window_seconds)
+        except OverflowError:  # the quotient is past the float range
+            raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s: its window "
+                                  f"index is past the float range") from None
         closed = None
         if self.index is None:
             self.index = idx
@@ -363,11 +369,8 @@ class TraceProcessor:
             values[lvl.level_id] = mean
             self.level_samples.append((lvl.level_id, t_end - self._windows.window_seconds, mean))
 
-        if values:
-            try:
-                total = aggregate_entropy(self.hierarchy, values)
-            except ValueError:  # the active levels' weights sum to 0
-                return
+        total = aggregate_entropy(self.hierarchy, values)
+        if total is not None:  # None: no level has data, or their weights sum to 0
             self._aggregate.append((t_end, min(max(total, 0.0), 8.0)))
 
     def _refresh_outliers(self) -> None:
@@ -393,7 +396,7 @@ class TraceProcessor:
             if track.verdict is not None:
                 per_source[sid] = track.verdict
             else:
-                fused = fused_confidence(track.posterior, track.outlier, self.detector)
+                fused = fused_confidence(track.posterior, track.outlier)
                 per_source[sid] = Verdict(sid, BENIGN, min(max(fused, 0.0), 1.0))
 
         any_flagged = any(v.label == RANSOMWARE for v in per_source.values())

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from entwatch import pipeline
+from entwatch import cli, pipeline
 from entwatch.clustering import FeatureVector, agglomerate, outliers
 from entwatch.detector import BENIGN, RANSOMWARE
 from entwatch.simulate import ScenarioSpec, simulate_scenario
@@ -97,3 +97,17 @@ def test_benchmark_traces_read_back(tmp_path):
     assert len(read_trace(paths[0]).records) == records
     common.write_meta_only_trace(tmp_path / "meta.jsonl")
     assert read_trace(tmp_path / "meta.jsonl").records == ()
+
+
+@pytest.mark.parametrize("argv, func, expected", [
+    (["profile", "a.jsonl", "b.jsonl", "--out", "base.json", "--frozen-clock"],
+     cli.cmd_profile, {"inputs": ["a.jsonl", "b.jsonl"], "out": "base.json"}),
+    (["detect", "a.jsonl", "b.jsonl", "--baseline", "base.json", "--out", "run",
+      "--frozen-clock"],
+     cli.cmd_detect, {"inputs": ["a.jsonl", "b.jsonl"], "baseline": "base.json", "out": "run"}),
+], ids=["profile", "detect"])
+def test_cli_parses_the_benchmark_argv(argv, func, expected):
+    # The argv shapes that perfbench/untraced.py and traced.py pass to the CLI.
+    args = cli.build_parser().parse_args(argv)
+    assert args.func is func and args.frozen_clock and args.config is None
+    assert {key: getattr(args, key) for key in expected} == expected

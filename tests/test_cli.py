@@ -1,9 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from entwatch.config import load_run_config
+from entwatch.detector import DetectorConfig
 from entwatch.entropy import histogram_from_bytes
 from entwatch.traces import EventRecord, Trace, TraceMeta, write_trace
 
@@ -19,6 +23,14 @@ def assert_one_error_line(res):
     assert res.returncode == 1
     lines = res.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+
+def write_far_trace(path, timestamp):
+    """A benign format-2 trace of one write at ``timestamp``."""
+    meta = {"format": 2, "scenario": "benign_edit", "seed": 0, "label": "benign"}
+    record = {"timestamp": timestamp, "source_path": "/home/u/x", "op": "write", "bytes": 3,
+              "histogram": [3] + [0] * 255}
+    path.write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +83,31 @@ class TestProfile:
         res = run_cli("profile", "--out", str(tmp_path / "p.json"))
         assert res.returncode == 2
 
+    def test_missing_input_is_usage_error_before_any_is_read(self, workspace, tmp_path):
+        out = tmp_path / "p.json"
+        res = run_cli("profile", str(workspace / "ben0.jsonl"), str(tmp_path / "nope.jsonl"),
+                      str(tmp_path / "gone"), "--out", str(out))
+        assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("profile: inputs do not exist:"), res.stderr
+        assert "nope.jsonl" in lines[0] and "gone" in lines[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("timestamp, window_seconds", [(1e308, 0.5), (1.0, 1e-310)],
+                             ids=["timestamp_1e308", "window_1e-310"])
+    def test_window_index_past_float_range_is_one_error_line(self, tmp_path, timestamp,
+                                                               window_seconds):
+        trace = tmp_path / "far.jsonl"
+        write_far_trace(trace, timestamp)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detector": {"window_seconds": window_seconds}}))
+        out = tmp_path / "p.json"
+        res = run_cli("profile", str(trace), "--config", str(cfg_path), "--out", str(out))
+        assert_one_error_line(res)
+        assert f"/home/u/x at {timestamp}s" in res.stderr
+        assert "past the float range" in res.stderr
+        assert not out.exists()
+
     def test_prints_per_level_counts(self, workspace, tmp_path):
         res = run_cli("profile", str(workspace / "ben0.jsonl"),
                       "--out", str(tmp_path / "p.json"), "--frozen-clock")
@@ -122,6 +159,17 @@ class TestProfile:
         for p in paths:
             run_cli("profile", str(workspace / "ben0.jsonl"), "--out", str(p), "--frozen-clock")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# A config file that sets a key the config no longer has, one per removed key.
+REMOVED_KEY_CONFIGS = {
+    "normalize": {"hierarchy": {"levels": [{"level_id": "fs-user", "kind": "filesystem",
+                                            "weight": 1.0}], "normalize": True}},
+    "outlier_weight": {"detector": {"outlier_weight": 0.2}},
+    "baseline_path": {"baseline_path": "base.json"},
+    "inputs": {"inputs": ["rw.jsonl"]},
+    "report_dir": {"report_dir": "run"},
+}
 
 
 class TestDetect:
@@ -184,18 +232,31 @@ class TestDetect:
         assert "unknown" in (out / "report.csv").read_text()
 
     def test_config_file_drives_run(self, workspace, tmp_path):
+        # The posterior is clamped at 1 - 1e-6, so no fused confidence reaches
+        # this threshold: nothing is flagged only if the config was applied.
         out = tmp_path / "run"
-        cfg = {
-            "detector": {"posterior_threshold": 0.9, "kl_threshold": 1.0},
-            "baseline_path": str(workspace / "base.json"),
-            "inputs": [str(workspace / "rw.jsonl")],
-            "report_dir": str(out),
-        }
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        res = run_cli("detect", "--config", str(cfg_path), "--frozen-clock")
+        cfg_path.write_text(json.dumps({"detector": {"posterior_threshold": 0.9999999,
+                                                     "kl_threshold": 0.5}}))
+        res = run_cli("detect", str(workspace / "rw.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out),
+                      "--frozen-clock")
         assert res.returncode == 0, res.stderr
-        assert (out / "report.csv").exists()
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["benign"]
+
+    @pytest.mark.parametrize("key", list(REMOVED_KEY_CONFIGS))
+    def test_removed_key_is_usage_error(self, workspace, tmp_path, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(REMOVED_KEY_CONFIGS[key]))
+        out = tmp_path / "run"
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert repr(key) in lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [
         {"detector": {"kl_threshold": float("nan")}},
@@ -204,12 +265,9 @@ class TestDetect:
                                    "weight": float("nan")}]}},
         {"detector": {"convexity_run": 3.0}},
         {"detector": {"convexity_run": True}},
-        {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0}],
-                       "normalize": "false"}},
         {"detector": {"kl_threshold": True}},
         {"detector": {"posterior_threshold": True}},
         {"detector": {"window_seconds": True}},
-        {"detector": {"outlier_weight": True}},
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": True}]}},
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0,
                                    "path_patterns": "/etc/**"}]}},
@@ -219,15 +277,12 @@ class TestDetect:
         {"hierarchy": {"levels": [{"level_id": "fs", "kind": "filesystem", "weight": 1.0,
                                    "path_pattern": ["/etc/**"]}]}},
         {"detectors": {"kl_threshold": 9.0}},
-        {"inputs": "b.jsonl"},
         {"hierarchy": {"levels": [{"level_id": 5, "kind": "filesystem", "weight": 1.0}]}},
-        {"baseline_path": 5},
     ], ids=["kl_threshold", "window_seconds", "level_weight", "convexity_run_float",
-            "convexity_run_bool", "normalize_string", "kl_threshold_bool",
-            "posterior_threshold_bool", "window_seconds_bool", "outlier_weight_bool",
-            "level_weight_bool", "path_patterns_string", "detector_unknown_key",
-            "hierarchy_unknown_key", "level_unknown_key", "top_level_unknown_key",
-            "inputs_string", "level_id_not_string", "baseline_path_not_string"])
+            "convexity_run_bool", "kl_threshold_bool", "posterior_threshold_bool",
+            "window_seconds_bool", "level_weight_bool", "path_patterns_string",
+            "detector_unknown_key", "hierarchy_unknown_key", "level_unknown_key",
+            "top_level_unknown_key", "level_id_not_string"])
     def test_non_finite_config_is_usage_error(self, workspace, tmp_path, config):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))  # writes NaN, which json.load accepts
@@ -339,11 +394,30 @@ class TestDetect:
                       str(workspace / "base.json"), "--out", str(blocker / "sub"))
         assert_one_error_line(res)
 
-    def test_bad_config_is_usage_error(self, tmp_path):
+    def test_bad_config_is_usage_error(self, workspace, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
-        res = run_cli("detect", "--config", str(cfg_path))
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "r"))
         assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and "is not valid JSON" in lines[0], res.stderr
+
+    def test_window_index_past_float_range_gives_error_row(self, workspace, tmp_path):
+        # 1e308 / 0.5 is past the float range, so the record has no window index.
+        bad = tmp_path / "far.jsonl"
+        write_far_trace(bad, 1e308)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detector": {"window_seconds": 0.5}}))
+        out = tmp_path / "run"
+        res = run_cli("detect", str(bad), str(workspace / "ben1.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "/home/u/x at 1e+308s" in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        verdicts = {row.split(",")[0].rsplit("/", 1)[-1]: row.split(",")[2] for row in rows}
+        assert verdicts == {"far.jsonl": "error", "ben1.jsonl": "benign"}
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])
@@ -439,3 +513,16 @@ class TestReport:
         original = json.loads((out / "metrics.json").read_text())
         assert recomputed["accuracy"] == original["accuracy"]
         assert recomputed["fpr"] == original["fpr"]
+
+
+def test_readme_config_example_loads(tmp_path):
+    # The README's --config example is a config file that loads as it stands,
+    # so a key the config no longer has cannot stay in the docs.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(example)
+    hierarchy, detector = load_run_config(cfg_path)
+    assert detector == DetectorConfig()
+    assert [lvl.level_id for lvl in hierarchy.levels] == ["fs-user", "fs-system", "net"]

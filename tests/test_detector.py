@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from entwatch.detector import (
     Alert,
     DetectorConfig,
+    OUTLIER_WEIGHT,
     Verdict,
     convexity_signal,
     fuse_and_decide,
@@ -116,7 +119,7 @@ class TestConvexitySignal:
 
 class TestFuseAndDecide:
     def test_high_posterior_with_kl_gate(self):
-        cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9, outlier_weight=0.0)
+        cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9)
         verdict = fuse_and_decide("s", posterior=0.99, outlier=0.0, kl=3.2, convexity=False,
                                   config=cfg)
         assert verdict.label == "ransomware"
@@ -129,7 +132,7 @@ class TestFuseAndDecide:
         assert verdict.label == "benign"
 
     def test_gate_requires_kl_or_convexity(self):
-        cfg = DetectorConfig(kl_threshold=1.0, outlier_weight=0.0)
+        cfg = DetectorConfig(kl_threshold=1.0)
         verdict = fuse_and_decide("s", posterior=0.95, outlier=0.0, kl=0.1, convexity=False,
                                   config=cfg)
         assert verdict.label == "benign"
@@ -145,27 +148,25 @@ class TestFuseAndDecide:
             assert verdict.confidence >= cfg.posterior_threshold
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans(),
-           st.floats(0.0, 1.0), st.floats(0.01, 0.99), st.floats(0.0, 5.0))
+           st.floats(0.01, 0.99), st.floats(0.0, 5.0))
     def test_attack_rule_flags_at_full_outlier(self, post, outlier, kl, convexity,
-                                               weight, threshold, kl_threshold):
+                                               threshold, kl_threshold):
         # The outlier gate skips clustering when the rule does not flag at outlier 1.0.
-        cfg = DetectorConfig(kl_threshold=kl_threshold, posterior_threshold=threshold,
-                             outlier_weight=weight)
+        cfg = DetectorConfig(kl_threshold=kl_threshold, posterior_threshold=threshold)
         if is_attack(post, outlier, kl, convexity, cfg):
             assert is_attack(post, 1.0, kl, convexity, cfg)
-            assert fused_confidence(post, outlier, cfg) >= cfg.posterior_threshold
+            assert fused_confidence(post, outlier) >= cfg.posterior_threshold
 
     def test_fused_confidence_blend(self):
-        cfg = DetectorConfig(outlier_weight=0.25)
-        assert fused_confidence(0.8, 0.4, cfg) == pytest.approx(0.8)  # a low score cannot veto
-        assert fused_confidence(0.6, 1.0, cfg) == pytest.approx(0.7)  # a high one adds evidence
+        assert OUTLIER_WEIGHT == 0.2
+        assert fused_confidence(0.8, 0.4) == pytest.approx(0.8)  # a low score cannot veto
+        assert fused_confidence(0.6, 1.0) == pytest.approx(0.68)  # a high one adds evidence
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_fused_confidence_never_below_posterior_and_monotone(self, post, o_a, o_b, weight):
-        cfg = DetectorConfig(outlier_weight=weight)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_fused_confidence_never_below_posterior_and_monotone(self, post, o_a, o_b):
         lo, hi = sorted((o_a, o_b))
-        assert fused_confidence(post, lo, cfg) >= post
-        assert fused_confidence(post, lo, cfg) <= fused_confidence(post, hi, cfg)
+        assert fused_confidence(post, lo) >= post
+        assert fused_confidence(post, lo) <= fused_confidence(post, hi)
 
 
 class TestAlerts:
@@ -198,11 +199,15 @@ class TestConfigValidation:
             DetectorConfig(convexity_run=3.0)
         with pytest.raises(ValueError):
             DetectorConfig(convexity_run=True)
-        with pytest.raises(ValueError):
-            DetectorConfig(outlier_weight=1.5)
-        for name in ("kl_threshold", "posterior_threshold", "window_seconds", "outlier_weight"):
+        for name in ("kl_threshold", "posterior_threshold", "window_seconds"):
             with pytest.raises(ValueError, match=name):
                 DetectorConfig(**{name: True})
+
+    def test_fields_are_the_four_settings(self):
+        assert [f.name for f in fields(DetectorConfig)] == [
+            "kl_threshold", "posterior_threshold", "convexity_run", "window_seconds"]
+        with pytest.raises(TypeError, match="outlier_weight"):
+            DetectorConfig(outlier_weight=0.2)
 
     def test_verdict_validation(self):
         with pytest.raises(ValueError):

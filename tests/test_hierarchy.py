@@ -1,8 +1,10 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwatch.errors import EmptyLevel, NoLevels
+from entwatch.errors import EmptyLevel
 from entwatch.hierarchy import (
     HierarchyConfig,
     LevelConfig,
@@ -13,14 +15,13 @@ from entwatch.hierarchy import (
 )
 
 
-def three_levels(normalize=False, weights=(0.5, 0.3, 0.2)):
+def three_levels(weights=(0.5, 0.3, 0.2)):
     return HierarchyConfig(
         levels=(
             LevelConfig("user", "filesystem", weights[0], ("/home/**",)),
             LevelConfig("system", "filesystem", weights[1], ("/etc/**", "/var/**")),
             LevelConfig("net", "network", weights[2], ("net:**",)),
         ),
-        normalize=normalize,
     )
 
 
@@ -44,6 +45,11 @@ class TestRouting:
         # Rejected when built, so routing always has a level to fall back to.
         with pytest.raises(ValueError, match="at least one level"):
             HierarchyConfig(levels=())
+
+    def test_levels_are_the_only_setting(self):
+        assert [f.name for f in fields(HierarchyConfig)] == ["levels"]
+        with pytest.raises(TypeError, match="normalize"):
+            HierarchyConfig(levels=(LevelConfig("a", "filesystem", 1.0),), normalize=True)
 
     def test_duplicate_level_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -77,14 +83,9 @@ class TestAggregateEntropy:
         got = aggregate_entropy(three_levels(), {"user": 7.5, "system": 6.2, "net": 5.9})
         assert got == pytest.approx(6.79)
 
-    def test_all_zero_weights_allowed_without_normalization(self):
-        cfg = three_levels(weights=(0.0, 0.0, 0.0))
-        assert aggregate_entropy(cfg, {"user": 7.5, "system": 6.2, "net": 5.9}) == 0.0
-
     def test_all_zero_weights_rejected_with_normalization(self):
-        cfg = three_levels(normalize=True, weights=(0.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            aggregate_entropy(cfg, {"user": 7.5, "system": 6.2, "net": 5.9})
+        cfg = three_levels(weights=(0.0, 0.0, 0.0))
+        assert aggregate_entropy(cfg, {"user": 7.5, "system": 6.2, "net": 5.9}) is None
 
     def test_subset_renormalized(self):
         # The weights of the present levels are summed in declaration order,
@@ -97,47 +98,34 @@ class TestAggregateEntropy:
         expected = 0.0
         for level_id in ("user", "system"):
             expected += weights[level_id] / weight_sum * values[level_id]
-        assert aggregate_entropy(three_levels(normalize=True), values) == expected
+        assert aggregate_entropy(three_levels(), values) == expected
         assert expected == pytest.approx((0.5 * 7.5 + 0.3 * 6.2) / 0.8)
 
-    def test_subset_without_normalization_uses_raw_weights(self):
-        assert aggregate_entropy(three_levels(), {"user": 7.5, "net": 5.9}) == 0.5 * 7.5 + 0.2 * 5.9
-
     def test_zero_weight_subset_rejected_with_normalization(self):
-        cfg = three_levels(normalize=True, weights=(0.5, 0.3, 0.0))
-        with pytest.raises(ValueError):
-            aggregate_entropy(cfg, {"net": 5.9})
+        cfg = three_levels(weights=(0.5, 0.3, 0.0))
+        assert aggregate_entropy(cfg, {"net": 5.9}) is None
 
     def test_no_level_present(self):
-        with pytest.raises(NoLevels):
-            aggregate_entropy(three_levels(), {"other": 5.9})
-
-    @given(st.floats(0.1, 10.0))
-    def test_weight_scaling_linearity(self, c):
-        values = {"user": 7.5, "system": 6.2, "net": 5.9}
-        base = aggregate_entropy(three_levels(), values)
-        scaled = aggregate_entropy(three_levels(weights=(0.5 * c, 0.3 * c, 0.2 * c)), values)
-        assert scaled == pytest.approx(c * base, rel=1e-12)
+        assert aggregate_entropy(three_levels(), {"other": 5.9}) is None
+        assert aggregate_entropy(three_levels(), {}) is None
 
     @given(st.floats(0.1, 10.0))
     def test_normalized_invariant_under_weight_scaling(self, c):
         values = {"user": 7.5, "system": 6.2, "net": 5.9}
-        base = aggregate_entropy(three_levels(normalize=True), values)
-        scaled = aggregate_entropy(
-            three_levels(normalize=True, weights=(0.5 * c, 0.3 * c, 0.2 * c)), values)
+        base = aggregate_entropy(three_levels(), values)
+        scaled = aggregate_entropy(three_levels(weights=(0.5 * c, 0.3 * c, 0.2 * c)), values)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_permutation_invariance(self):
         values = {"user": 7.5, "system": 6.2, "net": 5.9}
         cfg = three_levels()
-        reordered = HierarchyConfig(levels=tuple(reversed(cfg.levels)), normalize=False)
+        reordered = HierarchyConfig(levels=tuple(reversed(cfg.levels)))
         assert aggregate_entropy(cfg, values) == pytest.approx(aggregate_entropy(reordered, values))
 
 
 class TestDefaults:
     def test_default_hierarchy_normalized(self):
         cfg = default_hierarchy()
-        assert cfg.normalize
         values = {lvl.level_id: 4.0 for lvl in cfg.levels}
         assert aggregate_entropy(cfg, values) == pytest.approx(4.0, abs=1e-9)
 

@@ -189,8 +189,8 @@ class TestLevelSeries:
 
     def test_zero_weight_active_level_skips_aggregate(self, benign_profile, attack_model,
                                                       run_detection):
-        # Only fs-user has data and its weight is 0, so under normalize the
-        # aggregate cannot be formed: each close skips it, and with it the
+        # Only fs-user has data and its weight is 0, so the weighted mean
+        # cannot be formed: each close skips it, and with it the
         # convexity signal, but still scores and decides every source.
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
         assert run_detection(trace, "rw").convexity_true_at
@@ -198,7 +198,6 @@ class TestLevelSeries:
         hierarchy = HierarchyConfig(
             levels=tuple(replace(lvl, weight=0.0) if lvl.level_id == "fs-user" else lvl
                          for lvl in default.levels),
-            normalize=True,
         )
         proc = TraceProcessor(hierarchy, profile=benign_profile, attack_model=attack_model)
         proc.process(trace.records)
