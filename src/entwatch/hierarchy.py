@@ -51,6 +51,12 @@ class HierarchyConfig:
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate level ids in hierarchy: {ids}")
+        # Every weight is finite, but their sum can pass the float range; each
+        # weight over an infinite sum is 0, and the aggregate would be 0 always.
+        # A finite sum bounds the sum over any subset of the levels as well.
+        weight_sum = sum(lvl.weight for lvl in self.levels)
+        if not math.isfinite(weight_sum):
+            raise ValueError(f"level weights must have a finite sum, got {weight_sum}")
 
 
 def default_hierarchy() -> HierarchyConfig:

@@ -21,10 +21,14 @@ rename that lands there is dropped, after all draws.
 Payload histograms are constructed directly (no raw bytes): a one-parameter
 mixture between a point mass and the uniform byte distribution is solved for
 the target entropy, then quantized to integer counts by largest remainder.
-Realized entropy lands within a few thousandths of a bit of the target.
+Realized entropy lands within a few thousandths of a bit of the target. The
+histograms of a trace are synthesized in fixed blocks of rows, each by one
+vectorized largest-remainder pass whose per-element operations are those of a
+one-row pass, so the counts do not depend on the block size.
 
-Each kind schedules its writes and draws their heavy bytes; the golden trace
-hashes pin the order of the RNG draws, per kind:
+Each kind schedules its writes and draws their heavy bytes, all before any
+histogram is synthesized; synthesis draws nothing. The golden trace hashes pin
+the order of the RNG draws, per kind:
 
 * benign_edit: ``uniform(base, size=file_count)``; then, per edit,
   ``uniform(±jitter)`` then ``integers(1024, 8193)``; then
@@ -40,6 +44,7 @@ hashes pin the order of the RNG draws, per kind:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -101,39 +106,81 @@ class ScenarioSpec:
             raise InvalidSpec(f"ramp must satisfy 0 <= start <= end <= 8, got {self.ramp}")
 
 
-def _mixture_entropy(lam: np.ndarray) -> np.ndarray:
-    """Entropy of (1-lam)*point-mass + lam*uniform over 256 symbols."""
-    lam = np.asarray(lam, dtype=np.float64)
-    p0 = 1.0 - 255.0 * lam / 256.0
-    u = lam / 256.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -(p0 * np.log2(p0) + 255.0 * np.where(u > 0, u * np.log2(u), 0.0))
-    return np.where(lam <= 0, 0.0, h)
+# Histograms are synthesized this many rows at a time, by one vectorized pass
+# per block whose temporaries (about 100 KiB) do not grow with the trace.
+_BLOCK_ROWS = 16
 
 
 def solve_mixture_weights(targets: np.ndarray, iterations: int = 60) -> np.ndarray:
-    """Invert the mixture entropy curve by bisection, vectorized over targets."""
+    """Invert the mixture entropy curve by bisection, vectorized over targets.
+
+    The curve is the entropy of ``(1-lam)`` point mass plus ``lam`` uniform over
+    256 symbols. ``mid`` stays in [2**-iterations, 1], so both logarithms are
+    finite for any count below 1075.
+    """
     targets = np.asarray(targets, dtype=np.float64)
     lo = np.zeros_like(targets)
     hi = np.ones_like(targets)
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
-        below = _mixture_entropy(mid) < targets
+        p0 = 1.0 - 255.0 * mid / 256.0
+        u = mid / 256.0
+        below = -(p0 * np.log2(p0) + 255.0 * (u * np.log2(u))) < targets
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return (lo + hi) / 2.0
 
 
-def _largest_remainder_counts(probs: np.ndarray, total: int) -> np.ndarray:
-    scaled = probs * total
-    counts = np.floor(scaled).astype(np.int64)
-    short = total - int(counts.sum())
-    if short > 0:
-        remainders = scaled - counts
-        # Stable sort keeps ties deterministic (lowest byte value first).
-        order = np.argsort(-remainders, kind="stable")
-        counts[order[:short]] += 1
-    return counts
+def _synthesize(lams: np.ndarray, totals: np.ndarray, heavies: np.ndarray) -> Iterator[np.ndarray]:
+    """Each row's 256 counts, quantized from its mixture by largest remainder.
+
+    Row i is the mixture of weight ``lams[i]`` with its point mass on byte
+    ``heavies[i]``, scaled to ``totals[i]`` bytes; the counts are the floors,
+    plus one on each of the ``short`` buckets with the largest remainders,
+    ties to the lowest byte value. Rows are synthesized ``_BLOCK_ROWS`` at a
+    time in buffers reused from block to block, and each row is yielded as a
+    view into its block's counts.
+    """
+    block = min(len(lams), _BLOCK_ROWS)
+    scaled = np.empty((block, 256))
+    floors = np.empty((block, 256))
+    # Once a block's floors are in its counts, their buffer holds the ranks.
+    rank = floors.view(np.int64)
+    # Every block's counts are allocated before the first pass, so a trace's
+    # histograms lie together, not between the passes' temporaries. Allocated
+    # between them, they leave the heap fragmented once the trace is freed,
+    # and a process that goes on to read traces can peak 8 MB higher in RSS.
+    blocks = [np.empty((len(lams[start:start + _BLOCK_ROWS]), 256), dtype=np.int64)
+              for start in range(0, len(lams), _BLOCK_ROWS)]
+    byte_values = np.arange(256)
+    rows = np.arange(block)
+    row_starts = rows[:, None] * 256  # flat index of each row's byte 0
+    for start, counts in zip(range(0, len(lams), _BLOCK_ROWS), blocks):
+        n = len(counts)
+        block_rows = slice(start, start + n)
+        lam, total = lams[block_rows], totals[block_rows]
+        s, f, r = scaled[:n], floors[:n], rank[:n]
+        np.divide(lam[:, None], 256.0, out=s)
+        s[rows[:n], heavies[block_rows]] = 1.0 - 255.0 * lam / 256.0
+        s *= total.astype(np.float64)[:, None]
+        np.floor(s, out=f)
+        np.copyto(counts, f, casting="unsafe")
+        short = total - counts.sum(axis=1)
+        s -= f  # the remainders: the floors are integers, so this is scaled - counts
+        np.negative(s, out=s)
+        order = np.argsort(s, axis=1, kind="stable")
+        order += row_starts[:n]
+        # r[i, b] becomes byte b's place in row i's order of decreasing remainders.
+        np.put(r, order, byte_values)
+        counts += r < short[:, None]
+        yield from counts
+
+
+def _histogram(counts: np.ndarray, total: int) -> ByteHistogram:
+    hist = ByteHistogram.__new__(ByteHistogram)
+    hist.counts = counts
+    hist.total = total
+    return hist
 
 
 def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int,
@@ -146,12 +193,9 @@ def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int,
     lam = mixture_weight
     if lam is None:
         lam = float(solve_mixture_weights(np.asarray([target_entropy]))[0])
-    probs = np.full(256, lam / 256.0)
-    probs[heavy_byte] = 1.0 - 255.0 * lam / 256.0
-    hist = ByteHistogram()
-    hist.counts = _largest_remainder_counts(probs, total)
-    hist.total = total
-    return hist
+    counts, = _synthesize(np.asarray([lam], dtype=np.float64), np.asarray([total], dtype=np.int64),
+                          np.asarray([heavy_byte]))
+    return _histogram(counts, total)
 
 
 def _times(start: float, step: float, until: float) -> list[float]:
@@ -165,23 +209,23 @@ def _times(start: float, step: float, until: float) -> list[float]:
 def _edits(rng: np.random.Generator, base_entropies: np.ndarray, jitter: float, until: float):
     """Rows editing each file in turn near its base entropy, and their printable heavy bytes."""
     step = 1.0 / BENIGN_EVENT_RATE
+    bases = base_entropies.tolist()
     rows = []
     for i, t in enumerate(_times(step / 4.0, step, until)):
-        fidx = i % len(base_entropies)
-        target = float(np.clip(base_entropies[fidx] + rng.uniform(-jitter, jitter), 0.0, 8.0))
+        fidx = i % len(bases)
+        target = min(max(bases[fidx] + rng.uniform(-jitter, jitter), 0.0), 8.0)
         rows.append((t, fidx, target, int(rng.integers(1024, 8193))))
-    per_file = rng.integers(32, 127, size=len(base_entropies))  # one per file, text-like
+    per_file = rng.integers(32, 127, size=len(bases))  # one per file, text-like
     return rows, per_file[[fidx for _, fidx, _, _ in rows]]
 
 
 def _writes(rows, paths: list[str], heavies) -> list[EventRecord]:
     """A write record per (timestamp, file index, target entropy, size) row and heavy byte."""
     lams = solve_mixture_weights(np.asarray([target for _, _, target, _ in rows]))
-    return [
-        EventRecord(t, paths[fidx], "write",
-                    synthesize_histogram(target, size, int(heavy), mixture_weight=float(lam)), size)
-        for (t, fidx, target, size), heavy, lam in zip(rows, heavies, lams)
-    ]
+    totals = np.asarray([size for _, _, _, size in rows], dtype=np.int64)
+    counts = _synthesize(lams, totals, np.asarray(heavies, dtype=np.intp))
+    return [EventRecord(t, paths[fidx], "write", _histogram(row, size), size)
+            for (t, fidx, _, size), row in zip(rows, counts)]
 
 
 def simulate_scenario(spec: ScenarioSpec) -> Trace:

@@ -156,27 +156,31 @@ def _meta_line(meta: TraceMeta) -> str:
     return "{" + ",".join(parts) + "}"
 
 
-def _record_line(rec: EventRecord) -> str:
-    parts = [
-        f'"timestamp":{format_seconds(rec.timestamp)}',
-        f'"source_path":{json.dumps(rec.source_path)}',
-    ]
-    if rec.level_hint is not None:
-        parts.append(f'"level_hint":{json.dumps(rec.level_hint)}')
-    parts.append(f'"op":{json.dumps(rec.op)}')
-    parts.append(f'"bytes":{rec.bytes}')
-    parts.append('"histogram":' + orjson.dumps(rec.histogram.counts,
-                                               option=orjson.OPT_SERIALIZE_NUMPY).decode())
-    return "{" + ",".join(parts) + "}"
+# The op and level hint come from fixed vocabularies of plain ASCII words, so
+# their JSON fields are written once here, not quoted per record.
+_OP_FIELDS = {op: f'"op":"{op}"' for op in OPS}
+_LEVEL_HINT_FIELDS = {None: "", **{kind: f'"level_hint":"{kind}",' for kind in LEVEL_KINDS}}
+
+
+def _record_line(rec: EventRecord, source_path_json: str) -> str:
+    """The record's line, its ``source_path`` already JSON-quoted as ``source_path_json``."""
+    return (f'{{"timestamp":{format_seconds(rec.timestamp)},"source_path":{source_path_json},'
+            f'{_LEVEL_HINT_FIELDS[rec.level_hint]}{_OP_FIELDS[rec.op]},"bytes":{rec.bytes},'
+            '"histogram":' + orjson.dumps(rec.histogram.counts, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            + "}\n")
 
 
 def write_trace(trace: Trace, path) -> None:
     """Stream the trace to disk one line per record."""
+    quoted = {}  # each distinct source path is JSON-quoted once
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_meta_line(trace.meta) + "\n")
             for rec in trace.records:
-                fh.write(_record_line(rec) + "\n")
+                path_json = quoted.get(rec.source_path)
+                if path_json is None:
+                    path_json = quoted[rec.source_path] = json.dumps(rec.source_path)
+                fh.write(_record_line(rec, path_json))
     except OSError as exc:
         raise IoFailure(f"cannot write trace to {path}: {exc}") from exc
 

@@ -403,6 +403,20 @@ class TestDetect:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and "is not valid JSON" in lines[0], res.stderr
 
+    def test_level_weight_sum_past_float_range_is_usage_error(self, workspace, tmp_path):
+        levels = [{"level_id": level_id, "kind": "filesystem", "weight": 1e308}
+                  for level_id in ("a", "b")]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"hierarchy": {"levels": levels}}))
+        out = tmp_path / "run"
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert "finite sum, got inf" in lines[0]
+        assert not out.exists()
+
     def test_window_index_past_float_range_gives_error_row(self, workspace, tmp_path):
         # 1e308 / 0.5 is past the float range, so the record has no window index.
         bad = tmp_path / "far.jsonl"

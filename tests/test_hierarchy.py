@@ -58,6 +58,15 @@ class TestRouting:
                 LevelConfig("a", "network", 1.0),
             ))
 
+    def test_weight_sum_past_float_range_rejected(self):
+        # Each weight is finite, but their sum is inf: each weight over it would
+        # be 0, and so would the aggregate at every window close.
+        with pytest.raises(ValueError, match="finite sum, got inf"):
+            HierarchyConfig(levels=(
+                LevelConfig("a", "filesystem", 1e308),
+                LevelConfig("b", "filesystem", 1e308),
+            ))
+
 
 class TestLevelEntropy:
     def test_single_member_identity(self):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from entwatch.entropy import shannon_entropy
 from entwatch.errors import InvalidSpec
 from entwatch.simulate import (
+    _BLOCK_ROWS,
     ScenarioSpec,
+    _synthesize,
     simulate_scenario,
     solve_mixture_weights,
     synthesize_histogram,
@@ -41,6 +45,96 @@ class TestSynthesis:
     def test_invalid_target(self):
         with pytest.raises(InvalidSpec):
             synthesize_histogram(9.0, 100, 0)
+
+
+def reference_mixture_entropy(lam):
+    """The mixture entropy with guards for lam = 0, as the one-row synthesis had it."""
+    lam = np.asarray(lam, dtype=np.float64)
+    p0 = 1.0 - 255.0 * lam / 256.0
+    u = lam / 256.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p0 * np.log2(p0) + 255.0 * np.where(u > 0, u * np.log2(u), 0.0))
+    return np.where(lam <= 0, 0.0, h)
+
+
+def reference_solve(targets, iterations=60):
+    targets = np.asarray(targets, dtype=np.float64)
+    lo = np.zeros_like(targets)
+    hi = np.ones_like(targets)
+    for _ in range(iterations):
+        mid = (lo + hi) / 2.0
+        below = reference_mixture_entropy(mid) < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return (lo + hi) / 2.0
+
+
+def reference_counts(lam, total, heavy_byte):
+    """One row's counts by the one-row largest-remainder pass."""
+    probs = np.full(256, lam / 256.0)
+    probs[heavy_byte] = 1.0 - 255.0 * lam / 256.0
+    scaled = probs * total
+    counts = np.floor(scaled).astype(np.int64)
+    short = total - int(counts.sum())
+    if short > 0:
+        remainders = scaled - counts
+        order = np.argsort(-remainders, kind="stable")
+        counts[order[:short]] += 1
+    return counts
+
+
+GRID_TARGETS = (0.0, 1e-9, 4.5, 7.999999, 8.0)
+GRID_TOTALS = (1, 255, 256, 257, 4096, 16384, 2 ** 40)
+GRID_HEAVIES = (0, 255)
+
+
+class TestBlockSynthesisMatchesOneRow:
+    """Block synthesis gives every count and weight that one row at a time gave."""
+
+    @pytest.mark.parametrize("target", GRID_TARGETS)
+    @pytest.mark.parametrize("total", GRID_TOTALS)
+    @pytest.mark.parametrize("heavy", GRID_HEAVIES)
+    def test_synthesize_histogram(self, target, total, heavy):
+        lam = float(reference_solve(np.asarray([target]))[0])
+        hist = synthesize_histogram(target, total, heavy)
+        assert np.array_equal(hist.counts, reference_counts(lam, total, heavy))
+        assert hist.total == total
+
+    @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                      3 * _BLOCK_ROWS + 5])
+    def test_rows_across_blocks(self, rows):
+        rng = np.random.default_rng(rows)
+        targets = rng.choice(GRID_TARGETS, size=rows)
+        totals = rng.choice(GRID_TOTALS, size=rows)
+        heavies = rng.choice(GRID_HEAVIES, size=rows)
+        lams = solve_mixture_weights(targets)
+        counts = list(_synthesize(lams, totals, heavies))
+        assert len(counts) == rows
+        for row, lam, total, heavy in zip(counts, lams.tolist(), totals.tolist(), heavies.tolist()):
+            assert np.array_equal(row, reference_counts(lam, total, heavy))
+
+    def test_mixture_weights_bit_identical(self):
+        targets = np.concatenate([[0.0, 8.0], np.random.default_rng(2026).uniform(0.0, 8.0, 10_000)])
+        assert np.array_equal(solve_mixture_weights(targets).view(np.uint64),
+                              reference_solve(targets).view(np.uint64))
+
+
+def test_synthesis_temporaries_stay_bounded():
+    # On Linux a child's peak RSS (ru_maxrss) includes its parent's peak up to
+    # the fork, so a process that simulates traces and then times `detect`
+    # reports the simulator's temporaries as detect's memory. Synthesis works
+    # in fixed row blocks so they stay small however long the trace.
+    # tracemalloc sees numpy's allocations.
+    spec = ScenarioSpec("benign_edit", seed=7, duration=1000.0)
+    simulate_scenario(spec)
+    tracemalloc.start()
+    try:
+        trace = simulate_scenario(spec)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.records) == 4000
+    assert peak - retained <= 2 ** 20
 
 
 class TestSpecValidation:
