@@ -38,7 +38,6 @@ DEFAULT_PRIOR = 0.01
 
 @dataclass(frozen=True)
 class BaselineProfile:
-    version: int
     prior: float
     created_at: float
     per_level: dict[str, BinnedDistribution]
@@ -46,9 +45,6 @@ class BaselineProfile:
     inputs: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
-        if checked(self.version, "version", int) != PROFILE_VERSION:
-            raise UnsupportedVersion(f"profile version {self.version} is not supported "
-                                     f"(expected {PROFILE_VERSION})")
         prior = checked(self.prior, "prior", float)
         if not 0.0 <= prior <= 1.0:
             raise InvalidPrior(f"prior must be in [0, 1], got {prior}")
@@ -112,7 +108,6 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
         per_level[level_id] = smoothed_distribution(samples)
         sample_counts[level_id] = len(samples)
     return BaselineProfile(
-        version=PROFILE_VERSION,
         prior=prior,
         created_at=time.time() if created_at is None else created_at,
         per_level=per_level,
@@ -123,7 +118,7 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
 
 def _profile_document(profile: BaselineProfile) -> dict:
     return {
-        "version": profile.version,
+        "version": PROFILE_VERSION,
         "prior": profile.prior,
         "created_at": profile.created_at,
         "inputs": list(profile.inputs),
@@ -173,8 +168,8 @@ def load_profile(path) -> BaselineProfile:
     stored = doc.pop("crc32")
     if stored != _checksum(doc):
         raise CorruptProfile(f"profile {path} failed its CRC-32 check")
-    version = doc.get("version")
-    if version != PROFILE_VERSION:
+    version = doc.pop("version", None)
+    if type(version) is not int or version != PROFILE_VERSION:
         raise UnsupportedVersion(f"profile version {version!r} is not supported (expected {PROFILE_VERSION})")
     try:
         per_level, sample_counts = {}, {}

@@ -10,7 +10,6 @@ import argparse
 import os
 import sys
 import time
-from pathlib import Path
 
 from .baseline import DEFAULT_PRIOR, fit_baseline, load_profile, save_profile
 from .config import load_run_config
@@ -28,7 +27,7 @@ from .metrics import (
 )
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
 from .simulate import DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
-from .traces import LABEL_BENIGN, iter_trace, scan_directory, write_trace
+from .traces import BENIGN, iter_trace, scan_directory, write_trace
 
 DEFAULT_CHUNK_BYTES = 4096
 
@@ -87,13 +86,15 @@ def _load_config(args) -> tuple[HierarchyConfig, DetectorConfig]:
 
 
 def _input_records(path: str, chunk_bytes: int):
-    """(label, onset_at, record iterator, skipped count) for one input."""
-    p = Path(path)
-    if p.is_dir():
-        result = scan_directory(p, chunk_bytes)
-        return None, None, iter(result.records), len(result.skipped)
+    """(label, onset_at, lazy record iterator, unreadable files) for one input.
+
+    A directory's unreadable files are listed as its records are read.
+    """
+    if os.path.isdir(path):
+        records, skipped = scan_directory(path, chunk_bytes)
+        return None, None, records, skipped
     meta, records = iter_trace(path)
-    return meta.label, meta.onset_at, records, 0
+    return meta.label, meta.onset_at, records, []
 
 
 def cmd_profile(args) -> int:
@@ -104,13 +105,13 @@ def cmd_profile(args) -> int:
     pooled: dict[str, list[float]] = {}
     for path in sorted(args.inputs):
         label, onset, records, skipped = _input_records(path, args.chunk_bytes)
-        if label is not None and label != LABEL_BENIGN:
+        if label is not None and label != BENIGN:
             print(f"profile: input {path} is labeled {label}, profiling needs benign inputs",
                   file=sys.stderr)
             return 2
-        if skipped:
-            print(f"profile: skipped {skipped} unreadable files under {path}", file=sys.stderr)
         per_level = collect_trace_deviations(records, hierarchy, detector)
+        if skipped:
+            print(f"profile: skipped {len(skipped)} unreadable files under {path}", file=sys.stderr)
         for level_id, devs in per_level.items():
             pooled.setdefault(level_id, []).extend(devs)
 
@@ -148,13 +149,14 @@ def cmd_detect(args) -> int:
     for path in sorted(args.inputs):
         try:
             label, onset, records, skipped = _input_records(path, args.chunk_bytes)
-            if skipped:
-                print(f"detect: skipped {skipped} unreadable files under {path}", file=sys.stderr)
             proc = TraceProcessor(
                 hierarchy, detector, profile=profile, attack_model=attack_model,
                 trace_name=path, label=label, onset_at=onset,
             )
             proc.process(records)
+            if skipped:
+                print(f"detect: skipped {len(skipped)} unreadable files under {path}",
+                      file=sys.stderr)
             result = proc.finish()
             for alert in result.alerts:
                 latency = "" if alert.latency_ms is None else f" latency_ms={alert.latency_ms:.0f}"

@@ -34,9 +34,7 @@ from .entropy import (
     second_difference,
 )
 from .errors import checked
-
-BENIGN = "benign"
-RANSOMWARE = "ransomware"
+from .traces import BENIGN, RANSOMWARE
 
 # Weight of the outlier score in its blend with the posterior.
 OUTLIER_WEIGHT = 0.2

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import EmptyInput, IoFailure, MalformedRecord, checked
-from .traces import LABEL_BENIGN, LABEL_RANSOMWARE
+from .traces import BENIGN, RANSOMWARE
 
 VERDICT_ERROR = "error"
 
@@ -26,9 +26,9 @@ class PerTraceRow:
 
     def __post_init__(self):
         checked(self.trace, "trace", str)
-        if self.label not in (LABEL_BENIGN, LABEL_RANSOMWARE, None):
+        if self.label not in (BENIGN, RANSOMWARE, None):
             raise ValueError(f"label must be benign, ransomware or None, got {self.label!r}")
-        if self.verdict not in (LABEL_BENIGN, LABEL_RANSOMWARE, VERDICT_ERROR):
+        if self.verdict not in (BENIGN, RANSOMWARE, VERDICT_ERROR):
             raise ValueError(f"verdict must be benign, ransomware or error, got {self.verdict!r}")
         confidence = checked(self.confidence, "confidence", float)
         if not 0.0 <= confidence <= 1.0:  # NaN fails too
@@ -66,10 +66,10 @@ def compute_metrics(rows, wall_time_ms: float = 0.0, peak_rss_estimate: int = 0)
     tp = tn = fp = fn = 0
     latencies = []
     for row in rows:
-        if row.label not in (LABEL_BENIGN, LABEL_RANSOMWARE) or row.verdict == VERDICT_ERROR:
+        if row.label not in (BENIGN, RANSOMWARE) or row.verdict == VERDICT_ERROR:
             continue
-        positive_truth = row.label == LABEL_RANSOMWARE
-        positive_pred = row.verdict == LABEL_RANSOMWARE
+        positive_truth = row.label == RANSOMWARE
+        positive_pred = row.verdict == RANSOMWARE
         if positive_truth and positive_pred:
             tp += 1
             if row.latency_ms is not None:

@@ -50,7 +50,7 @@ import numpy as np
 
 from .entropy import ByteHistogram
 from .errors import InvalidSpec, checked
-from .traces import LABEL_BENIGN, LABEL_RANSOMWARE, EventRecord, Trace, TraceMeta
+from .traces import BENIGN, RANSOMWARE, EventRecord, Trace, TraceMeta
 
 SCENARIO_KINDS = ("benign_edit", "compressor", "ransomware")
 
@@ -110,18 +110,21 @@ class ScenarioSpec:
 # per block whose temporaries (about 100 KiB) do not grow with the trace.
 _BLOCK_ROWS = 16
 
+# Bisection steps that solve_mixture_weights takes per target.
+_MIXTURE_ITERATIONS = 60
 
-def solve_mixture_weights(targets: np.ndarray, iterations: int = 60) -> np.ndarray:
+
+def solve_mixture_weights(targets: np.ndarray) -> np.ndarray:
     """Invert the mixture entropy curve by bisection, vectorized over targets.
 
     The curve is the entropy of ``(1-lam)`` point mass plus ``lam`` uniform over
-    256 symbols. ``mid`` stays in [2**-iterations, 1], so both logarithms are
-    finite for any count below 1075.
+    256 symbols. ``mid`` stays in [2**-_MIXTURE_ITERATIONS, 1], so both
+    logarithms are finite.
     """
     targets = np.asarray(targets, dtype=np.float64)
     lo = np.zeros_like(targets)
     hi = np.ones_like(targets)
-    for _ in range(iterations):
+    for _ in range(_MIXTURE_ITERATIONS):
         mid = (lo + hi) / 2.0
         p0 = 1.0 - 255.0 * mid / 256.0
         u = mid / 256.0
@@ -183,17 +186,16 @@ def _histogram(counts: np.ndarray, total: int) -> ByteHistogram:
     return hist
 
 
-def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int,
-                         mixture_weight: float | None = None) -> ByteHistogram:
-    """Integer histogram of ``total`` bytes whose entropy is ~``target_entropy``."""
+def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int) -> ByteHistogram:
+    """Integer histogram of ``total`` bytes whose entropy is ~``target_entropy``,
+    its point mass on byte value ``heavy_byte`` (an int in 0..255)."""
     if not 0.0 <= target_entropy <= 8.0:
         raise InvalidSpec(f"target entropy out of [0, 8]: {target_entropy}")
     if total <= 0:
         raise InvalidSpec(f"payload size must be positive, got {total}")
-    lam = mixture_weight
-    if lam is None:
-        lam = float(solve_mixture_weights(np.asarray([target_entropy]))[0])
-    counts, = _synthesize(np.asarray([lam], dtype=np.float64), np.asarray([total], dtype=np.int64),
+    if type(heavy_byte) is not int or not 0 <= heavy_byte <= 255:
+        raise InvalidSpec(f"heavy byte must be an int in 0..255, got {heavy_byte!r}")
+    counts, = _synthesize(solve_mixture_weights([target_entropy]), np.asarray([total], dtype=np.int64),
                           np.asarray([heavy_byte]))
     return _histogram(counts, total)
 
@@ -268,7 +270,7 @@ def simulate_scenario(spec: ScenarioSpec) -> Trace:
     records = sorted((rec for rec in _writes(rows, paths, heavies) + renames
                       if rec.timestamp < spec.duration), key=lambda rec: rec.timestamp)
     meta = TraceMeta(
-        scenario=spec.kind, seed=spec.seed, label=LABEL_RANSOMWARE if attack else LABEL_BENIGN,
+        scenario=spec.kind, seed=spec.seed, label=RANSOMWARE if attack else BENIGN,
         duration=spec.duration, onset_at=onset, ramp=spec.ramp if attack else None,
         file_count=len(paths), target_dirs=spec.target_dirs,
     )

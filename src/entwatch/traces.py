@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import Iterator
@@ -42,8 +42,9 @@ from .hierarchy import LEVEL_KINDS
 
 OPS = ("write", "read", "rename", "delete", "net_tx")
 
-LABEL_BENIGN = "benign"
-LABEL_RANSOMWARE = "ransomware"
+# The two labels, of a trace's ground truth and of a verdict alike.
+BENIGN = "benign"
+RANSOMWARE = "ransomware"
 
 # The trace format this build writes and reads; a file without one is format 1.
 TRACE_FORMAT = 2
@@ -106,9 +107,9 @@ class TraceMeta:
     def __post_init__(self):
         checked(self.scenario, "scenario", str)
         checked(self.seed, "seed", int)
-        if self.label not in (LABEL_BENIGN, LABEL_RANSOMWARE):
+        if self.label not in (BENIGN, RANSOMWARE):
             raise ValueError(f"label must be benign or ransomware, got {self.label!r}")
-        if self.label == LABEL_RANSOMWARE and self.onset_at is None:
+        if self.label == RANSOMWARE and self.onset_at is None:
             raise ValueError("ransomware traces must carry onset_at")
         for name in ("created_at", "duration", "onset_at"):
             value = checked(getattr(self, name), name, float, optional=name != "created_at")
@@ -288,46 +289,40 @@ def read_trace(path) -> Trace:
     return Trace(meta, tuple(records))
 
 
-@dataclass
-class ScanResult:
-    """Records produced by a directory scan plus the files that could not be read."""
-
-    records: list[EventRecord] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-
-def scan_directory(root, chunk_bytes: int) -> ScanResult:
-    """One read record per fixed-size chunk of every regular file under ``root``.
+def scan_directory(root, chunk_bytes: int) -> tuple[Iterator[EventRecord], list[str]]:
+    """A lazy iterator of one read record per fixed-size chunk of every regular
+    file under ``root``, plus the list of files it could not read.
 
     Files are visited in lexicographic path order, chunks in offset order, and
     the record timestamp is the global scan index in seconds, so repeated
-    scans of an unchanged tree produce identical sequences. Unreadable files
-    are skipped and reported, not fatal.
+    scans of an unchanged tree produce identical sequences. The listing is
+    taken here; each file is opened only when its first chunk is due, and an
+    unreadable one is appended to the list, not fatal, when the iterator
+    reaches it.
     """
     if chunk_bytes <= 0:
         raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
     root = Path(root)
     if not root.is_dir():
         raise IoFailure(f"scan root {root} is not a readable directory")
-
     files = sorted(p for p in root.rglob("*") if p.is_file() and not p.is_symlink())
-    result = ScanResult()
+    skipped: list[str] = []
+    return _scan(files, chunk_bytes, skipped), skipped
+
+
+def _scan(files: list[Path], chunk_bytes: int, skipped: list[str]) -> Iterator[EventRecord]:
     index = 0
     for path in files:
         try:
             with open(path, "rb") as fh:
-                while True:
-                    chunk = fh.read(chunk_bytes)
-                    if not chunk:
-                        break
-                    result.records.append(EventRecord(
+                while chunk := fh.read(chunk_bytes):
+                    yield EventRecord(
                         timestamp=float(index),
                         source_path=str(path),
                         op="read",
                         histogram=histogram_from_bytes(chunk),
                         bytes=len(chunk),
-                    ))
+                    )
                     index += 1
         except OSError:
-            result.skipped.append(str(path))
-    return result
+            skipped.append(str(path))

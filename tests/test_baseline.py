@@ -137,7 +137,6 @@ def random_profile(rng):
 
 # Values the loader rejects, each put in place of one constructor argument.
 ODD_PROFILE = {
-    "version": [2, True],
     "prior": [True, "0.5", 1.5],
     "created_at": [float("nan"), "0", True],
     "sample_counts": [{}, {"other": 1}],
@@ -158,7 +157,6 @@ def distributions(draw):
 def profile_arguments(draw):
     ids = draw(st.lists(st.text(max_size=6), max_size=3, unique=True))
     args = {
-        "version": PROFILE_VERSION,
         "prior": draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
         "created_at": draw(st.floats(allow_nan=False, allow_infinity=False) | st.integers()),
         "per_level": {level_id: draw(distributions()) for level_id in ids},
@@ -210,6 +208,32 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(UnsupportedVersion):
             load_profile(path)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None, "missing", PROFILE_VERSION + 1],
+                             ids=["true", "float", "string", "null", "missing", "next"])
+    def test_version_other_than_the_int_is_refused(self, tmp_path, version):
+        from entwatch.baseline import _checksum
+
+        path = tmp_path / "p.json"
+        save_profile(random_profile(np.random.default_rng(7)), path)
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        if version == "missing":
+            del doc["version"]
+        else:
+            doc["version"] = version
+        # re-checksum so only the version is wrong
+        doc["crc32"] = _checksum(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises((UnsupportedVersion, CorruptProfile)):
+            load_profile(path)
+
+    def test_profile_has_no_version_field(self, tmp_path):
+        path = tmp_path / "p.json"
+        profile = random_profile(np.random.default_rng(8))
+        assert not hasattr(profile, "version")
+        save_profile(profile, path)
+        assert json.loads(path.read_text())["version"] == PROFILE_VERSION
 
     @pytest.mark.parametrize("field, value", [
         ("bins", float("nan")),
@@ -291,14 +315,13 @@ class TestPersistence:
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(profile_arguments())
-    @example({"version": 1, "prior": 0.5, "created_at": float("nan"), "per_level": {},
-              "sample_counts": {}})
-    @example({"version": 1, "prior": 0.5, "created_at": 0.0,
+    @example({"prior": 0.5, "created_at": float("nan"), "per_level": {}, "sample_counts": {}})
+    @example({"prior": 0.5, "created_at": 0.0,
               "per_level": {"L": smoothed_distribution([1.0])}, "sample_counts": {}})
     def test_constructed_profile_reads_back_equal(self, tmp_path, args):
         try:
             profile = BaselineProfile(**args)
-        except (TypeError, ValueError, InvalidPrior, UnsupportedVersion):
+        except (TypeError, ValueError, InvalidPrior):
             return
         path = tmp_path / "p.json"
         save_profile(profile, path)
@@ -306,5 +329,5 @@ class TestPersistence:
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_prior_survives_exactly(self, prior):
-        profile = BaselineProfile(1, prior, 0.0, {"L": smoothed_distribution([1.0])}, {"L": 1})
+        profile = BaselineProfile(prior, 0.0, {"L": smoothed_distribution([1.0])}, {"L": 1})
         assert profile.prior == prior

@@ -435,6 +435,34 @@ class TestDetect:
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])
+def test_unreadable_files_are_reported_after_their_input(workspace, tmp_path, monkeypatch,
+                                                         capsys, command):
+    import entwatch.traces
+    from entwatch.cli import main
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for name in ("a.txt", "b.txt", "c.txt"):
+        (docs / name).write_bytes(name.encode() * 2000)
+    unreadable = str(docs / "b.txt")
+
+    def guarded_open(path, *args, **kwargs):
+        if str(path) == unreadable:
+            raise PermissionError(13, "Permission denied", unreadable)
+        return open(path, *args, **kwargs)
+
+    # A mode of 000 does not stop a root process from reading, so the open fails here.
+    monkeypatch.setattr(entwatch.traces, "open", guarded_open, raising=False)
+    args = ["--out", str(tmp_path / "out"), "--chunk-bytes", "64"]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    assert main([command, str(docs), *args]) == 0
+    # The skipped list fills as the records are read: a line printed before
+    # them would count no file.
+    assert capsys.readouterr().err == f"{command}: skipped 1 unreadable files under {docs}\n"
+
+
+@pytest.mark.parametrize("command", ["profile", "detect"])
 @pytest.mark.parametrize("chunk_bytes", ["0", "-4096"])
 def test_non_positive_chunk_bytes_is_usage_error(workspace, tmp_path, command, chunk_bytes):
     docs = tmp_path / "docs"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from entwatch.entropy import shannon_entropy
+from entwatch import simulate
 from entwatch.errors import InvalidSpec
 from entwatch.simulate import (
     _BLOCK_ROWS,
@@ -45,6 +46,21 @@ class TestSynthesis:
     def test_invalid_target(self):
         with pytest.raises(InvalidSpec):
             synthesize_histogram(9.0, 100, 0)
+
+    @pytest.mark.parametrize("heavy_byte", [-1, 256, 300, True, 1.5, "65", None])
+    def test_heavy_byte_outside_the_byte_values_is_invalid(self, heavy_byte):
+        with pytest.raises(InvalidSpec, match="heavy byte"):
+            synthesize_histogram(4.0, 100, heavy_byte)
+
+    def test_mixture_weight_is_not_a_parameter(self):
+        # The weight is always solved from the target entropy.
+        with pytest.raises(TypeError):
+            synthesize_histogram(4.0, 100, 0, mixture_weight=2.0)
+
+    def test_bisection_steps_are_a_module_constant(self):
+        assert simulate._MIXTURE_ITERATIONS == 60
+        with pytest.raises(TypeError):
+            solve_mixture_weights(np.asarray([4.0]), iterations=30)
 
 
 def reference_mixture_entropy(lam):

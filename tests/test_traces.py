@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 from enum import IntEnum
@@ -741,35 +742,87 @@ class TestStreaming:
 class TestScanDirectory:
     def test_chunk_arithmetic(self, tmp_path):
         (tmp_path / "file.bin").write_bytes(b"x" * 100)
-        result = scan_directory(tmp_path, chunk_bytes=64)
-        assert [r.bytes for r in result.records] == [64, 36]
-        assert [r.timestamp for r in result.records] == [0.0, 1.0]
-        assert all(r.op == "read" for r in result.records)
+        records, skipped = scan_directory(tmp_path, chunk_bytes=64)
+        records = list(records)
+        assert [r.bytes for r in records] == [64, 36]
+        assert [r.timestamp for r in records] == [0.0, 1.0]
+        assert all(r.op == "read" for r in records)
+        assert skipped == []
 
     def test_zero_entropy_file(self, tmp_path):
         (tmp_path / "zeros.bin").write_bytes(bytes(128))
-        result = scan_directory(tmp_path, chunk_bytes=256)
-        assert shannon_entropy(result.records[0].histogram) == 0.0
+        records, _ = scan_directory(tmp_path, chunk_bytes=256)
+        assert shannon_entropy(next(records).histogram) == 0.0
 
     def test_deterministic_order(self, tmp_path):
         for name in ("b.txt", "a.txt", "c/d.txt"):
             p = tmp_path / name
             p.parent.mkdir(parents=True, exist_ok=True)
             p.write_bytes(name.encode() * 10)
-        first = scan_directory(tmp_path, chunk_bytes=16)
-        second = scan_directory(tmp_path, chunk_bytes=16)
-        assert first.records == second.records
+        first, _ = scan_directory(tmp_path, chunk_bytes=16)
+        second, _ = scan_directory(tmp_path, chunk_bytes=16)
+        assert list(first) == list(second)
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(IoFailure):
             scan_directory(tmp_path / "nope", chunk_bytes=16)
 
+    @pytest.mark.parametrize("chunk_bytes", [0, -1])
+    def test_non_positive_chunk_is_refused_at_the_call(self, tmp_path, chunk_bytes):
+        with pytest.raises(ValueError, match="chunk_bytes"):
+            scan_directory(tmp_path, chunk_bytes=chunk_bytes)
+
     def test_payload_bytes_never_serialized(self, tmp_path):
         secret = b"TOPSECRETPAYLOADCONTENT"
         (tmp_path / "doc.txt").write_bytes(secret * 4)
-        result = scan_directory(tmp_path, chunk_bytes=32)
-        trace = Trace(TraceMeta(scenario="scan", seed=0, label="benign"),
-                      tuple(result.records))
+        records, _ = scan_directory(tmp_path, chunk_bytes=32)
+        trace = Trace(TraceMeta(scenario="scan", seed=0, label="benign"), tuple(records))
         out = tmp_path / "out.jsonl"
         write_trace(trace, out)
         assert secret not in out.read_bytes()
+
+    def test_records_stream_in_bounded_memory(self, tmp_path):
+        # 4 MiB in 4 KiB chunks is 1024 records of about 2.4 KiB each; read
+        # one at a time, the scan holds one record and one chunk, not them all.
+        tree = tmp_path / "tree"
+        rng = np.random.default_rng(21)
+        for i in range(16):
+            (tree / f"d{i % 4}").mkdir(parents=True, exist_ok=True)
+            (tree / f"d{i % 4}" / f"f{i:02d}.bin").write_bytes(rng.bytes(256 * 1024))
+        tracemalloc.start()
+        try:
+            records, skipped = scan_directory(tree, chunk_bytes=4096)
+            count = total = 0
+            for record in records:
+                count += 1
+                total += record.bytes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (count, total, skipped) == (1024, 4 * 1024 * 1024, [])
+        assert peak < 1024 * 1024
+
+    def test_dropped_scan_closes_its_file(self, tmp_path):
+        (tmp_path / "a.txt").write_bytes(b"a" * 100)
+
+        def read_one():
+            records, _ = scan_directory(tmp_path, chunk_bytes=32)
+            next(records)
+
+        assert resource_warnings(read_one) == []
+
+    def test_file_removed_before_its_turn_is_skipped(self, tmp_path):
+        for name in ("a.txt", "b.txt", "c.txt"):
+            (tmp_path / name).write_bytes(name.encode() * 40)
+        full, _ = scan_directory(tmp_path, chunk_bytes=32)
+        full = list(full)
+        records, skipped = scan_directory(tmp_path, chunk_bytes=32)
+        first = next(records)
+        (tmp_path / "b.txt").unlink()
+        rest = list(records)
+        assert skipped == [str(tmp_path / "b.txt")]
+        without_b, _ = scan_directory(tmp_path, chunk_bytes=32)
+        assert [first, *rest] == list(without_b)
+        # Only the timestamps, the scan index, move up past the skipped file.
+        assert [(r.source_path, r.histogram, r.bytes) for r in [first, *rest]] == [
+            (r.source_path, r.histogram, r.bytes) for r in full if r.source_path != skipped[0]]
