@@ -37,9 +37,9 @@ EPSILON_MASS = 1e-9
 
 INT64_MAX = int(np.iinfo(np.int64).max)
 
-# 256 counts of at most this much sum to at most INT64_MAX, so their int64
-# sum is exact.
-_EXACT_SUM_COUNT = INT64_MAX >> 8
+# 256 counts of at most this much (2**55 - 1) sum to at most INT64_MAX, so
+# their int64 sum is exact.
+EXACT_SUM_COUNT = INT64_MAX >> 8
 
 # Maximum per-gap deviation from the mean gap for second differences.
 SPACING_TOLERANCE = 0.10
@@ -75,27 +75,13 @@ class ByteHistogram:
         self.total = total
 
     @classmethod
-    def from_json(cls, values) -> "ByteHistogram":
-        """``ByteHistogram(values)`` for a list decoded from JSON that holds no bool.
-
-        Such a list holds only ints, floats, strings, None, lists and dicts,
-        and numpy infers int64 of shape (256,) for it only when it is 256 ints
-        within int64. Those counts are checked in numpy; any other list goes
-        to ``__init__``, whose checks alone raise.
-        """
-        try:
-            counts = np.array(values)
-        except (ValueError, TypeError, OverflowError):  # ragged or too deeply nested
-            return cls(values)
-        # Viewed as uint64 a negative count passes 2**63, so one max bounds
-        # every count to [0, _EXACT_SUM_COUNT].
-        if (counts.shape == (256,) and counts.dtype == np.int64
-                and counts.view(np.uint64).max() <= _EXACT_SUM_COUNT):
-            hist = cls.__new__(cls)
-            hist.counts = counts
-            hist.total = int(counts.sum())
-            return hist
-        return cls(values)
+    def unchecked(cls, counts: np.ndarray, total: int) -> "ByteHistogram":
+        """The histogram of ``counts``, taken as is: the caller knows them to be
+        256 non-negative int64 values whose exact sum is ``total``."""
+        hist = cls.__new__(cls)
+        hist.counts = counts
+        hist.total = total
+        return hist
 
     def merge(self, other: "ByteHistogram") -> None:
         """Bucket-wise accumulate ``other`` into this histogram.
@@ -110,10 +96,7 @@ class ByteHistogram:
         self.total = total
 
     def copy(self) -> "ByteHistogram":
-        out = ByteHistogram.__new__(ByteHistogram)
-        out.counts = self.counts.copy()
-        out.total = self.total
-        return out
+        return ByteHistogram.unchecked(self.counts.copy(), self.total)
 
     def __eq__(self, other):
         if not isinstance(other, ByteHistogram):

@@ -48,7 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .entropy import ByteHistogram
+from .entropy import INT64_MAX, ByteHistogram
 from .errors import InvalidSpec, checked
 from .traces import BENIGN, RANSOMWARE, EventRecord, Trace, TraceMeta
 
@@ -179,25 +179,18 @@ def _synthesize(lams: np.ndarray, totals: np.ndarray, heavies: np.ndarray) -> It
         yield from counts
 
 
-def _histogram(counts: np.ndarray, total: int) -> ByteHistogram:
-    hist = ByteHistogram.__new__(ByteHistogram)
-    hist.counts = counts
-    hist.total = total
-    return hist
-
-
 def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int) -> ByteHistogram:
     """Integer histogram of ``total`` bytes whose entropy is ~``target_entropy``,
     its point mass on byte value ``heavy_byte`` (an int in 0..255)."""
     if not 0.0 <= target_entropy <= 8.0:
         raise InvalidSpec(f"target entropy out of [0, 8]: {target_entropy}")
-    if total <= 0:
-        raise InvalidSpec(f"payload size must be positive, got {total}")
+    if type(total) is not int or not 0 < total <= INT64_MAX:
+        raise InvalidSpec(f"payload size must be an int in 1..2**63 - 1, got {total!r}")
     if type(heavy_byte) is not int or not 0 <= heavy_byte <= 255:
         raise InvalidSpec(f"heavy byte must be an int in 0..255, got {heavy_byte!r}")
     counts, = _synthesize(solve_mixture_weights([target_entropy]), np.asarray([total], dtype=np.int64),
                           np.asarray([heavy_byte]))
-    return _histogram(counts, total)
+    return ByteHistogram.unchecked(counts, total)
 
 
 def _times(start: float, step: float, until: float) -> list[float]:
@@ -226,7 +219,7 @@ def _writes(rows, paths: list[str], heavies) -> list[EventRecord]:
     lams = solve_mixture_weights(np.asarray([target for _, _, target, _ in rows]))
     totals = np.asarray([size for _, _, _, size in rows], dtype=np.int64)
     counts = _synthesize(lams, totals, np.asarray(heavies, dtype=np.intp))
-    return [EventRecord(t, paths[fidx], "write", _histogram(row, size), size)
+    return [EventRecord(t, paths[fidx], "write", ByteHistogram.unchecked(row, size), size)
             for (t, fidx, _, size), row in zip(rows, counts)]
 
 

@@ -14,15 +14,31 @@ it.
 The grammar is ``json``'s, read from UTF-8 text split into lines at ``\\n``,
 ``\\r\\n`` or a lone ``\\r``; a line that ``str.strip()`` empties is blank and
 skipped. The metadata line is read by ``json``: its ``seed`` is an unbounded
-integer, which ``orjson`` would read as a float past 64 bits. Record lines, the
-bulk of a trace, are read by ``orjson``, about six times faster on a full
-256-count record. ``orjson`` rejects some lines that ``json`` reads
-(lone-surrogate escapes, which traces of non-UTF-8 file names hold, and
-``NaN``) and reads integers past 64 bits as floats. So a line that ``orjson``
-rejects, or whose record is invalid, is read again by ``json``, and only that
-reading decides the record or its error. A decoded line can hold a bool only
-if its bytes hold a ``true`` or ``false`` literal; the counts of a line that
-holds neither go to ``ByteHistogram.from_json``, the rest to the exact check.
+integer, which ``orjson`` would read as a float past 64 bits.
+
+Record lines, the bulk of a trace, are read in blocks of 64 on two paths. A
+line that ends as ``write_trace`` ends it, in a count field after the last
+``,"histogram":[`` that holds only digits and exactly 255 commas, then
+``]}``, is a block-path candidate: one ``np.fromstring`` reads the count
+fields of all candidates in the block, and ``orjson`` decodes each head (the
+line up to that key, closed by ``}``). ``np.fromstring`` is more lenient
+than JSON: it reads leading zeros, signs and spaces, stops at an empty token
+and clamps a token past int64 to 2**63 - 1. The byte tests rule out signs
+and spaces, and a block where it meets an empty token is read again without
+the lines that hold one. A row is then taken only if no token of its field
+is a ``0`` with a digit after it, and every count is at most 2**55 - 1,
+which no clamped token is and which keeps the int64 total exact; and only if
+``EventRecord`` accepts the head's fields with all its checks. Such a line
+is valid JSON that ``json`` reads as the same record.
+
+Every other line takes the line path: ``orjson`` decodes it whole and
+``ByteHistogram`` checks its counts item by item. ``orjson`` rejects some
+lines that ``json`` reads (lone-surrogate escapes, which traces of non-UTF-8
+file names hold, and ``NaN``) and reads integers past 64 bits as floats. So a
+line that ``orjson`` rejects, or whose record is invalid, is read again by
+``json``, and only that reading decides the record or its error. The block
+path never raises, so every error has the line path's message and line
+number. The reader holds at most one block of lines ahead of its records.
 """
 
 from __future__ import annotations
@@ -31,12 +47,14 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import orjson
 
-from .entropy import ByteHistogram, histogram_from_bytes
+from .entropy import EXACT_SUM_COUNT, ByteHistogram, histogram_from_bytes
 from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from .hierarchy import LEVEL_KINDS
 
@@ -200,13 +218,12 @@ def _parse_meta(obj, line_number: int) -> TraceMeta:
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
-def _parse_record(obj, line_number: int, bools: bool) -> EventRecord:
-    """The record of a decoded line; ``bools`` is False only if the line cannot hold a bool."""
+def _parse_record(obj, line_number: int) -> EventRecord:
+    """The record of a decoded line, its counts checked item by item."""
     try:
         checked(obj, "record", dict)
         if "histogram" in obj:  # ByteHistogram(None) is empty; a null histogram is not
-            counts = checked(obj["histogram"], "histogram", list)
-            obj["histogram"] = ByteHistogram(counts) if bools else ByteHistogram.from_json(counts)
+            obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
         return EventRecord(**obj)
     except (TypeError, ValueError, RecursionError) as exc:
         # RecursionError: the repr of a deeply nested value in a message
@@ -239,6 +256,100 @@ def _loads(text: str, line_number: int, what: str):
         raise MalformedRecord(f"line {line_number}: {what} is not valid JSON: {exc}", line_number) from exc
 
 
+def _line_record(line: bytes, line_number: int) -> EventRecord | None:
+    """The record of one line, or None for a blank line: orjson's reading, or
+    json's where orjson rejects the line or its record, and then json's alone."""
+    try:
+        return _parse_record(orjson.loads(line), line_number)
+    except (orjson.JSONDecodeError, MalformedRecord):
+        text = _decoded(line, line_number, "record")
+        if not text.strip():
+            return None
+        return _parse_record(_loads(text, line_number, "record"), line_number)
+
+
+# The count field as write_trace writes it, the record's last key.
+_COUNTS_KEY = b',"histogram":['
+_COMMAS = b"," * 255
+_BLOCK_LINES = 64
+
+
+def _counts_field(line: bytes) -> tuple[int, bytes] | None:
+    """Where the head of a line ends, and its count field, if the line ends in
+    a field of only digits and 255 commas; None sends it to ``_line_record``."""
+    end = len(line) - 1 if line[-1:] == b"\n" else len(line)
+    if line[end - 2:end] != b"]}":
+        return None
+    k = line.rfind(_COUNTS_KEY, 0, end)
+    if k < 0:
+        return None
+    body = line[k + len(_COUNTS_KEY):end - 2]
+    return (k, body) if body.translate(None, b"0123456789") == _COMMAS else None
+
+
+def _block_counts(fields: list) -> tuple[np.ndarray, list[bool]]:
+    """The (rows, 256) counts of the fields that are not None, read by one
+    ``np.fromstring``, and whether json reads each field as that row; a field
+    with an empty token becomes None."""
+    bodies = [field[1] for field in fields if field is not None]
+    joined = b",".join(bodies)
+    try:
+        counts = np.fromstring(joined, dtype=np.int64, sep=",")
+    except (ValueError, DeprecationWarning):  # an empty token (numpy < 2 warns and reads on)
+        counts = None
+    if counts is None or counts.size != 256 * len(bodies):  # or a trailing one, dropped
+        for i, field in enumerate(fields):
+            if field is not None and b",," in b"," + field[1] + b",":
+                fields[i] = None
+        bodies = [field[1] for field in fields if field is not None]
+        joined = b",".join(bodies)
+        counts = np.fromstring(joined, dtype=np.int64, sep=",")
+    counts = counts.reshape(-1, 256)
+    # np.fromstring also reads leading zeros, which json rejects, and clamps a
+    # token past int64. So a row is taken only if each of its counts is at
+    # most EXACT_SUM_COUNT, which no clamped token is and which keeps the int64
+    # total exact, and no token of its field is a 0 with a digit after it.
+    good = counts.max(axis=1, initial=0) <= EXACT_SUM_COUNT
+    text = np.frombuffer(b"," + joined, dtype=np.uint8)
+    zero_led = np.flatnonzero((text[1:-1] == ord("0")) & (text[:-2] == ord(","))
+                              & (text[2:] != ord(",")))
+    if zero_led.size:
+        starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
+        good[np.searchsorted(starts, zero_led, side="right") - 1] = False
+    return counts, good.tolist()
+
+
+def _block_record(head: bytes, counts: np.ndarray, total: int) -> EventRecord | None:
+    """The record of a head and its checked counts, or None for ``_line_record`` to decide."""
+    try:
+        obj = orjson.loads(head)  # a JSON text that ends in "}" is an object
+        # This replaces a "histogram" key of the head, as json keeps the last of two.
+        obj["histogram"] = ByteHistogram.unchecked(counts, total)
+        return EventRecord(**obj)
+    except (TypeError, ValueError, RecursionError):  # orjson.JSONDecodeError is a ValueError
+        return None
+
+
+def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, EventRecord]]:
+    """The line numbers and records of consecutive lines, the first numbered
+    ``line_number``; blank lines yield nothing."""
+    fields = [_counts_field(line) for line in block]
+    counts, good = _block_counts(fields)
+    totals = counts.sum(axis=1).tolist()
+    row = 0
+    for line, field in zip(block, fields):
+        rec = None
+        if field is not None:
+            if good[row]:
+                rec = _block_record(line[:field[0]] + b"}", counts[row], totals[row])
+            row += 1
+        if rec is None:
+            rec = _line_record(line, line_number)
+        if rec is not None:
+            yield line_number, rec
+        line_number += 1
+
+
 def _read(path) -> Iterator[TraceMeta | EventRecord]:
     """The trace's metadata, then its records; the file is open only while this runs."""
     try:
@@ -253,24 +364,15 @@ def _read(path) -> Iterator[TraceMeta | EventRecord]:
         yield _parse_meta(_loads(first, 1, "metadata"), 1)
 
         last_ts = -1.0
-        for line_number, line in enumerate(lines, start=2):
-            # JSON spells a bool only as a literal, which the bytes then hold.
-            bools = b"true" in line or b"false" in line
-            try:
-                rec = _parse_record(orjson.loads(line), line_number, bools)
-            except (orjson.JSONDecodeError, MalformedRecord):
-                # Blank, or json may read it otherwise: json's reading decides.
-                text = _decoded(line, line_number, "record")
-                if not text.strip():
-                    continue
-                rec = _parse_record(_loads(text, line_number, "record"), line_number, bools)
-            if rec.timestamp < last_ts:
-                raise MalformedRecord(
-                    f"line {line_number}: timestamps regress ({rec.timestamp} after {last_ts})",
-                    line_number,
-                )
-            last_ts = rec.timestamp
-            yield rec
+        line_number = 2
+        while block := list(islice(lines, _BLOCK_LINES)):
+            for number, rec in _block_records(block, line_number):
+                if rec.timestamp < last_ts:
+                    raise MalformedRecord(
+                        f"line {number}: timestamps regress ({rec.timestamp} after {last_ts})", number)
+                last_ts = rec.timestamp
+                yield rec
+            line_number += len(block)
 
 
 def iter_trace(path) -> tuple[TraceMeta, Iterator[EventRecord]]:

@@ -19,6 +19,9 @@ import pytest
 
 from entwatch.cli import main
 from entwatch.pipeline import fit_attack_model
+from entwatch.traces import read_trace
+
+from test_traces import line_path_reads
 
 SIMULATED = (
     ("benign_edit", 7000, "ben_7000.jsonl"),
@@ -117,6 +120,16 @@ def test_frozen_clock_outputs_match_golden(golden_run, name):
 def test_simulated_trace_matches_golden(golden_run, name):
     root, _ = golden_run
     assert sha256((root / name).read_bytes()) == GOLDEN_TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_simulated_trace_lines_take_the_block_path(golden_run, monkeypatch, name):
+    # The writer's lines never need the per-line reading.
+    root, _ = golden_run
+    line_path = line_path_reads(monkeypatch)
+    records = read_trace(root / name).records
+    assert line_path == []
+    assert len(records) == (root / name).read_bytes().count(b"\n") - 1
 
 
 def test_detect_stdout_matches_golden(golden_run):

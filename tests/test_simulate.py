@@ -52,6 +52,16 @@ class TestSynthesis:
         with pytest.raises(InvalidSpec, match="heavy byte"):
             synthesize_histogram(4.0, 100, heavy_byte)
 
+    @pytest.mark.parametrize("total", [0, -1, 100.5, 100.0, True, 2 ** 63, "100", None])
+    def test_total_outside_the_int64_sizes_is_invalid(self, total):
+        with pytest.raises(InvalidSpec, match="payload size"):
+            synthesize_histogram(4.0, total, 0)
+
+    def test_largest_total_keeps_the_invariant(self):
+        hist = synthesize_histogram(4.0, 2 ** 63 - 1, 0)
+        assert hist.total == int(hist.counts.sum()) == 2 ** 63 - 1
+        assert hist.counts.min() >= 0
+
     def test_mixture_weight_is_not_a_parameter(self):
         # The weight is always solved from the target entropy.
         with pytest.raises(TypeError):

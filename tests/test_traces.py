@@ -11,7 +11,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from entwatch.entropy import INT64_MAX, ByteHistogram, histogram_from_bytes, shannon_entropy
+import entwatch.traces
+from entwatch.entropy import (
+    EXACT_SUM_COUNT,
+    INT64_MAX,
+    ByteHistogram,
+    histogram_from_bytes,
+    shannon_entropy,
+)
 from entwatch.errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from entwatch.hierarchy import LEVEL_KINDS
 from entwatch.traces import (
@@ -472,6 +479,29 @@ def assert_reads_as_reference(path):
 
 
 META_LINE = b'{"format":2,"scenario":"benign_edit","seed":1,"label":"benign"}'
+
+
+def record_bytes(first_tokens, total, timestamp=b"1.0"):
+    """A record line whose count field starts with ``first_tokens`` and is
+    padded with zero tokens to 256."""
+    tokens = [*first_tokens, *[b"0"] * (256 - len(first_tokens))]
+    return (b'{"timestamp":' + timestamp + b',"source_path":"/a","op":"write","bytes":'
+            + str(total).encode() + b',"histogram":[' + b",".join(tokens) + b"]}")
+
+
+def lines_with_fault(at, fault):
+    """70 valid record lines, the one at record position ``at`` made faulty
+    unless ``fault`` is "none"."""
+    lines = [record_bytes([str(i).encode()], i, timestamp=f"{i}.0".encode()) for i in range(70)]
+    if fault == "malformed":
+        lines[at] = record_bytes([b"0" + str(at).encode()], at, timestamp=f"{at}.0".encode())
+    elif fault == "regress":
+        lines[at] = record_bytes([b"1"], 1, timestamp=b"0.5" if at else b"99.0")
+    elif fault == "empty_token":
+        lines[at] = record_bytes([b"0"] * 255 + [b""], 0, timestamp=f"{at}.0".encode())
+    return lines
+
+
 # Characters str.strip() removes and bytes.strip() keeps, so a line of them is
 # blank to the text reader; text mode does not split lines at any of them.
 STR_ONLY_BLANKS = "\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
@@ -527,6 +557,43 @@ REFERENCE_FILES = [
                   b'"histogram":[1,true' + b",0" * 254 + b']}'], id="bool_among_counts"),
     pytest.param([b"null"], id="null_record"),
     pytest.param([b"[" * 500 + b"]" * 500], id="nested_500_deep"),
+    # Count fields that np.fromstring reads and json does not, or reads otherwise.
+    *[pytest.param([record_bytes(tokens, total)], id=name) for name, tokens, total in [
+        ("leading_zero", [b"03"], 3), ("zero_zero", [b"00"], 0), ("minus_zero", [b"-0"], 0),
+        ("plus_sign", [b"+1"], 1), ("trailing_space", [b"1 "], 1), ("leading_space", [b"0", b" 1"], 1),
+        ("digits_19", [b"1000000000000000000"], 10 ** 18),
+        ("int64_max_count", [str(INT64_MAX).encode()], INT64_MAX),
+        ("int64_past", [b"9223372036854775808"], 2 ** 63),
+        ("digits_20", [b"10000000000000000000"], 10 ** 19),
+        ("digits_20_clamps", [b"99999999999999999999"], INT64_MAX),
+        ("count_2_55", [str(2 ** 55).encode()], 2 ** 55),
+        ("count_below_2_55", [str(2 ** 55 - 1).encode()], 2 ** 55 - 1),
+        ("empty_first_token", [b""], 0), ("empty_inner_token", [b"0", b""], 0),
+    ]],
+    pytest.param([record_bytes([b"0"] * 255 + [b""], 0)], id="empty_last_token"),
+    pytest.param([record_bytes([b"0"] * 255, 0)], id="counts_255_compact"),
+    pytest.param([record_bytes([b"0"] * 257, 0)], id="counts_257_compact"),
+    pytest.param([b'{"timestamp":1.0,"histogram":[5' + b",0" * 255 + b'],"source_path":"/a",'
+                  b'"op":"write","bytes":5}'], id="histogram_not_last"),
+    pytest.param([b'{"timestamp":1.0,"histogram":[5' + b",0" * 255 + b'],"source_path":"/a",'
+                  b'"op":"write","bytes":0,"histogram":' + ZEROS + b'}',
+                  b'{"timestamp":2.0,"histogram":' + ZEROS + b',"source_path":"/a",'
+                  b'"op":"write","bytes":0,"histogram":[5' + b",0" * 255 + b']}'],
+                 id="histogram_twice"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a,\\"histogram\\":[1' + b",0" * 255 + b']}",'
+                  b'"op":"write","bytes":0,"histogram":' + ZEROS + b'}'], id="escaped_key_in_path"),
+    pytest.param([b'{,"histogram":' + ZEROS + b'}'], id="head_of_brace"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b',"extra":[1]}'], id="list_key_after_histogram"),
+    pytest.param([b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":0,'
+                  b'"histogram":' + ZEROS + b'} '], id="space_after_record"),
+    pytest.param([record_bytes([], 0)[:-2] + b"0}"], id="counts_unclosed"),
+    pytest.param([record_bytes([], 0)[:-2] + b"}}"], id="counts_closed_by_brace"),
+    pytest.param([record_bytes([], 0)[:-1]], id="record_unclosed"),
+    # Faults at the first and last line of the first 64-line block, and at the
+    # first two lines of the next.
+    *[pytest.param(lines_with_fault(at, fault), id=f"{fault}_at_{at}")
+      for at in (0, 63, 64, 65) for fault in ("malformed", "regress", "empty_token")],
 ]
 
 
@@ -534,11 +601,34 @@ class TestReferenceReader:
     """The reader gives the reference reader's records and errors, line for line."""
 
     @pytest.mark.parametrize("lines", REFERENCE_FILES)
-    @pytest.mark.parametrize("ending", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
     def test_cases(self, tmp_path, lines, ending):
         path = tmp_path / "t.jsonl"
         path.write_bytes(b"".join(line + ending for line in [META_LINE, *lines]))
         assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize("lines", REFERENCE_FILES)
+    def test_cases_without_a_last_line_end(self, tmp_path, lines):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\n".join([META_LINE, *lines]))
+        assert_reads_as_reference(path)
+
+    @pytest.mark.parametrize("lines", REFERENCE_FILES)
+    def test_records_before_a_fault_are_the_reference_records(self, tmp_path, lines):
+        # The records yielded before a fault raises, block path or not, are
+        # the reference reader's records of the lines before the fault.
+        path = tmp_path / "t.jsonl"
+        data = b"".join(line + b"\n" for line in [META_LINE, *lines])
+        path.write_bytes(data)
+        meta, records = iter_trace(path)
+        got = []
+        try:
+            got.extend(records)
+            return
+        except MalformedRecord as exc:
+            line_number = exc.line_number
+        path.write_bytes(b"".join(data.splitlines(keepends=True)[:line_number - 1]))
+        assert (meta, tuple(got)) == reference_read(path)
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.data())
@@ -552,26 +642,37 @@ class IntCount(IntEnum):
     ONE = 1
 
 
+def line_path_reads(monkeypatch) -> list[int]:
+    """The numbers of the lines that the line path reads from now on."""
+    numbers = []
+    original = entwatch.traces._line_record
+
+    def counting(line, line_number):
+        numbers.append(line_number)
+        return original(line, line_number)
+
+    monkeypatch.setattr(entwatch.traces, "_line_record", counting)
+    return numbers
+
+
 class TestCountChecks:
-    """Decoded counts take a numpy fast path only where it accepts exactly what
-    ByteHistogram's exact check accepts."""
+    """A line takes the block path only where the block reading equals the
+    exact check's; the line path reads every other line."""
 
-    def test_bool_literal_lines_take_the_exact_path(self, tmp_path, monkeypatch):
-        fast = []
-        original = ByteHistogram.from_json.__func__
-
-        def counting(cls, values):
-            fast.append(values)
-            return original(cls, values)
-
-        monkeypatch.setattr(ByteHistogram, "from_json", classmethod(counting))
+    def test_bool_literals_take_the_line_path_only_among_counts(self, tmp_path, monkeypatch):
         (lines,) = [p.values[0] for p in REFERENCE_FILES if p.id == "bool_literals_in_paths"]
+        (bad,) = [p.values[0] for p in REFERENCE_FILES if p.id == "bool_among_counts"]
         path = tmp_path / "t.jsonl"
         path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines]))
+        numbers = line_path_reads(monkeypatch)
         records = read_trace(path).records
         assert [r.source_path for r in records] == ["/home/true.txt", "/false/untrue", "/true"]
         assert [r.histogram.total for r in records] == [3, 0, 2]
-        assert len(fast) == 1  # only the line whose `true` is an escaped string
+        assert numbers == []  # a bool literal in a path or an escape does not matter
+        path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines, *bad]))
+        with pytest.raises(MalformedRecord, match="each item an integer"):
+            read_trace(path)
+        assert numbers == [5]
         assert_reads_as_reference(path)
 
     def test_bool_count_keeps_its_message(self, tmp_path):
@@ -598,15 +699,26 @@ class TestCountChecks:
         [[1]] * 256, [0] * 255, [None] + [0] * 255, ["1"] + [0] * 255,
     ], ids=["fast_max", "fives", "past_fast_max", "int64_max", "past_int64", "negative",
             "float", "nested", "count_255", "null", "string"])
-    def test_fast_path_agrees_with_the_exact_check(self, counts):
-        outcomes = []
-        for build in (ByteHistogram, ByteHistogram.from_json):
-            try:
-                hist = build(counts)
-                outcomes.append((hist.total, hist.counts.dtype, hist.counts.tolist()))
-            except ValueError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
+    def test_fast_path_agrees_with_the_exact_check(self, tmp_path, monkeypatch, counts):
+        try:
+            expected = ByteHistogram(counts)
+        except ValueError as exc:
+            expected = f"line 2: invalid event record: {exc}"
+        total = expected.total if isinstance(expected, ByteHistogram) else 0
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(META_LINE + b'\n{"timestamp":1.0,"source_path":"/a","op":"write","bytes":'
+                         + str(total).encode() + b',"histogram":'
+                         + json.dumps(counts, separators=(",", ":")).encode() + b"}\n")
+        numbers = line_path_reads(monkeypatch)
+        try:
+            (record,) = read_trace(path).records
+            got = record.histogram
+            assert type(got.total) is int and got.counts.dtype == np.int64
+        except MalformedRecord as exc:
+            got = str(exc)
+        assert got == expected
+        block = len(counts) == 256 and all(type(c) is int and 0 <= c <= EXACT_SUM_COUNT for c in counts)
+        assert numbers == ([] if block else [2])
 
 
 def spaces(draw):
@@ -637,6 +749,23 @@ def number_of(text):
 path_chars = st.characters(blacklist_categories=("Cs",)) | st.integers(0xD800, 0xDFFF).map(chr)
 
 
+# Spellings of a count that np.fromstring reads and json rejects or reads
+# otherwise; "-" + "0" is json's zero.
+ODD_TOKENS = [lambda t: "0" + t, lambda t: "-" + t, lambda t: "+" + t, lambda t: t + " ",
+              lambda t: " " + t, lambda t: "", lambda t: "99999999999999999999",
+              lambda t: str(2 ** 63), lambda t: str(2 ** 55), lambda t: t + t]
+
+
+@st.composite
+def count_tokens(draw, counts):
+    """The decimal tokens of ``counts``, in some files one of them spelled oddly."""
+    tokens = list(map(str, counts))
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, 255))
+        tokens[at] = draw(st.sampled_from(ODD_TOKENS))(tokens[at])
+    return tokens
+
+
 @st.composite
 def record_texts(draw, timestamp):
     """One record line: keys in any order, optional spaces, any escapes."""
@@ -650,10 +779,12 @@ def record_texts(draw, timestamp):
         ('"source_path"', json.dumps(path, ensure_ascii=lone or draw(st.booleans()))),
         ('"op"', json.dumps(draw(st.sampled_from(OPS)))),
         ('"bytes"', str(hist.total)),
-        ('"histogram"', "[" + comma.join(map(str, hist.counts.tolist())) + "]"),
+        ('"histogram"', "[" + comma.join(draw(count_tokens(hist.counts.tolist()))) + "]"),
     ]
     if draw(st.booleans()):
         pairs.append(('"level_hint"', json.dumps(draw(st.sampled_from(LEVEL_KINDS)))))
+    if not draw(st.integers(0, 7)):  # json keeps the last of two keys
+        pairs.append(('"histogram"', "[" + ",".join(draw(count_tokens([0] * 256))) + "]"))
     pairs = draw(st.permutations(pairs))
     body = ",".join(f"{spaces(draw)}{k}{spaces(draw)}:{spaces(draw)}{v}{spaces(draw)}"
                     for k, v in pairs)
@@ -665,6 +796,8 @@ def trace_files(draw):
     """A trace file of valid record lines and blank lines; some files get one fault."""
     stamps = sorted(draw(st.lists(timestamp_texts(), max_size=4)), key=number_of)
     lines = [f'{{"format":2,"scenario":"benign_edit","seed":{draw(st.integers())},"label":"benign"}}']
+    # Records at time 0 put the drawn lines at the edge of the first 64-line block.
+    lines += [record_bytes([], 0, timestamp=b"0.0").decode()] * draw(st.sampled_from([0, 0, 61, 63]))
     for stamp in stamps:
         if draw(st.booleans()):
             lines.append(draw(st.text(alphabet=" \t\x0b\x0c" + STR_ONLY_BLANKS, max_size=3)))
@@ -677,7 +810,7 @@ def trace_files(draw):
         cut = draw(st.integers(0, len(lines[at])))
         junk = draw(st.sampled_from(["NaN", "-Infinity", "1e400", "-1", "2.5", '"', ",", "}", "[",
                                      "x", "\r", "\xa0", "true", "18446744073709551616",
-                                     "9223372036854775808"]))
+                                     "9223372036854775808", "0", "+", " "]))
         lines[at] = lines[at][:cut] + junk + lines[at][cut:]
     elif fault == "swap" and len(lines) > 2:
         other = draw(st.integers(1, len(lines) - 1))
@@ -705,6 +838,25 @@ class TestStreaming:
         assert meta.seed == 3
         first = next(records)
         assert first.timestamp == 0.125
+
+    def test_reader_holds_at_most_one_block_ahead(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines_with_fault(0, "none")]))
+        taken = []
+        original = entwatch.traces._lines
+
+        def counting(fh):
+            for line in original(fh):
+                taken.append(line)
+                yield line
+
+        monkeypatch.setattr(entwatch.traces, "_lines", counting)
+        meta, records = iter_trace(path)
+        assert len(taken) == 1
+        assert next(records).timestamp == 0.0
+        assert len(taken) == 1 + 64
+        assert [r.timestamp for r in records] == [float(i) for i in range(1, 70)]
+        assert len(taken) == 1 + 70
 
     def test_unread_records_close_the_file(self, tmp_path):
         path = tmp_path / "t.jsonl"
