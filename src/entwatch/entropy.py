@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * Entropy is measured in bits per byte over the 256-symbol byte alphabet,
   so values live in [0, 8]. An empty histogram has entropy 0 by definition,
-  which keeps stream starts total.
+  which keeps stream starts total. A histogram may carry its entropy
+  (``ByteHistogram.entropy``) when it was computed bit-identically, as
+  ``full_row_entropies`` computes it for the trace reader's blocks.
 * An entropy series is a sequence of ``(timestamp, entropy)`` pairs, oldest
   first, with strictly increasing timestamps (seconds). Its second
   difference over three pairs is defined only for near-uniform spacing
@@ -50,13 +52,16 @@ class ByteHistogram:
 
     ``counts`` is a list of 256 ints (not bools or floats), stored as an int64
     array. ``total`` is kept equal to the exact sum of ``counts``, and never
-    passes int64. Instances are plain mutable accumulators and must not be shared
-    between concurrent writers.
+    passes int64. ``entropy`` is the histogram's ``shannon_entropy`` when that
+    is already known, and None otherwise. ``counts`` changes only through
+    ``merge``, which clears ``entropy``; ``copy`` keeps it. Instances are plain
+    mutable accumulators and must not be shared between concurrent writers.
     """
 
-    __slots__ = ("counts", "total")
+    __slots__ = ("counts", "total", "entropy")
 
     def __init__(self, counts=None):
+        self.entropy = None
         if counts is None:
             self.counts = np.zeros(256, dtype=np.int64)
             self.total = 0
@@ -75,12 +80,15 @@ class ByteHistogram:
         self.total = total
 
     @classmethod
-    def unchecked(cls, counts: np.ndarray, total: int) -> "ByteHistogram":
+    def unchecked(cls, counts: np.ndarray, total: int,
+                  entropy: float | None = None) -> "ByteHistogram":
         """The histogram of ``counts``, taken as is: the caller knows them to be
-        256 non-negative int64 values whose exact sum is ``total``."""
+        256 non-negative int64 values whose exact sum is ``total``, and
+        ``entropy``, when given, to be their ``shannon_entropy``."""
         hist = cls.__new__(cls)
         hist.counts = counts
         hist.total = total
+        hist.entropy = entropy
         return hist
 
     def merge(self, other: "ByteHistogram") -> None:
@@ -94,9 +102,10 @@ class ByteHistogram:
             raise OverflowError(f"merged byte count {total} passes the 64-bit range")
         self.counts += other.counts
         self.total = total
+        self.entropy = None
 
     def copy(self) -> "ByteHistogram":
-        return ByteHistogram.unchecked(self.counts.copy(), self.total)
+        return ByteHistogram.unchecked(self.counts.copy(), self.total, self.entropy)
 
     def __eq__(self, other):
         if not isinstance(other, ByteHistogram):
@@ -118,14 +127,32 @@ def histogram_from_bytes(data: bytes) -> ByteHistogram:
 
 
 def shannon_entropy(hist: ByteHistogram) -> float:
-    """Shannon entropy of the histogram in bits/byte, 0 for an empty histogram."""
+    """Shannon entropy of the histogram in bits/byte, 0 for an empty histogram;
+    ``hist.entropy`` when that is set."""
+    if hist.entropy is not None:
+        return hist.entropy
     if hist.total == 0:
         return 0.0
-    counts = hist.counts[hist.counts > 0]
+    counts = hist.counts
+    if not counts.all():
+        counts = counts[counts > 0]
     p = counts / hist.total
-    value = float(-(p * np.log2(p)).sum())
+    value = float(-np.add.reduce(p * np.log2(p)))
     # Clamp float summation noise; the true value is within [0, 8].
     return min(max(value, 0.0), MAX_ENTROPY_BITS)
+
+
+def full_row_entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``shannon_entropy`` of each row of a C-contiguous (k, 256) int64 array
+    whose counts are all non-zero, ``totals`` being the rows' sums.
+
+    Each value is bit-identical to the row's ``shannon_entropy``: the same
+    elementwise arithmetic, and each row summed along the last axis by the
+    same 256-term pairwise sum.
+    """
+    p = counts / totals[:, None]
+    values = -np.add.reduce(p * np.log2(p), axis=1)
+    return np.minimum(np.maximum(values, 0.0), MAX_ENTROPY_BITS)
 
 
 def second_difference(s0: tuple[float, float], s1: tuple[float, float],
@@ -184,10 +211,10 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     The result is non-negative and 0 exactly when p equals q bin-wise. Bins
     where p carries no mass contribute nothing regardless of q.
     """
-    q_floored = np.maximum(q.bins, EPSILON_MASS)
     mask = p.bins > 0
-    if not mask.any():
+    masses = p.bins[mask]
+    if not masses.size:
         return 0.0
-    value = float((p.bins[mask] * np.log2(p.bins[mask] / q_floored[mask])).sum())
+    value = float(np.add.reduce(masses * np.log2(masses / np.maximum(q.bins[mask], EPSILON_MASS))))
     return max(value, 0.0)
 

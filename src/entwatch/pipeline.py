@@ -4,7 +4,10 @@ Records are consumed in timestamp order. ``SourceWindows`` buckets them into
 fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
 a level at its first record. At each window close every source with payload
 activity gets one entropy sample, a (window end, entropy) pair for its merged
-window histogram, and keeps its last three; sources with two or more samples
+window histogram, and keeps its last three. The window histogram starts as a
+copy of the source's first record's, which keeps a cached entropy (see
+``traces``), so a window of one record reads its entropy instead of
+computing it; a merge clears the cache. Sources with two or more samples
 yield an absolute entropy deviation |dH|. Window ends strictly increase, as a
 window closes only when a later one opens, and entropies are in [0, 8], so
 samples are kept as computed. ``collect_trace_deviations`` drives it alone to
@@ -18,7 +21,9 @@ each close:
    unevenly spaced, as across a window the source skipped; see
    ``entropy.second_difference``); then the source's KL (recent
    deviations against its level baseline) and its posterior (a Bayes update
-   by the attack-vs-baseline likelihood ratio of the deviation) are updated.
+   by the attack-vs-baseline likelihood ratio of the deviation's bin, read
+   from a table of each profile level's 64 ratios that the processor builds
+   once) are updated.
    KL reads only the multiset of the recent bins, so it is read from a
    per-trace memo keyed by level and that multiset, and computed on a miss;
 2. takes each level's mean of its sampled members' latest entropies (the
@@ -68,6 +73,8 @@ from .detector import (
     posterior,
 )
 from .entropy import (
+    DEVIATION_BINS,
+    MAX_ENTROPY_BITS,
     BinnedDistribution,
     ByteHistogram,
     bin_index,
@@ -259,6 +266,13 @@ class TraceProcessor:
         self.label = label
         self.onset_at = onset_at
 
+        # Per profile level, its baseline and the likelihood ratio of each
+        # deviation bin, read at the bin's lower edge (bin_index gives it back).
+        edges = [b * MAX_ENTROPY_BITS / DEVIATION_BINS for b in range(DEVIATION_BINS)]
+        self._scored_levels: dict[str, tuple[BinnedDistribution, list[float]]] = {
+            level_id: (q, [likelihood_ratio(edge, q, self.attack_model) for edge in edges])
+            for level_id, q in profile.per_level.items()
+        }
         self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
                                       partial(SourceTrack, posterior=profile.prior))
         self.sources: dict[str, SourceTrack] = self._windows.sources
@@ -310,17 +324,18 @@ class TraceProcessor:
                 level_values.append(value)
                 continue
             self._level_values[track.level_id][track.level_slot] = value
-            track.deviations.append(bin_index(dev))
+            dev_bin = bin_index(dev)
+            track.deviations.append(dev_bin)
             track.max_abs_delta = max(track.max_abs_delta, dev)
             if len(samples) == 3:
                 accel = second_difference(*samples)
                 if accel is not None:  # None: the three samples are unevenly spaced
                     track.max_accel = max(track.max_accel, accel)
-            q = self.profile.per_level.get(track.level_id)
-            if q is not None:
+            level = self._scored_levels.get(track.level_id)
+            if level is not None:
+                q, ratios = level
                 track.kl = self._kl(track.level_id, q, track.deviations)
-                lr = likelihood_ratio(dev, q, self.attack_model)
-                updated = posterior(track.posterior, lr)
+                updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             if track.verdict is None:
                 undecided.append(track)

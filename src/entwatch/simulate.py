@@ -182,6 +182,10 @@ def _synthesize(lams: np.ndarray, totals: np.ndarray, heavies: np.ndarray) -> It
 def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int) -> ByteHistogram:
     """Integer histogram of ``total`` bytes whose entropy is ~``target_entropy``,
     its point mass on byte value ``heavy_byte`` (an int in 0..255)."""
+    try:
+        target_entropy = checked(target_entropy, "target entropy", float)
+    except ValueError as exc:
+        raise InvalidSpec(str(exc)) from exc
     if not 0.0 <= target_entropy <= 8.0:
         raise InvalidSpec(f"target entropy out of [0, 8]: {target_entropy}")
     if type(total) is not int or not 0 < total <= INT64_MAX:

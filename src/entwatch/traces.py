@@ -29,7 +29,11 @@ the lines that hold one. A row is then taken only if no token of its field
 is a ``0`` with a digit after it, and every count is at most 2**55 - 1,
 which no clamped token is and which keeps the int64 total exact; and only if
 ``EventRecord`` accepts the head's fields with all its checks. Such a line
-is valid JSON that ``json`` reads as the same record.
+is valid JSON that ``json`` reads as the same record. The rows taken whose
+256 counts are all non-zero also get their entropy, by one
+``entropy.full_row_entropies`` pass per block, cached on the histogram
+(``ByteHistogram.entropy``) for the window close; every other histogram,
+line-path and scanned ones included, carries None.
 
 Every other line takes the line path: ``orjson`` decodes it whole and
 ``ByteHistogram`` checks its counts item by item. ``orjson`` rejects some
@@ -54,7 +58,7 @@ from typing import Iterator
 import numpy as np
 import orjson
 
-from .entropy import EXACT_SUM_COUNT, ByteHistogram, histogram_from_bytes
+from .entropy import EXACT_SUM_COUNT, ByteHistogram, full_row_entropies, histogram_from_bytes
 from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from .hierarchy import LEVEL_KINDS
 
@@ -287,7 +291,7 @@ def _counts_field(line: bytes) -> tuple[int, bytes] | None:
     return (k, body) if body.translate(None, b"0123456789") == _COMMAS else None
 
 
-def _block_counts(fields: list) -> tuple[np.ndarray, list[bool]]:
+def _block_counts(fields: list) -> tuple[np.ndarray, np.ndarray]:
     """The (rows, 256) counts of the fields that are not None, read by one
     ``np.fromstring``, and whether json reads each field as that row; a field
     with an empty token becomes None."""
@@ -316,15 +320,16 @@ def _block_counts(fields: list) -> tuple[np.ndarray, list[bool]]:
     if zero_led.size:
         starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
         good[np.searchsorted(starts, zero_led, side="right") - 1] = False
-    return counts, good.tolist()
+    return counts, good
 
 
-def _block_record(head: bytes, counts: np.ndarray, total: int) -> EventRecord | None:
+def _block_record(head: bytes, counts: np.ndarray, total: int,
+                  entropy: float | None) -> EventRecord | None:
     """The record of a head and its checked counts, or None for ``_line_record`` to decide."""
     try:
         obj = orjson.loads(head)  # a JSON text that ends in "}" is an object
         # This replaces a "histogram" key of the head, as json keeps the last of two.
-        obj["histogram"] = ByteHistogram.unchecked(counts, total)
+        obj["histogram"] = ByteHistogram.unchecked(counts, total, entropy)
         return EventRecord(**obj)
     except (TypeError, ValueError, RecursionError):  # orjson.JSONDecodeError is a ValueError
         return None
@@ -335,13 +340,18 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
     ``line_number``; blank lines yield nothing."""
     fields = [_counts_field(line) for line in block]
     counts, good = _block_counts(fields)
-    totals = counts.sum(axis=1).tolist()
+    totals = counts.sum(axis=1)
+    # The entropies of the taken rows whose counts are all non-zero, by row.
+    full = np.flatnonzero(good & counts.all(axis=1))
+    entropies = dict(zip(full.tolist(), full_row_entropies(counts[full], totals[full]).tolist()))
+    good, totals = good.tolist(), totals.tolist()
     row = 0
     for line, field in zip(block, fields):
         rec = None
         if field is not None:
             if good[row]:
-                rec = _block_record(line[:field[0]] + b"}", counts[row], totals[row])
+                rec = _block_record(line[:field[0]] + b"}", counts[row], totals[row],
+                                    entropies.get(row))
             row += 1
         if rec is None:
             rec = _line_record(line, line_number)

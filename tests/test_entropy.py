@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from entwatch.entropy import (
     DEVIATION_BINS,
+    EPSILON_MASS,
     BinnedDistribution,
     ByteHistogram,
     bin_index,
+    full_row_entropies,
     histogram_from_bytes,
     kl_divergence,
     second_difference,
@@ -132,6 +134,64 @@ class TestShannonEntropy:
         assert shannon_entropy(hist) == pytest.approx(shannon_entropy(rolled), abs=1e-12)
 
 
+def reference_shannon_entropy(hist):
+    """The entropy by mask, divide, log2, multiply, sum and clamp, with no cache."""
+    if hist.total == 0:
+        return 0.0
+    counts = hist.counts[hist.counts > 0]
+    p = counts / hist.total
+    value = float(-(p * np.log2(p)).sum())
+    return min(max(value, 0.0), 8.0)
+
+
+def random_counts(seed, rows=1):
+    """(rows, 256) counts up to 2**40 whose rows have no zero, a few, or many."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, rng.choice([2, 255, 2 ** 40]), size=(rows, 256), endpoint=True)
+    return counts * (rng.random((rows, 256)) >= rng.choice([0.0, 0.01, 0.5]))
+
+
+class TestEntropyCache:
+    """``ByteHistogram.entropy`` holds the histogram's entropy when it is known."""
+
+    def test_new_histograms_carry_none(self):
+        assert ByteHistogram().entropy is None
+        assert ByteHistogram([1] * 256).entropy is None
+        assert histogram_from_bytes(b"abc").entropy is None
+        assert ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256).entropy is None
+
+    def test_cached_value_is_returned_as_is(self):
+        # shannon_entropy trusts the cache: 1.25 is not these counts' entropy.
+        hist = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 1.25)
+        assert shannon_entropy(hist) == 1.25
+
+    def test_copy_keeps_and_merge_clears_it(self):
+        hist = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 8.0)
+        twin = hist.copy()
+        assert twin.entropy == 8.0 and twin == hist
+        twin.merge(histogram_from_bytes(b"a"))
+        assert twin.entropy is None
+        assert shannon_entropy(twin) == reference_shannon_entropy(twin)
+        assert hist.entropy == 8.0 and hist.total == 256
+
+    def test_equality_ignores_it(self):
+        hist = ByteHistogram([1] * 256)
+        assert hist == ByteHistogram.unchecked(hist.counts.copy(), 256, 8.0)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_fresh_value_is_the_reference_bit_for_bit(self, seed):
+        hist = ByteHistogram(random_counts(seed)[0].tolist())
+        assert shannon_entropy(hist).hex() == reference_shannon_entropy(hist).hex()
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
+    def test_full_row_entropies_are_shannon_entropy_bit_for_bit(self, seed, rows):
+        counts = random_counts(seed, rows)
+        counts = counts[counts.all(axis=1)]
+        got = full_row_entropies(counts, counts.sum(axis=1)).tolist()
+        assert [h.hex() for h in got] == [
+            shannon_entropy(ByteHistogram(row.tolist())).hex() for row in counts]
+
+
 class TestSecondDifference:
     def test_linear_is_zero(self):
         assert second_difference((0.0, 1.0), (1.0, 2.0), (2.0, 3.0)) == 0.0
@@ -193,6 +253,26 @@ class TestKlDivergence:
         q_dist = dist(q / q.sum())
         assert kl_divergence(p_dist, q_dist) >= 0.0
         assert kl_divergence(p_dist, p_dist) < 1e-9
+
+
+def reference_kl_divergence(p, q):
+    """KL with the whole reference floored first and p indexed by its mask twice."""
+    q_floored = np.maximum(q.bins, EPSILON_MASS)
+    mask = p.bins > 0
+    if not mask.any():
+        return 0.0
+    value = float((p.bins[mask] * np.log2(p.bins[mask] / q_floored[mask])).sum())
+    return max(value, 0.0)
+
+
+class TestKlDivergenceReference:
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        raw = rng.random((2, DEVIATION_BINS)) * (rng.random((2, DEVIATION_BINS)) < 0.5)
+        raw += np.eye(2, DEVIATION_BINS)  # p has mass in bin 0, q in bin 1
+        p, q = (BinnedDistribution(row / row.sum()) for row in raw)
+        assert kl_divergence(p, q).hex() == reference_kl_divergence(p, q).hex()
 
 
 class TestBinnedDistribution:

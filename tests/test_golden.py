@@ -18,6 +18,7 @@ import io
 import pytest
 
 from entwatch.cli import main
+from entwatch.entropy import ByteHistogram, shannon_entropy
 from entwatch.pipeline import fit_attack_model
 from entwatch.traces import read_trace
 
@@ -130,6 +131,17 @@ def test_simulated_trace_lines_take_the_block_path(golden_run, monkeypatch, name
     records = read_trace(root / name).records
     assert line_path == []
     assert len(records) == (root / name).read_bytes().count(b"\n") - 1
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_cached_entropies_are_the_computed_ones(golden_run, name):
+    root, _ = golden_run
+    records = read_trace(root / name).records
+    cached = [r.histogram for r in records if r.histogram.entropy is not None]
+    assert cached  # every golden trace has rows whose 256 counts are all non-zero
+    for hist in cached:
+        fresh = shannon_entropy(ByteHistogram.unchecked(hist.counts.copy(), hist.total))
+        assert hist.entropy.hex() == fresh.hex()
 
 
 def test_detect_stdout_matches_golden(golden_run):

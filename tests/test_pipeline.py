@@ -9,8 +9,14 @@ from hypothesis import strategies as st
 
 from entwatch import pipeline
 from entwatch.baseline import empirical_distribution, fit_baseline
-from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN
-from entwatch.entropy import DEVIATION_BINS, ByteHistogram, kl_divergence, shannon_entropy
+from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, likelihood_ratio
+from entwatch.entropy import (
+    DEVIATION_BINS,
+    ByteHistogram,
+    bin_index,
+    kl_divergence,
+    shannon_entropy,
+)
 from entwatch.errors import MalformedRecord
 from entwatch.hierarchy import (
     HierarchyConfig,
@@ -26,7 +32,7 @@ from entwatch.pipeline import (
     fit_attack_model,
 )
 from entwatch.simulate import ScenarioSpec, simulate_scenario
-from entwatch.traces import EventRecord, histogram_from_bytes
+from entwatch.traces import EventRecord, histogram_from_bytes, read_trace, write_trace
 
 
 class TestAttackModel:
@@ -565,3 +571,74 @@ class TestAcceleration:
         blind_accel, blind_convex = recount(spacing_check=False)
         assert all(blind_accel[path] > max_accel[path] for path in paths)
         assert set(blind_convex) > set(convex)
+
+
+def without_cache(records):
+    """The records, each histogram rebuilt with no cached entropy."""
+    return [replace(r, histogram=ByteHistogram.unchecked(r.histogram.counts, r.histogram.total))
+            for r in records]
+
+
+class TestEntropyCache:
+    """A window close reads a cached entropy only where it is the window's."""
+
+    def test_one_record_window_is_sampled_at_its_cached_entropy(self, benign_profile,
+                                                                  attack_model):
+        # The cache is trusted: 1.25 is not these counts' entropy, so a
+        # recomputed entropy would show.
+        hist = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 1.25)
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        proc.process([EventRecord(0.1, "/home/u/x", "write", hist, 256)])
+        proc.finish()
+        assert [h for _, h in proc.sources["/home/u/x"].samples] == [1.25]
+        assert hist.entropy == 1.25  # the record's histogram is not touched
+
+    def test_two_records_are_sampled_at_their_merged_entropy(self, benign_profile,
+                                                               attack_model):
+        a = ByteHistogram.unchecked(np.arange(1, 257, dtype=np.int64), 32896, 1.25)
+        b = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 2.5)
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        proc.process([EventRecord(0.1, "/home/u/x", "write", a, a.total),
+                      EventRecord(0.2, "/home/u/x", "write", b, b.total)])
+        proc.finish()
+        merged = ByteHistogram((np.arange(1, 257) + 1).tolist())
+        assert [h for _, h in proc.sources["/home/u/x"].samples] == [shannon_entropy(merged)]
+        assert (a.entropy, b.entropy) == (1.25, 2.5)
+        assert np.array_equal(a.counts, np.arange(1, 257))
+
+    @pytest.mark.parametrize("kind,seed", [("ransomware", 830), ("benign_edit", 831),
+                                           ("compressor", 832)])
+    def test_results_do_not_depend_on_the_cache(self, tmp_path, benign_profile, attack_model,
+                                                 kind, seed):
+        trace = simulate_scenario(ScenarioSpec(kind, seed=seed))
+        write_trace(trace, tmp_path / "t.jsonl")
+        records = read_trace(tmp_path / "t.jsonl").records
+        assert any(r.histogram.entropy is not None for r in records)
+        results = []
+        for recs in (records, without_cache(records)):
+            proc = TraceProcessor(profile=benign_profile, attack_model=attack_model,
+                                  trace_name=kind, label=trace.meta.label,
+                                  onset_at=trace.meta.onset_at)
+            results.append(proc.process(recs).finish())
+        cached, fresh = results
+        # Alerts, per-source verdicts, level samples and convexity times alike.
+        assert cached == fresh
+
+
+class TestLikelihoodRatioTable:
+    def test_each_bin_holds_the_likelihood_ratio_of_its_deviations(self, attack_model):
+        rng = np.random.default_rng(19)
+        profile = fit_baseline({"fs-user": rng.uniform(0, 8, 400).tolist(),
+                                "net": rng.uniform(0, 2, 400).tolist()}, created_at=0.0)
+        proc = TraceProcessor(profile=profile, attack_model=attack_model)
+        assert set(proc._scored_levels) == {"fs-user", "net"}
+        for level_id, (q, ratios) in proc._scored_levels.items():
+            assert q is profile.per_level[level_id]
+            for b in range(DEVIATION_BINS):
+                lo, hi = b / 8.0, (b + 1) / 8.0
+                devs = [lo, (lo + hi) / 2.0, float(np.nextafter(hi, 0.0))]
+                if b == DEVIATION_BINS - 1:
+                    devs.append(8.0)  # the last bin holds its upper edge too
+                for dev in devs:
+                    assert bin_index(dev) == b
+                    assert ratios[b] == likelihood_ratio(dev, q, attack_model)

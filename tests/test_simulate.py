@@ -57,6 +57,15 @@ class TestSynthesis:
         with pytest.raises(InvalidSpec, match="payload size"):
             synthesize_histogram(4.0, total, 0)
 
+    @pytest.mark.parametrize("target", ["4", None, True, [4.0]])
+    def test_target_that_is_not_a_number_is_invalid(self, target):
+        # A bool is not a number: True is not a target of 1 bit.
+        with pytest.raises(InvalidSpec, match="target entropy"):
+            synthesize_histogram(target, 100, 0)
+
+    def test_int_target_is_a_number(self):
+        assert synthesize_histogram(4, 100, 0) == synthesize_histogram(4.0, 100, 0)
+
     def test_largest_total_keeps_the_invariant(self):
         hist = synthesize_histogram(4.0, 2 ** 63 - 1, 0)
         assert hist.total == int(hist.counts.sum()) == 2 ** 63 - 1

@@ -721,6 +721,56 @@ class TestCountChecks:
         assert numbers == ([] if block else [2])
 
 
+def fresh_entropy(hist: ByteHistogram) -> float:
+    """The entropy of the histogram's counts, computed afresh whatever it caches."""
+    return shannon_entropy(ByteHistogram.unchecked(hist.counts.copy(), hist.total))
+
+
+class TestBlockEntropies:
+    """The block path caches the entropy of each row whose 256 counts are all
+    non-zero; every other histogram carries None."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 2 * 64 + 3),
+           high=st.sampled_from([1, 2, 255, 10 ** 6, EXACT_SUM_COUNT >> 8]),
+           zero_share=st.sampled_from([0.0, 0.2, 1.0]))
+    def test_full_rows_carry_their_entropy(self, tmp_path, seed, rows, high, zero_share):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, high, size=(rows, 256), endpoint=True)
+        with_zero = rng.random(rows) < zero_share
+        for row in np.flatnonzero(with_zero):
+            counts[row, rng.choice(256, size=rng.integers(1, 257), replace=False)] = 0
+        records = [EventRecord(float(i), "/a", "write", ByteHistogram(row.tolist()), int(row.sum()))
+                   for i, row in enumerate(counts)]
+        path = tmp_path / "t.jsonl"
+        write_trace(Trace(TraceMeta("benign_edit", 1, "benign"), records), path)
+        got = read_trace(path).records
+        assert got == tuple(records)
+        for rec, zero in zip(got, with_zero):
+            if zero:
+                assert rec.histogram.entropy is None
+            else:
+                assert rec.histogram.entropy.hex() == fresh_entropy(rec.histogram).hex()
+
+    def test_line_path_records_carry_none(self, tmp_path, monkeypatch):
+        counts = b",".join([b"1"] * 256)
+        head = b'{"timestamp":1.0,"source_path":"/a","op":"write","bytes":256,"histogram":['
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"\n".join([META_LINE, head + counts + b"]}",
+                                     head + counts.replace(b",", b", ", 1) + b"]}", b""]))
+        numbers = line_path_reads(monkeypatch)
+        block, line = read_trace(path).records
+        assert numbers == [3]
+        assert block.histogram.entropy == 8.0
+        assert line.histogram.entropy is None and shannon_entropy(line.histogram) == 8.0
+
+    def test_scanned_histograms_carry_none(self, tmp_path):
+        (tmp_path / "all.bin").write_bytes(bytes(range(256)) * 4)
+        records, _ = scan_directory(tmp_path, chunk_bytes=256)
+        assert [r.histogram.entropy for r in records] == [None] * 4
+
+
 def spaces(draw):
     return draw(st.text(alphabet=" \t", max_size=2))
 
