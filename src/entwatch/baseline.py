@@ -160,6 +160,13 @@ def load_profile(path) -> BaselineProfile:
     except OSError as exc:
         raise IoFailure(f"cannot read profile from {path}: {exc}") from exc
     try:
+        return _profile_from_text(raw, path)
+    except RecursionError as exc:  # nesting past the limit, in the parse or the checksum
+        raise CorruptProfile(f"profile {path} is nested too deeply: {exc}") from exc
+
+
+def _profile_from_text(raw: str, path) -> BaselineProfile:
+    try:
         doc = json.loads(raw)
     except ValueError as exc:
         raise CorruptProfile(f"profile {path} is not valid JSON: {exc}") from exc

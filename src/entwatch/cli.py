@@ -25,6 +25,9 @@ from .metrics import (
     write_metrics_json,
     write_report_csv,
 )
+# Detection scores against the stored ``pipeline.ATTACK_MODEL`` and calls no
+# fit; ``fit_attack_model`` stays bound here because perfbench wraps and calls
+# it by this module's name.
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
 from .simulate import DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
 from .traces import BENIGN, iter_trace, scan_directory, write_trace
@@ -139,7 +142,6 @@ def cmd_detect(args) -> int:
         print(f"detect: the hierarchy's levels ({', '.join(level_ids)}) share none with "
               f"the profile's ({', '.join(sorted(profile.per_level))})", file=sys.stderr)
         return 2
-    attack_model = fit_attack_model()
     _make_out_dir(args.out)
 
     started = time.perf_counter()
@@ -150,7 +152,7 @@ def cmd_detect(args) -> int:
         try:
             label, onset, records, skipped = _input_records(path, args.chunk_bytes)
             proc = TraceProcessor(
-                hierarchy, detector, profile=profile, attack_model=attack_model,
+                hierarchy, detector, profile=profile,
                 trace_name=path, label=label, onset_at=onset,
             )
             proc.process(records)

@@ -108,6 +108,24 @@ POSTERIOR_FLOOR = 1e-6
 ATTACK_MODEL_SEEDS = (9101, 9102, 9103)
 ATTACK_FIT_DURATION = 60.0
 
+# The model ``fit_attack_model()`` fits, stored so that detection simulates
+# nothing: the mass of each bin above the smoothing floor, which every other
+# bin holds. The floats are reprs, so they round-trip bit for bit; a test
+# refits the model and compares.
+_ATTACK_FLOOR_MASS = 9.999999430000036e-10
+_ATTACK_MASSES = {
+    5: 0.8888888382222252,
+    14: 0.018518517462963024,
+    15: 0.02160493704012353,
+    16: 0.024691356617284034,
+    17: 0.018518517462963024,
+    18: 0.024691356617284034,
+    19: 0.0030864195771605043,
+}
+ATTACK_MODEL = BinnedDistribution(
+    [_ATTACK_MASSES.get(b, _ATTACK_FLOOR_MASS) for b in range(DEVIATION_BINS)])
+ATTACK_MODEL.bins.flags.writeable = False  # shared by every processor
+
 
 @dataclass
 class SourceWindow:
@@ -261,7 +279,7 @@ class TraceProcessor:
         self.hierarchy = hierarchy if hierarchy is not None else default_hierarchy()
         self.detector = detector if detector is not None else DetectorConfig()
         self.profile = profile
-        self.attack_model = attack_model if attack_model is not None else fit_attack_model()
+        self.attack_model = attack_model if attack_model is not None else ATTACK_MODEL
         self.trace_name = trace_name
         self.label = label
         self.onset_at = onset_at
@@ -465,7 +483,9 @@ def fit_attack_model() -> BinnedDistribution:
     """Deviation distribution under encryption, fit from seeded simulator runs.
 
     The encryptor scenarios behind this model are fixed, so the result is a
-    process-wide constant, computed once and shared by every caller.
+    process-wide constant, computed once and shared by every caller. Detection
+    does not call it: ``ATTACK_MODEL`` stores its bins, and this is the
+    reference fit that the tests compare them against.
     """
     pooled: list[float] = []
     for seed in ATTACK_MODEL_SEEDS:

@@ -1,4 +1,6 @@
 import json
+import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -270,6 +272,26 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(CorruptProfile, match="at least one level"):
             load_profile(path)
+
+    @pytest.mark.parametrize("key", ["levels", "version"])
+    def test_nesting_near_the_recursion_limit_is_corrupt(self, tmp_path, key):
+        # Near the limit, the parse may pass and the checksum's re-encoding,
+        # called a frame deeper, meet it. Either way the profile is refused
+        # with a profile error, never a RecursionError.
+        path = tmp_path / "p.json"
+        save_profile(random_profile(np.random.default_rng(9)), path)
+        doc = json.loads(path.read_text())
+        doc.pop("crc32")
+        doc[key] = "@"
+        # The checksum's encoding, with the nested value spliced in as text.
+        canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 100, limit + 5):
+            text = canonical.replace('"@"', "[" * depth + "]" * depth)
+            crc = zlib.crc32(text.encode("utf-8")) & 0xFFFFFFFF
+            path.write_text(f'{text[:-1]},"crc32":{crc}}}')
+            with pytest.raises((CorruptProfile, UnsupportedVersion)):
+                load_profile(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):

@@ -9,6 +9,7 @@ import pytest
 from entwatch.config import load_run_config
 from entwatch.detector import DetectorConfig
 from entwatch.entropy import histogram_from_bytes
+from entwatch.errors import ConfigError
 from entwatch.traces import EventRecord, Trace, TraceMeta, write_trace
 
 CLI = [sys.executable, "-m", "entwatch"]
@@ -403,6 +404,24 @@ class TestDetect:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and "is not valid JSON" in lines[0], res.stderr
 
+    @pytest.mark.parametrize("text", ["[" * 100000, '{"hierarchy": {"levels": ' + "[" * 100000],
+                             ids=["top", "in_object"])
+    def test_deeply_nested_config_is_usage_error(self, workspace, tmp_path, text):
+        cfg_path = tmp_path / "deep.json"
+        cfg_path.write_text(text)
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "r"))
+        assert res.returncode == 2
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
+    def test_deeply_nested_profile_is_one_error_line(self, workspace, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--baseline", str(deep),
+                      "--out", str(tmp_path / "r"))
+        assert_one_error_line(res)
+
     def test_level_weight_sum_past_float_range_is_usage_error(self, workspace, tmp_path):
         levels = [{"level_id": level_id, "kind": "filesystem", "weight": 1e308}
                   for level_id in ("a", "b")]
@@ -555,6 +574,38 @@ class TestReport:
         original = json.loads((out / "metrics.json").read_text())
         assert recomputed["accuracy"] == original["accuracy"]
         assert recomputed["fpr"] == original["fpr"]
+
+
+@pytest.mark.parametrize("template", ['{"detector": {"kl_threshold": @}}',
+                                      '{"hierarchy": {"levels": [{"level_id": @}]}}'],
+                         ids=["detector", "level"])
+def test_config_nested_near_the_recursion_limit_is_config_error(tmp_path, template):
+    # Whether the parse or a later step (the repr in an error message) meets
+    # the limit, the config is refused with a ConfigError.
+    cfg_path = tmp_path / "cfg.json"
+    limit = sys.getrecursionlimit()
+    for depth in range(limit - 100, limit + 5):
+        cfg_path.write_text(template.replace("@", "[" * depth + "]" * depth))
+        with pytest.raises(ConfigError):
+            load_run_config(cfg_path)
+
+
+def test_detect_and_profile_load_no_random_generator(workspace, tmp_path):
+    # Detection scores against the stored attack model, so neither command
+    # simulates, and numpy.random (with what it imports) is never loaded.
+    argv_detect = ["detect", str(workspace / "rw.jsonl"), "--baseline",
+                   str(workspace / "base.json"), "--out", str(tmp_path / "run"), "--frozen-clock"]
+    argv_profile = ["profile", str(workspace / "ben0.jsonl"), "--out", str(tmp_path / "p.json"),
+                    "--frozen-clock"]
+    code = ("import contextlib, io, sys\n"
+            "from entwatch.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main({argv_detect!r}), main({argv_profile!r})]\n"
+            "print(codes, sorted(m for m in ('numpy.random', 'secrets', 'hmac') "
+            "if m in sys.modules))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[0, 0] []"
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -1,9 +1,9 @@
 """Golden outputs: a fixed simulate/profile/detect run must reproduce byte for byte.
 
 The hashes below pin the frozen-clock outputs of the CLI on a small seeded
-corpus, the trace files it simulates, and the fitted attack model. A second
-detect over one wide trace (120 files, so clustering batches of up to 120
-sources) pins the large-batch path of average linkage. The edge specs pin
+corpus, the trace files it simulates, and the attack model, both as fitted
+and as stored. A second detect over one wide trace (120 files, so clustering
+batches of up to 120 sources) pins the large-batch path of average linkage. The edge specs pin
 the simulator's schedules away from the defaults: empty schedules, a single
 file, custom directories and ramps, and durations off the 0.25 s event grid.
 A refactor must leave all of them unchanged. A
@@ -17,9 +17,10 @@ import io
 
 import pytest
 
+from entwatch import cli, pipeline, simulate
 from entwatch.cli import main
 from entwatch.entropy import ByteHistogram, shannon_entropy
-from entwatch.pipeline import fit_attack_model
+from entwatch.pipeline import ATTACK_MODEL, fit_attack_model
 from entwatch.traces import read_trace
 
 from test_traces import line_path_reads
@@ -149,8 +150,33 @@ def test_detect_stdout_matches_golden(golden_run):
     assert sha256(stdout.encode("utf-8")) == GOLDEN_DETECT_STDOUT
 
 
+def test_detect_runs_no_simulator(golden_run, monkeypatch):
+    # Detect scores against the stored attack model: with every binding of
+    # the simulator refusing, it still reproduces the golden outputs.
+    def refuse(spec):
+        raise AssertionError(f"detect simulated {spec}")
+
+    for module in (simulate, pipeline, cli):
+        monkeypatch.setattr(module, "simulate_scenario", refuse)
+    fit_attack_model.cache_clear()  # a cached fit would hide a call to the simulator
+    root, _ = golden_run
+    monkeypatch.chdir(root)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["detect", "rw_7010.jsonl", "rw_7011.jsonl", "ben_7012.jsonl",
+                     "zip_7013.jsonl", "--baseline", "profile.json", "--out", "nosim",
+                     "--frozen-clock"]) == 0
+    assert sha256(buf.getvalue().encode("utf-8")) == GOLDEN_DETECT_STDOUT
+    for name in ("report.csv", "metrics.json", "heatmap.csv"):
+        assert sha256((root / "nosim" / name).read_bytes()) == GOLDEN[f"run/{name}"]
+
+
 def test_attack_model_bins_match_golden():
     assert sha256(fit_attack_model().bins.tobytes()) == GOLDEN_ATTACK_MODEL
+
+
+def test_stored_attack_model_bins_match_golden():
+    assert sha256(ATTACK_MODEL.bins.tobytes()) == GOLDEN_ATTACK_MODEL
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_SPECS))

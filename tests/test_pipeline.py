@@ -43,6 +43,21 @@ class TestAttackModel:
         assert abs(a.bins.sum() - 1.0) < 1e-9
         assert (a.bins > 0).all()  # smoothed
 
+    def test_stored_model_is_the_fit(self):
+        fit = fit_attack_model().bins
+        floor = fit.min()
+        masses = {b: float(m) for b, m in enumerate(fit) if m != floor}
+        # On a deliberate change to the fit, the message holds the new literal.
+        assert pipeline.ATTACK_MODEL.bins.tobytes() == fit.tobytes(), (
+            f"refit: _ATTACK_FLOOR_MASS = {float(floor)!r}, _ATTACK_MASSES = {masses!r}")
+
+    def test_stored_model_is_read_only(self):
+        with pytest.raises(ValueError):
+            pipeline.ATTACK_MODEL.bins[0] = 0.5
+
+    def test_processor_defaults_to_the_stored_model(self, benign_profile):
+        assert TraceProcessor(profile=benign_profile).attack_model is pipeline.ATTACK_MODEL
+
     def test_mass_sits_on_large_deviations(self):
         model = fit_attack_model()
         # encryption produces jumps of 1.5+ bits; benign noise stays near zero
