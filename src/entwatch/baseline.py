@@ -6,7 +6,9 @@ profile holds one smoothed distribution over those 64 bins for each of its
 levels, of which it has at least one, plus a prior probability of attack, and
 round-trips through a single JSON document with an embedded CRC-32 checksum;
 a level's ``lo`` and ``hi`` there are 0.0 and 8.0 or the profile is corrupt.
-Profiles are immutable after fit/load and safe to share between threads.
+Profiles are immutable after fit/load and safe to share between threads;
+the scoring tables that detection derives from a profile are filled on first
+use, each to the same value whichever thread fills it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     TooFewSamples,
     UnsupportedVersion,
     checked,
+    shown,
 )
 
 PROFILE_VERSION = 1
@@ -43,6 +46,10 @@ class BaselineProfile:
     per_level: dict[str, BinnedDistribution]
     sample_counts: dict[str, int]
     inputs: tuple[str, ...] = field(default=())
+    # The likelihood-ratio tables that detection derives from the profile,
+    # one per attack model (see ``pipeline._scored_levels``), so that every
+    # processor scoring against it shares them and they live as long as it.
+    derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prior = checked(self.prior, "prior", float)
@@ -99,11 +106,11 @@ def fit_baseline(benign_samples: Mapping[str, Sequence[float]],
         samples = list(benign_samples[level_id])
         if len(samples) < MIN_FIT_SAMPLES:
             raise TooFewSamples(
-                f"level {level_id!r} has {len(samples)} samples, fitting needs {MIN_FIT_SAMPLES}"
+                f"level {shown(level_id)} has {len(samples)} samples, fitting needs {MIN_FIT_SAMPLES}"
             )
         bad = next((s for s in samples if not 0.0 <= s <= MAX_ENTROPY_BITS), None)
         if bad is not None:  # NaN fails the range test too
-            raise ValueError(f"level {level_id!r} has a deviation sample {bad!r} "
+            raise ValueError(f"level {shown(level_id)} has a deviation sample {bad!r} "
                              f"outside [0.0, {MAX_ENTROPY_BITS}]")
         per_level[level_id] = smoothed_distribution(samples)
         sample_counts[level_id] = len(samples)
@@ -177,17 +184,17 @@ def _profile_from_text(raw: str, path) -> BaselineProfile:
         raise CorruptProfile(f"profile {path} failed its CRC-32 check")
     version = doc.pop("version", None)
     if type(version) is not int or version != PROFILE_VERSION:
-        raise UnsupportedVersion(f"profile version {version!r} is not supported (expected {PROFILE_VERSION})")
+        raise UnsupportedVersion(f"profile version {shown(version)} is not supported (expected {PROFILE_VERSION})")
     try:
         per_level, sample_counts = {}, {}
         for entry in checked(doc.pop("levels"), "levels", (dict,)):
             level_id = entry.pop("level_id")
             if level_id in per_level:
-                raise ValueError(f"level {level_id!r} is listed more than once")
+                raise ValueError(f"level {shown(level_id)} is listed more than once")
             sample_counts[level_id] = entry.pop("sample_count")
             support = checked(entry.pop("lo"), "lo", float), checked(entry.pop("hi"), "hi", float)
             if support != (0.0, MAX_ENTROPY_BITS):
-                raise ValueError(f"level {level_id!r} spans {list(support)}, "
+                raise ValueError(f"level {shown(level_id)} spans {list(support)}, "
                                  f"profiles bin deviations over [0.0, {MAX_ENTROPY_BITS}]")
             per_level[level_id] = BinnedDistribution(**entry)
         return BaselineProfile(**doc, per_level=per_level, sample_counts=sample_counts)

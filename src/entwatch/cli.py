@@ -73,12 +73,26 @@ def _make_out_dir(path: str) -> None:
         raise IoFailure(f"cannot create report directory {path}: {exc}") from exc
 
 
-def _missing_inputs(args) -> bool:
-    """True, with one line on stderr naming them, when some of the inputs do not exist."""
+def _unusable_inputs(args) -> bool:
+    """True, with one line on stderr naming them, when some of the inputs do
+    not exist, or else when some path is given twice: after ``realpath``, so a
+    file is not read, fitted or reported twice under two spellings."""
     missing = [p for p in args.inputs if not os.path.exists(p)]
     if missing:
         print(f"{args.command}: inputs do not exist: {', '.join(missing)}", file=sys.stderr)
-    return bool(missing)
+        return True
+    seen: dict[str, str] = {}  # real path -> the input's first spelling
+    repeated: dict[str, None] = {}  # first spellings, in order
+    for p in args.inputs:
+        real = os.path.realpath(p)
+        if real in seen:
+            repeated[seen[real]] = None
+        else:
+            seen[real] = p
+    if repeated:
+        print(f"{args.command}: inputs given more than once: {', '.join(repeated)}",
+              file=sys.stderr)
+    return bool(repeated)
 
 
 def _load_config(args) -> tuple[HierarchyConfig, DetectorConfig]:
@@ -101,7 +115,7 @@ def _input_records(path: str, chunk_bytes: int):
 
 
 def cmd_profile(args) -> int:
-    if _missing_inputs(args):
+    if _unusable_inputs(args):
         return 2
     hierarchy, detector = _load_config(args)
 
@@ -132,7 +146,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if _missing_inputs(args):
+    if _unusable_inputs(args):
         return 2
     hierarchy, detector = _load_config(args)
     profile = load_profile(args.baseline)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .detector import DetectorConfig
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 
 CONFIG_KEYS = ("hierarchy", "detector")
@@ -45,7 +45,7 @@ def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
         raise ConfigError(f"config {path} must be a JSON object")
     unknown = [key for key in doc if key not in CONFIG_KEYS]
     if unknown:
-        raise ConfigError(f"config {path} has unknown keys {unknown}; "
+        raise ConfigError(f"config {path} has unknown keys {shown(unknown)}; "
                           f"it holds only {', '.join(CONFIG_KEYS)}")
 
     hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()

@@ -33,7 +33,7 @@ from .entropy import (
     bin_index,
     second_difference,
 )
-from .errors import checked
+from .errors import checked, shown
 from .traces import BENIGN, RANSOMWARE
 
 # Weight of the outlier score in its blend with the posterior.
@@ -90,7 +90,7 @@ class Verdict:
 
     def __post_init__(self):
         if self.label not in (BENIGN, RANSOMWARE):
-            raise ValueError(f"label must be benign or ransomware, got {self.label!r}")
+            raise ValueError(f"label must be benign or ransomware, got {shown(self.label)}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of [0, 1]: {self.confidence}")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show values."""
+
+import reprlib
 
 
 class EntwatchError(Exception):
@@ -58,6 +60,22 @@ class ConfigError(EntwatchError):
 
 
 
+# A rejected value can be as large as the file it came from, and its message
+# is one line on stderr: ``shown`` cuts containers to their first items and
+# three levels deep, long strings and numbers in the middle, and the whole to
+# SHOWN_CHARS characters.
+SHOWN_CHARS = 200
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, at most SHOWN_CHARS characters long."""
+    cut = reprlib.Repr()
+    cut.maxlevel = 3
+    cut.maxstring = cut.maxlong = cut.maxother = 80
+    text = cut.repr(value)
+    return text if len(text) <= SHOWN_CHARS else text[:SHOWN_CHARS - 3] + "..."
+
+
 # The exact types that ``checked`` accepts for a kind, and its name in messages.
 _KINDS = {int: ({int}, "an integer"), float: ({int, float}, "a number")}
 
@@ -79,10 +97,10 @@ def checked(value, name: str, kind, *, optional: bool = False):
     try:
         if type(kind) is not tuple:
             if type(value) not in allowed:
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+                raise ValueError(f"{name} must be {what}, got {shown(value)}")
             return float(value) if kind is float else value
         if type(value) not in (list, tuple) or not allowed.issuperset(map(type, value)):
-            raise ValueError(f"{name} must be a list, each item {what}, got {value!r}")
+            raise ValueError(f"{name} must be a list, each item {what}, got {shown(value)}")
         return tuple(map(float, value)) if item is float else tuple(value)
     except OverflowError:  # an int past the float range
-        raise ValueError(f"{name} is past the float range, got {value!r}") from None
+        raise ValueError(f"{name} is past the float range, got {shown(value)}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Mapping, Sequence
 
-from .errors import EmptyLevel, checked
+from .errors import EmptyLevel, checked, shown
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -32,7 +32,7 @@ class LevelConfig:
     def __post_init__(self):
         checked(self.level_id, "level_id", str)
         if self.kind not in LEVEL_KINDS:
-            raise ValueError(f"unknown level kind {self.kind!r}, expected one of {LEVEL_KINDS}")
+            raise ValueError(f"unknown level kind {shown(self.kind)}, expected one of {LEVEL_KINDS}")
         object.__setattr__(self, "weight", checked(self.weight, "level weight", float))
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"level weight must be finite and non-negative, got {self.weight}")
@@ -50,7 +50,7 @@ class HierarchyConfig:
             raise ValueError("a hierarchy needs at least one level")
         ids = [lvl.level_id for lvl in self.levels]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate level ids in hierarchy: {ids}")
+            raise ValueError(f"duplicate level ids in hierarchy: {shown(ids)}")
         # Every weight is finite, but their sum can pass the float range; each
         # weight over an infinite sum is 0, and the aggregate would be 0 always.
         # A finite sum bounds the sum over any subset of the levels as well.

@@ -8,7 +8,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, IoFailure, MalformedRecord, checked
+from .errors import EmptyInput, IoFailure, MalformedRecord, checked, shown
 from .traces import BENIGN, RANSOMWARE
 
 VERDICT_ERROR = "error"
@@ -27,9 +27,9 @@ class PerTraceRow:
     def __post_init__(self):
         checked(self.trace, "trace", str)
         if self.label not in (BENIGN, RANSOMWARE, None):
-            raise ValueError(f"label must be benign, ransomware or None, got {self.label!r}")
+            raise ValueError(f"label must be benign, ransomware or None, got {shown(self.label)}")
         if self.verdict not in (BENIGN, RANSOMWARE, VERDICT_ERROR):
-            raise ValueError(f"verdict must be benign, ransomware or error, got {self.verdict!r}")
+            raise ValueError(f"verdict must be benign, ransomware or error, got {shown(self.verdict)}")
         confidence = checked(self.confidence, "confidence", float)
         if not 0.0 <= confidence <= 1.0:  # NaN fails too
             raise ValueError(f"confidence must be in [0, 1], got {confidence}")

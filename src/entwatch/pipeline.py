@@ -21,11 +21,15 @@ each close:
    unevenly spaced, as across a window the source skipped; see
    ``entropy.second_difference``); then the source's KL (recent
    deviations against its level baseline) and its posterior (a Bayes update
-   by the attack-vs-baseline likelihood ratio of the deviation's bin, read
-   from a table of each profile level's 64 ratios that the processor builds
-   once) are updated.
+   by the attack-vs-baseline likelihood ratio of the deviation's bin) are
+   updated. Each profile level's 64 ratios are built once per profile and
+   attack model, and kept on the profile for every processor that scores
+   against it (``_scored_levels``).
    KL reads only the multiset of the recent bins, so it is read from a
-   per-trace memo keyed by level and that multiset, and computed on a miss;
+   per-trace memo keyed by level and that multiset. On a miss it is summed
+   from term rows that the level baseline keeps and shares in the same way
+   (``entropy.window_kl``), bit for bit the ``kl_divergence`` of the bins'
+   ``empirical_distribution``;
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
    overwrites its source's slot, and appends their weighted mean, over the
@@ -46,8 +50,8 @@ each close:
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
 raised here, with the trace's onset attached unless it postdates the alert.
-One processor handles one trace; processors share nothing and may run
-concurrently on distinct traces.
+One processor handles one trace; processors share only the tables derived
+from their profile, and may run concurrently on distinct traces.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import attrgetter
 
+# Detection reads KL through ``entropy.window_kl``; ``kl_divergence`` and
+# ``empirical_distribution`` stay bound here because perfbench wraps them by
+# this module's name.
 from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
 from .clustering import agglomerate, outliers
 from .detector import (
@@ -81,6 +88,7 @@ from .entropy import (
     kl_divergence,
     second_difference,
     shannon_entropy,
+    window_kl,
 )
 from .errors import MalformedRecord
 from .hierarchy import (
@@ -125,6 +133,26 @@ _ATTACK_MASSES = {
 ATTACK_MODEL = BinnedDistribution(
     [_ATTACK_MASSES.get(b, _ATTACK_FLOOR_MASS) for b in range(DEVIATION_BINS)])
 ATTACK_MODEL.bins.flags.writeable = False  # shared by every processor
+
+
+def _scored_levels(profile: BaselineProfile, attack_model: BinnedDistribution
+                   ) -> dict[str, tuple[BinnedDistribution, list[float]]]:
+    """Per profile level, its baseline and the likelihood ratio against
+    ``attack_model`` of each deviation bin, read at the bin's lower edge
+    (``bin_index`` gives it back).
+
+    Built the first time a processor asks for the pair and kept on the
+    profile, so every processor that scores against it shares the tables and
+    they live as long as the profile. The entry holds the model too, so its
+    id is not reused while the entry exists.
+    """
+    entry = profile.derived.get(id(attack_model))
+    if entry is None:
+        edges = [b * MAX_ENTROPY_BITS / DEVIATION_BINS for b in range(DEVIATION_BINS)]
+        levels = {level_id: (q, [likelihood_ratio(edge, q, attack_model) for edge in edges])
+                  for level_id, q in profile.per_level.items()}
+        entry = profile.derived[id(attack_model)] = (attack_model, levels)
+    return entry[1]
 
 
 @dataclass
@@ -284,13 +312,7 @@ class TraceProcessor:
         self.label = label
         self.onset_at = onset_at
 
-        # Per profile level, its baseline and the likelihood ratio of each
-        # deviation bin, read at the bin's lower edge (bin_index gives it back).
-        edges = [b * MAX_ENTROPY_BITS / DEVIATION_BINS for b in range(DEVIATION_BINS)]
-        self._scored_levels: dict[str, tuple[BinnedDistribution, list[float]]] = {
-            level_id: (q, [likelihood_ratio(edge, q, self.attack_model) for edge in edges])
-            for level_id, q in profile.per_level.items()
-        }
+        self._scored_levels = _scored_levels(profile, self.attack_model)
         self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
                                       partial(SourceTrack, posterior=profile.prior))
         self.sources: dict[str, SourceTrack] = self._windows.sources
@@ -382,14 +404,14 @@ class TraceProcessor:
                 self._post_onset_at_alert = self.post_onset_seen
 
     def _kl(self, level_id: str, q: BinnedDistribution, deviations) -> float:
-        """KL of the deviation bins against ``q``: ``kl_divergence`` reads only
-        their multiset, so it runs once per level and multiset."""
+        """KL of the deviation bins against ``q``: it reads only their
+        multiset, so it is summed once per level and multiset."""
         key = (level_id, tuple(sorted(deviations)))
         kl = self._kl_memo.get(key)
         if kl is None:
             if len(self._kl_memo) >= KL_MEMO_LIMIT:
                 self._kl_memo.clear()
-            kl = self._kl_memo[key] = kl_divergence(empirical_distribution(list(deviations)), q)
+            kl = self._kl_memo[key] = window_kl(key[1], q)
         return kl
 
     def _update_levels(self, t_end: float) -> None:

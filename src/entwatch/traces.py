@@ -59,7 +59,7 @@ import numpy as np
 import orjson
 
 from .entropy import EXACT_SUM_COUNT, ByteHistogram, full_row_entropies, histogram_from_bytes
-from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
+from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked, shown
 from .hierarchy import LEVEL_KINDS
 
 OPS = ("write", "read", "rename", "delete", "net_tx")
@@ -101,7 +101,7 @@ class EventRecord:
             raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
         checked(self.source_path, "source_path", str)
         if self.op not in OPS:
-            raise ValueError(f"unknown op {self.op!r}, expected one of {OPS}")
+            raise ValueError(f"unknown op {shown(self.op)}, expected one of {OPS}")
         checked(self.histogram, "histogram", ByteHistogram)
         checked(self.bytes, "bytes", int)
         if self.histogram.total != self.bytes:
@@ -109,7 +109,7 @@ class EventRecord:
                 f"histogram total {self.histogram.total} does not match payload length {self.bytes}"
             )
         if self.level_hint is not None and self.level_hint not in LEVEL_KINDS:
-            raise ValueError(f"level hint must be one of {LEVEL_KINDS}, got {self.level_hint!r}")
+            raise ValueError(f"level hint must be one of {LEVEL_KINDS}, got {shown(self.level_hint)}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class TraceMeta:
         checked(self.scenario, "scenario", str)
         checked(self.seed, "seed", int)
         if self.label not in (BENIGN, RANSOMWARE):
-            raise ValueError(f"label must be benign or ransomware, got {self.label!r}")
+            raise ValueError(f"label must be benign or ransomware, got {shown(self.label)}")
         if self.label == RANSOMWARE and self.onset_at is None:
             raise ValueError("ransomware traces must carry onset_at")
         for name in ("created_at", "duration", "onset_at"):
@@ -140,7 +140,7 @@ class TraceMeta:
             object.__setattr__(self, name, value)
         ramp = checked(self.ramp, "ramp", (float,), optional=True)
         if ramp is not None and not (len(ramp) == 2 and all(map(math.isfinite, ramp))):
-            raise ValueError(f"ramp must be two finite numbers, got {self.ramp!r}")
+            raise ValueError(f"ramp must be two finite numbers, got {shown(self.ramp)}")
         object.__setattr__(self, "ramp", ramp)
         checked(self.file_count, "file_count", int, optional=True)
         object.__setattr__(self, "target_dirs", checked(self.target_dirs, "target_dirs", (str,), optional=True))
@@ -213,12 +213,10 @@ def _parse_meta(obj, line_number: int) -> TraceMeta:
         checked(obj, "metadata", dict)
         version = obj.pop("format", 1)
         if type(version) is not int or version != TRACE_FORMAT:
-            raise UnsupportedVersion(f"trace format {version!r} is not supported (expected "
+            raise UnsupportedVersion(f"trace format {shown(version)} is not supported (expected "
                                      f"{TRACE_FORMAT}); re-simulate the trace")
         return TraceMeta(**obj)
-    except (TypeError, ValueError, RecursionError) as exc:
-        # TypeError: a key TraceMeta does not have; RecursionError: the repr
-        # of a deeply nested value in a message
+    except (TypeError, ValueError) as exc:  # TypeError: a key TraceMeta does not have
         raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
 
 
@@ -229,8 +227,7 @@ def _parse_record(obj, line_number: int) -> EventRecord:
         if "histogram" in obj:  # ByteHistogram(None) is empty; a null histogram is not
             obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
         return EventRecord(**obj)
-    except (TypeError, ValueError, RecursionError) as exc:
-        # RecursionError: the repr of a deeply nested value in a message
+    except (TypeError, ValueError) as exc:
         raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
 
 
@@ -331,7 +328,7 @@ def _block_record(head: bytes, counts: np.ndarray, total: int,
         # This replaces a "histogram" key of the head, as json keeps the last of two.
         obj["histogram"] = ByteHistogram.unchecked(counts, total, entropy)
         return EventRecord(**obj)
-    except (TypeError, ValueError, RecursionError):  # orjson.JSONDecodeError is a ValueError
+    except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError
         return None
 
 

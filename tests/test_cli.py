@@ -497,6 +497,32 @@ def test_non_positive_chunk_bytes_is_usage_error(workspace, tmp_path, command, c
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])
+@pytest.mark.parametrize("spelling", ["same", "dot_dot", "symlink"])
+def test_repeated_input_is_usage_error_and_writes_nothing(workspace, tmp_path, command,
+                                                          spelling):
+    # Read twice, the trace would be fitted on twice (and listed twice in the
+    # profile's inputs) or reported in two rows and counted twice in the metrics.
+    first = str(workspace / "ben0.jsonl")
+    if spelling == "same":
+        again = first
+    elif spelling == "dot_dot":
+        again = str(workspace / ".." / workspace.name / "ben0.jsonl")
+    else:
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(first)
+        again = str(link)
+    out = tmp_path / "out"
+    args = ["--out", str(out)]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, first, str(workspace / "ben1.jsonl"), again, *args)
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [f"{command}: inputs given more than once: {first}"]
+    assert res.stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "detect"])
 def test_empty_hierarchy_is_usage_error(workspace, tmp_path, command):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"hierarchy": {"levels": []}}))
@@ -619,3 +645,36 @@ def test_readme_config_example_loads(tmp_path):
     hierarchy, detector = load_run_config(cfg_path)
     assert detector == DetectorConfig()
     assert [lvl.level_id for lvl in hierarchy.levels] == ["fs-user", "fs-system", "net"]
+
+
+def test_error_lines_show_bounded_values(workspace, tmp_path):
+    # A huge value in a config, a profile or a trace line is shown cut short:
+    # each message stays one short line.
+    from entwatch.baseline import _checksum
+
+    huge = list(range(200000))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"detector": {"kl_threshold": huge}}))
+    doc = json.loads((workspace / "base.json").read_text())
+    del doc["crc32"]
+    doc["version"] = huge
+    doc["crc32"] = _checksum(doc)
+    profile = tmp_path / "huge_version.json"
+    profile.write_text(json.dumps(doc))
+    trace = tmp_path / "huge_op.jsonl"
+    write_far_trace(trace, 1.0)
+    meta, record = trace.read_text().splitlines()
+    trace.write_text(meta + "\n" + record.replace('"write"', json.dumps("w" * 2 ** 20)) + "\n")
+    base = ["--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "r")]
+    for args, code, text in [
+        ([str(workspace / "ben0.jsonl"), "--config", str(cfg_path), *base], 2,
+         "kl_threshold must be a number, got [0, 1, 2, 3, 4, 5, ...]"),
+        ([str(workspace / "ben0.jsonl"), "--baseline", str(profile), "--out",
+          str(tmp_path / "r")], 1, "profile version [0, 1, 2, 3, 4, 5, ...] is not supported"),
+        ([str(trace), *base], 1, "unknown op 'wwwwwwwwww"),
+    ]:
+        res = run_cli("detect", *args)
+        assert res.returncode == code, res.stderr
+        (line,) = res.stderr.splitlines()
+        assert text in line
+        assert len(line.encode()) < 1024

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import deque
 from dataclasses import replace
 from itertools import permutations
@@ -12,10 +14,12 @@ from entwatch.baseline import empirical_distribution, fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, likelihood_ratio
 from entwatch.entropy import (
     DEVIATION_BINS,
+    EPSILON_MASS,
     ByteHistogram,
     bin_index,
     kl_divergence,
     shannon_entropy,
+    window_kl,
 )
 from entwatch.errors import MalformedRecord
 from entwatch.hierarchy import (
@@ -364,6 +368,26 @@ def scored_keys(proc, records):
     return keys, scored
 
 
+def assert_term_rows_are_kl_divergence_terms(q):
+    """Each term of each row that windows of up to DEVIATION_HISTORY bins read
+    is, bit for bit, the term ``kl_divergence`` sums for a window with that
+    many of its bins in that bin, by the expression it has always used."""
+    for size in range(1, DEVIATION_HISTORY + 1):
+        for n in range(1, size + 1):
+            for b in range(DEVIATION_BINS):
+                window = [b] * n + [(b + 1) % DEVIATION_BINS] * (size - n)
+                fresh = window_kl(window, q)
+                p = empirical_distribution(window)
+                assert fresh.hex() == kl_divergence(p, q).hex()
+                mask = p.bins > 0
+                masses = p.bins[mask]
+                terms = masses * np.log2(masses / np.maximum(q.bins[mask], EPSILON_MASS))
+                want = float(terms[int(np.flatnonzero(mask).tolist().index(b))])
+                assert q._kl_rows[n / size][b].hex() == want.hex(), (size, n, b)
+    # One row per distinct fraction n/N, fewer than the (N, n) pairs.
+    assert len(q._kl_rows) <= DEVIATION_HISTORY * (DEVIATION_HISTORY + 1) // 2
+
+
 def two_symbols(target, total=2 ** 20):
     """A histogram of two byte values, ``total`` in all, whose entropy is the
     least at or above ``target`` (at most 1 bit): found by bisection, as the
@@ -441,20 +465,34 @@ class TestKlMemo:
         assert bounded_kls == kls
 
     def test_kl_computed_once_per_distinct_key(self, benign_profile, attack_model, monkeypatch):
+        # A memo miss sums the window's terms by ``window_kl``: once per key.
         calls = []
-        original = pipeline.kl_divergence
+        original = pipeline.window_kl
 
-        def counting(p, q):
-            calls.append(1)
-            return original(p, q)
+        def counting(bins, q):
+            calls.append(bins)
+            return original(bins, q)
 
-        monkeypatch.setattr(pipeline, "kl_divergence", counting)
+        monkeypatch.setattr(pipeline, "window_kl", counting)
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
         proc = TraceProcessor(profile=benign_profile, attack_model=attack_model,
                               onset_at=trace.meta.onset_at)
         keys, scored = scored_keys(proc, trace.records)
         assert len(calls) == len(keys)
+        assert len(set(calls)) == len(calls)  # no multiset is summed twice
         assert scored > 2 * len(keys)
+
+    def test_term_rows_are_kl_divergence_terms(self, spread_profile):
+        assert_term_rows_are_kl_divergence_terms(spread_profile.per_level["fs-user"])
+
+    def test_seeded_windows_give_the_fresh_kl(self, spread_profile, benign_profile):
+        rng = np.random.default_rng(23)
+        for q in (*spread_profile.per_level.values(), *benign_profile.per_level.values()):
+            for _ in range(500):
+                size = int(rng.integers(1, DEVIATION_HISTORY + 1))
+                bins = rng.integers(0, int(rng.choice([4, 16, DEVIATION_BINS])), size).tolist()
+                want = kl_divergence(empirical_distribution(bins), q)
+                assert window_kl(bins, q).hex() == want.hex()
 
     def test_processors_keep_their_own_memo(self, benign_profile, attack_model, run_detection):
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=901))
@@ -657,3 +695,93 @@ class TestLikelihoodRatioTable:
                 for dev in devs:
                     assert bin_index(dev) == b
                     assert ratios[b] == likelihood_ratio(dev, q, attack_model)
+
+
+class TestSharedTables:
+    """A profile's ratio tables and its levels' KL term rows are built once and
+    shared by every processor that scores against the profile."""
+
+    @pytest.fixture
+    def fresh_profile(self):
+        rng = np.random.default_rng(29)
+        return fit_baseline({"fs-user": rng.uniform(0, 3, 400).tolist(),
+                             "net": rng.uniform(0, 1, 400).tolist()}, created_at=0.0)
+
+    @staticmethod
+    def counting_ratios(monkeypatch):
+        calls = []
+        original = pipeline.likelihood_ratio
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "likelihood_ratio", counting)
+        return calls
+
+    def test_second_processor_builds_no_ratios(self, fresh_profile, attack_model, monkeypatch):
+        calls = self.counting_ratios(monkeypatch)
+        TraceProcessor(profile=fresh_profile, attack_model=attack_model)
+        assert len(calls) == DEVIATION_BINS * len(fresh_profile.per_level)
+        calls.clear()
+        TraceProcessor(profile=fresh_profile, attack_model=attack_model)
+        assert calls == []
+
+    def test_another_attack_model_gets_its_own_ratios(self, fresh_profile, attack_model,
+                                                      monkeypatch):
+        calls = self.counting_ratios(monkeypatch)
+        first = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
+        other = TraceProcessor(profile=fresh_profile)  # the stored model: an equal, other object
+        assert len(calls) == 2 * DEVIATION_BINS * len(fresh_profile.per_level)
+        for level_id, (q, ratios) in other._scored_levels.items():
+            shared_q, shared_ratios = first._scored_levels[level_id]
+            assert q is shared_q and ratios is not shared_ratios
+
+    def test_processors_share_rows_and_ratios(self, fresh_profile, attack_model):
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=903))
+        first = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
+        first.process(trace.records).finish()
+        rows = {level_id: dict(q._kl_rows or {})
+                for level_id, q in fresh_profile.per_level.items()}
+        assert any(rows.values())
+        second = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
+        assert second._scored_levels is first._scored_levels
+        for level_id, (q, ratios) in second._scored_levels.items():
+            assert q is fresh_profile.per_level[level_id]
+            assert ratios is first._scored_levels[level_id][1]
+        second.process(trace.records).finish()
+        # The same trace reads the same rows: none is added or rebuilt.
+        for level_id, q in fresh_profile.per_level.items():
+            after = q._kl_rows or {}
+            assert after.keys() == rows[level_id].keys()
+            assert all(after[m] is row for m, row in rows[level_id].items())
+
+    def test_level_never_holds_more_than_136_rows(self, fresh_profile, attack_model):
+        bound = DEVIATION_HISTORY * (DEVIATION_HISTORY + 1) // 2
+        assert bound == 136
+        for kind, seed in (("ransomware", 904), ("benign_edit", 905), ("compressor", 906)):
+            trace = simulate_scenario(ScenarioSpec(kind, seed=seed))
+            TraceProcessor(profile=fresh_profile, attack_model=attack_model) \
+                .process(trace.records).finish()
+            for q in fresh_profile.per_level.values():
+                assert len(q._kl_rows or {}) <= bound
+        # Every window size and count at once: one row per distinct n/N.
+        q = fresh_profile.per_level["fs-user"]
+        for size in range(1, DEVIATION_HISTORY + 1):
+            for n in range(1, size + 1):
+                window_kl([0] * n + [1] * (size - n), q)
+        fractions = {n / size for size in range(1, DEVIATION_HISTORY + 1)
+                     for n in range(1, size + 1)}
+        assert q._kl_rows.keys() == fractions
+        assert len(q._kl_rows) <= bound
+
+    def test_tables_live_as_long_as_the_profile(self, attack_model):
+        rng = np.random.default_rng(31)
+        profile = fit_baseline({"fs-user": rng.uniform(0, 3, 400).tolist()}, created_at=0.0)
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=907))
+        TraceProcessor(profile=profile, attack_model=attack_model).process(trace.records).finish()
+        assert profile.per_level["fs-user"]._kl_rows
+        alive = weakref.ref(profile)
+        del profile
+        gc.collect()
+        assert alive() is None  # no module-level cache keeps it
