@@ -7,8 +7,8 @@ levels, of which it has at least one, plus a prior probability of attack, and
 round-trips through a single JSON document with an embedded CRC-32 checksum;
 a level's ``lo`` and ``hi`` there are 0.0 and 8.0 or the profile is corrupt.
 Profiles are immutable after fit/load and safe to share between threads;
-the scoring tables that detection derives from a profile are filled on first
-use, each to the same value whichever thread fills it.
+the scoring tables and KL memos that detection derives from a profile are
+filled on first use, each entry to the same value whichever thread fills it.
 """
 
 from __future__ import annotations
@@ -46,9 +46,10 @@ class BaselineProfile:
     per_level: dict[str, BinnedDistribution]
     sample_counts: dict[str, int]
     inputs: tuple[str, ...] = field(default=())
-    # The likelihood-ratio tables that detection derives from the profile,
-    # one per attack model (see ``pipeline._scored_levels``), so that every
-    # processor scoring against it shares them and they live as long as it.
+    # What detection derives from the profile, one entry per attack model
+    # (see ``pipeline._scored_levels``): per level, its likelihood-ratio
+    # table and KL memo, so that every processor scoring against the profile
+    # shares them and they live as long as it.
     derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -15,19 +15,15 @@ Conventions used throughout the package:
   64 equal bins of 1/8 bit over [0, 8]. A ``BinnedDistribution`` is 64
   probability masses over those bins and carries no bounds of its own.
 * KL divergence is computed in bits, as the sum, in ascending bin order, of
-  one term per bin where p has mass: ``kl_terms`` gives m * log2(m / r) for
-  a mass m of p and the matching mass r of q, floored at ``EPSILON_MASS`` so
-  that the divergence stays finite. The result is clamped at 0 to absorb
-  the tiny negative drift the floor can introduce. Identical distributions
-  therefore score exactly 0. A window of N deviation bins, n of them in bin
-  b, has mass n/N there, so its KL against q sums terms from q's rows of
-  64 terms per mass (``window_kl``), each row computed once and kept on q.
+  m * log2(m / r) over the bins where p has a mass m, r being q's mass there
+  floored at ``EPSILON_MASS`` so that the divergence stays finite. The
+  result is clamped at 0 to absorb the tiny negative drift the floor can
+  introduce. Identical distributions therefore score exactly 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,10 +185,6 @@ class BinnedDistribution:
     """Probability masses over the ``DEVIATION_BINS`` deviation bins."""
 
     bins: np.ndarray
-    # ``window_kl``'s term rows against these masses, by the mass m of p:
-    # ``kl_terms`` of m in every bin. Filled on first use, so the masses must
-    # not change once the distribution is a KL reference.
-    _kl_rows: dict | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         bins = self.bins
@@ -214,12 +206,6 @@ class BinnedDistribution:
         return bool(np.array_equal(self.bins, other.bins))
 
 
-def kl_terms(masses: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """The terms of D(p || q) in bits: m * log2(m / max(r, EPSILON_MASS)) for
-    each mass m > 0 of p and the mass r of q in the same bin."""
-    return masses * np.log2(masses / np.maximum(reference, EPSILON_MASS))
-
-
 def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     """D(p || q) in bits with the zero bins of ``q`` floored at EPSILON_MASS.
 
@@ -230,32 +216,5 @@ def kl_divergence(p: BinnedDistribution, q: BinnedDistribution) -> float:
     masses = p.bins[mask]
     if not masses.size:
         return 0.0
-    return max(float(np.add.reduce(kl_terms(masses, q.bins[mask]))), 0.0)
-
-
-def window_kl(bins: Sequence[int], q: BinnedDistribution) -> float:
-    """KL in bits of the distribution of a non-empty window of deviation bins
-    against ``q``: ``kl_divergence(empirical_distribution(bins), q)``, bit for bit.
-
-    A bin holding n of the window's N entries has mass n/N, and its term is
-    read from q's row for that mass, which ``kl_terms`` computes over all 64
-    bins the first time the mass occurs. The terms are summed as
-    ``kl_divergence`` sums them: in ascending bin order, by one
-    ``np.add.reduce``. Windows of at most N entries need a row per distinct
-    fraction n/N, so at most N(N + 1)/2 rows.
-    """
-    rows = q._kl_rows
-    if rows is None:
-        rows = q._kl_rows = {}
-    size = len(bins)
-    counts: dict[int, int] = {}
-    for b in sorted(bins):
-        counts[b] = counts.get(b, 0) + 1
-    terms = []
-    for b, n in counts.items():
-        mass = n / size
-        row = rows.get(mass)
-        if row is None:
-            row = rows[mass] = kl_terms(np.full(DEVIATION_BINS, mass), q.bins).tolist()
-        terms.append(row[b])
-    return max(float(np.add.reduce(np.array(terms))), 0.0)
+    value = float(np.add.reduce(masses * np.log2(masses / np.maximum(q.bins[mask], EPSILON_MASS))))
+    return max(value, 0.0)

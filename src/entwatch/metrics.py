@@ -130,7 +130,9 @@ def _report_row(fields: list[str]) -> PerTraceRow:
 
 
 def read_report_csv(path) -> list[PerTraceRow]:
-    """Rows of a report.csv laid out as write_report_csv writes it, header included."""
+    """Rows of a report.csv laid out as write_report_csv writes it, header
+    included. A trace has one row: a repeated trace is malformed, as the
+    metrics would count it twice."""
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -140,7 +142,13 @@ def read_report_csv(path) -> list[PerTraceRow]:
         try:
             if next(reader, None) != list(REPORT_COLUMNS):
                 raise ValueError(f"the header must be {','.join(REPORT_COLUMNS)}")
-            return [_report_row(fields) for fields in reader]
+            rows: dict[str, PerTraceRow] = {}
+            for fields in reader:
+                row = _report_row(fields)
+                if row.trace in rows:
+                    raise ValueError(f"trace {shown(row.trace)} already has a row")
+                rows[row.trace] = row
+            return list(rows.values())
         except (csv.Error, ValueError) as exc:
             raise MalformedRecord(f"report {path} line {reader.line_num}: {exc}",
                                   reader.line_num) from exc

@@ -24,12 +24,10 @@ each close:
    by the attack-vs-baseline likelihood ratio of the deviation's bin) are
    updated. Each profile level's 64 ratios are built once per profile and
    attack model, and kept on the profile for every processor that scores
-   against it (``_scored_levels``).
-   KL reads only the multiset of the recent bins, so it is read from a
-   per-trace memo keyed by level and that multiset. On a miss it is summed
-   from term rows that the level baseline keeps and shares in the same way
-   (``entropy.window_kl``), bit for bit the ``kl_divergence`` of the bins'
-   ``empirical_distribution``;
+   against it (``_scored_levels``), beside the level's KL memo. KL reads
+   only the multiset of the recent bins, so it is read from that memo,
+   keyed by the multiset, and on a miss computed as the ``kl_divergence``
+   of the bins' ``empirical_distribution`` (``_memoised_kl``);
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
    overwrites its source's slot, and appends their weighted mean, over the
@@ -50,8 +48,9 @@ each close:
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
 raised here, with the trace's onset attached unless it postdates the alert.
-One processor handles one trace; processors share only the tables derived
-from their profile, and may run concurrently on distinct traces.
+One processor handles one trace; processors share only the ratio tables and
+KL memos derived from their profile, and may run concurrently on distinct
+traces.
 """
 
 from __future__ import annotations
@@ -61,9 +60,6 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from operator import attrgetter
 
-# Detection reads KL through ``entropy.window_kl``; ``kl_divergence`` and
-# ``empirical_distribution`` stay bound here because perfbench wraps them by
-# this module's name.
 from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
 from .clustering import agglomerate, outliers
 from .detector import (
@@ -88,7 +84,6 @@ from .entropy import (
     kl_divergence,
     second_difference,
     shannon_entropy,
-    window_kl,
 )
 from .errors import MalformedRecord
 from .hierarchy import (
@@ -105,7 +100,7 @@ from .traces import EventRecord
 # How many recent deviations form the per-source empirical distribution.
 DEVIATION_HISTORY = 16
 
-# Entries a processor's KL memo holds before it is cleared, so a trace of
+# Entries a level's KL memo holds before it is cleared, so traces of
 # ever-new deviation windows cannot grow it without limit.
 KL_MEMO_LIMIT = 4096
 
@@ -136,23 +131,43 @@ ATTACK_MODEL.bins.flags.writeable = False  # shared by every processor
 
 
 def _scored_levels(profile: BaselineProfile, attack_model: BinnedDistribution
-                   ) -> dict[str, tuple[BinnedDistribution, list[float]]]:
-    """Per profile level, its baseline and the likelihood ratio against
+                   ) -> dict[str, tuple[BinnedDistribution, list[float], dict]]:
+    """Per profile level, its baseline, the likelihood ratio against
     ``attack_model`` of each deviation bin, read at the bin's lower edge
-    (``bin_index`` gives it back).
+    (``bin_index`` gives it back), and the level's KL memo (``_memoised_kl``).
 
     Built the first time a processor asks for the pair and kept on the
     profile, so every processor that scores against it shares the tables and
-    they live as long as the profile. The entry holds the model too, so its
-    id is not reused while the entry exists.
+    memos, and they live as long as the profile. The entry holds the model
+    too, so its id is not reused while the entry exists.
     """
     entry = profile.derived.get(id(attack_model))
     if entry is None:
         edges = [b * MAX_ENTROPY_BITS / DEVIATION_BINS for b in range(DEVIATION_BINS)]
-        levels = {level_id: (q, [likelihood_ratio(edge, q, attack_model) for edge in edges])
+        levels = {level_id: (q, [likelihood_ratio(edge, q, attack_model) for edge in edges], {})
                   for level_id, q in profile.per_level.items()}
         entry = profile.derived[id(attack_model)] = (attack_model, levels)
     return entry[1]
+
+
+def _memoised_kl(memo: dict[tuple[int, ...], float], q: BinnedDistribution,
+                 deviations) -> float:
+    """``kl_divergence`` of the deviation bins' ``empirical_distribution``
+    against ``q``. It reads only their multiset, so it is kept in ``memo``
+    by the sorted bins, and ``memo`` is cleared once it holds
+    ``KL_MEMO_LIMIT`` entries.
+
+    ``memo`` is a level's memo from ``_scored_levels``, which processors on
+    other threads may share. A race between them can compute a KL twice or
+    drop entries at a clear, but never changes a value that is returned.
+    """
+    key = tuple(sorted(deviations))
+    kl = memo.get(key)
+    if kl is None:
+        if len(memo) >= KL_MEMO_LIMIT:
+            memo.clear()
+        kl = memo[key] = kl_divergence(empirical_distribution(key), q)
+    return kl
 
 
 @dataclass
@@ -318,8 +333,6 @@ class TraceProcessor:
         self.sources: dict[str, SourceTrack] = self._windows.sources
         # Per level, the latest entropy of each source sampled so far, in first-sample order.
         self._level_values: dict[str, list[float]] = {}
-        # KL by (level id, sorted deviation bins): KL reads only the bins' multiset.
-        self._kl_memo: dict[tuple[str, tuple[int, ...]], float] = {}
         # (window end, aggregate entropy) pairs: convexity over a run of m
         # second differences reads the last m + 2.
         self._aggregate: deque = deque(maxlen=self.detector.convexity_run + 2)
@@ -373,8 +386,8 @@ class TraceProcessor:
                     track.max_accel = max(track.max_accel, accel)
             level = self._scored_levels.get(track.level_id)
             if level is not None:
-                q, ratios = level
-                track.kl = self._kl(track.level_id, q, track.deviations)
+                q, ratios, memo = level
+                track.kl = _memoised_kl(memo, q, track.deviations)
                 updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             if track.verdict is None:
@@ -402,17 +415,6 @@ class TraceProcessor:
             self.alerts.append(Alert(track.source_id, t_end, track.kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
-
-    def _kl(self, level_id: str, q: BinnedDistribution, deviations) -> float:
-        """KL of the deviation bins against ``q``: it reads only their
-        multiset, so it is summed once per level and multiset."""
-        key = (level_id, tuple(sorted(deviations)))
-        kl = self._kl_memo.get(key)
-        if kl is None:
-            if len(self._kl_memo) >= KL_MEMO_LIMIT:
-                self._kl_memo.clear()
-            kl = self._kl_memo[key] = window_kl(key[1], q)
-        return kl
 
     def _update_levels(self, t_end: float) -> None:
         values: dict[str, float] = {}

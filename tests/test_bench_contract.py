@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from entwatch import cli, pipeline
+from entwatch.baseline import fit_baseline
 from entwatch.clustering import FeatureVector, agglomerate, outliers
 from entwatch.detector import BENIGN, RANSOMWARE
 from entwatch.simulate import ScenarioSpec, simulate_scenario
@@ -40,6 +41,36 @@ def test_every_wrapped_name_exists(wrapped_functions):
         for module in (home, *importers):
             mod = importlib.import_module(f"entwatch.{module}")
             assert callable(getattr(mod, attr, None)), f"entwatch.{module}.{attr}"
+
+
+def test_every_name_wrapped_on_pipeline_is_called(wrapped_functions, monkeypatch):
+    # A wrapper on a name that detection no longer calls through ``pipeline``
+    # would time nothing, and its layer would read 0. ``simulate_scenario``
+    # is bound there only for ``fit_attack_model``, which detection does not call.
+    names = [attr for _, _, attr, importers in wrapped_functions
+             if "pipeline" in importers and attr != "simulate_scenario"]
+    assert "kl_divergence" in names and "empirical_distribution" in names
+    counts = dict.fromkeys(names, 0)
+
+    def counted(attr, fn):
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for attr in names:
+        monkeypatch.setattr(pipeline, attr, counted(attr, getattr(pipeline, attr)))
+    pooled = {}
+    for seed in (953, 954):
+        benign = simulate_scenario(ScenarioSpec("benign_edit", seed=seed))
+        for level_id, devs in pipeline.collect_trace_deviations(benign.records).items():
+            pooled.setdefault(level_id, []).extend(devs)
+    # Fitted here, so its ratio tables and KL memos start empty.
+    profile = fit_baseline(pooled, created_at=0.0)
+    trace = simulate_scenario(ScenarioSpec("ransomware", seed=955))
+    pipeline.TraceProcessor(profile=profile, onset_at=trace.meta.onset_at) \
+        .process(trace.records).finish()
+    assert {attr for attr, n in counts.items() if n == 0} == set()
 
 
 def test_outliers_report_has_scores():

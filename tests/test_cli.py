@@ -572,6 +572,8 @@ BAD_REPORTS = {
     "confidence_nan": GOOD_REPORT + "b.jsonl,benign,benign,nan,\n",
     "verdict_unknown": GOOD_REPORT + "b.jsonl,benign,maybe,0.5,\n",
     "latency_column_missing": "trace,label,verdict,confidence\nb.jsonl,benign,benign,0.5\n",
+    # One trace in two rows would be counted twice in the metrics.
+    "repeated_trace": GOOD_REPORT + "a.jsonl,ransomware,benign,0.1,\n",
     "missing_file": None,
 }
 

@@ -18,13 +18,11 @@ import io
 import pytest
 
 from entwatch import cli, pipeline, simulate
-from entwatch.baseline import load_profile
 from entwatch.cli import main
 from entwatch.entropy import ByteHistogram, shannon_entropy
 from entwatch.pipeline import ATTACK_MODEL, fit_attack_model
 from entwatch.traces import read_trace
 
-from test_pipeline import assert_term_rows_are_kl_divergence_terms
 from test_traces import line_path_reads
 
 SIMULATED = (
@@ -171,12 +169,6 @@ def test_detect_runs_no_simulator(golden_run, monkeypatch):
     assert sha256(buf.getvalue().encode("utf-8")) == GOLDEN_DETECT_STDOUT
     for name in ("report.csv", "metrics.json", "heatmap.csv"):
         assert sha256((root / "nosim" / name).read_bytes()) == GOLDEN[f"run/{name}"]
-
-
-def test_golden_profile_term_rows_are_kl_divergence_terms(golden_run):
-    root, _ = golden_run
-    for q in load_profile(root / "profile.json").per_level.values():
-        assert_term_rows_are_kl_divergence_terms(q)
 
 
 def test_attack_model_bins_match_golden():

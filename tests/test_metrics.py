@@ -110,8 +110,8 @@ class TestReportFiles:
 
     def test_metric_identities_recomputable_from_rows(self, tmp_path):
         rows = (
-            [row("ransomware", "ransomware", latency=50.0, trace="r")] * 3
-            + [row("benign", "benign", trace="b")] * 5
+            [row("ransomware", "ransomware", latency=50.0, trace=f"r{i}") for i in range(3)]
+            + [row("benign", "benign", trace=f"b{i}") for i in range(5)]
             + [row("benign", "ransomware", trace="fp")]
         )
         path = tmp_path / "report.csv"
@@ -176,7 +176,9 @@ def test_row_rejects_bad_field(field, value):
     "b,benign,maybe,0.5,",
     "b,benign,benign,0.5,-3",
     "b,benign,benign,0.5",
-], ids=["confidence_text", "confidence_nan", "verdict", "latency_negative", "field_count"])
+    "a,benign,ransomware,0.95,",
+], ids=["confidence_text", "confidence_nan", "verdict", "latency_negative", "field_count",
+        "repeated_trace"])
 def test_bad_report_row_names_its_line(tmp_path, line):
     path = tmp_path / "report.csv"
     write_report_csv(path, [row("benign", "benign", trace="a")])

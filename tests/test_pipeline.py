@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 from collections import deque
 from dataclasses import replace
@@ -14,12 +16,10 @@ from entwatch.baseline import empirical_distribution, fit_baseline
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, likelihood_ratio
 from entwatch.entropy import (
     DEVIATION_BINS,
-    EPSILON_MASS,
     ByteHistogram,
     bin_index,
     kl_divergence,
     shannon_entropy,
-    window_kl,
 )
 from entwatch.errors import MalformedRecord
 from entwatch.hierarchy import (
@@ -368,24 +368,28 @@ def scored_keys(proc, records):
     return keys, scored
 
 
-def assert_term_rows_are_kl_divergence_terms(q):
-    """Each term of each row that windows of up to DEVIATION_HISTORY bins read
-    is, bit for bit, the term ``kl_divergence`` sums for a window with that
-    many of its bins in that bin, by the expression it has always used."""
-    for size in range(1, DEVIATION_HISTORY + 1):
-        for n in range(1, size + 1):
-            for b in range(DEVIATION_BINS):
-                window = [b] * n + [(b + 1) % DEVIATION_BINS] * (size - n)
-                fresh = window_kl(window, q)
-                p = empirical_distribution(window)
-                assert fresh.hex() == kl_divergence(p, q).hex()
-                mask = p.bins > 0
-                masses = p.bins[mask]
-                terms = masses * np.log2(masses / np.maximum(q.bins[mask], EPSILON_MASS))
-                want = float(terms[int(np.flatnonzero(mask).tolist().index(b))])
-                assert q._kl_rows[n / size][b].hex() == want.hex(), (size, n, b)
-    # One row per distinct fraction n/N, fewer than the (N, n) pairs.
-    assert len(q._kl_rows) <= DEVIATION_HISTORY * (DEVIATION_HISTORY + 1) // 2
+def level_memo(proc, level_id):
+    """The KL memo that ``proc`` shares with every processor on its profile."""
+    return proc._scored_levels[level_id][2]
+
+
+def detect(profile, attack_model, trace):
+    """``trace``'s result from one processor scoring against ``profile``."""
+    return TraceProcessor(profile=profile, attack_model=attack_model, label=trace.meta.label,
+                          onset_at=trace.meta.onset_at).process(trace.records).finish()
+
+
+def counting(monkeypatch, name):
+    """Replace ``pipeline.<name>`` by a wrapper that records each call's arguments."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, name, wrapper)
+    return calls
 
 
 def two_symbols(target, total=2 ** 20):
@@ -409,7 +413,8 @@ def uniform_symbols(k, repeat=4):
 
 
 class TestKlMemo:
-    """KL is memoised per trace by level and deviation-bin multiset."""
+    """KL is memoised per profile level by deviation-bin multiset, in a memo
+    that every processor scoring against the profile shares."""
 
     @pytest.fixture(scope="class")
     def spread_profile(self):
@@ -419,25 +424,24 @@ class TestKlMemo:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 3) | st.integers(0, DEVIATION_BINS - 1),
                     min_size=1, max_size=6))
-    def test_every_permutation_gives_the_fresh_kl(self, spread_profile, attack_model, bins):
-        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+    def test_every_permutation_gives_the_fresh_kl(self, spread_profile, bins):
+        memo = {}
         q = spread_profile.per_level["fs-user"]
         for perm in permutations(bins):
             want = kl_divergence(empirical_distribution(list(perm)), q)
-            assert proc._kl("fs-user", q, deque(perm)).hex() == want.hex()
-        assert len(proc._kl_memo) == 1
+            assert pipeline._memoised_kl(memo, q, deque(perm)).hex() == want.hex()
+        assert len(memo) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 7) | st.integers(0, DEVIATION_BINS - 1),
                     min_size=DEVIATION_HISTORY, max_size=DEVIATION_HISTORY), st.data())
-    def test_full_window_permutations_give_the_fresh_kl(self, spread_profile, attack_model,
-                                                        bins, data):
-        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+    def test_full_window_permutations_give_the_fresh_kl(self, spread_profile, bins, data):
+        memo = {}
         q = spread_profile.per_level["fs-user"]
         for _ in range(5):
             perm = data.draw(st.permutations(bins))
             want = kl_divergence(empirical_distribution(perm), q)
-            assert proc._kl("fs-user", q, deque(perm)).hex() == want.hex()
+            assert pipeline._memoised_kl(memo, q, deque(perm)).hex() == want.hex()
 
     def test_memo_stays_within_its_bound(self, spread_profile, attack_model, monkeypatch):
         # Each window's entropy is log2 of a random symbol count, so the last
@@ -447,61 +451,71 @@ class TestKlMemo:
         for w in range(300):
             hist, n = uniform_symbols(int(rng.integers(1, 257)))
             records.append(EventRecord(w + 0.5, "/home/u/x", "write", hist, n))
-        unbounded = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        # Each run scores against a fresh copy of the profile, so a fresh memo.
+        unbounded = TraceProcessor(profile=replace(spread_profile), attack_model=attack_model)
         kls = []
         for rec in records:
             unbounded.process_record(rec)
             kls.append(unbounded.sources["/home/u/x"].kl)
 
         monkeypatch.setattr(pipeline, "KL_MEMO_LIMIT", 8)
-        proc = TraceProcessor(profile=spread_profile, attack_model=attack_model)
+        proc = TraceProcessor(profile=replace(spread_profile), attack_model=attack_model)
         sizes, bounded_kls = [], []
         for rec in records:
             proc.process_record(rec)
-            sizes.append(len(proc._kl_memo))
+            sizes.append(len(level_memo(proc, "fs-user")))
             bounded_kls.append(proc.sources["/home/u/x"].kl)
-        assert len(unbounded._kl_memo) > 250
+        assert len(level_memo(unbounded, "fs-user")) > 250
         assert max(sizes) == 8
         assert bounded_kls == kls
 
     def test_kl_computed_once_per_distinct_key(self, benign_profile, attack_model, monkeypatch):
-        # A memo miss sums the window's terms by ``window_kl``: once per key.
-        calls = []
-        original = pipeline.window_kl
-
-        def counting(bins, q):
-            calls.append(bins)
-            return original(bins, q)
-
-        monkeypatch.setattr(pipeline, "window_kl", counting)
+        # A memo miss computes the KL of the window's distribution: once per key.
+        distributions = counting(monkeypatch, "empirical_distribution")
+        kls = counting(monkeypatch, "kl_divergence")
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
-        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model,
+        proc = TraceProcessor(profile=replace(benign_profile), attack_model=attack_model,
                               onset_at=trace.meta.onset_at)
         keys, scored = scored_keys(proc, trace.records)
-        assert len(calls) == len(keys)
-        assert len(set(calls)) == len(calls)  # no multiset is summed twice
+        assert len(kls) == len(distributions) == len(keys)
+        # No multiset is computed twice within a level.
+        assert len({(bins, id(q)) for (bins,), (_, q) in zip(distributions, kls)}) == len(kls)
         assert scored > 2 * len(keys)
-
-    def test_term_rows_are_kl_divergence_terms(self, spread_profile):
-        assert_term_rows_are_kl_divergence_terms(spread_profile.per_level["fs-user"])
 
     def test_seeded_windows_give_the_fresh_kl(self, spread_profile, benign_profile):
         rng = np.random.default_rng(23)
         for q in (*spread_profile.per_level.values(), *benign_profile.per_level.values()):
+            memo = {}
             for _ in range(500):
                 size = int(rng.integers(1, DEVIATION_HISTORY + 1))
                 bins = rng.integers(0, int(rng.choice([4, 16, DEVIATION_BINS])), size).tolist()
                 want = kl_divergence(empirical_distribution(bins), q)
-                assert window_kl(bins, q).hex() == want.hex()
+                assert pipeline._memoised_kl(memo, q, deque(bins)).hex() == want.hex()
+                # A hit returns the value the miss stored.
+                assert pipeline._memoised_kl(memo, q, deque(bins[::-1])).hex() == want.hex()
 
-    def test_processors_keep_their_own_memo(self, benign_profile, attack_model, run_detection):
+    def test_second_processor_computes_no_kl_for_a_seen_trace(self, benign_profile,
+                                                               attack_model, monkeypatch):
+        profile = replace(benign_profile)
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=901))
-        first = TraceProcessor(profile=benign_profile, attack_model=attack_model)
-        first.process(trace.records).finish()
-        second = TraceProcessor(profile=benign_profile, attack_model=attack_model)
-        assert first._kl_memo and not second._kl_memo
-        assert second.process(trace.records).finish().per_source == \
-            run_detection(trace).per_source
+        first = detect(profile, attack_model, trace)
+        kls = counting(monkeypatch, "kl_divergence")
+        assert detect(profile, attack_model, trace) == first
+        assert kls == []
+
+    @pytest.mark.parametrize("first, then", [(("ransomware", 910), ("benign_edit", 911)),
+                                             (("benign_edit", 912), ("ransomware", 913)),
+                                             (("compressor", 914), ("ransomware", 915))])
+    def test_results_do_not_depend_on_earlier_traces(self, benign_profile, attack_model,
+                                                     first, then):
+        # The shared memo carries nothing from one trace into the next: the
+        # second trace's result equals its result on a fresh profile.
+        earlier, trace = (simulate_scenario(ScenarioSpec(kind, seed=seed))
+                          for kind, seed in (first, then))
+        shared = replace(benign_profile)
+        detect(shared, attack_model, earlier)
+        assert detect(shared, attack_model, trace) == \
+            detect(replace(benign_profile), attack_model, trace)
 
 
 class TestLevelMeans:
@@ -685,7 +699,7 @@ class TestLikelihoodRatioTable:
                                 "net": rng.uniform(0, 2, 400).tolist()}, created_at=0.0)
         proc = TraceProcessor(profile=profile, attack_model=attack_model)
         assert set(proc._scored_levels) == {"fs-user", "net"}
-        for level_id, (q, ratios) in proc._scored_levels.items():
+        for level_id, (q, ratios, _) in proc._scored_levels.items():
             assert q is profile.per_level[level_id]
             for b in range(DEVIATION_BINS):
                 lo, hi = b / 8.0, (b + 1) / 8.0
@@ -698,7 +712,7 @@ class TestLikelihoodRatioTable:
 
 
 class TestSharedTables:
-    """A profile's ratio tables and its levels' KL term rows are built once and
+    """A profile's ratio tables and its levels' KL memos are built once and
     shared by every processor that scores against the profile."""
 
     @pytest.fixture
@@ -707,20 +721,8 @@ class TestSharedTables:
         return fit_baseline({"fs-user": rng.uniform(0, 3, 400).tolist(),
                              "net": rng.uniform(0, 1, 400).tolist()}, created_at=0.0)
 
-    @staticmethod
-    def counting_ratios(monkeypatch):
-        calls = []
-        original = pipeline.likelihood_ratio
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(pipeline, "likelihood_ratio", counting)
-        return calls
-
     def test_second_processor_builds_no_ratios(self, fresh_profile, attack_model, monkeypatch):
-        calls = self.counting_ratios(monkeypatch)
+        calls = counting(monkeypatch, "likelihood_ratio")
         TraceProcessor(profile=fresh_profile, attack_model=attack_model)
         assert len(calls) == DEVIATION_BINS * len(fresh_profile.per_level)
         calls.clear()
@@ -729,59 +731,67 @@ class TestSharedTables:
 
     def test_another_attack_model_gets_its_own_ratios(self, fresh_profile, attack_model,
                                                       monkeypatch):
-        calls = self.counting_ratios(monkeypatch)
+        calls = counting(monkeypatch, "likelihood_ratio")
         first = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
         other = TraceProcessor(profile=fresh_profile)  # the stored model: an equal, other object
         assert len(calls) == 2 * DEVIATION_BINS * len(fresh_profile.per_level)
-        for level_id, (q, ratios) in other._scored_levels.items():
-            shared_q, shared_ratios = first._scored_levels[level_id]
-            assert q is shared_q and ratios is not shared_ratios
+        for level_id, (q, ratios, memo) in other._scored_levels.items():
+            shared_q, shared_ratios, shared_memo = first._scored_levels[level_id]
+            assert q is shared_q and ratios is not shared_ratios and memo is not shared_memo
 
-    def test_processors_share_rows_and_ratios(self, fresh_profile, attack_model):
+    def test_processors_share_memos_and_ratios(self, fresh_profile, attack_model):
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=903))
         first = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
         first.process(trace.records).finish()
-        rows = {level_id: dict(q._kl_rows or {})
-                for level_id, q in fresh_profile.per_level.items()}
-        assert any(rows.values())
+        memos = {level_id: dict(memo) for level_id, (_, _, memo) in first._scored_levels.items()}
+        assert any(memos.values())
         second = TraceProcessor(profile=fresh_profile, attack_model=attack_model)
         assert second._scored_levels is first._scored_levels
-        for level_id, (q, ratios) in second._scored_levels.items():
+        for level_id, (q, ratios, memo) in second._scored_levels.items():
             assert q is fresh_profile.per_level[level_id]
             assert ratios is first._scored_levels[level_id][1]
+            assert memo is first._scored_levels[level_id][2]
         second.process(trace.records).finish()
-        # The same trace reads the same rows: none is added or rebuilt.
-        for level_id, q in fresh_profile.per_level.items():
-            after = q._kl_rows or {}
-            assert after.keys() == rows[level_id].keys()
-            assert all(after[m] is row for m, row in rows[level_id].items())
+        # The same trace reads the same windows: no entry is added or changed.
+        for level_id, (_, _, memo) in second._scored_levels.items():
+            assert memo == memos[level_id]
 
-    def test_level_never_holds_more_than_136_rows(self, fresh_profile, attack_model):
-        bound = DEVIATION_HISTORY * (DEVIATION_HISTORY + 1) // 2
-        assert bound == 136
-        for kind, seed in (("ransomware", 904), ("benign_edit", 905), ("compressor", 906)):
-            trace = simulate_scenario(ScenarioSpec(kind, seed=seed))
-            TraceProcessor(profile=fresh_profile, attack_model=attack_model) \
-                .process(trace.records).finish()
-            for q in fresh_profile.per_level.values():
-                assert len(q._kl_rows or {}) <= bound
-        # Every window size and count at once: one row per distinct n/N.
-        q = fresh_profile.per_level["fs-user"]
-        for size in range(1, DEVIATION_HISTORY + 1):
-            for n in range(1, size + 1):
-                window_kl([0] * n + [1] * (size - n), q)
-        fractions = {n / size for size in range(1, DEVIATION_HISTORY + 1)
-                     for n in range(1, size + 1)}
-        assert q._kl_rows.keys() == fractions
-        assert len(q._kl_rows) <= bound
+    def test_concurrent_processors_get_their_own_results(self, fresh_profile, attack_model,
+                                                         monkeypatch):
+        # Threads share the profile's memos. With a small memo, so that clears
+        # race with lookups, and frequent thread switches, each processor
+        # still gets the result it gets alone on a fresh profile.
+        traces = [simulate_scenario(ScenarioSpec(kind, seed=seed)) for kind, seed in
+                  (("ransomware", 920), ("benign_edit", 921), ("compressor", 922),
+                   ("ransomware", 923))]
+        want = [detect(replace(fresh_profile), attack_model, trace) for trace in traces]
+        monkeypatch.setattr(pipeline, "KL_MEMO_LIMIT", 16)
+        got = [None] * len(traces)
+
+        def run(i):
+            got[i] = detect(fresh_profile, attack_model, traces[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(traces))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
 
     def test_tables_live_as_long_as_the_profile(self, attack_model):
         rng = np.random.default_rng(31)
         profile = fit_baseline({"fs-user": rng.uniform(0, 3, 400).tolist()}, created_at=0.0)
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=907))
-        TraceProcessor(profile=profile, attack_model=attack_model).process(trace.records).finish()
-        assert profile.per_level["fs-user"]._kl_rows
+        proc = TraceProcessor(profile=profile, attack_model=attack_model)
+        proc.process(trace.records).finish()
+        assert level_memo(proc, "fs-user")
         alive = weakref.ref(profile)
-        del profile
+        del profile, proc
         gc.collect()
         assert alive() is None  # no module-level cache keeps it
