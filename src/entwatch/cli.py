@@ -40,8 +40,9 @@ def _peak_rss_bytes() -> int:
         import resource
     except ImportError:
         return 0
-    # ru_maxrss is kilobytes on Linux.
-    return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss) * 1024
+    peak = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    # ru_maxrss is bytes on macOS and kilobytes elsewhere (Linux, the BSDs).
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 def _positive_int(text: str) -> int:

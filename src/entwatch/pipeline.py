@@ -19,15 +19,18 @@ each close:
    binned once, into its recent-deviation window, the second difference of
    its last three samples into its max acceleration (none when they are
    unevenly spaced, as across a window the source skipped; see
-   ``entropy.second_difference``); then the source's KL (recent
-   deviations against its level baseline) and its posterior (a Bayes update
-   by the attack-vs-baseline likelihood ratio of the deviation's bin) are
-   updated. Each profile level's 64 ratios are built once per profile and
-   attack model, and kept on the profile for every processor that scores
-   against it (``_scored_levels``), beside the level's KL memo. KL reads
-   only the multiset of the recent bins, so it is read from that memo,
-   keyed by the multiset, and on a miss computed as the ``kl_divergence``
-   of the bins' ``empirical_distribution`` (``_memoised_kl``);
+   ``entropy.second_difference``); then, for a source not yet flagged, its
+   KL (recent deviations against its level baseline) and its posterior (a
+   Bayes update by the attack-vs-baseline likelihood ratio of the
+   deviation's bin) are updated. Labels latch, so a flagged source's
+   posterior stays as it was at the close that flagged it, and its KL is
+   brought up to date only when clustering reads it (step 3). Each profile
+   level's 64 ratios are built once per profile and attack model, and kept
+   on the profile for every processor that scores against it
+   (``_scored_levels``), beside the level's KL memo. KL reads only the
+   multiset of the recent bins, so it is read from that memo, keyed by the
+   multiset, and on a miss computed as the ``kl_divergence`` of the bins'
+   ``empirical_distribution`` (``_memoised_kl``);
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
    overwrites its source's slot, and appends their weighted mean, over the
@@ -35,15 +38,19 @@ each close:
    ``convexity_run + 2`` (window end, entropy) pairs, all that
    ``detector.convexity_signal`` reads. When those levels' weights sum to 0
    there is no mean, and the close appends nothing;
-3. clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
-   max |dH|, max acceleration, KL) and outlier-scores them only when the
-   attack rule (``detector.is_attack``) flags a scored, still-unflagged
-   source at outlier 1.0 but not at outlier 0.0: that is the only case in
-   which an outlier score can decide a label. A source the rule flags at
-   0.0 is flagged whatever its score and gives no reason to cluster;
-4. decides each scored source that is not yet flagged by the same rule at its
-   actual outlier score, reading the evidence off its ``SourceTrack``; a
-   ``Verdict`` is built only for a source the rule flags.
+3. takes as candidates the scored, still-unflagged sources that the attack
+   rule (``detector.is_attack``) flags at outlier 1.0. The rule is monotone
+   in the outlier score, which is in [0, 1], so no other source can be
+   flagged at this close, and a close with no candidate ends here. It
+   clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
+   max |dH|, max acceleration, KL), after refreshing each flagged source's
+   KL from its recent deviations, and outlier-scores them only when some
+   candidate is not flagged at outlier 0.0: that is the only case in which
+   an outlier score can decide a label. A source the rule flags at 0.0 is
+   flagged whatever its score and gives no reason to cluster;
+4. decides each candidate by the same rule at its actual outlier score,
+   reading the evidence off its ``SourceTrack``; a ``Verdict`` is built only
+   for a source the rule flags.
 
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
@@ -198,7 +205,10 @@ class SourceTrack(SourceWindow):
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
     # Index of the source's latest entropy in its level's value list.
     level_slot: int = -1
+    # Frozen once the source is flagged: nothing reads it after that.
     posterior: float = 0.0
+    # Current while the source is unflagged; once it is flagged, refreshed
+    # from ``deviations`` only when clustering reads ``features``.
     kl: float = 0.0
     outlier: float = 0.0
     max_abs_delta: float = 0.0
@@ -384,27 +394,31 @@ class TraceProcessor:
                 accel = second_difference(*samples)
                 if accel is not None:  # None: the three samples are unevenly spaced
                     track.max_accel = max(track.max_accel, accel)
+            if track.verdict is not None:
+                continue  # latched: its KL is refreshed when clustering reads it
             level = self._scored_levels.get(track.level_id)
             if level is not None:
                 q, ratios, memo = level
                 track.kl = _memoised_kl(memo, q, track.deviations)
                 updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
-            if track.verdict is None:
-                undecided.append(track)
+            undecided.append(track)
         self._update_levels(t_end)
 
         cfg = self.detector
         convex = convexity_signal(self._aggregate, cfg.convexity_run)
         if convex:
             self.convexity_true_at.append(t_end)
-        # The attack rule is monotone in the outlier score: unless some
-        # undecided source is flagged at outlier 1.0 and not at 0.0, outlier
-        # scores cannot decide a label this window, and clustering is skipped.
-        if any(is_attack(t.posterior, 1.0, t.kl, convex, cfg)
-               and not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in undecided):
+        # The attack rule is monotone in the outlier score, which is in
+        # [0, 1]: a source it does not flag at outlier 1.0 is not flagged
+        # this close. Unless some candidate is flagged at 1.0 and not at 0.0,
+        # outlier scores cannot decide a label, and clustering is skipped.
+        candidates = [t for t in undecided if is_attack(t.posterior, 1.0, t.kl, convex, cfg)]
+        if not candidates:
+            return
+        if any(not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in candidates):
             self._refresh_outliers()
-        for track in undecided:
+        for track in candidates:
             if not is_attack(track.posterior, track.outlier, track.kl, convex, cfg):
                 continue
             track.verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier,
@@ -435,6 +449,11 @@ class TraceProcessor:
         tracks = [t for t in self.sources.values() if t.sample_count]
         if len(tracks) < 2:
             return
+        for track in tracks:  # a flagged source's KL is brought up to date here
+            level = self._scored_levels.get(track.level_id)
+            if track.verdict is not None and level is not None:
+                q, _, memo = level
+                track.kl = _memoised_kl(memo, q, track.deviations)
         for track, score in zip(tracks, outliers(agglomerate(tracks)).scores):
             track.outlier = score
 

@@ -680,3 +680,15 @@ def test_error_lines_show_bounded_values(workspace, tmp_path):
         (line,) = res.stderr.splitlines()
         assert text in line
         assert len(line.encode()) < 1024
+
+
+@pytest.mark.parametrize("platform, scale", [("darwin", 1), ("linux", 1024), ("freebsd14", 1024)])
+def test_peak_rss_is_bytes_on_every_platform(monkeypatch, platform, scale):
+    # macOS reports ru_maxrss in bytes; Linux and the BSDs in kilobytes.
+    resource = pytest.importorskip("resource")
+    from entwatch import cli
+
+    usage = type("Usage", (), {"ru_maxrss": 40_000})()
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: usage)
+    assert cli._peak_rss_bytes() == 40_000 * scale

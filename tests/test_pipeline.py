@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwatch import pipeline
-from entwatch.baseline import empirical_distribution, fit_baseline
+from entwatch.baseline import empirical_distribution, fit_baseline, smoothed_distribution
 from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, likelihood_ratio
 from entwatch.entropy import (
     DEVIATION_BINS,
@@ -299,6 +299,88 @@ class TestOutlierGate:
         assert (flagged, len(result.per_source)) == (62, 120)
 
 
+class TestLatchedSources:
+    """A flagged source's posterior is frozen, and its KL is brought up to
+    date only when clustering reads it."""
+
+    @pytest.fixture(scope="class", params=["default", "wide", "mixed_evidence"])
+    def case(self, request):
+        """Its name, a profile, an attack model, records and the onset."""
+        if request.param == "mixed_evidence":
+            # Baseline and attack model fit from two samples of one deviation
+            # law, so likelihood ratios hover near 1: posteriors wander, and
+            # some settle in the band where an outlier score decides, which
+            # clusters mid-trace while other sources are already flagged.
+            def deviations(n):
+                entropies = np.log2(rng.integers(1, 257, n + 1))
+                return np.minimum(np.abs(np.diff(entropies)), 8.0).tolist()
+
+            rng = np.random.default_rng(5)
+            profile = fit_baseline({"fs-user": deviations(300)}, created_at=0.0, prior=0.5)
+            model = smoothed_distribution(deviations(300))
+            rng = np.random.default_rng(0)
+            records = []
+            for w in range(60):
+                for s in range(30):
+                    hist, n = uniform_symbols(int(rng.integers(1, 257)))
+                    records.append(EventRecord(w + 0.5, f"/home/u/f{s}", "write", hist, n))
+            return request.param, profile, model, records, None
+        duration, file_count = {"default": (100.0, 20), "wide": (1000.0, 200)}[request.param]
+        trace = simulate_scenario(ScenarioSpec("ransomware", 7030, duration=duration,
+                                               file_count=file_count))
+        return (request.param, request.getfixturevalue("benign_profile"),
+                request.getfixturevalue("attack_model"), trace.records, trace.meta.onset_at)
+
+    def test_no_posterior_update_after_flagging(self, case, monkeypatch):
+        _, profile, model, records, onset_at = case
+        updates = counting(monkeypatch, "posterior")
+        original = TraceProcessor._close_window
+        flagged_at = {}
+
+        def close(proc, t_end, fresh):
+            # Every source this close samples with a deviation, unless an
+            # earlier close flagged it, gets exactly one update.
+            unflagged = [t for t in fresh if t.deviation is not None and t.verdict is None]
+            updates.clear()
+            original(proc, t_end, fresh)
+            assert len(updates) == len(unflagged)
+            flagged_at.update((t.source_id, t_end) for t in unflagged if t.verdict is not None)
+
+        monkeypatch.setattr(TraceProcessor, "_close_window", close)
+        proc = TraceProcessor(profile=profile, attack_model=model,
+                              onset_at=onset_at).process(records)
+        result = proc.finish()
+        flagged = {sid for sid, v in result.per_source.items() if v.label == RANSOMWARE}
+        assert flagged and flagged == set(flagged_at)
+        # The alert holds the posterior of the close that flagged the source,
+        # and the source keeps it to the end.
+        for alert in result.alerts:
+            assert alert.raised_at == flagged_at[alert.source_id]
+            assert proc.sources[alert.source_id].posterior == alert.posterior
+
+    def test_clustering_reads_current_kl(self, case, monkeypatch):
+        name, profile, model, records, onset_at = case
+        flagged_counts = []
+        original = pipeline.agglomerate
+
+        def clustering(tracks):
+            flagged_counts.append(sum(t.verdict is not None for t in tracks))
+            for track in tracks:
+                q = profile.per_level[track.level_id]
+                want = (kl_divergence(empirical_distribution(sorted(track.deviations)), q)
+                        if track.deviations else 0.0)
+                assert track.kl.hex() == want.hex(), track.source_id
+            return original(tracks)
+
+        monkeypatch.setattr(pipeline, "agglomerate", clustering)
+        TraceProcessor(profile=profile, attack_model=model,
+                       onset_at=onset_at).process(records).finish()
+        # Flagged sources are among the clustered, so their KL was checked:
+        # in ``finish``, and in the mixed-evidence case at window closes too.
+        assert flagged_counts[-1] > 0
+        assert any(flagged_counts[:-1]) == (name == "mixed_evidence")
+
+
 class TestWindowing:
     def test_record_from_a_closed_window_is_rejected(self, benign_profile, attack_model):
         trace = simulate_scenario(ScenarioSpec("benign_edit", seed=802, duration=30.0))
@@ -341,25 +423,43 @@ class TestWindowing:
         assert proc.sources["/home/u/x"].level_id == "net"
 
 
-def scored_keys(proc, records):
+def scored_keys(monkeypatch, proc, records):
     """Feed ``records`` and finish: the distinct (level, sorted deviation bins)
-    windows that KL was scored on, and how many samples were scored.
+    windows whose KL was read, and how many reads there were.
 
-    Read off each source's state after every record, apart from the memo.
+    KL is read at each close that samples an unflagged source with a
+    deviation, and for each flagged source at each clustering run. Read off
+    each source's state after every record and at each ``agglomerate`` call,
+    apart from the memo.
     """
     keys, scored = set(), 0
-    counts = {}
+    counts, flagged = {}, set()
+
+    def read(track):
+        nonlocal scored
+        keys.add((track.level_id, tuple(sorted(track.deviations))))
+        scored += 1
+
+    def scorable(track):
+        return track.deviation is not None and track.level_id in proc.profile.per_level
 
     def observe():
-        nonlocal scored
         for sid, track in proc.sources.items():
-            if track.sample_count == counts.get(sid, 0):
-                continue
-            counts[sid] = track.sample_count
-            if track.deviation is not None and track.level_id in proc.profile.per_level:
-                keys.add((track.level_id, tuple(sorted(track.deviations))))
-                scored += 1
+            if track.sample_count != counts.get(sid, 0):
+                counts[sid] = track.sample_count
+                if sid not in flagged and scorable(track):
+                    read(track)
+        flagged.update(sid for sid, track in proc.sources.items() if track.verdict is not None)
 
+    original = pipeline.agglomerate
+
+    def clustering(tracks):
+        for track in tracks:
+            if track.verdict is not None and scorable(track):
+                read(track)
+        return original(tracks)
+
+    monkeypatch.setattr(pipeline, "agglomerate", clustering)
     for rec in records:
         proc.process_record(rec)
         observe()
@@ -476,7 +576,7 @@ class TestKlMemo:
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
         proc = TraceProcessor(profile=replace(benign_profile), attack_model=attack_model,
                               onset_at=trace.meta.onset_at)
-        keys, scored = scored_keys(proc, trace.records)
+        keys, scored = scored_keys(monkeypatch, proc, trace.records)
         assert len(kls) == len(distributions) == len(keys)
         # No multiset is computed twice within a level.
         assert len({(bins, id(q)) for (bins,), (_, q) in zip(distributions, kls)}) == len(kls)
