@@ -6,8 +6,11 @@ glob pattern matches (fnmatch semantics, ``*`` crosses path separators);
 unmatched sources fall back to the first filesystem level. A level's entropy
 is the mean of its members' latest entropies, and the aggregate is the
 weighted mean over the levels that have a value: their weights are rescaled
-to sum to 1 over just those levels. The config is immutable after
-construction and safe to share.
+to sum to 1 over just those levels. ``level_weights`` does that rescaling
+once for a set of present levels, so a caller whose set changes rarely can
+keep its result; ``aggregate_entropy`` sums with it, and a caller that adds
+``weight * value`` over its pairs in order, from 0.0, gets the same float.
+The config is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .errors import EmptyLevel, checked, shown
 
@@ -105,18 +108,29 @@ def level_entropy(member_entropies: Sequence[float]) -> float:
     return sum(member_entropies) / len(member_entropies)
 
 
+def level_weights(config: HierarchyConfig, present: Container[str]
+                  ) -> list[tuple[str, float]] | None:
+    """The levels in ``present``, in hierarchy order, each with its weight
+    divided by their weight sum, so the weights add up to 1. None when that
+    sum is 0, as it is when no level is present."""
+    levels = [lvl for lvl in config.levels if lvl.level_id in present]
+    weight_sum = sum(lvl.weight for lvl in levels)
+    if weight_sum <= 0:
+        return None
+    return [(lvl.level_id, lvl.weight / weight_sum) for lvl in levels]
+
+
 def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]) -> float | None:
     """Weighted mean of the entropies of the levels present in ``level_values``.
 
     Levels without a value are left out, and the weights of the present
-    levels are divided by their sum, so they add up to 1. None when that sum
-    is 0, as it is when no level is present.
+    levels are rescaled by ``level_weights``. None when their sum is 0, as
+    it is when no level is present.
     """
-    present = [lvl for lvl in config.levels if lvl.level_id in level_values]
-    weight_sum = sum(lvl.weight for lvl in present)
-    if weight_sum <= 0:
+    weights = level_weights(config, level_values)
+    if weights is None:
         return None
     total = 0.0
-    for lvl in present:
-        total += lvl.weight / weight_sum * level_values[lvl.level_id]
+    for level_id, weight in weights:
+        total += weight * level_values[level_id]
     return total

@@ -4,10 +4,12 @@ Records are consumed in timestamp order. ``SourceWindows`` buckets them into
 fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
 a level at its first record. At each window close every source with payload
 activity gets one entropy sample, a (window end, entropy) pair for its merged
-window histogram, and keeps its last three. The window histogram starts as a
-copy of the source's first record's, which keeps a cached entropy (see
-``traces``), so a window of one record reads its entropy instead of
-computing it; a merge clears the cache. Sources with two or more samples
+window histogram, and keeps its last three. The window histogram is the
+source's first record's own, read in place with any entropy cached on it
+(see ``traces``), so a window of one record costs no copy and reads its
+entropy instead of computing it. A second record merges into a copy, which
+the window owns and whose merge clears the cache, so detection never writes
+to a record's histogram. Sources with two or more samples
 yield an absolute entropy deviation |dH|. Window ends strictly increase, as a
 window closes only when a later one opens, and entropies are in [0, 8], so
 samples are kept as computed. ``collect_trace_deviations`` drives it alone to
@@ -34,10 +36,17 @@ each close:
 2. takes each level's mean of its sampled members' latest entropies (the
    heatmap's samples) from the level's value list, in which each sample
    overwrites its source's slot, and appends their weighted mean, over the
-   levels that have data so far, to the aggregate series: the last
-   ``convexity_run + 2`` (window end, entropy) pairs, all that
-   ``detector.convexity_signal`` reads. When those levels' weights sum to 0
-   there is no mean, and the close appends nothing;
+   levels that have data so far, to the aggregate series. Those levels, in
+   hierarchy order, and their weights as ``hierarchy.level_weights``
+   rescales them are planned again only when a level gets its first source
+   (``_plan_levels``), and the sum is ``aggregate_entropy``'s bit for bit.
+   The series keeps its last three (window end, entropy) pairs and a count
+   of its latest second differences, in a row, that are evenly spaced and
+   positive: each appended pair updates the count by one
+   ``detector.convexity_signal(pairs, 1)``, and the close is convex when
+   the count reaches ``convexity_run``, as ``convexity_signal`` over the
+   whole series would say. When those levels' weights sum to 0 there is no
+   mean, and the close appends nothing and keeps the count;
 3. takes as candidates the scored, still-unflagged sources that the attack
    rule (``detector.is_attack``) flags at outlier 1.0. The rule is monotone
    in the outlier score, which is in [0, 1], so no other source can be
@@ -95,9 +104,9 @@ from .entropy import (
 from .errors import MalformedRecord
 from .hierarchy import (
     HierarchyConfig,
-    aggregate_entropy,
     default_hierarchy,
     level_entropy,
+    level_weights,
     route_kind,
     route_source,
 )
@@ -186,7 +195,10 @@ class SourceWindow:
     # The last three (window end, entropy) pairs: second differences read
     # all three, the level mean and the next deviation the last one.
     samples: deque = field(default_factory=lambda: deque(maxlen=3))
+    # The open window's histogram: its first record's own, read in place,
+    # until a second record merges into a copy of it that the window owns.
     pending: ByteHistogram | None = None
+    pending_owned: bool = False
     # |dH| between the source's last two samples, set at each close that
     # samples it; None at its first sample.
     deviation: float | None = None
@@ -264,12 +276,17 @@ class SourceWindows:
         if src is None:
             src = self._add_source(rec)
         if rec.bytes > 0:
-            if src.pending is None:
-                src.pending = rec.histogram.copy()
+            pending = src.pending
+            if pending is None:
+                src.pending = rec.histogram  # read in place until a second record merges
+                src.pending_owned = False
                 self._pending.append(src)
             else:
+                if not src.pending_owned:
+                    pending = src.pending = pending.copy()
+                    src.pending_owned = True
                 try:
-                    src.pending.merge(rec.histogram)
+                    pending.merge(rec.histogram)
                 except OverflowError as exc:
                     raise MalformedRecord(
                         f"source {rec.source_path} at {rec.timestamp}s: {exc}") from exc
@@ -343,9 +360,17 @@ class TraceProcessor:
         self.sources: dict[str, SourceTrack] = self._windows.sources
         # Per level, the latest entropy of each source sampled so far, in first-sample order.
         self._level_values: dict[str, list[float]] = {}
-        # (window end, aggregate entropy) pairs: convexity over a run of m
-        # second differences reads the last m + 2.
-        self._aggregate: deque = deque(maxlen=self.detector.convexity_run + 2)
+        # The levels with data, in hierarchy order: (level id, value list,
+        # rescaled weight). Planned again only when a level gets its first
+        # source; ``_weighted`` is False while their weights sum to 0.
+        self._levels: list[tuple[str, list[float], float]] = []
+        self._weighted = False
+        # The last three (window end, aggregate entropy) pairs, and how many
+        # of the latest second differences of the aggregate, in a row, are
+        # evenly spaced and positive: a close is convex when that count
+        # reaches ``convexity_run``.
+        self._aggregate: deque = deque(maxlen=3)
+        self._convex_run = 0
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
@@ -375,6 +400,7 @@ class TraceProcessor:
         if not fresh:
             return
         undecided: list[SourceTrack] = []
+        new_level = False
         for track in fresh:
             samples = track.samples
             value = samples[-1][1]
@@ -382,7 +408,10 @@ class TraceProcessor:
             track.sample_count += 1
             dev = track.deviation
             if dev is None:
-                level_values = self._level_values.setdefault(track.level_id, [])
+                level_values = self._level_values.get(track.level_id)
+                if level_values is None:
+                    level_values = self._level_values[track.level_id] = []
+                    new_level = True
                 track.level_slot = len(level_values)
                 level_values.append(value)
                 continue
@@ -403,10 +432,12 @@ class TraceProcessor:
                 updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             undecided.append(track)
+        if new_level:
+            self._plan_levels()
         self._update_levels(t_end)
 
         cfg = self.detector
-        convex = convexity_signal(self._aggregate, cfg.convexity_run)
+        convex = self._convex_run >= cfg.convexity_run
         if convex:
             self.convexity_true_at.append(t_end)
         # The attack rule is monotone in the outlier score, which is in
@@ -430,19 +461,26 @@ class TraceProcessor:
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
 
-    def _update_levels(self, t_end: float) -> None:
-        values: dict[str, float] = {}
-        for lvl in self.hierarchy.levels:
-            latest = self._level_values.get(lvl.level_id)
-            if not latest:
-                continue
-            mean = level_entropy(latest)
-            values[lvl.level_id] = mean
-            self.level_samples.append((lvl.level_id, t_end - self._windows.window_seconds, mean))
+    def _plan_levels(self) -> None:
+        present = self._level_values
+        weights = level_weights(self.hierarchy, present)
+        self._weighted = weights is not None
+        rescaled = dict(weights or ())
+        self._levels = [(lvl.level_id, present[lvl.level_id], rescaled.get(lvl.level_id, 0.0))
+                        for lvl in self.hierarchy.levels if lvl.level_id in present]
 
-        total = aggregate_entropy(self.hierarchy, values)
-        if total is not None:  # None: no level has data, or their weights sum to 0
-            self._aggregate.append((t_end, min(max(total, 0.0), 8.0)))
+    def _update_levels(self, t_end: float) -> None:
+        # The sum is ``aggregate_entropy``'s over the same weights, in the same order.
+        start = t_end - self._windows.window_seconds
+        total = 0.0
+        for level_id, values, weight in self._levels:
+            mean = level_entropy(values)
+            self.level_samples.append((level_id, start, mean))
+            total += weight * mean
+        if self._weighted:  # else no level has data, or their weights sum to 0
+            aggregate = self._aggregate
+            aggregate.append((t_end, min(max(total, 0.0), 8.0)))
+            self._convex_run = self._convex_run + 1 if convexity_signal(aggregate, 1) else 0
 
     def _refresh_outliers(self) -> None:
         # Sampled sources in first-record order; the order breaks linkage ties.

@@ -84,7 +84,7 @@ def format_seconds(ts: float) -> str:
     return text + "0" * max(0, 3 - fraction)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventRecord:
     """One observed operation; carries the payload's byte histogram, not bytes."""
 
@@ -96,17 +96,26 @@ class EventRecord:
     level_hint: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "timestamp", checked(self.timestamp, "timestamp", float))
-        if not (math.isfinite(self.timestamp) and self.timestamp >= 0):
-            raise ValueError(f"timestamp must be finite and non-negative, got {self.timestamp}")
-        checked(self.source_path, "source_path", str)
+        # Each field's usual exact type is tested inline; ``checked`` converts
+        # an int timestamp and builds the message for any other type.
+        timestamp = self.timestamp
+        if type(timestamp) is not float:
+            timestamp = checked(timestamp, "timestamp", float)
+            object.__setattr__(self, "timestamp", timestamp)
+        if not (math.isfinite(timestamp) and timestamp >= 0):
+            raise ValueError(f"timestamp must be finite and non-negative, got {timestamp}")
+        if type(self.source_path) is not str:
+            checked(self.source_path, "source_path", str)
         if self.op not in OPS:
             raise ValueError(f"unknown op {shown(self.op)}, expected one of {OPS}")
-        checked(self.histogram, "histogram", ByteHistogram)
-        checked(self.bytes, "bytes", int)
-        if self.histogram.total != self.bytes:
+        histogram = self.histogram
+        if type(histogram) is not ByteHistogram:
+            checked(histogram, "histogram", ByteHistogram)
+        if type(self.bytes) is not int:
+            checked(self.bytes, "bytes", int)
+        if histogram.total != self.bytes:
             raise ValueError(
-                f"histogram total {self.histogram.total} does not match payload length {self.bytes}"
+                f"histogram total {histogram.total} does not match payload length {self.bytes}"
             )
         if self.level_hint is not None and self.level_hint not in LEVEL_KINDS:
             raise ValueError(f"level hint must be one of {LEVEL_KINDS}, got {shown(self.level_hint)}")

@@ -9,6 +9,7 @@ from entwatch.hierarchy import (
     HierarchyConfig,
     LevelConfig,
     aggregate_entropy,
+    level_weights,
     default_hierarchy,
     level_entropy,
     route_source,
@@ -109,6 +110,13 @@ class TestAggregateEntropy:
             expected += weights[level_id] / weight_sum * values[level_id]
         assert aggregate_entropy(three_levels(), values) == expected
         assert expected == pytest.approx((0.5 * 7.5 + 0.3 * 6.2) / 0.8)
+
+    def test_level_weights_rescale_the_present_levels_in_declaration_order(self):
+        weight_sum = 0.5 + 0.2
+        assert level_weights(three_levels(), {"net", "user"}) == \
+            [("user", 0.5 / weight_sum), ("net", 0.2 / weight_sum)]
+        assert level_weights(three_levels(weights=(0.5, 0.3, 0.0)), {"net"}) is None
+        assert level_weights(three_levels(), {"other"}) is None
 
     def test_zero_weight_subset_rejected_with_normalization(self):
         cfg = three_levels(weights=(0.5, 0.3, 0.0))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from entwatch import pipeline
 from entwatch.baseline import empirical_distribution, fit_baseline, smoothed_distribution
-from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, likelihood_ratio
+from entwatch.detector import DetectorConfig, RANSOMWARE, BENIGN, convexity_signal, likelihood_ratio
 from entwatch.entropy import (
     DEVIATION_BINS,
     ByteHistogram,
@@ -28,6 +28,7 @@ from entwatch.hierarchy import (
     aggregate_entropy,
     default_hierarchy,
     level_entropy,
+    level_weights,
 )
 from entwatch.pipeline import (
     DEVIATION_HISTORY,
@@ -36,7 +37,14 @@ from entwatch.pipeline import (
     fit_attack_model,
 )
 from entwatch.simulate import ScenarioSpec, simulate_scenario
-from entwatch.traces import EventRecord, histogram_from_bytes, read_trace, write_trace
+from entwatch.traces import (
+    EventRecord,
+    Trace,
+    TraceMeta,
+    histogram_from_bytes,
+    read_trace,
+    write_trace,
+)
 
 
 class TestAttackModel:
@@ -666,6 +674,35 @@ class TestLevelMeans:
         assert [(lvl, t, m.hex()) for lvl, t, m in result.level_samples] == \
             [(lvl, t, m.hex()) for lvl, t, m in expected]
 
+    @settings(max_examples=300, deadline=None)
+    @given(weights=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.0, 1e-300])
+                            | st.floats(0.0, 1e6), min_size=1, max_size=5),
+           data=st.data())
+    def test_planned_weights_sum_to_the_aggregate(self, benign_profile, attack_model,
+                                                  weights, data):
+        """The close's sum over the weights ``level_weights`` planned is
+        ``aggregate_entropy``'s, bit for bit, on any subset of the levels,
+        zero weights and all-zero subsets included."""
+        hierarchy = HierarchyConfig(levels=tuple(
+            LevelConfig(f"l{i}", "filesystem", w) for i, w in enumerate(weights)))
+        ids = [lvl.level_id for lvl in hierarchy.levels]
+        present = data.draw(st.lists(st.sampled_from(ids), unique=True))
+        values = {level_id: data.draw(st.floats(0.0, 8.0)) for level_id in present}
+        expected = aggregate_entropy(hierarchy, values)
+        planned = level_weights(hierarchy, values)
+        assert (planned is None) == (expected is None)
+        proc = TraceProcessor(hierarchy, profile=benign_profile, attack_model=attack_model)
+        for level_id in present:
+            proc._level_values[level_id] = [values[level_id]]
+        proc._plan_levels()
+        proc._update_levels(1.0)
+        assert [lvl for lvl, _, _ in proc.level_samples] == [i for i in ids if i in values]
+        if expected is None:
+            assert not proc._aggregate
+        else:
+            assert [level_id for level_id, _ in planned] == [i for i in ids if i in values]
+            assert proc._aggregate[-1][1].hex() == min(max(expected, 0.0), 8.0).hex()
+
 
 class TestAcceleration:
     def test_skipped_windows_match_a_recount(self, attack_model):
@@ -739,6 +776,58 @@ class TestAcceleration:
         assert all(blind_accel[path] > max_accel[path] for path in paths)
         assert set(blind_convex) > set(convex)
 
+    @pytest.mark.parametrize("sys_weight", [0.4, 0.0])
+    @pytest.mark.parametrize("run", [1, 2, 3, 5])
+    def test_convexity_is_the_whole_series_signal(self, attack_model, run, sys_weight):
+        """At every close, convexity is ``convexity_signal`` over the whole
+        aggregate series so far, for each run length. Windows that no source
+        writes in make the series unevenly spaced; with a 0 weight for the
+        level of the source that writes first, the first closes have no
+        aggregate and keep the signal as it was."""
+        hierarchy = HierarchyConfig(levels=(
+            LevelConfig("docs", "filesystem", 0.6, ("/home/**",)),
+            LevelConfig("sys", "filesystem", sys_weight, ("/etc/**",)),
+        ))
+        joins = {"/etc/c": 0, "/home/a": 6, "/home/b": 9}
+        quiet = {14, 15, 31, 33, 34}  # windows in which no source writes
+        rng = np.random.default_rng(38)
+        records = []
+        for w in range(50):
+            for k, (path, join) in enumerate(joins.items()):
+                if w < join or w in quiet or rng.random() < 0.1:
+                    continue
+                hist, n = two_symbols(0.9 * (w / 49) ** 2 * (1 - 0.2 * k), total=2 ** 16)
+                records.append(EventRecord(w + 0.1 * (k + 1), path, "write", hist, n))
+        profile = fit_baseline({"docs": [0.01] * 40, "sys": [0.01] * 40}, created_at=0.0)
+        result = TraceProcessor(hierarchy, DetectorConfig(convexity_run=run), profile=profile,
+                                attack_model=attack_model).process(records).finish()
+
+        series, convex, skipped = [], [], 0
+        latest = {}  # source -> latest entropy
+        for w in sorted({int(r.timestamp) for r in records}):
+            pending = {}
+            for r in records:
+                if int(r.timestamp) == w:
+                    pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+            for path in joins:
+                if path in pending:
+                    latest[path] = shannon_entropy(pending[path])
+            means = {}
+            for lvl, prefix in (("docs", "/home/"), ("sys", "/etc/")):
+                members = [v for path, v in latest.items() if path.startswith(prefix)]
+                if members:
+                    means[lvl] = level_entropy(members)
+            total = aggregate_entropy(hierarchy, means)
+            if total is None:
+                skipped += 1
+            else:
+                series.append((w + 1.0, min(max(total, 0.0), 8.0)))
+            if convexity_signal(series, run):
+                convex.append(w + 1.0)
+        assert result.convexity_true_at == convex
+        assert convex
+        assert bool(skipped) == (sys_weight == 0.0)
+
 
 def without_cache(records):
     """The records, each histogram rebuilt with no cached entropy."""
@@ -790,6 +879,91 @@ class TestEntropyCache:
         cached, fresh = results
         # Alerts, per-source verdicts, level samples and convexity times alike.
         assert cached == fresh
+
+
+def window_samples(monkeypatch):
+    """A list that gets (source, window end, entropy) for each sample taken."""
+    seen = []
+    close = pipeline.SourceWindows.close
+
+    def recording(windows):
+        t_end, fresh = close(windows)
+        seen.extend((src.source_id, t_end, src.samples[-1][1].hex()) for src in fresh)
+        return t_end, fresh
+
+    monkeypatch.setattr(pipeline.SourceWindows, "close", recording)
+    return seen
+
+
+def expected_samples(records):
+    """Each window's sample, recounted: a one-record window's histogram's
+    entropy, and a merged window's computed from its summed counts."""
+    windows = {}
+    for r in records:
+        if r.bytes:
+            key = (r.source_path, float(int(r.timestamp) + 1))
+            windows.setdefault(key, []).append(r.histogram)
+    out = []
+    for (path, t_end), hists in windows.items():
+        if len(hists) == 1:
+            value = shannon_entropy(hists[0])
+        else:
+            merged = ByteHistogram()
+            for hist in hists:
+                merged.merge(hist)
+            assert merged.entropy is None
+            value = shannon_entropy(merged)
+        out.append((path, t_end, value.hex()))
+    return sorted(out), sum(len(h) > 1 for h in windows.values())
+
+
+def histogram_state(records):
+    return [(r.histogram.counts.tolist(), r.histogram.total, r.histogram.entropy)
+            for r in records]
+
+
+class TestRecordsStayAsRead:
+    """Detection and deviation collection read each record's histogram in
+    place and never write to it, and merged windows are sampled at the
+    entropy of their merged counts."""
+
+    def run_both(self, records, benign_profile, attack_model, monkeypatch, reference):
+        expected, merged = expected_samples(records)
+        assert merged
+        for run in (
+            lambda: TraceProcessor(profile=benign_profile, attack_model=attack_model)
+            .process(records).finish(),
+            lambda: collect_trace_deviations(records),
+        ):
+            seen = window_samples(monkeypatch)
+            run()
+            assert sorted(seen) == expected
+            assert histogram_state(records) == reference
+            monkeypatch.undo()
+
+    def test_compressor_trace(self, tmp_path, benign_profile, attack_model, monkeypatch):
+        write_trace(simulate_scenario(ScenarioSpec("compressor", seed=833)), tmp_path / "z.jsonl")
+        records = read_trace(tmp_path / "z.jsonl").records
+        assert any(r.histogram.entropy is not None for r in records)
+        reference = histogram_state(read_trace(tmp_path / "z.jsonl").records)
+        self.run_both(records, benign_profile, attack_model, monkeypatch, reference)
+
+    def test_one_histogram_shared_by_records_of_a_window(self, tmp_path, benign_profile,
+                                                         attack_model, monkeypatch):
+        shared = ByteHistogram.unchecked(np.arange(1, 257, dtype=np.int64), 32896)
+        shared.entropy = shannon_entropy(shared)
+        other, n = uniform_symbols(16)
+        records = []
+        for w in range(6):
+            records += [EventRecord(w + 0.1, "/home/u/a", "write", shared, shared.total),
+                        EventRecord(w + 0.2, "/home/u/b", "write", shared, shared.total),
+                        EventRecord(w + 0.3, "/home/u/a", "write", shared, shared.total),
+                        EventRecord(w + 0.4, "/home/u/b", "write", other, n),
+                        EventRecord(w + 0.5, "/home/u/c", "write", shared, shared.total)]
+        path = tmp_path / "shared.jsonl"
+        write_trace(Trace(TraceMeta("hand-built", 0, BENIGN), tuple(records)), path)
+        reference = histogram_state(read_trace(path).records)
+        self.run_both(records, benign_profile, attack_model, monkeypatch, reference)
 
 
 class TestLikelihoodRatioTable:

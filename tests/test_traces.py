@@ -261,6 +261,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             Trace(TraceMeta(scenario="s", seed=1, label="benign"), (rec(2.0), rec(1.0)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("timestamp", "1.5", "timestamp must be a number, got '1.5'"),
+        ("timestamp", True, "timestamp must be a number, got True"),
+        ("timestamp", float("nan"), "timestamp must be finite and non-negative, got nan"),
+        ("timestamp", -1.0, "timestamp must be finite and non-negative, got -1.0"),
+        ("timestamp", 10 ** 400, "timestamp is past the float range, got 1000"),
+        ("source_path", None, "source_path must be a str, got None"),
+        ("op", "explode", "unknown op 'explode', expected one of ('write', "),
+        ("histogram", [1] * 256, "histogram must be a ByteHistogram, got [1, 1,"),
+        ("bytes", 256.0, "bytes must be an integer, got 256.0"),
+        ("bytes", True, "bytes must be an integer, got True"),
+        ("bytes", 255, "histogram total 256 does not match payload length 255"),
+        ("level_hint", "disk", "level hint must be one of ('filesystem', "),
+    ])
+    def test_record_check_messages(self, field, value, message):
+        fields = dict(timestamp=1.5, source_path="/a", op="write",
+                      histogram=histogram_from_bytes(bytes(range(256))), bytes=256)
+        with pytest.raises(ValueError) as err:
+            EventRecord(**{**fields, field: value})
+        assert str(err.value).startswith(message)
+        assert EventRecord(**{**fields, "timestamp": 2}).timestamp.hex() == (2.0).hex()
+
     def test_ransomware_label_requires_onset(self):
         with pytest.raises(ValueError):
             TraceMeta(scenario="ransomware", seed=1, label="ransomware")
