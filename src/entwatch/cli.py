@@ -17,6 +17,7 @@ from .detector import DetectorConfig
 from .errors import EntwatchError, ConfigError, InvalidSpec, IoFailure
 from .hierarchy import HierarchyConfig, default_hierarchy
 from .metrics import (
+    MetricsReport,
     PerTraceRow,
     VERDICT_ERROR,
     compute_metrics,
@@ -115,6 +116,13 @@ def _input_records(path: str, chunk_bytes: int):
     return meta.label, meta.onset_at, records, []
 
 
+def _summary(report: MetricsReport) -> str:
+    """The run's rates and mean latency, as ``detect`` and ``report`` print them."""
+    latency = "n/a" if report.mean_latency_ms is None else f"{report.mean_latency_ms:.0f}ms"
+    return (f"accuracy={report.accuracy:.3f} fpr={report.fpr:.3f} fnr={report.fnr:.3f} "
+            f"mean_latency={latency}")
+
+
 def cmd_profile(args) -> int:
     if _unusable_inputs(args):
         return 2
@@ -198,11 +206,7 @@ def cmd_detect(args) -> int:
     write_metrics_json(os.path.join(args.out, "metrics.json"), report)
     write_heatmap_csv(os.path.join(args.out, "heatmap.csv"), level_samples)
 
-    latency = "n/a" if report.mean_latency_ms is None else f"{report.mean_latency_ms:.0f}ms"
-    print(
-        f"processed {len(rows)} inputs: accuracy={report.accuracy:.3f} "
-        f"fpr={report.fpr:.3f} fnr={report.fnr:.3f} mean_latency={latency}"
-    )
+    print(f"processed {len(rows)} inputs: {_summary(report)}")
     return 1 if failures else 0
 
 
@@ -225,9 +229,7 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     rows = read_report_csv(args.report_csv)
     report = compute_metrics(rows)
-    latency = "n/a" if report.mean_latency_ms is None else f"{report.mean_latency_ms:.0f}ms"
-    print(f"accuracy={report.accuracy:.3f} fpr={report.fpr:.3f} fnr={report.fnr:.3f} "
-          f"mean_latency={latency} traces={len(rows)}")
+    print(f"{_summary(report)} traces={len(rows)}")
     if args.out:
         _make_out_dir(args.out)
         write_metrics_json(os.path.join(args.out, "metrics.json"), report)

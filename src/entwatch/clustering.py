@@ -98,21 +98,14 @@ class OutlierReport:
     scores: tuple[float, ...]
 
 
-def scaled_distance_matrix(vectors) -> np.ndarray:
-    """Full pairwise Euclidean distance matrix in batch-scaled feature space.
+def _fill_distances(vectors, out: np.ndarray) -> None:
+    """Write the pairwise Euclidean distances of ``vectors`` in batch-scaled
+    feature space into ``out``, an n x n view.
 
     Each feature is min-max scaled over the batch, so a constant feature
     contributes 0 and, between two vectors, a single differing feature
     contributes exactly 1. Squared differences are summed in feature order.
     """
-    vectors = list(vectors)
-    dist = np.empty((len(vectors), len(vectors)))
-    _fill_distances(vectors, dist)
-    return dist
-
-
-def _fill_distances(vectors, out: np.ndarray) -> None:
-    """Write `scaled_distance_matrix(vectors)` into `out`, an n x n view."""
     mat = np.asarray([v.features for v in vectors], dtype=np.float64)
     lo = mat.min(axis=0)
     with np.errstate(over="ignore"):

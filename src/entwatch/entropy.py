@@ -52,11 +52,10 @@ class ByteHistogram:
     """256-bucket count vector over byte values.
 
     ``counts`` is a list of 256 ints (not bools or floats), stored as an int64
-    array. ``total`` is kept equal to the exact sum of ``counts``, and never
-    passes int64. ``entropy`` is the histogram's ``shannon_entropy`` when that
-    is already known, and None otherwise. ``counts`` changes only through
-    ``merge``, which clears ``entropy``; ``copy`` keeps it. Instances are plain
-    mutable accumulators and must not be shared between concurrent writers.
+    array. ``total`` is the exact sum of ``counts``, and never passes int64.
+    ``entropy`` is the histogram's ``shannon_entropy`` when that is already
+    known, and None otherwise. A histogram is a value: nothing changes it once
+    it is built, so it can be shared freely, and ``merged`` returns a new one.
     """
 
     __slots__ = ("counts", "total", "entropy")
@@ -92,21 +91,17 @@ class ByteHistogram:
         hist.entropy = entropy
         return hist
 
-    def merge(self, other: "ByteHistogram") -> None:
-        """Bucket-wise accumulate ``other`` into this histogram.
+    def merged(self, other: "ByteHistogram") -> "ByteHistogram":
+        """A new histogram of the bucket-wise sum of this one and ``other``, its
+        entropy unknown.
 
-        Raises OverflowError, changing nothing, when the total would pass int64
+        Raises OverflowError, changing neither, when the total would pass int64
         (and with it any bucket, since none exceeds the total).
         """
         total = self.total + other.total
         if total > INT64_MAX:
             raise OverflowError(f"merged byte count {total} passes the 64-bit range")
-        self.counts += other.counts
-        self.total = total
-        self.entropy = None
-
-    def copy(self) -> "ByteHistogram":
-        return ByteHistogram.unchecked(self.counts.copy(), self.total, self.entropy)
+        return ByteHistogram.unchecked(self.counts + other.counts, total)
 
     def __eq__(self, other):
         if not isinstance(other, ByteHistogram):
@@ -119,12 +114,10 @@ class ByteHistogram:
 
 def histogram_from_bytes(data: bytes) -> ByteHistogram:
     """Count byte-value occurrences in ``data``. Empty input yields all zeros."""
-    hist = ByteHistogram()
-    if data:
-        arr = np.frombuffer(data, dtype=np.uint8)
-        hist.counts = np.bincount(arr, minlength=256).astype(np.int64)
-        hist.total = len(data)
-    return hist
+    if not data:
+        return ByteHistogram()
+    counts = np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256).astype(np.int64)
+    return ByteHistogram.unchecked(counts, len(data))
 
 
 def shannon_entropy(hist: ByteHistogram) -> float:

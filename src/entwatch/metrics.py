@@ -6,7 +6,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EmptyInput, IoFailure, MalformedRecord, checked, shown
 from .traces import BENIGN, RANSOMWARE
@@ -155,26 +155,8 @@ def read_report_csv(path) -> list[PerTraceRow]:
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:
-    doc = {
-        "accuracy": report.accuracy,
-        "fpr": report.fpr,
-        "fnr": report.fnr,
-        "mean_latency_ms": report.mean_latency_ms,
-        "wall_time_ms": report.wall_time_ms,
-        "peak_rss_estimate": report.peak_rss_estimate,
-        "per_trace": [
-            {
-                "trace": row.trace,
-                "label": row.label,
-                "verdict": row.verdict,
-                "confidence": row.confidence,
-                "latency_ms": row.latency_ms,
-            }
-            for row in report.per_trace
-        ],
-    }
     with _writing(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

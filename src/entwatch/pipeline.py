@@ -5,14 +5,14 @@ fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
 a level at its first record. At each window close every source with payload
 activity gets one entropy sample, a (window end, entropy) pair for its merged
 window histogram, and keeps its last three. The window histogram is the
-source's first record's own, read in place with any entropy cached on it
-(see ``traces``), so a window of one record costs no copy and reads its
-entropy instead of computing it. A second record merges into a copy, which
-the window owns and whose merge clears the cache, so detection never writes
-to a record's histogram. Sources with two or more samples
-yield an absolute entropy deviation |dH|. Window ends strictly increase, as a
-window closes only when a later one opens, and entropies are in [0, 8], so
-samples are kept as computed. ``collect_trace_deviations`` drives it alone to
+source's first record's own, with any entropy cached on it (see ``traces``),
+so a window of one record costs no copy and reads its entropy instead of
+computing it. Each later record replaces it with ``ByteHistogram.merged``,
+a new histogram whose entropy is computed at the close; no histogram is
+changed once built. Sources with two or more samples yield an absolute
+entropy deviation |dH|. Window ends strictly increase, as a window closes
+only when a later one opens, and entropies are in [0, 8], so samples are
+kept as computed. ``collect_trace_deviations`` drives it alone to
 gather deviations for profile fitting; ``TraceProcessor`` composes it and, at
 each close:
 
@@ -195,10 +195,9 @@ class SourceWindow:
     # The last three (window end, entropy) pairs: second differences read
     # all three, the level mean and the next deviation the last one.
     samples: deque = field(default_factory=lambda: deque(maxlen=3))
-    # The open window's histogram: its first record's own, read in place,
-    # until a second record merges into a copy of it that the window owns.
+    # The open window's histogram: its first record's own, then its merge
+    # with each later record of the window.
     pending: ByteHistogram | None = None
-    pending_owned: bool = False
     # |dH| between the source's last two samples, set at each close that
     # samples it; None at its first sample.
     deviation: float | None = None
@@ -278,15 +277,11 @@ class SourceWindows:
         if rec.bytes > 0:
             pending = src.pending
             if pending is None:
-                src.pending = rec.histogram  # read in place until a second record merges
-                src.pending_owned = False
+                src.pending = rec.histogram
                 self._pending.append(src)
             else:
-                if not src.pending_owned:
-                    pending = src.pending = pending.copy()
-                    src.pending_owned = True
                 try:
-                    pending.merge(rec.histogram)
+                    src.pending = pending.merged(rec.histogram)
                 except OverflowError as exc:
                     raise MalformedRecord(
                         f"source {rec.source_path} at {rec.timestamp}s: {exc}") from exc

@@ -13,8 +13,7 @@ it.
 
 The grammar is ``json``'s, read from UTF-8 text split into lines at ``\\n``,
 ``\\r\\n`` or a lone ``\\r``; a line that ``str.strip()`` empties is blank and
-skipped. The metadata line is read by ``json``: its ``seed`` is an unbounded
-integer, which ``orjson`` would read as a float past 64 bits.
+skipped. The metadata line is read by ``json``.
 
 Record lines, the bulk of a trace, are read in blocks of 64 on two paths. A
 line that ends as ``write_trace`` ends it, in a count field after the last
@@ -24,25 +23,23 @@ fields of all candidates in the block, and ``orjson`` decodes each head (the
 line up to that key, closed by ``}``). ``np.fromstring`` is more lenient
 than JSON: it reads leading zeros, signs and spaces, stops at an empty token
 and clamps a token past int64 to 2**63 - 1. The byte tests rule out signs
-and spaces, and a block where it meets an empty token is read again without
-the lines that hold one. A row is then taken only if no token of its field
-is a ``0`` with a digit after it, and every count is at most 2**55 - 1,
-which no clamped token is and which keeps the int64 total exact; and only if
-``EventRecord`` accepts the head's fields with all its checks. Such a line
-is valid JSON that ``json`` reads as the same record. The rows taken whose
-256 counts are all non-zero also get their entropy, by one
-``entropy.full_row_entropies`` pass per block, cached on the histogram
-(``ByteHistogram.entropy``) for the window close; every other histogram,
-line-path and scanned ones included, carries None.
+and spaces, and a block where it meets an empty token, which only a
+malformed file holds, sends every candidate to the line path. A row is
+otherwise taken only if no token of its field is a ``0`` with a digit after
+it, and every count is at most 2**55 - 1, which no clamped token is and
+which keeps the int64 total exact; and only if ``EventRecord`` accepts the
+head's fields with all its checks. Such a line is valid JSON that ``json``
+reads as the same record. The rows taken whose 256 counts are all non-zero
+also get their entropy, by one ``entropy.full_row_entropies`` pass per
+block, cached on the histogram (``ByteHistogram.entropy``) for the window
+close; every other histogram, line-path and scanned ones included, carries
+None.
 
-Every other line takes the line path: ``orjson`` decodes it whole and
-``ByteHistogram`` checks its counts item by item. ``orjson`` rejects some
-lines that ``json`` reads (lone-surrogate escapes, which traces of non-UTF-8
-file names hold, and ``NaN``) and reads integers past 64 bits as floats. So a
-line that ``orjson`` rejects, or whose record is invalid, is read again by
-``json``, and only that reading decides the record or its error. The block
-path never raises, so every error has the line path's message and line
-number. The reader holds at most one block of lines ahead of its records.
+Every other line takes the line path: ``json`` decodes it whole and
+``ByteHistogram`` checks its counts item by item, and that reading alone
+decides the record or its error. The block path never raises, so every
+error has the line path's message and line number. The reader holds at
+most one block of lines ahead of its records.
 """
 
 from __future__ import annotations
@@ -267,15 +264,11 @@ def _loads(text: str, line_number: int, what: str):
 
 
 def _line_record(line: bytes, line_number: int) -> EventRecord | None:
-    """The record of one line, or None for a blank line: orjson's reading, or
-    json's where orjson rejects the line or its record, and then json's alone."""
-    try:
-        return _parse_record(orjson.loads(line), line_number)
-    except (orjson.JSONDecodeError, MalformedRecord):
-        text = _decoded(line, line_number, "record")
-        if not text.strip():
-            return None
-        return _parse_record(_loads(text, line_number, "record"), line_number)
+    """The record of one line, json's reading of it, or None for a blank line."""
+    text = _decoded(line, line_number, "record")
+    if not text.strip():
+        return None
+    return _parse_record(_loads(text, line_number, "record"), line_number)
 
 
 # The count field as write_trace writes it, the record's last key.
@@ -297,23 +290,17 @@ def _counts_field(line: bytes) -> tuple[int, bytes] | None:
     return (k, body) if body.translate(None, b"0123456789") == _COMMAS else None
 
 
-def _block_counts(fields: list) -> tuple[np.ndarray, np.ndarray]:
-    """The (rows, 256) counts of the fields that are not None, read by one
-    ``np.fromstring``, and whether json reads each field as that row; a field
-    with an empty token becomes None."""
-    bodies = [field[1] for field in fields if field is not None]
+def _block_counts(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, 256) counts of the count fields ``bodies``, read by one
+    ``np.fromstring``, and whether json reads each field as that row."""
     joined = b",".join(bodies)
     try:
         counts = np.fromstring(joined, dtype=np.int64, sep=",")
-    except (ValueError, DeprecationWarning):  # an empty token (numpy < 2 warns and reads on)
+    except ValueError:  # an empty token
         counts = None
     if counts is None or counts.size != 256 * len(bodies):  # or a trailing one, dropped
-        for i, field in enumerate(fields):
-            if field is not None and b",," in b"," + field[1] + b",":
-                fields[i] = None
-        bodies = [field[1] for field in fields if field is not None]
-        joined = b",".join(bodies)
-        counts = np.fromstring(joined, dtype=np.int64, sep=",")
+        # Only a malformed file has an empty token; the line path reads every row.
+        return np.zeros((len(bodies), 256), dtype=np.int64), np.zeros(len(bodies), dtype=bool)
     counts = counts.reshape(-1, 256)
     # np.fromstring also reads leading zeros, which json rejects, and clamps a
     # token past int64. So a row is taken only if each of its counts is at
@@ -345,7 +332,7 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
     """The line numbers and records of consecutive lines, the first numbered
     ``line_number``; blank lines yield nothing."""
     fields = [_counts_field(line) for line in block]
-    counts, good = _block_counts(fields)
+    counts, good = _block_counts([field[1] for field in fields if field is not None])
     totals = counts.sum(axis=1)
     # The entropies of the taken rows whose counts are all non-zero, by row.
     full = np.flatnonzero(good & counts.all(axis=1))

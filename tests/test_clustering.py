@@ -9,8 +9,8 @@ from entwatch.clustering import (
     FeatureVector,
     Merge,
     agglomerate,
+    _fill_distances,
     outliers,
-    scaled_distance_matrix,
 )
 from entwatch.errors import TooFewVectors
 
@@ -18,6 +18,14 @@ from entwatch.errors import TooFewVectors
 def fv(sid, *features):
     padded = tuple(features) + (0.0,) * (4 - len(features))
     return FeatureVector(sid, padded)
+
+
+def scaled_distance_matrix(vectors) -> np.ndarray:
+    """The full pairwise distance matrix that ``agglomerate`` starts from."""
+    vectors = list(vectors)
+    dist = np.empty((len(vectors), len(vectors)))
+    _fill_distances(vectors, dist)
+    return dist
 
 
 def naive_average_linkage(vectors):

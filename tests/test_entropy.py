@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from entwatch.entropy import (
     DEVIATION_BINS,
     EPSILON_MASS,
+    INT64_MAX,
     BinnedDistribution,
     ByteHistogram,
     bin_index,
@@ -50,9 +51,21 @@ class TestHistogram:
     def test_merge_keeps_total_consistent(self):
         a = histogram_from_bytes(b"abc")
         b = histogram_from_bytes(b"cde")
-        a.merge(b)
-        assert a.total == 6
-        assert a.counts[ord("c")] == 2
+        merged = a.merged(b)
+        assert merged.total == 6
+        assert merged.counts[ord("c")] == 2
+        assert a == histogram_from_bytes(b"abc") and b == histogram_from_bytes(b"cde")
+
+    def test_merged_past_int64_raises_and_changes_neither(self):
+        a = ByteHistogram.unchecked(np.full(256, INT64_MAX >> 8, dtype=np.int64),
+                                    (INT64_MAX >> 8) * 256, 8.0)
+        b = histogram_from_bytes(b"\x00" * 256)
+        a_state, b_state = (a.counts.copy(), a.total), (b.counts.copy(), b.total)
+        with pytest.raises(OverflowError, match="passes the 64-bit range"):
+            a.merged(b)
+        assert np.array_equal(a.counts, a_state[0]) and a.total == a_state[1]
+        assert np.array_equal(b.counts, b_state[0]) and b.total == b_state[1]
+        assert a.entropy == 8.0 and b.entropy is None
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -82,9 +95,9 @@ class TestHistogram:
 
     @given(st.binary(max_size=512), st.binary(max_size=512))
     def test_merge_additivity(self, left, right):
-        merged = histogram_from_bytes(left)
-        merged.merge(histogram_from_bytes(right))
+        merged = histogram_from_bytes(left).merged(histogram_from_bytes(right))
         assert merged == histogram_from_bytes(left + right)
+        assert merged.total == len(left) + len(right)
 
 
 class TestShannonEntropy:
@@ -165,14 +178,15 @@ class TestEntropyCache:
         hist = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 1.25)
         assert shannon_entropy(hist) == 1.25
 
-    def test_copy_keeps_and_merge_clears_it(self):
+    def test_merged_carries_none_and_operands_keep_theirs(self):
         hist = ByteHistogram.unchecked(np.ones(256, dtype=np.int64), 256, 8.0)
-        twin = hist.copy()
-        assert twin.entropy == 8.0 and twin == hist
-        twin.merge(histogram_from_bytes(b"a"))
-        assert twin.entropy is None
-        assert shannon_entropy(twin) == reference_shannon_entropy(twin)
-        assert hist.entropy == 8.0 and hist.total == 256
+        other = ByteHistogram.unchecked(np.full(256, 2, dtype=np.int64), 512, 8.0)
+        merged = hist.merged(other)
+        assert merged.entropy is None
+        assert merged == ByteHistogram.unchecked(np.full(256, 3, dtype=np.int64), 768)
+        assert shannon_entropy(merged) == reference_shannon_entropy(merged)
+        assert hist.entropy == 8.0 and hist.total == 256 and (hist.counts == 1).all()
+        assert other.entropy == 8.0 and other.total == 512 and (other.counts == 2).all()
 
     def test_equality_ignores_it(self):
         hist = ByteHistogram([1] * 256)

@@ -660,7 +660,7 @@ class TestLevelMeans:
             pending = {}
             for r in records:
                 if int(r.timestamp) == w and r.bytes:
-                    pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+                    pending[r.source_path] = pending.get(r.source_path, ByteHistogram()).merged(r.histogram)
             if not pending:
                 continue
             for path in order:
@@ -746,7 +746,7 @@ class TestAcceleration:
                 pending = {}
                 for r in records:
                     if int(r.timestamp) == w:
-                        pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+                        pending[r.source_path] = pending.get(r.source_path, ByteHistogram()).merged(r.histogram)
                 for path in paths:
                     if path in pending:
                         latest[path] = shannon_entropy(pending[path])
@@ -808,7 +808,7 @@ class TestAcceleration:
             pending = {}
             for r in records:
                 if int(r.timestamp) == w:
-                    pending.setdefault(r.source_path, ByteHistogram()).merge(r.histogram)
+                    pending[r.source_path] = pending.get(r.source_path, ByteHistogram()).merged(r.histogram)
             for path in joins:
                 if path in pending:
                     latest[path] = shannon_entropy(pending[path])
@@ -910,7 +910,7 @@ def expected_samples(records):
         else:
             merged = ByteHistogram()
             for hist in hists:
-                merged.merge(hist)
+                merged = merged.merged(hist)
             assert merged.entropy is None
             value = shannon_entropy(merged)
         out.append((path, t_end, value.hex()))

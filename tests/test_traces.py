@@ -743,6 +743,26 @@ class TestCountChecks:
         assert numbers == ([] if block else [2])
 
 
+    def test_empty_token_sends_its_block_to_the_line_path(self, tmp_path, monkeypatch):
+        # np.fromstring stops at an empty token, which only a malformed file
+        # holds; then every candidate of the block is read by json, the 63
+        # good lines before the faulty one included.
+        lines = lines_with_fault(63, "empty_token")[:64]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines]))
+        numbers = line_path_reads(monkeypatch)
+        meta, records = iter_trace(path)
+        got = []
+        with pytest.raises(MalformedRecord) as err:
+            got.extend(records)
+        assert err.value.line_number == 65
+        assert numbers == list(range(2, 66))
+        assert_reads_as_reference(path)
+        path.write_bytes(b"".join(line + b"\n" for line in [META_LINE, *lines[:63]]))
+        assert (meta, tuple(got)) == reference_read(path)
+        assert len(got) == 63
+
+
 def fresh_entropy(hist: ByteHistogram) -> float:
     """The entropy of the histogram's counts, computed afresh whatever it caches."""
     return shannon_entropy(ByteHistogram.unchecked(hist.counts.copy(), hist.total))
