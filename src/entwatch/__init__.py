@@ -28,9 +28,8 @@ from .entropy import (
 from .hierarchy import (
     HierarchyConfig,
     LevelConfig,
-    aggregate_entropy,
+    LevelMeans,
     default_hierarchy,
-    level_entropy,
     route_source,
 )
 from .metrics import MetricsReport, PerTraceRow, compute_metrics

@@ -7,10 +7,6 @@ class EntwatchError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyLevel(EntwatchError):
-    """A level aggregate was requested with no member entropies."""
-
-
 class TooFewSamples(EntwatchError):
     """Not enough samples to fit a baseline distribution for a level."""
 

@@ -1,15 +1,13 @@
-"""Weighted level structure: routing sources to levels and aggregating entropy.
+"""Weighted level structure: routing sources to levels and averaging their entropy.
 
 A hierarchy is a fixed, ordered, non-empty list of levels (filesystem, process, network)
-with non-negative weights. Source paths are routed to the first level whose
-glob pattern matches (fnmatch semantics, ``*`` crosses path separators);
-unmatched sources fall back to the first filesystem level. A level's entropy
-is the mean of its members' latest entropies, and the aggregate is the
-weighted mean over the levels that have a value: their weights are rescaled
-to sum to 1 over just those levels. ``level_weights`` does that rescaling
-once for a set of present levels, so a caller whose set changes rarely can
-keep its result; ``aggregate_entropy`` sums with it, and a caller that adds
-``weight * value`` over its pairs in order, from 0.0, gets the same float.
+with non-negative weights. A source goes to the first level of its record's
+level hint kind, when some level has that kind; else to the first level
+whose glob pattern matches (fnmatch semantics, ``*`` crosses path
+separators); else to the first filesystem level. ``LevelMeans`` keeps each
+level's mean of its members' latest entropies and the aggregate: the
+weighted mean over the levels that have members, their weights rescaled to
+sum to 1 over just those levels.
 The config is immutable after construction and safe to share.
 """
 
@@ -18,9 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
-from typing import Container, Mapping, Sequence
 
-from .errors import EmptyLevel, checked, shown
+from .errors import checked, shown
 
 LEVEL_KINDS = ("filesystem", "process", "network")
 
@@ -78,12 +75,18 @@ def default_hierarchy() -> HierarchyConfig:
     )
 
 
-def route_source(config: HierarchyConfig, source_path: str) -> str:
-    """Id of the first level whose pattern matches, else the default level.
+def route_source(config: HierarchyConfig, source_path: str, kind: str | None = None) -> str:
+    """Id of the level a source belongs to.
 
-    The default is the first filesystem level (first level overall when no
-    filesystem level exists). Declaration order breaks ties.
+    That is the first level of the given ``kind`` (a record's level hint),
+    else the first level whose pattern matches ``source_path``, else the
+    first filesystem level (first level overall when no filesystem level
+    exists). Declaration order breaks ties.
     """
+    if kind is not None:
+        for lvl in config.levels:
+            if lvl.kind == kind:
+                return lvl.level_id
     for lvl in config.levels:
         if any(fnmatchcase(source_path, pat) for pat in lvl.path_patterns):
             return lvl.level_id
@@ -93,44 +96,47 @@ def route_source(config: HierarchyConfig, source_path: str) -> str:
     return config.levels[0].level_id
 
 
-def route_kind(config: HierarchyConfig, kind: str) -> str | None:
-    """Id of the first level of the given kind, if any."""
-    for lvl in config.levels:
-        if lvl.kind == kind:
-            return lvl.level_id
-    return None
+class LevelMeans:
+    """Each level's mean of its members' latest entropies, and their weighted mean.
 
-
-def level_entropy(member_entropies: Sequence[float]) -> float:
-    """Mean of a level's current member-source entropies."""
-    if not member_entropies:
-        raise EmptyLevel("a level mean needs at least one member entropy")
-    return sum(member_entropies) / len(member_entropies)
-
-
-def level_weights(config: HierarchyConfig, present: Container[str]
-                  ) -> list[tuple[str, float]] | None:
-    """The levels in ``present``, in hierarchy order, each with its weight
-    divided by their weight sum, so the weights add up to 1. None when that
-    sum is 0, as it is when no level is present."""
-    levels = [lvl for lvl in config.levels if lvl.level_id in present]
-    weight_sum = sum(lvl.weight for lvl in levels)
-    if weight_sum <= 0:
-        return None
-    return [(lvl.level_id, lvl.weight / weight_sum) for lvl in levels]
-
-
-def aggregate_entropy(config: HierarchyConfig, level_values: Mapping[str, float]) -> float | None:
-    """Weighted mean of the entropies of the levels present in ``level_values``.
-
-    Levels without a value are left out, and the weights of the present
-    levels are rescaled by ``level_weights``. None when their sum is 0, as
-    it is when no level is present.
+    A level's mean is the sum of its members' values over their count. The
+    weighted mean is over the levels that have members, in hierarchy order:
+    each weight divided by their weight sum, then ``weight * mean`` added
+    from 0.0. The levels and weights are planned again only when a level
+    gets its first member.
     """
-    weights = level_weights(config, level_values)
-    if weights is None:
-        return None
-    total = 0.0
-    for level_id, weight in weights:
-        total += weight * level_values[level_id]
-    return total
+
+    def __init__(self, config: HierarchyConfig):
+        self.config = config
+        self._values: dict[str, list[float]] = {}  # per level, its members' latest values
+        # The levels with members, in hierarchy order: (level id, values, rescaled weight).
+        self._levels: list[tuple[str, list[float], float]] = []
+        self._weight_sum = 0.0
+
+    def update(self, level_id: str, slot: int | None, value: float) -> int:
+        """Set a member's latest value and return its slot; a ``slot`` of
+        None adds a new member to the level."""
+        if slot is not None:
+            self._values[level_id][slot] = value
+            return slot
+        values = self._values.get(level_id)
+        if values is None:
+            values = self._values[level_id] = []
+            present = [lvl for lvl in self.config.levels if lvl.level_id in self._values]
+            weight_sum = self._weight_sum = sum(lvl.weight for lvl in present)
+            self._levels = [(lvl.level_id, self._values[lvl.level_id],
+                             lvl.weight / weight_sum if weight_sum > 0 else 0.0)
+                            for lvl in present]
+        values.append(value)
+        return len(values) - 1
+
+    def means(self, start: float, samples: list) -> float | None:
+        """Append each level's ``(level_id, start, mean)`` to ``samples``, in
+        hierarchy order, and return the weighted mean; None while the levels'
+        weights sum to 0, as they do before any member."""
+        total = 0.0
+        for level_id, values, weight in self._levels:
+            mean = sum(values) / len(values)
+            samples.append((level_id, start, mean))
+            total += weight * mean
+        return total if self._weight_sum > 0 else None

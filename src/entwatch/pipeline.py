@@ -33,20 +33,17 @@ each close:
    multiset of the recent bins, so it is read from that memo, keyed by the
    multiset, and on a miss computed as the ``kl_divergence`` of the bins'
    ``empirical_distribution`` (``_memoised_kl``);
-2. takes each level's mean of its sampled members' latest entropies (the
-   heatmap's samples) from the level's value list, in which each sample
-   overwrites its source's slot, and appends their weighted mean, over the
-   levels that have data so far, to the aggregate series. Those levels, in
-   hierarchy order, and their weights as ``hierarchy.level_weights``
-   rescales them are planned again only when a level gets its first source
-   (``_plan_levels``), and the sum is ``aggregate_entropy``'s bit for bit.
-   The series keeps its last three (window end, entropy) pairs and a count
-   of its latest second differences, in a row, that are evenly spaced and
-   positive: each appended pair updates the count by one
-   ``detector.convexity_signal(pairs, 1)``, and the close is convex when
-   the count reaches ``convexity_run``, as ``convexity_signal`` over the
-   whole series would say. When those levels' weights sum to 0 there is no
-   mean, and the close appends nothing and keeps the count;
+2. gives each sampled source's latest entropy to the processor's
+   ``hierarchy.LevelMeans``, which appends each level's mean of its sampled
+   members' latest entropies to the heatmap's samples and returns their
+   weighted mean over the levels that have data so far. The close appends
+   that to the aggregate series, which keeps its last three (window end,
+   entropy) pairs and a count of its latest second differences, in a row,
+   that are evenly spaced and positive: each appended pair updates the
+   count by one ``detector.convexity_signal(pairs, 1)``, and the close is
+   convex when the count reaches ``convexity_run``, as ``convexity_signal``
+   over the whole series would say. When those levels' weights sum to 0
+   there is no mean, and the close appends nothing and keeps the count;
 3. takes as candidates the scored, still-unflagged sources that the attack
    rule (``detector.is_attack``) flags at outlier 1.0. The rule is monotone
    in the outlier score, which is in [0, 1], so no other source can be
@@ -102,14 +99,7 @@ from .entropy import (
     shannon_entropy,
 )
 from .errors import MalformedRecord
-from .hierarchy import (
-    HierarchyConfig,
-    default_hierarchy,
-    level_entropy,
-    level_weights,
-    route_kind,
-    route_source,
-)
+from .hierarchy import HierarchyConfig, LevelMeans, default_hierarchy, route_source
 from .simulate import ScenarioSpec, simulate_scenario
 from .traces import EventRecord
 
@@ -214,8 +204,8 @@ class SourceTrack(SourceWindow):
     sample_count: int = 0
     # Bins (``entropy.bin_index``) of the most recent deviations.
     deviations: deque = field(default_factory=lambda: deque(maxlen=DEVIATION_HISTORY))
-    # Index of the source's latest entropy in its level's value list.
-    level_slot: int = -1
+    # The source's slot in ``LevelMeans``; None until its first sample.
+    level_slot: int | None = None
     # Frozen once the source is flagged: nothing reads it after that.
     posterior: float = 0.0
     # Current while the source is unflagged; once it is flagged, refreshed
@@ -241,9 +231,10 @@ class SourceWindows:
     between hold no records, so a gap of any length costs one close. A record
     from a closed window, or whose window index is past the float range,
     raises MalformedRecord. Each source is routed to a level at its first
-    record, built by ``new_source`` and kept in first-record order. A close
-    visits only the sources that had payload in the window, so its cost does
-    not grow with the sources seen so far.
+    record (``hierarchy.route_source``, level hint first), built by
+    ``new_source`` and kept in first-record order. A close visits only the
+    sources that had payload in the window, so its cost does not grow with
+    the sources seen so far.
     """
 
     def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
@@ -301,11 +292,7 @@ class SourceWindows:
         return t_end, fresh
 
     def _add_source(self, rec: EventRecord) -> SourceWindow:
-        level_id = None
-        if rec.level_hint is not None:
-            level_id = route_kind(self.hierarchy, rec.level_hint)
-        if level_id is None:
-            level_id = route_source(self.hierarchy, rec.source_path)
+        level_id = route_source(self.hierarchy, rec.source_path, rec.level_hint)
         src = self.new_source(rec.source_path, level_id, order=len(self.sources))
         self.sources[rec.source_path] = src
         return src
@@ -353,13 +340,7 @@ class TraceProcessor:
         self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
                                       partial(SourceTrack, posterior=profile.prior))
         self.sources: dict[str, SourceTrack] = self._windows.sources
-        # Per level, the latest entropy of each source sampled so far, in first-sample order.
-        self._level_values: dict[str, list[float]] = {}
-        # The levels with data, in hierarchy order: (level id, value list,
-        # rescaled weight). Planned again only when a level gets its first
-        # source; ``_weighted`` is False while their weights sum to 0.
-        self._levels: list[tuple[str, list[float], float]] = []
-        self._weighted = False
+        self._level_means = LevelMeans(self.hierarchy)
         # The last three (window end, aggregate entropy) pairs, and how many
         # of the latest second differences of the aggregate, in a row, are
         # evenly spaced and positive: a close is convex when that count
@@ -395,22 +376,16 @@ class TraceProcessor:
         if not fresh:
             return
         undecided: list[SourceTrack] = []
-        new_level = False
+        update = self._level_means.update
         for track in fresh:
             samples = track.samples
             value = samples[-1][1]
             track.entropy_sum += value
             track.sample_count += 1
+            track.level_slot = update(track.level_id, track.level_slot, value)
             dev = track.deviation
             if dev is None:
-                level_values = self._level_values.get(track.level_id)
-                if level_values is None:
-                    level_values = self._level_values[track.level_id] = []
-                    new_level = True
-                track.level_slot = len(level_values)
-                level_values.append(value)
                 continue
-            self._level_values[track.level_id][track.level_slot] = value
             dev_bin = bin_index(dev)
             track.deviations.append(dev_bin)
             track.max_abs_delta = max(track.max_abs_delta, dev)
@@ -427,9 +402,11 @@ class TraceProcessor:
                 updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             undecided.append(track)
-        if new_level:
-            self._plan_levels()
-        self._update_levels(t_end)
+        total = self._level_means.means(t_end - self._windows.window_seconds, self.level_samples)
+        if total is not None:  # else no level has data, or their weights sum to 0
+            aggregate = self._aggregate
+            aggregate.append((t_end, min(max(total, 0.0), 8.0)))
+            self._convex_run = self._convex_run + 1 if convexity_signal(aggregate, 1) else 0
 
         cfg = self.detector
         convex = self._convex_run >= cfg.convexity_run
@@ -455,27 +432,6 @@ class TraceProcessor:
             self.alerts.append(Alert(track.source_id, t_end, track.kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
-
-    def _plan_levels(self) -> None:
-        present = self._level_values
-        weights = level_weights(self.hierarchy, present)
-        self._weighted = weights is not None
-        rescaled = dict(weights or ())
-        self._levels = [(lvl.level_id, present[lvl.level_id], rescaled.get(lvl.level_id, 0.0))
-                        for lvl in self.hierarchy.levels if lvl.level_id in present]
-
-    def _update_levels(self, t_end: float) -> None:
-        # The sum is ``aggregate_entropy``'s over the same weights, in the same order.
-        start = t_end - self._windows.window_seconds
-        total = 0.0
-        for level_id, values, weight in self._levels:
-            mean = level_entropy(values)
-            self.level_samples.append((level_id, start, mean))
-            total += weight * mean
-        if self._weighted:  # else no level has data, or their weights sum to 0
-            aggregate = self._aggregate
-            aggregate.append((t_end, min(max(total, 0.0), 8.0)))
-            self._convex_run = self._convex_run + 1 if convexity_signal(aggregate, 1) else 0
 
     def _refresh_outliers(self) -> None:
         # Sampled sources in first-record order; the order breaks linkage ties.

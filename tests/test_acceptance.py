@@ -16,6 +16,7 @@ import pytest
 
 from entwatch.baseline import fit_baseline, load_profile, save_profile
 from entwatch.clustering import FeatureVector, agglomerate
+from entwatch.detector import DetectorConfig
 from entwatch.entropy import (
     BinnedDistribution,
     ByteHistogram,
@@ -202,6 +203,16 @@ def test_criterion_5_end_to_end_detection(acceptance_run):
     assert report.fpr <= 0.05
     assert elapsed < 120.0
     assert recall >= 0.95
+
+
+def test_outlier_scores_decide_no_label(acceptance_run):
+    """README: clustering outliers decide no label on this corpus. The fused
+    confidence is at least the posterior, so an alert raised at a posterior
+    of at least the threshold would have been raised at any outlier score."""
+    threshold = DetectorConfig().posterior_threshold
+    alerts = [alert for _, _, res in acceptance_run["results"] for alert in res.alerts]
+    assert len(alerts) == 2000
+    assert min(alert.posterior for alert in alerts) >= threshold
 
 
 def test_criterion_6_early_detection(acceptance_run):

@@ -4,14 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from entwatch.errors import EmptyLevel
 from entwatch.hierarchy import (
     HierarchyConfig,
     LevelConfig,
-    aggregate_entropy,
-    level_weights,
+    LevelMeans,
     default_hierarchy,
-    level_entropy,
     route_source,
 )
 
@@ -24,6 +21,29 @@ def three_levels(weights=(0.5, 0.3, 0.2)):
             LevelConfig("net", "network", weights[2], ("net:**",)),
         ),
     )
+
+
+def one_close(cfg, members):
+    """Each level's mean, by level id, that ``LevelMeans.means`` appends once
+    ``members`` (level id -> member values) have joined, and the weighted
+    mean it returns."""
+    level_means = LevelMeans(cfg)
+    for level_id, values in members.items():
+        for value in values:
+            level_means.update(level_id, None, value)
+    samples = []
+    total = level_means.means(0.0, samples)
+    return {level_id: mean for level_id, _, mean in samples}, total
+
+
+def aggregate(cfg, values):
+    """The weighted mean over levels of one member each."""
+    return one_close(cfg, {level_id: [value] for level_id, value in values.items()})[1]
+
+
+def level_mean(members):
+    return one_close(HierarchyConfig(levels=(LevelConfig("only", "filesystem", 1.0),)),
+                     {"only": members})[0]["only"]
 
 
 class TestRouting:
@@ -41,6 +61,16 @@ class TestRouting:
             LevelConfig("b", "filesystem", 1.0, ("/home/**",)),
         ))
         assert route_source(cfg, "/home/x") == "a"
+
+    def test_level_hint_wins_over_patterns(self):
+        cfg = three_levels()
+        assert route_source(cfg, "/home/user/a.txt", "network") == "net"
+        assert route_source(cfg, "net:10.0.0.1:443", "filesystem") == "user"
+
+    def test_level_hint_without_a_level_of_its_kind_falls_through(self):
+        cfg = three_levels()
+        assert route_source(cfg, "/etc/passwd", "process") == "system"
+        assert route_source(cfg, "/opt/x", "process") == "user"
 
     def test_empty_hierarchy(self):
         # Rejected when built, so routing always has a level to fall back to.
@@ -71,31 +101,49 @@ class TestRouting:
 
 class TestLevelEntropy:
     def test_single_member_identity(self):
-        assert level_entropy([7.5]) == 7.5
+        assert level_mean([7.5]) == 7.5
 
     def test_mean_of_two(self):
-        assert level_entropy([7.5, 7.8]) == pytest.approx(7.65)
+        assert level_mean([7.5, 7.8]) == pytest.approx(7.65)
 
     def test_mean_of_three(self):
-        assert level_entropy([6.2, 5.9, 6.5]) == pytest.approx(6.2)
+        assert level_mean([6.2, 5.9, 6.5]) == pytest.approx(6.2)
 
     def test_empty_members(self):
-        with pytest.raises(EmptyLevel):
-            level_entropy([])
+        # A level is averaged only once it has a member.
+        assert one_close(three_levels(), {}) == ({}, None)
+        assert one_close(three_levels(), {"net": [5.9]}) == ({"net": 5.9}, 5.9)
+
+    def test_update_keeps_each_members_slot(self):
+        level_means = LevelMeans(three_levels())
+        assert [level_means.update("user", None, v) for v in (1.0, 2.0, 3.0)] == [0, 1, 2]
+        assert level_means.update("net", None, 4.0) == 0
+        assert level_means.update("user", 1, 6.0) == 1
+        samples = []
+        level_means.means(5.0, samples)
+        assert samples == [("user", 5.0, (1.0 + 6.0 + 3.0) / 3), ("net", 5.0, 4.0)]
+
+    def test_means_append_to_the_callers_list(self):
+        level_means = LevelMeans(three_levels())
+        level_means.update("system", None, 6.2)
+        samples = [("earlier", 0.0, 1.0)]
+        assert level_means.means(1.0, samples) == 6.2
+        assert level_means.means(2.0, samples) == 6.2
+        assert samples == [("earlier", 0.0, 1.0), ("system", 1.0, 6.2), ("system", 2.0, 6.2)]
 
 
 class TestAggregateEntropy:
     def test_single_level_identity(self):
         cfg = HierarchyConfig(levels=(LevelConfig("only", "filesystem", 1.0),))
-        assert aggregate_entropy(cfg, {"only": 7.8}) == pytest.approx(7.8)
+        assert aggregate(cfg, {"only": 7.8}) == pytest.approx(7.8)
 
     def test_weighted_sum(self):
-        got = aggregate_entropy(three_levels(), {"user": 7.5, "system": 6.2, "net": 5.9})
+        got = aggregate(three_levels(), {"user": 7.5, "system": 6.2, "net": 5.9})
         assert got == pytest.approx(6.79)
 
     def test_all_zero_weights_rejected_with_normalization(self):
         cfg = three_levels(weights=(0.0, 0.0, 0.0))
-        assert aggregate_entropy(cfg, {"user": 7.5, "system": 6.2, "net": 5.9}) is None
+        assert aggregate(cfg, {"user": 7.5, "system": 6.2, "net": 5.9}) is None
 
     def test_subset_renormalized(self):
         # The weights of the present levels are summed in declaration order,
@@ -108,43 +156,46 @@ class TestAggregateEntropy:
         expected = 0.0
         for level_id in ("user", "system"):
             expected += weights[level_id] / weight_sum * values[level_id]
-        assert aggregate_entropy(three_levels(), values) == expected
+        assert aggregate(three_levels(), values) == expected
         assert expected == pytest.approx((0.5 * 7.5 + 0.3 * 6.2) / 0.8)
 
     def test_level_weights_rescale_the_present_levels_in_declaration_order(self):
+        # Members join net first, but the sum runs in declaration order, and
+        # a level that gets its first member later is planned in.
         weight_sum = 0.5 + 0.2
-        assert level_weights(three_levels(), {"net", "user"}) == \
-            [("user", 0.5 / weight_sum), ("net", 0.2 / weight_sum)]
-        assert level_weights(three_levels(weights=(0.5, 0.3, 0.0)), {"net"}) is None
-        assert level_weights(three_levels(), {"other"}) is None
+        level_means = LevelMeans(three_levels())
+        level_means.update("net", None, 5.9)
+        assert level_means.means(0.0, []) == 0.2 / 0.2 * 5.9
+        level_means.update("user", None, 7.5)
+        assert level_means.means(1.0, []) == 0.0 + 0.5 / weight_sum * 7.5 + 0.2 / weight_sum * 5.9
 
     def test_zero_weight_subset_rejected_with_normalization(self):
         cfg = three_levels(weights=(0.5, 0.3, 0.0))
-        assert aggregate_entropy(cfg, {"net": 5.9}) is None
+        assert aggregate(cfg, {"net": 5.9}) is None
 
     def test_no_level_present(self):
-        assert aggregate_entropy(three_levels(), {"other": 5.9}) is None
-        assert aggregate_entropy(three_levels(), {}) is None
+        assert aggregate(three_levels(), {"other": 5.9}) is None
+        assert aggregate(three_levels(), {}) is None
 
     @given(st.floats(0.1, 10.0))
     def test_normalized_invariant_under_weight_scaling(self, c):
         values = {"user": 7.5, "system": 6.2, "net": 5.9}
-        base = aggregate_entropy(three_levels(), values)
-        scaled = aggregate_entropy(three_levels(weights=(0.5 * c, 0.3 * c, 0.2 * c)), values)
+        base = aggregate(three_levels(), values)
+        scaled = aggregate(three_levels(weights=(0.5 * c, 0.3 * c, 0.2 * c)), values)
         assert scaled == pytest.approx(base, rel=1e-12)
 
     def test_permutation_invariance(self):
         values = {"user": 7.5, "system": 6.2, "net": 5.9}
         cfg = three_levels()
         reordered = HierarchyConfig(levels=tuple(reversed(cfg.levels)))
-        assert aggregate_entropy(cfg, values) == pytest.approx(aggregate_entropy(reordered, values))
+        assert aggregate(cfg, values) == pytest.approx(aggregate(reordered, values))
 
 
 class TestDefaults:
     def test_default_hierarchy_normalized(self):
         cfg = default_hierarchy()
         values = {lvl.level_id: 4.0 for lvl in cfg.levels}
-        assert aggregate_entropy(cfg, values) == pytest.approx(4.0, abs=1e-9)
+        assert aggregate(cfg, values) == pytest.approx(4.0, abs=1e-9)
 
     def test_default_routes_user_paths_first(self):
         cfg = default_hierarchy()

@@ -22,14 +22,7 @@ from entwatch.entropy import (
     shannon_entropy,
 )
 from entwatch.errors import MalformedRecord
-from entwatch.hierarchy import (
-    HierarchyConfig,
-    LevelConfig,
-    aggregate_entropy,
-    default_hierarchy,
-    level_entropy,
-    level_weights,
-)
+from entwatch.hierarchy import HierarchyConfig, LevelConfig, LevelMeans, default_hierarchy
 from entwatch.pipeline import (
     DEVIATION_HISTORY,
     TraceProcessor,
@@ -45,6 +38,25 @@ from entwatch.traces import (
     read_trace,
     write_trace,
 )
+
+
+def level_entropy(members):
+    """Reference level mean: the members' sum over their count."""
+    return sum(members) / len(members)
+
+
+def aggregate_entropy(hierarchy, level_values):
+    """Reference weighted mean of the levels present in ``level_values``: in
+    hierarchy order, each one's weight over their weight sum times its value,
+    added from 0.0. None when that sum is 0, as it is when no level is present."""
+    levels = [lvl for lvl in hierarchy.levels if lvl.level_id in level_values]
+    weight_sum = sum(lvl.weight for lvl in levels)
+    if weight_sum <= 0:
+        return None
+    total = 0.0
+    for lvl in levels:
+        total += lvl.weight / weight_sum * level_values[lvl.level_id]
+    return total
 
 
 class TestAttackModel:
@@ -678,9 +690,9 @@ class TestLevelMeans:
     @given(weights=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.2, 0.3, 1.0, 7.0, 1e-300])
                             | st.floats(0.0, 1e6), min_size=1, max_size=5),
            data=st.data())
-    def test_planned_weights_sum_to_the_aggregate(self, benign_profile, attack_model,
-                                                  weights, data):
-        """The close's sum over the weights ``level_weights`` planned is
+    def test_planned_weights_sum_to_the_aggregate(self, weights, data):
+        """The weighted mean ``LevelMeans.means`` returns, with the levels
+        planned as members join in any order, is the reference
         ``aggregate_entropy``'s, bit for bit, on any subset of the levels,
         zero weights and all-zero subsets included."""
         hierarchy = HierarchyConfig(levels=tuple(
@@ -689,19 +701,16 @@ class TestLevelMeans:
         present = data.draw(st.lists(st.sampled_from(ids), unique=True))
         values = {level_id: data.draw(st.floats(0.0, 8.0)) for level_id in present}
         expected = aggregate_entropy(hierarchy, values)
-        planned = level_weights(hierarchy, values)
-        assert (planned is None) == (expected is None)
-        proc = TraceProcessor(hierarchy, profile=benign_profile, attack_model=attack_model)
+        level_means = LevelMeans(hierarchy)
         for level_id in present:
-            proc._level_values[level_id] = [values[level_id]]
-        proc._plan_levels()
-        proc._update_levels(1.0)
-        assert [lvl for lvl, _, _ in proc.level_samples] == [i for i in ids if i in values]
+            assert level_means.update(level_id, None, values[level_id]) == 0
+        samples = []
+        total = level_means.means(1.0, samples)
+        assert samples == [(i, 1.0, values[i]) for i in ids if i in values]
         if expected is None:
-            assert not proc._aggregate
+            assert total is None
         else:
-            assert [level_id for level_id, _ in planned] == [i for i in ids if i in values]
-            assert proc._aggregate[-1][1].hex() == min(max(expected, 0.0), 8.0).hex()
+            assert total.hex() == expected.hex()
 
 
 class TestAcceleration:
