@@ -27,10 +27,10 @@ from .errors import (
     CorruptProfile,
     EmptyWindow,
     InvalidPrior,
-    IoFailure,
     TooFewSamples,
     UnsupportedVersion,
     checked,
+    opened,
     shown,
 )
 
@@ -152,30 +152,24 @@ def save_profile(profile: BaselineProfile, path) -> None:
     """Write the profile as an indented JSON document with a CRC-32 field."""
     doc = _profile_document(profile)
     doc["crc32"] = _checksum(doc)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write profile to {path}: {exc}") from exc
+    with opened(path, "w", f"cannot write profile to {path}", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_profile(path) -> BaselineProfile:
     """Read a profile back; checksum and version are verified before use."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read profile from {path}: {exc}") from exc
+    with opened(path, "rb", f"cannot read profile from {path}") as fh:
+        raw = fh.read()
     try:
         return _profile_from_text(raw, path)
     except RecursionError as exc:  # nesting past the limit, in the parse or the checksum
         raise CorruptProfile(f"profile {path} is nested too deeply: {exc}") from exc
 
 
-def _profile_from_text(raw: str, path) -> BaselineProfile:
+def _profile_from_text(raw: bytes, path) -> BaselineProfile:
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw.decode("utf-8"))
     except ValueError as exc:
         raise CorruptProfile(f"profile {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "crc32" not in doc:

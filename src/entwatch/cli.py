@@ -30,7 +30,8 @@ from .metrics import (
 # fit; ``fit_attack_model`` stays bound here because perfbench wraps and calls
 # it by this module's name.
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
-from .simulate import DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS, ScenarioSpec, simulate_scenario
+from .simulate import (DEFAULT_DURATION, DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS,
+                       ScenarioSpec, simulate_scenario)
 from .traces import BENIGN, iter_trace, scan_directory, write_trace
 
 DEFAULT_CHUNK_BYTES = 4096
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a synthetic workload trace")
     p.add_argument("--kind", required=True, choices=SCENARIO_KINDS)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--duration", type=float, default=100.0)
+    p.add_argument("--duration", type=float, default=DEFAULT_DURATION)
     p.add_argument("--file-count", type=int, default=None)
     p.add_argument("--target-dir", action="append", default=None)
     p.add_argument("--ramp-start", type=float, default=DEFAULT_RAMP[0])

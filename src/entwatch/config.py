@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 
 from .detector import DetectorConfig
-from .errors import ConfigError, shown
+from .errors import ConfigError, opened, shown
 from .hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 
 CONFIG_KEYS = ("hierarchy", "detector")
@@ -35,10 +35,8 @@ def detector_from_dict(obj: dict) -> DetectorConfig:
 def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
     """The hierarchy and detector a config file sets; a key it leaves out keeps its default."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with opened(path, "r", f"cannot read config {path}", ConfigError, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the recursion limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

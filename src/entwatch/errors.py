@@ -1,5 +1,9 @@
-"""Exception types shared across the package, and how their messages show values."""
+"""Exception types shared across the package, how their messages show values,
+and the one file boundary: ``opened`` is the package's only call of ``open``,
+so an OSError on any file it opens, reads, writes or closes is an error
+naming the path, never a traceback."""
 
+import contextlib
 import reprlib
 
 
@@ -54,6 +58,16 @@ class EmptyInput(EntwatchError):
 class ConfigError(EntwatchError):
     """Run configuration file is missing, malformed, or inconsistent."""
 
+
+@contextlib.contextmanager
+def opened(path, mode: str, failure: str, error=IoFailure, **open_args):
+    """``path`` opened in ``mode``; any OSError while opening, reading,
+    writing or closing it is ``error(f"{failure}: {exc}")``."""
+    try:
+        with open(path, mode, **open_args) as fh:
+            yield fh
+    except OSError as exc:
+        raise error(f"{failure}: {exc}") from exc
 
 
 # A rejected value can be as large as the file it came from, and its message

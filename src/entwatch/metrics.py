@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import EmptyInput, IoFailure, MalformedRecord, checked, shown
+from .errors import EmptyInput, MalformedRecord, checked, opened, shown
 from .traces import BENIGN, RANSOMWARE
 
 VERDICT_ERROR = "error"
@@ -97,18 +96,8 @@ def compute_metrics(rows, wall_time_ms: float = 0.0, peak_rss_estimate: int = 0)
     )
 
 
-@contextlib.contextmanager
-def _writing(path, **open_args):
-    """``path`` opened for writing; any OSError, on open or while writing, is an IoFailure."""
-    try:
-        with open(path, "w", encoding="utf-8", **open_args) as fh:
-            yield fh
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
-
-
 def write_report_csv(path, rows) -> None:
-    with _writing(path, newline="") as fh:
+    with opened(path, "w", f"cannot write {path}", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for row in rows:
@@ -133,11 +122,7 @@ def read_report_csv(path) -> list[PerTraceRow]:
     """Rows of a report.csv laid out as write_report_csv writes it, header
     included. A trace has one row: a repeated trace is malformed, as the
     metrics would count it twice."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise IoFailure(f"cannot read report {path}: {exc}") from exc
-    with fh:
+    with opened(path, "r", f"cannot read report {path}", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != list(REPORT_COLUMNS):
@@ -155,7 +140,7 @@ def read_report_csv(path) -> list[PerTraceRow]:
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:
-    with _writing(path) as fh:
+    with opened(path, "w", f"cannot write {path}", encoding="utf-8") as fh:
         json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -174,7 +159,7 @@ def write_heatmap_csv(path, level_samples) -> None:
 
     levels = sorted({key[0] for key in cells})
     buckets = sorted({key[1] for key in cells})
-    with _writing(path, newline="") as fh:
+    with opened(path, "w", f"cannot write {path}", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["level"] + [str(b) for b in buckets])
         for level_id in levels:

@@ -56,7 +56,7 @@ import numpy as np
 import orjson
 
 from .entropy import EXACT_SUM_COUNT, ByteHistogram, full_row_entropies, histogram_from_bytes
-from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked, shown
+from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked, opened, shown
 from .hierarchy import LEVEL_KINDS
 
 OPS = ("write", "read", "rename", "delete", "net_tx")
@@ -202,16 +202,13 @@ def _record_line(rec: EventRecord, source_path_json: str) -> str:
 def write_trace(trace: Trace, path) -> None:
     """Stream the trace to disk one line per record."""
     quoted = {}  # each distinct source path is JSON-quoted once
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_meta_line(trace.meta) + "\n")
-            for rec in trace.records:
-                path_json = quoted.get(rec.source_path)
-                if path_json is None:
-                    path_json = quoted[rec.source_path] = json.dumps(rec.source_path)
-                fh.write(_record_line(rec, path_json))
-    except OSError as exc:
-        raise IoFailure(f"cannot write trace to {path}: {exc}") from exc
+    with opened(path, "w", f"cannot write trace to {path}", encoding="utf-8") as fh:
+        fh.write(_meta_line(trace.meta) + "\n")
+        for rec in trace.records:
+            path_json = quoted.get(rec.source_path)
+            if path_json is None:
+                path_json = quoted[rec.source_path] = json.dumps(rec.source_path)
+            fh.write(_record_line(rec, path_json))
 
 
 def _parse_meta(obj, line_number: int) -> TraceMeta:
@@ -355,11 +352,7 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
 
 def _read(path) -> Iterator[TraceMeta | EventRecord]:
     """The trace's metadata, then its records; the file is open only while this runs."""
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise IoFailure(f"cannot read trace from {path}: {exc}") from exc
-    with fh:
+    with opened(path, "rb", f"cannot read trace from {path}") as fh:
         lines = _lines(fh)
         first = _decoded(next(lines, b""), 1, "metadata")
         if not first.strip():
@@ -419,7 +412,7 @@ def _scan(files: list[Path], chunk_bytes: int, skipped: list[str]) -> Iterator[E
     index = 0
     for path in files:
         try:
-            with open(path, "rb") as fh:
+            with opened(path, "rb", f"cannot read {path}") as fh:
                 while chunk := fh.read(chunk_bytes):
                     yield EventRecord(
                         timestamp=float(index),
@@ -429,5 +422,5 @@ def _scan(files: list[Path], chunk_bytes: int, skipped: list[str]) -> Iterator[E
                         bytes=len(chunk),
                     )
                     index += 1
-        except OSError:
+        except IoFailure:
             skipped.append(str(path))

@@ -188,6 +188,12 @@ class TestPersistence:
         with pytest.raises(CorruptProfile):
             load_profile(path)
 
+    def test_bytes_not_utf8_are_corrupt(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CorruptProfile, match="is not valid JSON: 'utf-8' codec can't decode"):
+            load_profile(path)
+
     def test_bit_flip_is_corrupt(self, tmp_path):
         path = tmp_path / "p.json"
         save_profile(random_profile(np.random.default_rng(2)), path)

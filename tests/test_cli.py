@@ -415,6 +415,14 @@ class TestDetect:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
+    def test_profile_not_utf8_is_one_error_line(self, workspace, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        res = run_cli("detect", str(workspace / "ben0.jsonl"), "--baseline", str(bad),
+                      "--out", str(tmp_path / "r"))
+        assert_one_error_line(res)
+        assert "is not valid JSON: 'utf-8' codec can't decode" in res.stderr
+
     def test_deeply_nested_profile_is_one_error_line(self, workspace, tmp_path):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000)
@@ -456,7 +464,7 @@ class TestDetect:
 @pytest.mark.parametrize("command", ["profile", "detect"])
 def test_unreadable_files_are_reported_after_their_input(workspace, tmp_path, monkeypatch,
                                                          capsys, command):
-    import entwatch.traces
+    import entwatch.errors
     from entwatch.cli import main
 
     docs = tmp_path / "docs"
@@ -471,7 +479,7 @@ def test_unreadable_files_are_reported_after_their_input(workspace, tmp_path, mo
         return open(path, *args, **kwargs)
 
     # A mode of 000 does not stop a root process from reading, so the open fails here.
-    monkeypatch.setattr(entwatch.traces, "open", guarded_open, raising=False)
+    monkeypatch.setattr(entwatch.errors, "open", guarded_open, raising=False)
     args = ["--out", str(tmp_path / "out"), "--chunk-bytes", "64"]
     if command == "detect":
         args += ["--baseline", str(workspace / "base.json")]
