@@ -14,7 +14,8 @@ import time
 from .baseline import DEFAULT_PRIOR, fit_baseline, load_profile, save_profile
 from .config import load_run_config
 from .detector import DetectorConfig
-from .errors import EntwatchError, ConfigError, InvalidSpec, IoFailure
+from .errors import (EntwatchError, ConfigError, InvalidSpec, IoFailure, MalformedRecord,
+                     UnsupportedVersion)
 from .hierarchy import HierarchyConfig, default_hierarchy
 from .metrics import (
     MetricsReport,
@@ -131,12 +132,18 @@ def cmd_profile(args) -> int:
 
     pooled: dict[str, list[float]] = {}
     for path in sorted(args.inputs):
-        label, onset, records, skipped = _input_records(path, args.chunk_bytes)
-        if label is not None and label != BENIGN:
-            print(f"profile: input {path} is labeled {label}, profiling needs benign inputs",
-                  file=sys.stderr)
-            return 2
-        per_level = collect_trace_deviations(records, hierarchy, detector)
+        try:
+            label, onset, records, skipped = _input_records(path, args.chunk_bytes)
+            if label is not None and label != BENIGN:
+                print(f"profile: input {path} is labeled {label}, profiling needs benign inputs",
+                      file=sys.stderr)
+                return 2
+            per_level = collect_trace_deviations(records, hierarchy, detector)
+        # These name a line or a source of the input, not the input itself.
+        except MalformedRecord as exc:
+            raise MalformedRecord(f"input {path}: {exc}", exc.line_number) from exc
+        except UnsupportedVersion as exc:
+            raise UnsupportedVersion(f"input {path}: {exc}") from exc
         if skipped:
             print(f"profile: skipped {len(skipped)} unreadable files under {path}", file=sys.stderr)
         for level_id, devs in per_level.items():

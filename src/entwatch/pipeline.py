@@ -22,17 +22,22 @@ each close:
    its last three samples into its max acceleration (none when they are
    unevenly spaced, as across a window the source skipped; see
    ``entropy.second_difference``); then, for a source not yet flagged, its
-   KL (recent deviations against its level baseline) and its posterior (a
-   Bayes update by the attack-vs-baseline likelihood ratio of the
-   deviation's bin) are updated. Labels latch, so a flagged source's
-   posterior stays as it was at the close that flagged it, and its KL is
-   brought up to date only when clustering reads it (step 3). Each profile
+   posterior (a Bayes update by the attack-vs-baseline likelihood ratio of
+   the deviation's bin) is updated. Labels latch, so a flagged source's
+   posterior stays as it was at the close that flagged it. The attack rule
+   (``detector.is_attack``) is monotone in the outlier score, the KL and
+   convexity, so a source it does not flag at outlier 1.0, infinite KL
+   and convexity cannot be flagged at this close: only a source that
+   passes this gate has its KL (recent deviations against its level
+   baseline) read here. Any other source's KL, flagged or not, is brought
+   up to date only when clustering reads it (step 3). Each profile
    level's 64 ratios are built once per profile and attack model, and kept
    on the profile for every processor that scores against it
    (``_scored_levels``), beside the level's KL memo. KL reads only the
    multiset of the recent bins, so it is read from that memo, keyed by the
    multiset, and on a miss computed as the ``kl_divergence`` of the bins'
-   ``empirical_distribution`` (``_memoised_kl``);
+   ``empirical_distribution`` (``_memoised_kl``). A KL depends on nothing
+   else, so reading it later gives the same value;
 2. gives each sampled source's latest entropy to the processor's
    ``hierarchy.LevelMeans``, which appends each level's mean of its sampled
    members' latest entropies to the heatmap's samples and returns their
@@ -44,16 +49,16 @@ each close:
    convex when the count reaches ``convexity_run``, as ``convexity_signal``
    over the whole series would say. When those levels' weights sum to 0
    there is no mean, and the close appends nothing and keeps the count;
-3. takes as candidates the scored, still-unflagged sources that the attack
-   rule (``detector.is_attack``) flags at outlier 1.0. The rule is monotone
-   in the outlier score, which is in [0, 1], so no other source can be
-   flagged at this close, and a close with no candidate ends here. It
-   clusters the sampled sources on ``SourceTrack.features`` (mean entropy,
-   max |dH|, max acceleration, KL), after refreshing each flagged source's
-   KL from its recent deviations, and outlier-scores them only when some
-   candidate is not flagged at outlier 0.0: that is the only case in which
-   an outlier score can decide a label. A source the rule flags at 0.0 is
-   flagged whatever its score and gives no reason to cluster;
+3. takes as candidates the gated sources of step 1 that the attack rule
+   flags at outlier 1.0, their own KL and the close's convexity. The
+   outlier score is in [0, 1], so no other source can be flagged at this
+   close, and a close with no candidate ends here. It clusters the sampled
+   sources on ``SourceTrack.features`` (mean entropy, max |dH|, max
+   acceleration, KL), after refreshing each one's KL from its recent
+   deviations, and outlier-scores them only when some candidate is not
+   flagged at outlier 0.0: that is the only case in which an outlier score
+   can decide a label. A source the rule flags at 0.0 is flagged whatever
+   its score and gives no reason to cluster;
 4. decides each candidate by the same rule at its actual outlier score,
    reading the evidence off its ``SourceTrack``; a ``Verdict`` is built only
    for a source the rule flags.
@@ -68,6 +73,7 @@ traces.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -208,8 +214,9 @@ class SourceTrack(SourceWindow):
     level_slot: int | None = None
     # Frozen once the source is flagged: nothing reads it after that.
     posterior: float = 0.0
-    # Current while the source is unflagged; once it is flagged, refreshed
-    # from ``deviations`` only when clustering reads ``features``.
+    # Read from ``deviations`` at a close only when the attack rule could
+    # flag the source there, and otherwise only when clustering reads
+    # ``features``; 0.0 until the source has a deviation.
     kl: float = 0.0
     outlier: float = 0.0
     max_abs_delta: float = 0.0
@@ -375,7 +382,8 @@ class TraceProcessor:
     def _close_window(self, t_end: float, fresh: list[SourceTrack]) -> None:
         if not fresh:
             return
-        undecided: list[SourceTrack] = []
+        cfg = self.detector
+        gated: list[SourceTrack] = []
         update = self._level_means.update
         for track in fresh:
             samples = track.samples
@@ -394,29 +402,34 @@ class TraceProcessor:
                 if accel is not None:  # None: the three samples are unevenly spaced
                     track.max_accel = max(track.max_accel, accel)
             if track.verdict is not None:
-                continue  # latched: its KL is refreshed when clustering reads it
+                continue  # latched: nothing reads its posterior again
             level = self._scored_levels.get(track.level_id)
             if level is not None:
                 q, ratios, memo = level
-                track.kl = _memoised_kl(memo, q, track.deviations)
                 updated = posterior(track.posterior, ratios[dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
-            undecided.append(track)
+            # The attack rule is monotone in the outlier score, the KL and
+            # convexity: a source it does not flag at their most favourable
+            # values is not flagged this close, and its KL waits for clustering.
+            if not is_attack(track.posterior, 1.0, math.inf, True, cfg):
+                continue
+            if level is not None:
+                track.kl = _memoised_kl(memo, q, track.deviations)
+            gated.append(track)
         total = self._level_means.means(t_end - self._windows.window_seconds, self.level_samples)
         if total is not None:  # else no level has data, or their weights sum to 0
             aggregate = self._aggregate
             aggregate.append((t_end, min(max(total, 0.0), 8.0)))
             self._convex_run = self._convex_run + 1 if convexity_signal(aggregate, 1) else 0
 
-        cfg = self.detector
         convex = self._convex_run >= cfg.convexity_run
         if convex:
             self.convexity_true_at.append(t_end)
-        # The attack rule is monotone in the outlier score, which is in
-        # [0, 1]: a source it does not flag at outlier 1.0 is not flagged
-        # this close. Unless some candidate is flagged at 1.0 and not at 0.0,
-        # outlier scores cannot decide a label, and clustering is skipped.
-        candidates = [t for t in undecided if is_attack(t.posterior, 1.0, t.kl, convex, cfg)]
+        # The outlier score is in [0, 1]: a source the rule does not flag at
+        # outlier 1.0 is not flagged this close. Unless some candidate is
+        # flagged at 1.0 and not at 0.0, outlier scores cannot decide a label,
+        # and clustering is skipped.
+        candidates = [t for t in gated if is_attack(t.posterior, 1.0, t.kl, convex, cfg)]
         if not candidates:
             return
         if any(not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in candidates):
@@ -438,9 +451,9 @@ class TraceProcessor:
         tracks = [t for t in self.sources.values() if t.sample_count]
         if len(tracks) < 2:
             return
-        for track in tracks:  # a flagged source's KL is brought up to date here
+        for track in tracks:  # a source's KL is brought up to date here
             level = self._scored_levels.get(track.level_id)
-            if track.verdict is not None and level is not None:
+            if level is not None and track.deviations:
                 q, _, memo = level
                 track.kl = _memoised_kl(memo, q, track.deviations)
         for track, score in zip(tracks, outliers(agglomerate(tracks)).scores):

@@ -109,6 +109,24 @@ class TestProfile:
         assert "past the float range" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("fault, words", [
+        ("record", "line 2: invalid event record"),
+        ("version", "trace format 99 is not supported"),
+    ])
+    def test_malformed_input_is_named_in_its_error_line(self, workspace, tmp_path, fault, words):
+        lines = (workspace / "ben0.jsonl").read_text().splitlines()
+        if fault == "record":
+            lines[1] = '{"timestamp": "x"}'
+        else:
+            lines[0] = lines[0].replace('"format":2', '"format":99')
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.json"
+        res = run_cli("profile", str(workspace / "ben1.jsonl"), str(bad), "--out", str(out))
+        assert_one_error_line(res)
+        assert f"input {bad}: {words}" in res.stderr
+        assert not out.exists()
+
     def test_prints_per_level_counts(self, workspace, tmp_path):
         res = run_cli("profile", str(workspace / "ben0.jsonl"),
                       "--out", str(tmp_path / "p.json"), "--frozen-clock")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -156,6 +157,18 @@ class TestFuseAndDecide:
         if is_attack(post, outlier, kl, convexity, cfg):
             assert is_attack(post, 1.0, kl, convexity, cfg)
             assert fused_confidence(post, outlier) >= cfg.posterior_threshold
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0), st.booleans(),
+           st.builds(DetectorConfig,
+                     kl_threshold=st.floats(0.0, allow_infinity=False),
+                     posterior_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     convexity_run=st.integers(1, 10)))
+    def test_attack_rule_flags_at_its_most_favourable_evidence(self, post, outlier, kl,
+                                                              convexity, cfg):
+        # A window close reads a source's KL only when the rule flags it at
+        # outlier 1.0, infinite KL and convexity: no other source can be flagged.
+        if is_attack(post, outlier, kl, convexity, cfg):
+            assert is_attack(post, 1.0, math.inf, True, cfg)
 
     def test_fused_confidence_blend(self):
         assert OUTLIER_WEIGHT == 0.2

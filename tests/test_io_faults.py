@@ -122,8 +122,7 @@ def test_profile_trace_fault_is_one_error_line(corpus, tmp_path, monkeypatch, ca
     out = tmp_path / "p.json"
     assert main(["profile", bad, "--out", str(out)]) == 1
     line = one_line(capsys.readouterr().err, "error:", FAULT_WORDS[fault])
-    # A malformed trace's message names its line, and not yet its file.
-    assert bad in line or fault == "bytes"
+    assert bad in line
     assert not out.exists()
 
 

@@ -318,10 +318,26 @@ class TestOutlierGate:
         flagged = sum(v.label == RANSOMWARE for v in result.per_source.values())
         assert (flagged, len(result.per_source)) == (62, 120)
 
+    def test_benign_closes_read_no_kl(self, benign_profile, attack_model, monkeypatch):
+        # No benign source's posterior reaches the threshold even at outlier
+        # 1.0, so no close can flag one and none reads its KL: only the
+        # clustering in ``finish`` does, once for each source with a deviation.
+        trace = simulate_scenario(ScenarioSpec("benign_edit", seed=903))
+        reads = counting(monkeypatch, "_memoised_kl")
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+        proc.process(trace.records)
+        assert reads == []
+        result = proc.finish()
+        assert result.verdict == BENIGN
+        scored = [t for t in proc.sources.values()
+                  if t.deviations and t.level_id in benign_profile.per_level]
+        assert len(reads) == len(scored) > 1
+
 
 class TestLatchedSources:
-    """A flagged source's posterior is frozen, and its KL is brought up to
-    date only when clustering reads it."""
+    """A flagged source's posterior is frozen. Any source's KL is brought up
+    to date when clustering reads it, and at a close only when the attack
+    rule could flag the source there."""
 
     @pytest.fixture(scope="class", params=["default", "wide", "mixed_evidence"])
     def case(self, request):
@@ -345,6 +361,10 @@ class TestLatchedSources:
                     hist, n = uniform_symbols(int(rng.integers(1, 257)))
                     records.append(EventRecord(w + 0.5, f"/home/u/f{s}", "write", hist, n))
             return request.param, profile, model, records, None
+        if request.param == "benign":
+            trace = simulate_scenario(ScenarioSpec("benign_edit", 7031))
+            return (request.param, request.getfixturevalue("benign_profile"),
+                    request.getfixturevalue("attack_model"), trace.records, None)
         duration, file_count = {"default": (100.0, 20), "wide": (1000.0, 200)}[request.param]
         trace = simulate_scenario(ScenarioSpec("ransomware", 7030, duration=duration,
                                                file_count=file_count))
@@ -378,6 +398,8 @@ class TestLatchedSources:
             assert alert.raised_at == flagged_at[alert.source_id]
             assert proc.sources[alert.source_id].posterior == alert.posterior
 
+    @pytest.mark.parametrize("case", ["default", "wide", "mixed_evidence", "benign"],
+                             indirect=True)
     def test_clustering_reads_current_kl(self, case, monkeypatch):
         name, profile, model, records, onset_at = case
         flagged_counts = []
@@ -395,10 +417,15 @@ class TestLatchedSources:
         monkeypatch.setattr(pipeline, "agglomerate", clustering)
         TraceProcessor(profile=profile, attack_model=model,
                        onset_at=onset_at).process(records).finish()
-        # Flagged sources are among the clustered, so their KL was checked:
-        # in ``finish``, and in the mixed-evidence case at window closes too.
-        assert flagged_counts[-1] > 0
-        assert any(flagged_counts[:-1]) == (name == "mixed_evidence")
+        if name == "benign":
+            # Nothing is flagged and no close reads a KL, so every KL checked
+            # was brought up to date for the clustering in ``finish``.
+            assert flagged_counts == [0]
+        else:
+            # Flagged sources are among the clustered, so their KL was checked:
+            # in ``finish``, and in the mixed-evidence case at window closes too.
+            assert flagged_counts[-1] > 0
+            assert any(flagged_counts[:-1]) == (name == "mixed_evidence")
 
 
 class TestWindowing:
@@ -447,10 +474,11 @@ def scored_keys(monkeypatch, proc, records):
     """Feed ``records`` and finish: the distinct (level, sorted deviation bins)
     windows whose KL was read, and how many reads there were.
 
-    KL is read at each close that samples an unflagged source with a
-    deviation, and for each flagged source at each clustering run. Read off
-    each source's state after every record and at each ``agglomerate`` call,
-    apart from the memo.
+    Models a processor whose config opens the attack rule's gate at every
+    close (``TestKlMemo.GATE_OPEN``): then KL is read at each close that
+    samples an unflagged source with a deviation, and for every source with
+    a deviation at each clustering run. Read off each source's state after
+    every record and at each ``agglomerate`` call, apart from the memo.
     """
     keys, scored = set(), 0
     counts, flagged = {}, set()
@@ -475,7 +503,7 @@ def scored_keys(monkeypatch, proc, records):
 
     def clustering(tracks):
         for track in tracks:
-            if track.verdict is not None and scorable(track):
+            if scorable(track):
                 read(track)
         return original(tracks)
 
@@ -536,6 +564,12 @@ class TestKlMemo:
     """KL is memoised per profile level by deviation-bin multiset, in a memo
     that every processor scoring against the profile shares."""
 
+    # A close reads a source's KL only when the attack rule could flag it
+    # there. Under this config every fused confidence at outlier 1.0 reaches
+    # the threshold, while no KL reaches its threshold and no close is
+    # convex: every scored close reads the KL, and no source is flagged.
+    GATE_OPEN = DetectorConfig(posterior_threshold=0.2, kl_threshold=1e9, convexity_run=10**6)
+
     @pytest.fixture(scope="class")
     def spread_profile(self):
         rng = np.random.default_rng(17)
@@ -572,14 +606,16 @@ class TestKlMemo:
             hist, n = uniform_symbols(int(rng.integers(1, 257)))
             records.append(EventRecord(w + 0.5, "/home/u/x", "write", hist, n))
         # Each run scores against a fresh copy of the profile, so a fresh memo.
-        unbounded = TraceProcessor(profile=replace(spread_profile), attack_model=attack_model)
+        unbounded = TraceProcessor(detector=self.GATE_OPEN, profile=replace(spread_profile),
+                                   attack_model=attack_model)
         kls = []
         for rec in records:
             unbounded.process_record(rec)
             kls.append(unbounded.sources["/home/u/x"].kl)
 
         monkeypatch.setattr(pipeline, "KL_MEMO_LIMIT", 8)
-        proc = TraceProcessor(profile=replace(spread_profile), attack_model=attack_model)
+        proc = TraceProcessor(detector=self.GATE_OPEN, profile=replace(spread_profile),
+                              attack_model=attack_model)
         sizes, bounded_kls = [], []
         for rec in records:
             proc.process_record(rec)
@@ -594,8 +630,8 @@ class TestKlMemo:
         distributions = counting(monkeypatch, "empirical_distribution")
         kls = counting(monkeypatch, "kl_divergence")
         trace = simulate_scenario(ScenarioSpec("ransomware", seed=900))
-        proc = TraceProcessor(profile=replace(benign_profile), attack_model=attack_model,
-                              onset_at=trace.meta.onset_at)
+        proc = TraceProcessor(detector=self.GATE_OPEN, profile=replace(benign_profile),
+                              attack_model=attack_model, onset_at=trace.meta.onset_at)
         keys, scored = scored_keys(monkeypatch, proc, trace.records)
         assert len(kls) == len(distributions) == len(keys)
         # No multiset is computed twice within a level.
