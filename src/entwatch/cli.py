@@ -7,6 +7,7 @@ inputs failed, 2 for usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -33,7 +34,7 @@ from .metrics import (
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
 from .simulate import (DEFAULT_DURATION, DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS,
                        ScenarioSpec, simulate_scenario)
-from .traces import BENIGN, iter_trace, scan_directory, write_trace
+from .traces import BENIGN, ScanFaults, iter_trace, scan_directory, write_trace
 
 DEFAULT_CHUNK_BYTES = 4096
 
@@ -107,15 +108,28 @@ def _load_config(args) -> tuple[HierarchyConfig, DetectorConfig]:
 
 
 def _input_records(path: str, chunk_bytes: int):
-    """(label, onset_at, lazy record iterator, unreadable files) for one input.
+    """(label, onset_at, lazy record iterator, ScanFaults or None) for one input.
 
-    A directory's unreadable files are listed as its records are read.
+    A directory's faults are listed as its records are read; a trace file has none.
     """
     if os.path.isdir(path):
-        records, skipped = scan_directory(path, chunk_bytes)
-        return None, None, records, skipped
+        records, faults = scan_directory(path, chunk_bytes)
+        return None, None, records, faults
     meta, records = iter_trace(path)
-    return meta.label, meta.onset_at, records, []
+    return meta.label, meta.onset_at, records, None
+
+
+def _report_scan_faults(command: str, path: str, faults: ScanFaults | None) -> None:
+    """One stderr line each for the unreadable files under a directory input,
+    counted, and for those read only in part, named; printed once its records are read."""
+    if faults is None:
+        return
+    if faults.unreadable:
+        print(f"{command}: skipped {len(faults.unreadable)} unreadable files under {path}",
+              file=sys.stderr)
+    if faults.partial:
+        print(f"{command}: read in part under {path}: {', '.join(faults.partial)}",
+              file=sys.stderr)
 
 
 def _summary(report: MetricsReport) -> str:
@@ -133,7 +147,7 @@ def cmd_profile(args) -> int:
     pooled: dict[str, list[float]] = {}
     for path in sorted(args.inputs):
         try:
-            label, onset, records, skipped = _input_records(path, args.chunk_bytes)
+            label, onset, records, faults = _input_records(path, args.chunk_bytes)
             if label is not None and label != BENIGN:
                 print(f"profile: input {path} is labeled {label}, profiling needs benign inputs",
                       file=sys.stderr)
@@ -144,8 +158,7 @@ def cmd_profile(args) -> int:
             raise MalformedRecord(f"input {path}: {exc}", exc.line_number) from exc
         except UnsupportedVersion as exc:
             raise UnsupportedVersion(f"input {path}: {exc}") from exc
-        if skipped:
-            print(f"profile: skipped {len(skipped)} unreadable files under {path}", file=sys.stderr)
+        _report_scan_faults("profile", path, faults)
         for level_id, devs in per_level.items():
             pooled.setdefault(level_id, []).extend(devs)
 
@@ -181,15 +194,13 @@ def cmd_detect(args) -> int:
     failures = 0
     for path in sorted(args.inputs):
         try:
-            label, onset, records, skipped = _input_records(path, args.chunk_bytes)
+            label, onset, records, faults = _input_records(path, args.chunk_bytes)
             proc = TraceProcessor(
                 hierarchy, detector, profile=profile,
                 trace_name=path, label=label, onset_at=onset,
             )
             proc.process(records)
-            if skipped:
-                print(f"detect: skipped {len(skipped)} unreadable files under {path}",
-                      file=sys.stderr)
+            _report_scan_faults("detect", path, faults)
             result = proc.finish()
             for alert in result.alerts:
                 latency = "" if alert.latency_ms is None else f" latency_ms={alert.latency_ms:.0f}"
@@ -303,5 +314,21 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> int:
+    """The process entry of ``python -m entwatch`` and the ``entwatch``
+    console script: ``main`` on ``sys.argv``, after ``gc.freeze()``.
+
+    Freezing moves every object alive at this point, the import-time graphs
+    of the interpreter, numpy and entwatch, into the collector's permanent
+    generation, which no collection examines, the final ones at interpreter
+    exit included. So the process neither walks those graphs in the full
+    collections during ``main`` nor frees them one object at a time as it
+    exits; their memory goes back with the process. The freeze comes before
+    ``main``, not after it: what ``main`` creates stays in the young
+    generations, so its cyclic garbage is still collected and finalized,
+    and the exit still flushes streams and runs ``atexit`` handlers, which
+    ``os._exit`` would skip. ``main`` freezes nothing itself, because tests
+    and the benchmark call it in a process that lives on after it returns.
+    """
+    gc.freeze()
+    return main()

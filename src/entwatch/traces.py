@@ -387,16 +387,29 @@ def read_trace(path) -> Trace:
     return Trace(meta, tuple(records))
 
 
-def scan_directory(root, chunk_bytes: int) -> tuple[Iterator[EventRecord], list[str]]:
+class ScanFaults:
+    """The files of a directory scan that were not read whole, listed as its
+    iterator reaches them, each once: ``unreadable`` those of which no chunk
+    was read, ``partial`` those whose read failed after some chunks, which
+    are already among the records."""
+
+    __slots__ = ("unreadable", "partial")
+
+    def __init__(self):
+        self.unreadable: list[str] = []
+        self.partial: list[str] = []
+
+
+def scan_directory(root, chunk_bytes: int) -> tuple[Iterator[EventRecord], ScanFaults]:
     """A lazy iterator of one read record per fixed-size chunk of every regular
-    file under ``root``, plus the list of files it could not read.
+    file under ``root``, plus the files it could not read whole.
 
     Files are visited in lexicographic path order, chunks in offset order, and
     the record timestamp is the global scan index in seconds, so repeated
     scans of an unchanged tree produce identical sequences. The listing is
-    taken here; each file is opened only when its first chunk is due, and an
-    unreadable one is appended to the list, not fatal, when the iterator
-    reaches it.
+    taken here; each file is opened only when its first chunk is due, and a
+    file whose open or read fails is listed in the ``ScanFaults``, not fatal,
+    when the iterator reaches it.
     """
     if chunk_bytes <= 0:
         raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
@@ -404,13 +417,14 @@ def scan_directory(root, chunk_bytes: int) -> tuple[Iterator[EventRecord], list[
     if not root.is_dir():
         raise IoFailure(f"scan root {root} is not a readable directory")
     files = sorted(p for p in root.rglob("*") if p.is_file() and not p.is_symlink())
-    skipped: list[str] = []
-    return _scan(files, chunk_bytes, skipped), skipped
+    faults = ScanFaults()
+    return _scan(files, chunk_bytes, faults), faults
 
 
-def _scan(files: list[Path], chunk_bytes: int, skipped: list[str]) -> Iterator[EventRecord]:
+def _scan(files: list[Path], chunk_bytes: int, faults: ScanFaults) -> Iterator[EventRecord]:
     index = 0
     for path in files:
+        first = index
         try:
             with opened(path, "rb", f"cannot read {path}") as fh:
                 while chunk := fh.read(chunk_bytes):
@@ -423,4 +437,4 @@ def _scan(files: list[Path], chunk_bytes: int, skipped: list[str]) -> Iterator[E
                     )
                     index += 1
         except IoFailure:
-            skipped.append(str(path))
+            (faults.partial if index > first else faults.unreadable).append(str(path))

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import re
 import subprocess
@@ -6,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import entwatch
 from entwatch.config import load_run_config
 from entwatch.detector import DetectorConfig
 from entwatch.entropy import histogram_from_bytes
@@ -718,3 +721,44 @@ def test_peak_rss_is_bytes_on_every_platform(monkeypatch, platform, scale):
     monkeypatch.setattr(sys, "platform", platform)
     monkeypatch.setattr(resource, "getrusage", lambda who: usage)
     assert cli._peak_rss_bytes() == 40_000 * scale
+
+
+def test_run_freezes_before_main_and_main_freezes_nothing(monkeypatch, tmp_path):
+    # The process entry freezes the import-time heap before main runs; main,
+    # which tests and the benchmark call in a process that lives on, freezes nothing.
+    from entwatch import cli
+
+    before = gc.get_freeze_count()
+    assert cli.main(["simulate", "--kind", "benign_edit", "--seed", "1", "--duration", "5",
+                     "--out", str(tmp_path / "t.jsonl")]) == 0
+    assert gc.get_freeze_count() == before
+
+    seen = []
+
+    def fake_main():
+        seen.append(gc.get_freeze_count())
+        return 3
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    try:
+        assert cli.run() == 3
+    finally:
+        gc.unfreeze()  # the test process gets its heap back
+    assert len(seen) == 1 and seen[0] > before
+
+
+def test_console_script_is_the_entry_that_dunder_main_calls():
+    # pyproject.toml is read as text: tomllib is missing on Python 3.10.
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(
+        encoding="utf-8")
+    scripts = pyproject.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    (target,) = re.findall(r'^entwatch = "(.+)"$', scripts, re.M)
+    launcher = ast.parse(Path(entwatch.__file__).with_name("__main__.py").read_text(
+        encoding="utf-8"))
+    (exit_call,) = [node for node in ast.walk(launcher) if isinstance(node, ast.Call)
+                    and ast.unparse(node.func) == "sys.exit"]
+    called = exit_call.args[0].func.id
+    (source,) = [f"{'entwatch.' * node.level}{node.module}:{alias.name}"
+                 for node in ast.walk(launcher) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if (alias.asname or alias.name) == called]
+    assert target == source == "entwatch.cli:run"

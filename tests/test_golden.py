@@ -14,6 +14,10 @@ so, with the old and new values, in a CHANGES.md line.
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +38,8 @@ SIMULATED = (
     ("benign_edit", 7012, "ben_7012.jsonl"),
     ("compressor", 7013, "zip_7013.jsonl"),
 )
+GOLDEN_DETECT = ("detect", "rw_7010.jsonl", "rw_7011.jsonl", "ben_7012.jsonl", "zip_7013.jsonl",
+                 "--baseline", "profile.json", "--frozen-clock")
 WIDE_TRACE = ("--kind", "ransomware", "--seed", "7020", "--duration", "300",
               "--file-count", "120", "--out", "rw_wide_7020.jsonl")
 
@@ -99,9 +105,7 @@ def golden_run(tmp_path_factory):
                      "--out", "profile.json", "--frozen-clock"]) == 0
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            code = main(["detect", "rw_7010.jsonl", "rw_7011.jsonl", "ben_7012.jsonl",
-                         "zip_7013.jsonl", "--baseline", "profile.json", "--out", "run",
-                         "--frozen-clock"])
+            code = main([*GOLDEN_DETECT, "--out", "run"])
         assert code == 0
         assert main(["simulate", *WIDE_TRACE]) == 0
         with contextlib.redirect_stdout(io.StringIO()):
@@ -163,12 +167,24 @@ def test_detect_runs_no_simulator(golden_run, monkeypatch):
     monkeypatch.chdir(root)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["detect", "rw_7010.jsonl", "rw_7011.jsonl", "ben_7012.jsonl",
-                     "zip_7013.jsonl", "--baseline", "profile.json", "--out", "nosim",
-                     "--frozen-clock"]) == 0
+        assert main([*GOLDEN_DETECT, "--out", "nosim"]) == 0
     assert sha256(buf.getvalue().encode("utf-8")) == GOLDEN_DETECT_STDOUT
     for name in ("report.csv", "metrics.json", "heatmap.csv"):
         assert sha256((root / "nosim" / name).read_bytes()) == GOLDEN[f"run/{name}"]
+
+
+def test_detect_through_the_launcher_matches_golden(golden_run):
+    # ``python -m entwatch`` runs the process entry, which freezes the
+    # import-time heap before main: the exit path changes no output.
+    root, _ = golden_run
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-m", "entwatch", *GOLDEN_DETECT, "--out", "launched"],
+                         cwd=root, env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+    assert res.returncode == 0, res.stderr
+    assert sha256(res.stdout) == GOLDEN_DETECT_STDOUT
+    for name in ("report.csv", "metrics.json", "heatmap.csv"):
+        assert sha256((root / "launched" / name).read_bytes()) == GOLDEN[f"run/{name}"]
 
 
 def test_attack_model_bins_match_golden():

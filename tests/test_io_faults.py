@@ -3,7 +3,8 @@
 Each file the CLI reads or writes meets three faults: the open fails, a read
 fails after a good open, and its bytes are not UTF-8. Each gives what the
 exit-status contract names, never a traceback: ``detect`` an ``error`` row
-for a trace, a skipped and counted file under a scanned directory, one
+for a trace, a skipped and counted file under a scanned directory (or, when
+a read fails after some of its chunks, a file named as read in part), one
 ``error:`` line with exit 1 for a profile, a report and the writers, and
 exit 2 for ``--config``. The open and read faults are injected at
 ``entwatch.errors.open``, the package's one call of ``open``; the devices
@@ -18,6 +19,7 @@ import csv
 import errno
 import io
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,7 +28,7 @@ import entwatch
 import entwatch.errors
 from entwatch.cli import main
 from entwatch.simulate import ScenarioSpec, simulate_scenario
-from entwatch.traces import write_trace
+from entwatch.traces import scan_directory, write_trace
 
 FAULTS = ("open", "read", "bytes")
 # A word of the message each fault gives, lowercased.
@@ -58,18 +60,28 @@ def corpus(tmp_path_factory):
 
 
 class FailingRaw(io.RawIOBase):
-    """An open file whose every read fails with EIO, as a faulty disk or pipe's does."""
+    """An open file whose reads fail with EIO, as a faulty disk or pipe's do:
+    every read, or every one after the first ``good_reads``, which read ``data``."""
+
+    def __init__(self, data: bytes = b"", good_reads: int = 0):
+        super().__init__()
+        self._data = io.BytesIO(data)
+        self._good_reads = good_reads
 
     def readable(self):
         return True
 
     def readinto(self, buffer):
+        if self._good_reads:
+            self._good_reads -= 1
+            return self._data.readinto(buffer)
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
 def faulty(target, source: Path, fault: str, monkeypatch) -> str:
     """``target``, a copy of ``source`` that meets ``fault``: not UTF-8 in its
-    bytes, or an open or a read that fails at the boundary."""
+    bytes, or an open or a read that fails at the boundary; ``partway``, a
+    fault outside FAULTS, fails every read after the first."""
     target.write_bytes(NOT_UTF8 if fault == "bytes" else source.read_bytes())
     target = str(target)
 
@@ -78,6 +90,8 @@ def faulty(target, source: Path, fault: str, monkeypatch) -> str:
             return open(path, mode, **kwargs)
         if fault == "open":
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), target)
+        if fault == "partway":  # unbuffered, so each read of a chunk is one raw read
+            return FailingRaw(source.read_bytes(), good_reads=1)
         fh = io.BufferedReader(FailingRaw())
         return fh if "b" in mode else io.TextIOWrapper(fh, encoding=kwargs.get("encoding"),
                                                         newline=kwargs.get("newline"))
@@ -144,6 +158,34 @@ def test_directory_file_fault_is_skipped_and_counted(corpus, tmp_path, monkeypat
     # A scanned file is bytes, never decoded, so bytes that are not UTF-8 are read.
     assert err == ("" if fault == "bytes" else
                    f"{command}: skipped 1 unreadable files under {docs}\n")
+
+
+def docs_read_partway(corpus, tmp_path, monkeypatch) -> Path:
+    """A copy of the corpus's ``docs`` whose ``b.txt`` meets the ``partway`` fault."""
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    for name in ("a.txt", "c.txt"):
+        (docs / name).write_bytes((corpus / "docs" / name).read_bytes())
+    faulty(docs / "b.txt", corpus / "docs" / "b.txt", "partway", monkeypatch)
+    return docs
+
+
+def test_directory_file_read_in_part_is_listed_once(corpus, tmp_path, monkeypatch):
+    docs = docs_read_partway(corpus, tmp_path, monkeypatch)
+    records, faults = scan_directory(docs, chunk_bytes=64)
+    per_file = Counter(Path(r.source_path).name for r in records)
+    assert per_file == {"a.txt": 10000 // 64 + 1, "b.txt": 1, "c.txt": 10000 // 64 + 1}
+    assert (faults.unreadable, faults.partial) == ([], [str(docs / "b.txt")])
+
+
+@pytest.mark.parametrize("command", ["profile", "detect"])
+def test_directory_file_read_in_part_is_named(corpus, tmp_path, monkeypatch, capsys, command):
+    docs = docs_read_partway(corpus, tmp_path, monkeypatch)
+    args = ["--out", str(tmp_path / "out"), "--chunk-bytes", "64"]
+    if command == "detect":
+        args += ["--baseline", str(corpus / "base.json")]
+    assert main([command, str(docs), *args]) == 0
+    assert capsys.readouterr().err == f"{command}: read in part under {docs}: {docs / 'b.txt'}\n"
 
 
 @pytest.mark.parametrize("fault", FAULTS)

@@ -986,12 +986,12 @@ class TestStreaming:
 class TestScanDirectory:
     def test_chunk_arithmetic(self, tmp_path):
         (tmp_path / "file.bin").write_bytes(b"x" * 100)
-        records, skipped = scan_directory(tmp_path, chunk_bytes=64)
+        records, faults = scan_directory(tmp_path, chunk_bytes=64)
         records = list(records)
         assert [r.bytes for r in records] == [64, 36]
         assert [r.timestamp for r in records] == [0.0, 1.0]
         assert all(r.op == "read" for r in records)
-        assert skipped == []
+        assert (faults.unreadable, faults.partial) == ([], [])
 
     def test_zero_entropy_file(self, tmp_path):
         (tmp_path / "zeros.bin").write_bytes(bytes(128))
@@ -1035,7 +1035,7 @@ class TestScanDirectory:
             (tree / f"d{i % 4}" / f"f{i:02d}.bin").write_bytes(rng.bytes(256 * 1024))
         tracemalloc.start()
         try:
-            records, skipped = scan_directory(tree, chunk_bytes=4096)
+            records, faults = scan_directory(tree, chunk_bytes=4096)
             count = total = 0
             for record in records:
                 count += 1
@@ -1043,7 +1043,8 @@ class TestScanDirectory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (count, total, skipped) == (1024, 4 * 1024 * 1024, [])
+        assert (count, total) == (1024, 4 * 1024 * 1024)
+        assert (faults.unreadable, faults.partial) == ([], [])
         assert peak < 1024 * 1024
 
     def test_dropped_scan_closes_its_file(self, tmp_path):
@@ -1060,13 +1061,14 @@ class TestScanDirectory:
             (tmp_path / name).write_bytes(name.encode() * 40)
         full, _ = scan_directory(tmp_path, chunk_bytes=32)
         full = list(full)
-        records, skipped = scan_directory(tmp_path, chunk_bytes=32)
+        records, faults = scan_directory(tmp_path, chunk_bytes=32)
         first = next(records)
         (tmp_path / "b.txt").unlink()
         rest = list(records)
-        assert skipped == [str(tmp_path / "b.txt")]
+        assert (faults.unreadable, faults.partial) == ([str(tmp_path / "b.txt")], [])
         without_b, _ = scan_directory(tmp_path, chunk_bytes=32)
         assert [first, *rest] == list(without_b)
         # Only the timestamps, the scan index, move up past the skipped file.
         assert [(r.source_path, r.histogram, r.bytes) for r in [first, *rest]] == [
-            (r.source_path, r.histogram, r.bytes) for r in full if r.source_path != skipped[0]]
+            (r.source_path, r.histogram, r.bytes) for r in full
+            if r.source_path != faults.unreadable[0]]
