@@ -126,15 +126,17 @@ def convexity_signal(samples, m: int) -> bool:
     """True when the last ``m`` second differences over ``samples``, a sequence of
     ``(timestamp, entropy)`` pairs oldest first, are evenly spaced and > 0.
 
-    False with fewer than ``m + 2`` pairs.
+    ``samples`` is any sequence with ``len`` and indexing, a ``deque``
+    included; only its last ``m + 2`` pairs are read, by index, and nothing
+    is copied. False with fewer than ``m + 2`` pairs.
     """
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    if len(samples) < m + 2:
+    n = len(samples)
+    if n < m + 2:
         return False
-    last = list(samples)[-(m + 2):]
-    for i in range(m):
-        accel = second_difference(*last[i:i + 3])
+    for i in range(n - m - 2, n - 2):
+        accel = second_difference(samples[i], samples[i + 1], samples[i + 2])
         if accel is None or not accel > 0:
             return False
     return True

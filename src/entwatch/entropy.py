@@ -122,18 +122,35 @@ def histogram_from_bytes(data: bytes) -> ByteHistogram:
 
 def shannon_entropy(hist: ByteHistogram) -> float:
     """Shannon entropy of the histogram in bits/byte, 0 for an empty histogram;
-    ``hist.entropy`` when that is set."""
+    ``hist.entropy`` when that is set.
+
+    Otherwise it is -sum(p * log2(p)) over the non-zero buckets, p being each
+    count over the total, summed by numpy's pairwise ``add.reduce`` and
+    clamped to [0, 8]. The zero buckets are masked out only when
+    ``np.count_nonzero`` finds fewer than 256 non-zero counts, the total is
+    divided as a float (the cast numpy's int64 true division makes anyway),
+    and each log term is multiplied by its p in place. Float multiplication
+    commutes, so the value is bit for bit that of ``p * log2(p)`` over the
+    masked counts divided by the int total.
+    """
     if hist.entropy is not None:
         return hist.entropy
-    if hist.total == 0:
+    total = hist.total
+    if total == 0:
         return 0.0
     counts = hist.counts
-    if not counts.all():
+    if np.count_nonzero(counts) < 256:
         counts = counts[counts > 0]
-    p = counts / hist.total
-    value = float(-np.add.reduce(p * np.log2(p)))
-    # Clamp float summation noise; the true value is within [0, 8].
-    return min(max(value, 0.0), MAX_ENTROPY_BITS)
+    p = counts / float(total)
+    terms = np.log2(p)
+    terms *= p
+    value = -float(np.add.reduce(terms))
+    # Clamp float summation noise; the true value is within [0, 8]. Compared
+    # rather than min(max(...)), with the same result: a single symbol's -0.0
+    # is kept.
+    if value < 0.0:
+        return 0.0
+    return value if value <= MAX_ENTROPY_BITS else MAX_ENTROPY_BITS
 
 
 def full_row_entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:

@@ -45,10 +45,12 @@ each close:
    that to the aggregate series, which keeps its last three (window end,
    entropy) pairs and a count of its latest second differences, in a row,
    that are evenly spaced and positive: each appended pair updates the
-   count by one ``detector.convexity_signal(pairs, 1)``, and the close is
-   convex when the count reaches ``convexity_run``, as ``convexity_signal``
-   over the whole series would say. When those levels' weights sum to 0
-   there is no mean, and the close appends nothing and keeps the count;
+   count by one ``detector.convexity_signal(pairs, 1)``, which reads the
+   three pairs of the deque by index, and the close is convex when the
+   count reaches ``convexity_run``, as ``convexity_signal`` over the whole
+   series would say. When those levels' weights sum to 0 there is no mean,
+   and the close appends nothing, calls no ``convexity_signal`` and keeps
+   the count;
 3. takes as candidates the gated sources of step 1 that the attack rule
    flags at outlier 1.0, their own KL and the close's convexity. The
    outlier score is in [0, 1], so no other source can be flagged at this
@@ -140,6 +142,9 @@ _ATTACK_MASSES = {
 ATTACK_MODEL = BinnedDistribution(
     [_ATTACK_MASSES.get(b, _ATTACK_FLOOR_MASS) for b in range(DEVIATION_BINS)])
 ATTACK_MODEL.bins.flags.writeable = False  # shared by every processor
+
+# The key a close sorts its sampled sources by, built once rather than per close.
+_SOURCE_ORDER = attrgetter("order")
 
 
 def _scored_levels(profile: BaselineProfile, attack_model: BinnedDistribution
@@ -241,7 +246,9 @@ class SourceWindows:
     record (``hierarchy.route_source``, level hint first), built by
     ``new_source`` and kept in first-record order. A close visits only the
     sources that had payload in the window, so its cost does not grow with
-    the sources seen so far.
+    the sources seen so far: it hands the caller the window's own list of
+    them, sorted in place into first-record order when it holds two or
+    more, and the next window starts a new list.
     """
 
     def __init__(self, hierarchy: HierarchyConfig, window_seconds: float,
@@ -288,8 +295,10 @@ class SourceWindows:
     def close(self) -> tuple[float, list]:
         """Sample the open window: its end time and the sources sampled, in source order."""
         t_end = (self.index + 1) * self.window_seconds
-        fresh = sorted(self._pending, key=attrgetter("order"))
+        fresh = self._pending
         self._pending = []
+        if len(fresh) > 1:
+            fresh.sort(key=_SOURCE_ORDER)
         for src in fresh:
             value = shannon_entropy(src.pending)
             src.pending = None

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import fields
 
 import numpy as np
@@ -18,7 +19,7 @@ from entwatch.detector import (
     likelihood_ratio,
     posterior,
 )
-from entwatch.entropy import BinnedDistribution
+from entwatch.entropy import BinnedDistribution, second_difference
 
 
 def dist(masses):
@@ -116,6 +117,39 @@ class TestConvexitySignal:
     def test_run_length_must_be_positive(self):
         with pytest.raises(ValueError, match="run length"):
             convexity_signal([(0.0, 1.0), (1.0, 2.0), (2.0, 4.0)], 0)
+        for samples in ([], (), deque(maxlen=3)):
+            for m in (0, -1):
+                with pytest.raises(ValueError, match="run length"):
+                    convexity_signal(samples, m)
+
+    @staticmethod
+    def reference(samples, m):
+        """The signal over a copy of the last ``m + 2`` pairs, sliced from a list."""
+        if len(samples) < m + 2:
+            return False
+        last = list(samples)[-(m + 2):]
+        for i in range(m):
+            accel = second_difference(*last[i:i + 3])
+            if accel is None or not accel > 0:
+                return False
+        return True
+
+    def test_any_sequence_matches_the_list_reference(self):
+        # Gaps of 1.0 and 1.05 s are even within 10%, 1.5 s is not; steps may
+        # rise, fall or stay flat, so every branch of the run is taken.
+        rng = np.random.default_rng(35)
+        seen = set()
+        for n in range(9):
+            for _ in range(60):
+                gaps = rng.choice([1.0, 1.0, 1.05, 1.5], size=n)
+                steps = rng.choice([-0.5, 0.0, 0.25, 0.5, 1.0, 2.0], size=n)
+                pairs = list(zip(np.cumsum(gaps).tolist(), np.cumsum(steps).tolist()))
+                for m in range(1, n + 2):
+                    want = self.reference(pairs, m)
+                    seen.add(want)
+                    for kind in (list, tuple, deque):
+                        assert convexity_signal(kind(pairs), m) is want, (kind, pairs, m)
+        assert seen == {True, False}
 
 
 class TestFuseAndDecide:

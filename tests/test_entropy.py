@@ -197,6 +197,20 @@ class TestEntropyCache:
         hist = ByteHistogram(random_counts(seed)[0].tolist())
         assert shannon_entropy(hist).hex() == reference_shannon_entropy(hist).hex()
 
+    @pytest.mark.parametrize("zeros", [0, 1, 2, 128, 255])
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_merged_rows_are_the_reference_bit_for_bit(self, zeros, seed):
+        # A window's merged block rows with ``zeros`` empty buckets in both:
+        # full rows, exactly one zero (255 non-zero counts, the boundary of the
+        # zero-bucket branch), and many, up to a single symbol (entropy -0.0).
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, rng.choice([2, 255, 2 ** 40]), size=(2, 256), endpoint=True)
+        counts[:, rng.permutation(256)[:zeros]] = 0
+        a, b = (ByteHistogram.unchecked(row, int(row.sum()), None) for row in counts)
+        merged = a.merged(b)
+        assert np.count_nonzero(merged.counts) == 256 - zeros
+        assert shannon_entropy(merged).hex() == reference_shannon_entropy(merged).hex()
+
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
     def test_full_row_entropies_are_shannon_entropy_bit_for_bit(self, seed, rows):
         counts = random_counts(seed, rows)

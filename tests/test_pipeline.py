@@ -469,6 +469,43 @@ class TestWindowing:
         proc.finish()
         assert proc.sources["/home/u/x"].level_id == "net"
 
+    @staticmethod
+    def write(t, path):
+        return EventRecord(t, path, "write", histogram_from_bytes(b"ab"), 2)
+
+    def test_window_is_sampled_in_first_record_order(self):
+        # A's first record came a window before B's, so A is sampled first
+        # although its record in window 1 arrives after B's.
+        windows = pipeline.SourceWindows(default_hierarchy(), 1.0)
+        assert windows.push(self.write(0.1, "/home/u/a")) is None
+        _, fresh = windows.push(self.write(1.1, "/home/u/b"))
+        assert [src.source_id for src in fresh] == ["/home/u/a"]
+        assert windows.push(self.write(1.2, "/home/u/a")) is None
+        t_end, fresh = windows.push(self.write(2.5, "/home/u/c"))
+        assert t_end == 2.0
+        assert [src.source_id for src in fresh] == ["/home/u/a", "/home/u/b"]
+
+    def test_one_source_window_returns_that_source(self):
+        windows = pipeline.SourceWindows(default_hierarchy(), 1.0)
+        windows.push(self.write(0.1, "/home/u/a"))
+        windows.push(self.write(0.2, "/home/u/a"))
+        t_end, fresh = windows.close()
+        assert t_end == 1.0
+        assert fresh == [windows.sources["/home/u/a"]]
+
+    def test_closed_list_is_not_the_next_windows(self):
+        windows = pipeline.SourceWindows(default_hierarchy(), 1.0)
+        windows.push(self.write(0.1, "/home/u/b"))
+        windows.push(self.write(0.2, "/home/u/a"))
+        _, fresh = windows.push(self.write(1.1, "/home/u/a"))
+        closed = list(fresh)
+        windows.push(self.write(1.2, "/home/u/b"))
+        windows.push(self.write(1.3, "/home/u/c"))
+        assert fresh == closed and len(fresh) == 2
+        _, later = windows.close()
+        assert later is not fresh
+        assert [src.source_id for src in later] == ["/home/u/b", "/home/u/a", "/home/u/c"]
+
 
 def scored_keys(monkeypatch, proc, records):
     """Feed ``records`` and finish: the distinct (level, sorted deviation bins)
@@ -924,6 +961,35 @@ class TestEntropyCache:
         cached, fresh = results
         # Alerts, per-source verdicts, level samples and convexity times alike.
         assert cached == fresh
+
+
+class TestCloseCalls:
+    """The benchmark's traced run counts and times ``pipeline.shannon_entropy``
+    and ``pipeline.convexity_signal``: the first is called once per sampled
+    source per close, cached entropy or not, the second once per close that
+    appends an aggregate pair."""
+
+    @pytest.mark.parametrize("weight", [0.5, 0.0])
+    def test_one_call_each(self, tmp_path, benign_profile, attack_model, monkeypatch, weight):
+        hierarchy = HierarchyConfig((LevelConfig("fs-user", "filesystem", weight, ("/home/**",)),))
+        entropy_calls = counting(monkeypatch, "shannon_entropy")
+        convexity_calls = counting(monkeypatch, "convexity_signal")
+        sizes = set()  # how many payload records the sampled windows merged
+        for kind, seed in (("benign_edit", 836), ("compressor", 837)):
+            write_trace(simulate_scenario(ScenarioSpec(kind, seed=seed)), tmp_path / "t.jsonl")
+            records = read_trace(tmp_path / "t.jsonl").records
+            windows = {}  # window index -> source -> its payload records there
+            for r in records:
+                if r.bytes:
+                    windows.setdefault(int(r.timestamp), {}).setdefault(r.source_path, []).append(r)
+            sizes.update(len(recs) for w in windows.values() for recs in w.values())
+            del entropy_calls[:], convexity_calls[:]
+            TraceProcessor(hierarchy, profile=benign_profile, attack_model=attack_model) \
+                .process(records).finish()
+            assert len(entropy_calls) == sum(len(w) for w in windows.values())
+            # With a weight of 0 there is no aggregate, so no pair is appended.
+            assert len(convexity_calls) == (len(windows) if weight else 0)
+        assert 1 in sizes and max(sizes) > 1
 
 
 def window_samples(monkeypatch):
