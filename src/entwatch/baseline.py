@@ -25,8 +25,6 @@ import numpy as np
 from .entropy import DEVIATION_BINS, EPSILON_MASS, MAX_ENTROPY_BITS, BinnedDistribution, bin_index
 from .errors import (
     CorruptProfile,
-    EmptyWindow,
-    InvalidPrior,
     TooFewSamples,
     UnsupportedVersion,
     checked,
@@ -55,7 +53,7 @@ class BaselineProfile:
     def __post_init__(self):
         prior = checked(self.prior, "prior", float)
         if not 0.0 <= prior <= 1.0:
-            raise InvalidPrior(f"prior must be in [0, 1], got {prior}")
+            raise ValueError(f"prior must be in [0, 1], got {prior}")
         created_at = checked(self.created_at, "created_at", float)
         if not math.isfinite(created_at):
             raise ValueError(f"created_at must be finite, got {created_at}")
@@ -65,7 +63,8 @@ class BaselineProfile:
         if set(self.sample_counts) != set(self.per_level):
             raise ValueError(f"sample counts are for levels {list(self.sample_counts)}, "
                              f"distributions for {list(self.per_level)}")
-        checked(list(self.sample_counts.values()), "sample counts", (int,))
+        if min(checked(list(self.sample_counts.values()), "sample counts", (int,))) < 0:
+            raise ValueError(f"sample counts must be non-negative, got {shown(self.sample_counts)}")
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "created_at", created_at)
         object.__setattr__(self, "inputs", checked(self.inputs, "inputs", (str,)))
@@ -74,7 +73,7 @@ class BaselineProfile:
 def empirical_distribution(bins: Sequence[int]) -> BinnedDistribution:
     """Normalized histogram of a window of deviation bins, no smoothing applied."""
     if not len(bins):
-        raise EmptyWindow("empirical distribution needs at least one sample")
+        raise ValueError("empirical distribution needs at least one sample")
     counts = np.bincount(bins, minlength=DEVIATION_BINS)
     return BinnedDistribution(counts / counts.sum())
 

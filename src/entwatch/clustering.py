@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import MAX_ENTROPY_BITS
-from .errors import TooFewVectors
 
 FEATURE_NAMES = ("mean_entropy", "max_abs_delta", "max_accel", "kl_to_baseline")
 
@@ -153,7 +152,7 @@ def agglomerate(vectors) -> Dendrogram:
     vectors = list(vectors)
     n = len(vectors)
     if n < 2:
-        raise TooFewVectors(f"clustering needs at least 2 vectors, got {n}")
+        raise ValueError(f"clustering needs at least 2 vectors, got {n}")
 
     size = 2 * n - 1
     # Slots of merged-away clusters and of clusters not created yet hold inf,

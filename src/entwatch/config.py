@@ -16,20 +16,10 @@ CONFIG_KEYS = ("hierarchy", "detector")
 
 
 def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
-    """JSON keys are ``HierarchyConfig`` and ``LevelConfig`` fields; others are rejected."""
-    try:
-        levels = tuple(LevelConfig(**entry) for entry in obj["levels"])
-        return HierarchyConfig(**{**obj, "levels": levels})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid hierarchy config: {exc}") from exc
-
-
-def detector_from_dict(obj: dict) -> DetectorConfig:
-    """JSON keys are ``DetectorConfig`` fields; others are rejected."""
-    try:
-        return DetectorConfig(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid detector config: {exc}") from exc
+    """JSON keys are ``HierarchyConfig`` and ``LevelConfig`` fields; others are
+    rejected, as a TypeError, and a missing ``levels`` is a KeyError."""
+    levels = tuple(LevelConfig(**entry) for entry in obj["levels"])
+    return HierarchyConfig(**{**obj, "levels": levels})
 
 
 def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
@@ -46,5 +36,11 @@ def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
         raise ConfigError(f"config {path} has unknown keys {shown(unknown)}; "
                           f"it holds only {', '.join(CONFIG_KEYS)}")
 
-    hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()
-    return hierarchy, detector_from_dict(doc.get("detector", {}))
+    try:
+        hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config {path}: invalid hierarchy config: {exc}") from exc
+    try:
+        return hierarchy, DetectorConfig(**doc.get("detector", {}))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {path}: invalid detector config: {exc}") from exc

@@ -9,8 +9,8 @@ Conventions used throughout the package:
   ``full_row_entropies`` computes it for the trace reader's blocks.
 * An entropy series is a sequence of ``(timestamp, entropy)`` pairs, oldest
   first, with strictly increasing timestamps (seconds). Its second
-  difference over three pairs is defined only for near-uniform spacing
-  (each gap within 10% of their mean), and is None otherwise.
+  difference over three pairs is defined only for near-uniform spacing (each
+  gap within 10% of a mean of at least 4.2e-154 s), and is None otherwise.
 * Deviations (absolute entropy changes) have one binning, ``bin_index``:
   64 equal bins of 1/8 bit over [0, 8]. A ``BinnedDistribution`` is 64
   probability masses over those bins and carries no bounds of its own.
@@ -46,6 +46,10 @@ EXACT_SUM_COUNT = INT64_MAX >> 8
 
 # Maximum per-gap deviation from the mean gap for second differences.
 SPACING_TOLERANCE = 0.10
+
+# Least squared mean gap of a second difference: over it, a difference of
+# entropies in [0, 8] (at most 16 = 2**4) gives at most 2**1023, a finite float.
+MIN_SQUARED_GAP = 2.0 ** -1019
 
 
 class ByteHistogram:
@@ -145,10 +149,9 @@ def shannon_entropy(hist: ByteHistogram) -> float:
     terms = np.log2(p)
     terms *= p
     value = -float(np.add.reduce(terms))
-    # Clamp float summation noise; the true value is within [0, 8]. Compared
-    # rather than min(max(...)), with the same result: a single symbol's -0.0
-    # is kept.
-    if value < 0.0:
+    # Clamp float summation noise; the true value is within [0, 8]. A single
+    # symbol's sum is 0.0, and its negation -0.0 is returned as 0.0.
+    if value <= 0.0:
         return 0.0
     return value if value <= MAX_ENTROPY_BITS else MAX_ENTROPY_BITS
 
@@ -172,13 +175,15 @@ def second_difference(s0: tuple[float, float], s1: tuple[float, float],
     pairs, oldest first.
 
     None when either gap deviates from the mean gap by more than 10%; trace
-    timestamps are nominal, not hard-real-time.
+    timestamps are nominal, not hard-real-time. None too for a mean gap under
+    4.2e-154 s, whose square is below ``MIN_SQUARED_GAP`` or underflows to 0.
     """
     (t0, h0), (t1, h1), (t2, h2) = s0, s1, s2
     mean_dt = (t2 - t0) / 2.0
-    if abs((t1 - t0) - mean_dt) > SPACING_TOLERANCE * mean_dt:
+    squared = mean_dt * mean_dt
+    if abs((t1 - t0) - mean_dt) > SPACING_TOLERANCE * mean_dt or squared < MIN_SQUARED_GAP:
         return None
-    return (h2 - 2.0 * h1 + h0) / (mean_dt * mean_dt)
+    return (h2 - 2.0 * h1 + h0) / squared
 
 
 def bin_index(deviation: float) -> int:

@@ -1,26 +1,27 @@
 """Exception types shared across the package, how their messages show values,
 and the one file boundary: ``opened`` is the package's only call of ``open``,
 so an OSError on any file it opens, reads, writes or closes is an error
-naming the path, never a traceback."""
+naming the path, never a traceback.
+
+An ``EntwatchError`` is the failure of one input the command line names, and
+its message names the input: a trace or directory (``MalformedRecord``,
+``UnsupportedVersion``, ``IoFailure``), a profile (``CorruptProfile``,
+``UnsupportedVersion``, ``IoFailure``), a report.csv (``MalformedRecord``,
+``IoFailure``), a config (``ConfigError``) or a scenario spec
+(``InvalidSpec``); or it is a fit its inputs cannot support
+(``TooFewSamples``). A value outside a library function's domain is a
+ValueError, which a reader of a file wraps in the file's error type."""
 
 import contextlib
 import reprlib
 
 
 class EntwatchError(Exception):
-    """Base class for all errors raised by this package."""
+    """The failure of one command-line input or of a fit; see the module docstring."""
 
 
 class TooFewSamples(EntwatchError):
     """Not enough samples to fit a baseline distribution for a level."""
-
-
-class InvalidPrior(EntwatchError):
-    """Prior probability outside [0, 1]."""
-
-
-class EmptyWindow(EntwatchError):
-    """An empirical distribution was requested over zero samples."""
 
 
 class UnsupportedVersion(EntwatchError):
@@ -35,12 +36,9 @@ class IoFailure(EntwatchError):
     """Underlying I/O operation failed."""
 
 
-class TooFewVectors(EntwatchError):
-    """Clustering needs at least two feature vectors."""
-
-
 class MalformedRecord(EntwatchError):
-    """A trace file line could not be parsed into a valid event record."""
+    """A line of a trace file or a report.csv could not be parsed into a valid
+    record, or a record cannot be windowed."""
 
     def __init__(self, message: str, line_number: int | None = None):
         super().__init__(message)
@@ -49,10 +47,6 @@ class MalformedRecord(EntwatchError):
 
 class InvalidSpec(EntwatchError):
     """Scenario specification violates its constraints."""
-
-
-class EmptyInput(EntwatchError):
-    """Metrics requested over an empty verdict sequence."""
 
 
 class ConfigError(EntwatchError):

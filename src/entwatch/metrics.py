@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import EmptyInput, MalformedRecord, checked, opened, shown
+from .errors import MalformedRecord, checked, opened, shown
 from .traces import BENIGN, RANSOMWARE
 
 VERDICT_ERROR = "error"
@@ -60,7 +60,7 @@ def compute_metrics(rows, wall_time_ms: float = 0.0, peak_rss_estimate: int = 0)
     """
     rows = tuple(rows)
     if not rows:
-        raise EmptyInput("metrics need at least one per-trace row")
+        raise ValueError("metrics need at least one per-trace row")
 
     tp = tn = fp = fn = 0
     latencies = []
@@ -121,7 +121,7 @@ def _report_row(fields: list[str]) -> PerTraceRow:
 def read_report_csv(path) -> list[PerTraceRow]:
     """Rows of a report.csv laid out as write_report_csv writes it, header
     included. A trace has one row: a repeated trace is malformed, as the
-    metrics would count it twice."""
+    metrics would count it twice, and so is a report of no row."""
     with opened(path, "r", f"cannot read report {path}", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -133,6 +133,8 @@ def read_report_csv(path) -> list[PerTraceRow]:
                 if row.trace in rows:
                     raise ValueError(f"trace {shown(row.trace)} already has a row")
                 rows[row.trace] = row
+            if not rows:
+                raise ValueError("metrics need at least one per-trace row")
             return list(rows.values())
         except (csv.Error, ValueError) as exc:
             raise MalformedRecord(f"report {path} line {reader.line_num}: {exc}",

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import zlib
 
@@ -20,8 +21,6 @@ from entwatch.baseline import (
 from entwatch.entropy import DEVIATION_BINS, BinnedDistribution, bin_index
 from entwatch.errors import (
     CorruptProfile,
-    EmptyWindow,
-    InvalidPrior,
     IoFailure,
     TooFewSamples,
     UnsupportedVersion,
@@ -63,7 +62,7 @@ class TestEmpiricalDistribution:
             empirical_distribution([DEVIATION_BINS])
 
     def test_empty_window(self):
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(ValueError, match="empirical distribution needs at least one sample"):
             empirical_distribution([])
 
 
@@ -108,7 +107,7 @@ class TestFitBaseline:
                           "noisy": [1.0] * (MIN_FIT_SAMPLES - 1) + [bad]})
 
     def test_invalid_prior(self):
-        with pytest.raises(InvalidPrior):
+        with pytest.raises(ValueError, match=r"prior must be in \[0, 1\], got 1.5"):
             fit_baseline({"L": [1.0] * 64}, prior=1.5)
 
     def test_determinism(self):
@@ -324,9 +323,12 @@ class TestPersistence:
         lambda doc: doc["levels"][0].update(weight=1.0),
         lambda doc: doc["levels"][0].update(bins=[1.0 / 32] * 32),
         lambda doc: doc["levels"][0].update(hi=4.0),
+        lambda doc: doc.update(prior=2.0),
+        lambda doc: doc["levels"][0].update(sample_count=-5),
     ], ids=["inputs_string", "prior_bool", "created_at_string", "unknown_key",
             "sample_count_float", "lo_bool", "bins_strings", "level_id_not_string",
-            "level_id_twice", "levels_not_list", "level_unknown_key", "bins_32", "hi_4"])
+            "level_id_twice", "levels_not_list", "level_unknown_key", "bins_32", "hi_4",
+            "prior_2", "sample_count_negative"])
     def test_coerced_value_is_corrupt(self, tmp_path, change):
         from entwatch.baseline import _checksum
 
@@ -338,7 +340,7 @@ class TestPersistence:
         # re-checksum so only the changed value is wrong
         doc["crc32"] = _checksum(doc)
         path.write_text(json.dumps(doc))
-        with pytest.raises(CorruptProfile):
+        with pytest.raises(CorruptProfile, match=f"profile {re.escape(str(path))} has an invalid"):
             load_profile(path)
 
     @settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -349,11 +351,15 @@ class TestPersistence:
     def test_constructed_profile_reads_back_equal(self, tmp_path, args):
         try:
             profile = BaselineProfile(**args)
-        except (TypeError, ValueError, InvalidPrior):
+        except (TypeError, ValueError):
             return
         path = tmp_path / "p.json"
         save_profile(profile, path)
         assert load_profile(path) == profile
+
+    def test_negative_sample_count_is_rejected(self):
+        with pytest.raises(ValueError, match=r"must be non-negative, got \{'L': -5\}"):
+            BaselineProfile(0.5, 0.0, {"L": smoothed_distribution([1.0])}, {"L": -5})
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_prior_survives_exactly(self, prior):

@@ -4,11 +4,16 @@ import json
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entwatch
+from entwatch.baseline import _checksum
+from entwatch.cli import main
 from entwatch.config import load_run_config
 from entwatch.detector import DetectorConfig
 from entwatch.entropy import histogram_from_bytes
@@ -35,6 +40,28 @@ def write_far_trace(path, timestamp):
     record = {"timestamp": timestamp, "source_path": "/home/u/x", "op": "write", "bytes": 3,
               "histogram": [3] + [0] * 255}
     path.write_text(json.dumps(meta) + "\n" + json.dumps(record) + "\n")
+
+
+# A one-symbol, a sparse, a full and an uneven histogram, each summing to 8 or more.
+CYCLED_HISTOGRAMS = ([8] + [0] * 255, [1] * 8 + [0] * 248, [1] * 256, [2] + [1] * 200 + [0] * 55)
+
+
+def spaced_records(gap, rounds=8):
+    """Record lines for two sources, ``gap`` seconds apart in each, the second
+    a quarter gap after the first, their histograms cycling so that their
+    entropies and second differences change."""
+    records = []
+    for i in range(rounds):
+        for shift, source in enumerate(("/home/u/a", "/home/u/b")):
+            hist = CYCLED_HISTOGRAMS[i * (1 + 2 * shift) % 4]
+            records.append({"timestamp": i * gap + shift * gap / 4, "source_path": source,
+                            "op": "write", "bytes": sum(hist), "histogram": hist})
+    return records
+
+
+def write_records(path, records):
+    meta = {"format": 2, "scenario": "benign_edit", "seed": 0, "label": "benign"}
+    path.write_text("".join(json.dumps(line) + "\n" for line in [meta, *records]))
 
 
 @pytest.fixture(scope="module")
@@ -593,6 +620,105 @@ def test_prior_outside_unit_interval_is_usage_error(tmp_path, prior):
     assert "Traceback" not in res.stderr
     assert "--prior" in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gap", [1e-160, 1e-170])
+def test_extreme_spacing_is_a_clean_run(workspace, tmp_path, gap):
+    # Windows a tenth of the gap: every record closes one, and each source's
+    # second differences divide by a squared gap that passes the float range
+    # once inverted (1e-160) or underflows to 0 (1e-170).
+    trace, cfg = tmp_path / "t.jsonl", tmp_path / "cfg.json"
+    write_records(trace, spaced_records(gap))
+    cfg.write_text(json.dumps({"detector": {"window_seconds": gap / 10}}))
+    res = run_cli("detect", str(trace), "--config", str(cfg),
+                  "--baseline", str(workspace / "base.json"), "--out", str(tmp_path / "r"))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+
+
+def changed_profile(workspace, path, change):
+    """The workspace profile with ``change`` made to its document, re-checksummed."""
+    doc = json.loads((workspace / "base.json").read_text())
+    del doc["crc32"]
+    change(doc)
+    doc["crc32"] = _checksum(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("case", ["profile_prior", "profile_sample_count", "empty_report",
+                                  "config_value"])
+def test_rejected_value_names_its_file(workspace, tmp_path, case):
+    detect = ["detect", str(workspace / "ben0.jsonl"), "--out", str(tmp_path / "r")]
+    if case == "profile_prior":
+        path = changed_profile(workspace, tmp_path / "p.json", lambda doc: doc.update(prior=2.0))
+        args, code = [*detect, "--baseline", str(path)], 1
+        text = f"profile {path} has an invalid structure: prior must be in [0, 1], got 2.0"
+    elif case == "profile_sample_count":
+        path = changed_profile(workspace, tmp_path / "p.json",
+                               lambda doc: doc["levels"][0].update(sample_count=-5))
+        args, code = [*detect, "--baseline", str(path)], 1
+        text = (f"profile {path} has an invalid structure: "
+                "sample counts must be non-negative, got {'fs-user': -5}")
+    elif case == "empty_report":
+        path = tmp_path / "report.csv"
+        path.write_text("trace,label,verdict,confidence,latency_ms\n")
+        args, code = ["report", str(path)], 1
+        text = f"report {path} line 1: metrics need at least one per-trace row"
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"detector": {"window_seconds": -1.0}}))
+        args, code = [*detect, "--baseline", str(workspace / "base.json"), "--config", str(path)], 2
+        text = (f"config {path}: invalid detector config: "
+                "window_seconds must be finite and positive, got -1.0")
+    res = run_cli(*args)
+    assert res.returncode == code
+    assert res.stderr.splitlines() == [f"error: {text}"]
+    assert not (tmp_path / "r").exists()
+
+
+def powers_of_ten(low, high):
+    """Floats m * 10**e, m in [1, 10) and e in [low, high]: spread over every magnitude."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0, exclude_max=True),
+                     st.integers(low, high))
+
+
+HISTOGRAMS = st.one_of(
+    st.integers(0, 255).map(lambda b: [0] * b + [5] + [0] * (255 - b)),
+    st.lists(st.integers(1, 9), min_size=256, max_size=256),
+    st.dictionaries(st.integers(0, 255), st.integers(1, 9), min_size=2, max_size=8)
+    .map(lambda counts: [counts.get(b, 0) for b in range(256)]),
+)
+
+
+@st.composite
+def traces(draw):
+    """1 to 30 records over three sources, at a gap from 1e-170 s to 100 s, each
+    gap that or twice it."""
+    gap = draw(powers_of_ten(-170, 1).filter(lambda g: g <= 100.0))
+    records, t = [], 0.0
+    for _ in range(draw(st.integers(1, 30))):
+        hist = draw(HISTOGRAMS)
+        source = draw(st.sampled_from(["/home/u/a", "/home/u/b", "/home/u/c"]))
+        records.append({"timestamp": t, "source_path": source, "op": "write",
+                        "bytes": sum(hist), "histogram": hist})
+        t += gap * draw(st.sampled_from([1.0, 1.0, 2.0]))
+    return records
+
+
+@settings(max_examples=50, deadline=None)
+@given(records=traces(), window_seconds=powers_of_ten(-171, 2).filter(lambda w: w <= 1e3))
+@example(records=spaced_records(1e-160), window_seconds=1e-161)
+@example(records=spaced_records(1e-170), window_seconds=1e-171)
+def test_detect_ends_in_an_exit_status(workspace, records, window_seconds):
+    # Whatever the spacing and window, detect returns a status and raises nothing.
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, cfg = Path(tmp) / "t.jsonl", Path(tmp) / "cfg.json"
+        write_records(trace, records)
+        cfg.write_text(json.dumps({"detector": {"window_seconds": window_seconds}}))
+        status = main(["detect", str(trace), "--config", str(cfg), "--frozen-clock",
+                       "--baseline", str(workspace / "base.json"), "--out", str(Path(tmp) / "r")])
+    assert status in (0, 1, 2)
 
 
 GOOD_REPORT = "trace,label,verdict,confidence,latency_ms\na.jsonl,ransomware,ransomware,0.9,12.5\n"

@@ -12,7 +12,6 @@ from entwatch.clustering import (
     _fill_distances,
     outliers,
 )
-from entwatch.errors import TooFewVectors
 
 
 def fv(sid, *features):
@@ -248,7 +247,7 @@ class TestAgglomerate:
             agglomerate(vectors)
 
     def test_too_few_vectors(self):
-        with pytest.raises(TooFewVectors):
+        with pytest.raises(ValueError, match="clustering needs at least 2 vectors, got 1"):
             agglomerate([fv("a", 1.0)])
 
     def test_monotone_heights(self):

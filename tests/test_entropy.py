@@ -9,6 +9,7 @@ from entwatch.entropy import (
     DEVIATION_BINS,
     EPSILON_MASS,
     INT64_MAX,
+    MIN_SQUARED_GAP,
     BinnedDistribution,
     ByteHistogram,
     bin_index,
@@ -108,7 +109,8 @@ class TestShannonEntropy:
     def test_single_symbol_is_zero(self):
         counts = np.zeros(256, dtype=np.int64)
         counts[42] = 1000
-        assert shannon_entropy(ByteHistogram(counts.tolist())) == 0.0
+        # 0.0, not the -0.0 that negating the sum 1.0 * log2(1.0) gives.
+        assert shannon_entropy(ByteHistogram(counts.tolist())).hex() == "0x0.0p+0"
 
     def test_fair_coin_is_one_bit(self):
         counts = np.zeros(256, dtype=np.int64)
@@ -148,13 +150,14 @@ class TestShannonEntropy:
 
 
 def reference_shannon_entropy(hist):
-    """The entropy by mask, divide, log2, multiply, sum and clamp, with no cache."""
+    """The entropy by mask, divide, log2, multiply, sum and clamp, with no cache;
+    a single symbol's -0.0 is clamped to 0.0."""
     if hist.total == 0:
         return 0.0
     counts = hist.counts[hist.counts > 0]
     p = counts / hist.total
     value = float(-(p * np.log2(p)).sum())
-    return min(max(value, 0.0), 8.0)
+    return 0.0 if value <= 0.0 else min(value, 8.0)
 
 
 def random_counts(seed, rows=1):
@@ -202,7 +205,7 @@ class TestEntropyCache:
     def test_merged_rows_are_the_reference_bit_for_bit(self, zeros, seed):
         # A window's merged block rows with ``zeros`` empty buckets in both:
         # full rows, exactly one zero (255 non-zero counts, the boundary of the
-        # zero-bucket branch), and many, up to a single symbol (entropy -0.0).
+        # zero-bucket branch), and many, up to a single symbol (entropy 0.0).
         rng = np.random.default_rng(seed)
         counts = rng.integers(1, rng.choice([2, 255, 2 ** 40]), size=(2, 256), endpoint=True)
         counts[:, rng.permutation(256)[:zeros]] = 0
@@ -246,6 +249,19 @@ class TestSecondDifference:
             return abs(second_difference(*pairs) - (-math.sin(t0)))
 
         assert error(0.2) / error(0.1) > 3.5
+
+    @pytest.mark.parametrize("gap", [1e-170, 1e-160, 4.2e-154])
+    def test_gap_too_small_for_the_quotient_is_none(self, gap):
+        # The squared gap underflows to 0 (1e-170), or 16 over it passes the
+        # float range (1e-160), or lies just under MIN_SQUARED_GAP.
+        assert gap * gap < MIN_SQUARED_GAP
+        assert second_difference((0.0, 0.0), (gap, 8.0), (2 * gap, 0.0)) is None
+
+    def test_smallest_gap_gives_a_finite_quotient(self):
+        gap = math.sqrt(MIN_SQUARED_GAP) * (1 + 1e-15)
+        assert gap * gap >= MIN_SQUARED_GAP
+        accel = second_difference((0.0, 0.0), (gap, 8.0), (2 * gap, 0.0))
+        assert accel == -16.0 / (gap * gap) and math.isfinite(accel)
 
 
 class TestKlDivergence:

@@ -9,8 +9,8 @@ a read fails after some of its chunks, a file named as read in part), one
 exit 2 for ``--config``. The open and read faults are injected at
 ``entwatch.errors.open``, the package's one call of ``open``; the devices
 ``/proc/self/mem`` (a read gives EIO) and ``/dev/full`` (a write gives
-ENOSPC) give the same faults for real where they exist. Last, a check over
-the source keeps that boundary the only one.
+ENOSPC) give the same faults for real where they exist. Last, checks over
+the source keep that boundary the only one, and every error type raised.
 """
 
 import ast
@@ -318,3 +318,24 @@ def test_open_is_called_only_in_errors_opened():
 
 def test_oserror_is_caught_only_at_the_allowed_sites():
     assert found_sites(catches_oserror) == OSERROR_SITES
+
+
+def raised_names() -> set[str]:
+    """The names the package's source raises: ``raise X`` and ``raise X(...)``."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+    return names
+
+
+def test_every_error_type_is_raised():
+    # An EntwatchError is a failure of one CLI input or of a fit (see the
+    # errors module); a type that nothing raises names no such failure.
+    types = {name for name, value in vars(entwatch.errors).items()
+             if isinstance(value, type) and issubclass(value, entwatch.errors.EntwatchError)
+             and value is not entwatch.errors.EntwatchError}
+    assert sorted(types - raised_names()) == []

@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from entwatch.errors import EmptyInput, IoFailure, MalformedRecord
+from entwatch.errors import IoFailure, MalformedRecord
 from entwatch.metrics import (
     MetricsReport,
     PerTraceRow,
@@ -56,7 +57,7 @@ class TestComputeMetrics:
         assert (a.accuracy, a.fpr, a.fnr, a.mean_latency_ms) == (b.accuracy, b.fpr, b.fnr, b.mean_latency_ms)
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ValueError, match="metrics need at least one per-trace row"):
             compute_metrics([])
 
     def test_unknown_labels_and_errors_excluded(self):
@@ -192,6 +193,15 @@ def test_report_header_must_match(tmp_path):
     path = tmp_path / "report.csv"
     path.write_text("trace,label,verdict,confidence\nb,benign,benign,0.5\n")
     with pytest.raises(MalformedRecord, match="line 1"):
+        read_report_csv(path)
+
+
+def test_report_of_no_row_names_the_file(tmp_path):
+    # No metrics can be computed from it; the error is the file's, not compute_metrics'.
+    path = tmp_path / "report.csv"
+    write_report_csv(path, [])
+    with pytest.raises(MalformedRecord, match=f"report {re.escape(str(path))} line 1: "
+                                              "metrics need at least one per-trace row"):
         read_report_csv(path)
 
 
