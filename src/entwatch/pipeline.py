@@ -10,9 +10,9 @@ so a window of one record costs no copy and reads its entropy instead of
 computing it. Each later record replaces it with ``ByteHistogram.merged``,
 a new histogram whose entropy is computed at the close; no histogram is
 changed once built. Sources with two or more samples yield an absolute
-entropy deviation |dH|. Window ends strictly increase, as a window closes
-only when a later one opens, and entropies are in [0, 8], so samples are
-kept as computed. ``collect_trace_deviations`` drives it alone to
+entropy deviation |dH|. Window ends strictly increase, each at or after its
+window's records (see ``SourceWindows``), and entropies are in [0, 8], so
+samples are kept as computed. ``collect_trace_deviations`` drives it alone to
 gather deviations for profile fitting; ``TraceProcessor`` composes it and, at
 each close:
 
@@ -238,12 +238,17 @@ class SourceTrack(SourceWindow):
 class SourceWindows:
     """Per-source entropy over fixed windows, fed one record at a time.
 
-    A record belongs to window ``int(timestamp // window_seconds)``. A record
-    from a later window first closes the open one; the windows skipped in
-    between hold no records, so a gap of any length costs one close. A record
-    from a closed window, or whose window index is past the float range,
-    raises MalformedRecord. Each source is routed to a level at its first
-    record (``hierarchy.route_source``, level hint first), built by
+    A record belongs to window ``timestamp // window_seconds``, computed in
+    ``push`` alone, which ends at ``(index + 1) * window_seconds``. A record
+    from a later window first closes the open one (window 0 before the first
+    record, so that close is empty); the windows skipped in between hold no
+    records, so a gap of any length costs one close. A record from a closed
+    window raises MalformedRecord, and so does one whose index is 2**51 or
+    more, or whose window end is past the float range. Below 2**51 the index
+    is exact, so each end is at or after its window's records and at least
+    half a window after the end before; with Unix-epoch timestamps, windows
+    must be about 0.8 us or more. Each source is routed to a level at its
+    first record (``hierarchy.route_source``, level hint first), built by
     ``new_source`` and kept in first-record order. A close visits only the
     sources that had payload in the window, so its cost does not grow with
     the sources seen so far: it hands the caller the window's own list of
@@ -257,25 +262,23 @@ class SourceWindows:
         self.window_seconds = window_seconds
         self.new_source = new_source
         self.sources: dict[str, SourceWindow] = {}
-        self.index: int | None = None  # open window; None until the first record
+        self.index = 0.0  # the open window's index; window 0 until a record opens another
         self._pending: list[SourceWindow] = []  # sources with payload in the open window
 
     def push(self, rec: EventRecord) -> tuple[float, list] | None:
         """Add one record; returns ``close()``'s result when the record closed a window."""
-        try:
-            idx = int(rec.timestamp // self.window_seconds)
-        except OverflowError:  # the quotient is past the float range
-            raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s: its window "
-                                  f"index is past the float range") from None
+        q = rec.timestamp // self.window_seconds
         closed = None
-        if self.index is None:
-            self.index = idx
-        elif idx > self.index:
+        if q != self.index:
+            if q < self.index:
+                raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s is in window "
+                                      f"{q:.0f}, before the open window {self.index:.0f}")
+            if not q < 2 ** 51 or (q + 1) * self.window_seconds == math.inf:
+                raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s: its window, "
+                                      f"{q:g}, is past the float range: a window index must be "
+                                      f"below 2**51 and its end finite")
             closed = self.close()
-            self.index = idx
-        elif idx < self.index:
-            raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s is in window "
-                                  f"{idx}, before the open window {self.index}")
+            self.index = q
         src = self.sources.get(rec.source_path)
         if src is None:
             src = self._add_source(rec)
@@ -303,7 +306,7 @@ class SourceWindows:
             value = shannon_entropy(src.pending)
             src.pending = None
             samples = src.samples
-            src.deviation = min(abs(value - samples[-1][1]), 8.0) if samples else None
+            src.deviation = abs(value - samples[-1][1]) if samples else None
             samples.append((t_end, value))
         return t_end, fresh
 
@@ -473,8 +476,7 @@ class TraceProcessor:
     def finish(self) -> TraceResult:
         if self._finished:
             raise RuntimeError("processor already finished")
-        if self._windows.index is not None:
-            self._close_window(*self._windows.close())
+        self._close_window(*self._windows.close())
         self._refresh_outliers()
         self._finished = True
 
@@ -527,8 +529,7 @@ def collect_trace_deviations(records, hierarchy: HierarchyConfig | None = None,
         closed = windows.push(rec)
         if closed is not None:
             collect(*closed)
-    if windows.index is not None:
-        collect(*windows.close())
+    collect(*windows.close())
     return out
 
 

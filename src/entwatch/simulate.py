@@ -182,16 +182,13 @@ def _synthesize(lams: np.ndarray, totals: np.ndarray, heavies: np.ndarray) -> It
 def synthesize_histogram(target_entropy: float, total: int, heavy_byte: int) -> ByteHistogram:
     """Integer histogram of ``total`` bytes whose entropy is ~``target_entropy``,
     its point mass on byte value ``heavy_byte`` (an int in 0..255)."""
-    try:
-        target_entropy = checked(target_entropy, "target entropy", float)
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from exc
+    target_entropy = checked(target_entropy, "target entropy", float)
     if not 0.0 <= target_entropy <= 8.0:
-        raise InvalidSpec(f"target entropy out of [0, 8]: {target_entropy}")
+        raise ValueError(f"target entropy out of [0, 8]: {target_entropy}")
     if type(total) is not int or not 0 < total <= INT64_MAX:
-        raise InvalidSpec(f"payload size must be an int in 1..2**63 - 1, got {total!r}")
+        raise ValueError(f"payload size must be an int in 1..2**63 - 1, got {total!r}")
     if type(heavy_byte) is not int or not 0 <= heavy_byte <= 255:
-        raise InvalidSpec(f"heavy byte must be an int in 0..255, got {heavy_byte!r}")
+        raise ValueError(f"heavy byte must be an int in 0..255, got {heavy_byte!r}")
     counts, = _synthesize(solve_mixture_weights([target_entropy]), np.asarray([total], dtype=np.int64),
                           np.asarray([heavy_byte]))
     return ByteHistogram.unchecked(counts, total)

@@ -139,6 +139,18 @@ class TestProfile:
         assert "past the float range" in res.stderr
         assert not out.exists()
 
+    def test_window_index_of_2_51_or_more_is_one_error_line(self, tmp_path):
+        # 1.0 / 1e-171 is finite, but past 2**51 its window would end before the record.
+        trace = tmp_path / "far.jsonl"
+        write_far_trace(trace, 1.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detector": {"window_seconds": 1e-171}}))
+        out = tmp_path / "p.json"
+        res = run_cli("profile", str(trace), "--config", str(cfg_path), "--out", str(out))
+        assert_one_error_line(res)
+        assert "/home/u/x at 1.0s" in res.stderr and "2**51" in res.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("fault, words", [
         ("record", "line 2: invalid event record"),
         ("version", "trace format 99 is not supported"),
@@ -507,6 +519,20 @@ class TestDetect:
         rows = (out / "report.csv").read_text().splitlines()[1:]
         verdicts = {row.split(",")[0].rsplit("/", 1)[-1]: row.split(",")[2] for row in rows}
         assert verdicts == {"far.jsonl": "error", "ben1.jsonl": "benign"}
+
+    def test_window_index_of_2_51_or_more_gives_error_row(self, workspace, tmp_path):
+        bad = tmp_path / "far.jsonl"
+        write_far_trace(bad, 1.0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"detector": {"window_seconds": 1e-171}}))
+        out = tmp_path / "run"
+        res = run_cli("detect", str(bad), "--config", str(cfg_path),
+                      "--baseline", str(workspace / "base.json"), "--out", str(out))
+        assert res.returncode == 1
+        assert "Traceback" not in res.stderr
+        assert "/home/u/x at 1.0s" in res.stderr
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["error"]
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])

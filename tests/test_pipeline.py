@@ -1,4 +1,5 @@
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -8,7 +9,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entwatch import pipeline
@@ -505,6 +506,69 @@ class TestWindowing:
         _, later = windows.close()
         assert later is not fresh
         assert [src.source_id for src in later] == ["/home/u/b", "/home/u/a", "/home/u/c"]
+
+
+def magnitudes(low=-1074, high=1023):
+    """Positive floats m * 2**e, m in [1, 2) of any 53-bit mantissa, e in
+    [low, high]: subnormals at the lowest exponents."""
+    return st.builds(lambda m, e: math.ldexp(m, e - 52), st.integers(2 ** 52, 2 ** 53 - 1),
+                     st.integers(low, high))
+
+
+def window_start(index, window, below):
+    """The start of window ``index`` (the largest float when that is past the
+    range), or the float just below it."""
+    t = min(index * window, sys.float_info.max)
+    return math.nextafter(t, 0.0) if below else t
+
+
+@st.composite
+def windowed_times(draw):
+    """A window length of any magnitude and 1 to 12 sorted timestamps: 0, any
+    magnitude, or at or just below the starts of four consecutive windows,
+    whose first index is from 1 to 2**57 and most often near 2**51."""
+    window = draw(magnitudes())
+    index = draw(st.one_of(magnitudes(0, 56), magnitudes(49, 53)))
+    starts = st.builds(lambda k, below: window_start(index + k, window, below),
+                       st.integers(0, 3), st.booleans())
+    times = draw(st.lists(st.one_of(st.just(0.0), magnitudes(), starts), min_size=1, max_size=12))
+    return window, sorted(times)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=windowed_times())
+@example(case=(1e-171, [1.0]))
+# Unix-epoch times under 0.3 us windows: a window index of about 2**51.9
+# whose end, 1295139999.9999998, is before its record, and two consecutive
+# indices of about 2**52.8 whose ends are equal.
+@example(case=(3e-7, [1295140000.0]))
+@example(case=(3e-7, [2414560000.0, 2414560000.0000005]))
+@example(case=(1e308, [1.5e308]))  # window 1, which would end at 2e308
+def test_window_ends_follow_their_records(case):
+    # Each close's end is finite, at or after every record of its window and
+    # after the end before it; or push rejects the record that would break it.
+    window, times = case
+    windows = pipeline.SourceWindows(default_hierarchy(), window)
+    hist = histogram_from_bytes(b"ab")
+    ends, window_times = [], []
+
+    def check(t_end):
+        assert math.isfinite(t_end)
+        assert all(t <= t_end for t in window_times), (t_end, window_times)
+        assert not ends or t_end > ends[-1], (t_end, ends[-1])
+        ends.append(t_end)
+
+    try:
+        for t in times:
+            closed = windows.push(EventRecord(t, "/home/u/a", "write", hist, 2))
+            if closed is not None:
+                check(closed[0])
+                window_times.clear()
+            window_times.append(t)
+    except MalformedRecord as exc:
+        assert "past the float range" in str(exc)
+        return
+    check(windows.close()[0])
 
 
 def scored_keys(monkeypatch, proc, records):

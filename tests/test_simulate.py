@@ -44,23 +44,23 @@ class TestSynthesis:
         assert (np.diff(lams) >= 0).all()
 
     def test_invalid_target(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(ValueError, match="target entropy"):
             synthesize_histogram(9.0, 100, 0)
 
     @pytest.mark.parametrize("heavy_byte", [-1, 256, 300, True, 1.5, "65", None])
     def test_heavy_byte_outside_the_byte_values_is_invalid(self, heavy_byte):
-        with pytest.raises(InvalidSpec, match="heavy byte"):
+        with pytest.raises(ValueError, match="heavy byte"):
             synthesize_histogram(4.0, 100, heavy_byte)
 
     @pytest.mark.parametrize("total", [0, -1, 100.5, 100.0, True, 2 ** 63, "100", None])
     def test_total_outside_the_int64_sizes_is_invalid(self, total):
-        with pytest.raises(InvalidSpec, match="payload size"):
+        with pytest.raises(ValueError, match="payload size"):
             synthesize_histogram(4.0, total, 0)
 
     @pytest.mark.parametrize("target", ["4", None, True, [4.0]])
     def test_target_that_is_not_a_number_is_invalid(self, target):
         # A bool is not a number: True is not a target of 1 bit.
-        with pytest.raises(InvalidSpec, match="target entropy"):
+        with pytest.raises(ValueError, match="target entropy"):
             synthesize_histogram(target, 100, 0)
 
     def test_int_target_is_a_number(self):
