@@ -15,13 +15,6 @@ from .hierarchy import HierarchyConfig, LevelConfig, default_hierarchy
 CONFIG_KEYS = ("hierarchy", "detector")
 
 
-def hierarchy_from_dict(obj: dict) -> HierarchyConfig:
-    """JSON keys are ``HierarchyConfig`` and ``LevelConfig`` fields; others are
-    rejected, as a TypeError, and a missing ``levels`` is a KeyError."""
-    levels = tuple(LevelConfig(**entry) for entry in obj["levels"])
-    return HierarchyConfig(**{**obj, "levels": levels})
-
-
 def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
     """The hierarchy and detector a config file sets; a key it leaves out keeps its default."""
     try:
@@ -36,8 +29,15 @@ def load_run_config(path) -> tuple[HierarchyConfig, DetectorConfig]:
         raise ConfigError(f"config {path} has unknown keys {shown(unknown)}; "
                           f"it holds only {', '.join(CONFIG_KEYS)}")
 
+    # Hierarchy keys are ``HierarchyConfig`` and ``LevelConfig`` fields; others
+    # are rejected, as a TypeError, and a missing ``levels`` is a KeyError.
     try:
-        hierarchy = hierarchy_from_dict(doc["hierarchy"]) if "hierarchy" in doc else default_hierarchy()
+        if "hierarchy" in doc:
+            obj = doc["hierarchy"]
+            levels = tuple(LevelConfig(**entry) for entry in obj["levels"])
+            hierarchy = HierarchyConfig(**{**obj, "levels": levels})
+        else:
+            hierarchy = default_hierarchy()
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: invalid hierarchy config: {exc}") from exc
     try:

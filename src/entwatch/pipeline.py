@@ -10,11 +10,11 @@ so a window of one record costs no copy and reads its entropy instead of
 computing it. Each later record replaces it with ``ByteHistogram.merged``,
 a new histogram whose entropy is computed at the close; no histogram is
 changed once built. Sources with two or more samples yield an absolute
-entropy deviation |dH|. Window ends strictly increase, each at or after its
-window's records (see ``SourceWindows``), and entropies are in [0, 8], so
-samples are kept as computed. ``collect_trace_deviations`` drives it alone to
-gather deviations for profile fitting; ``TraceProcessor`` composes it and, at
-each close:
+entropy deviation |dH|, read off their last two samples. Window ends
+strictly increase, each at or after its window's records (see
+``SourceWindows``), and entropies are in [0, 8], so samples are kept as
+computed. ``collect_trace_deviations`` drives it alone to gather deviations
+for profile fitting; ``TraceProcessor`` composes it and, at each close:
 
 1. walks the sampled sources once. Each new sample goes into the source's
    entropy sum and sample count, each new deviation into its max |dH| and,
@@ -28,16 +28,16 @@ each close:
    (``detector.is_attack``) is monotone in the outlier score, the KL and
    convexity, so a source it does not flag at outlier 1.0, infinite KL
    and convexity cannot be flagged at this close: only a source that
-   passes this gate has its KL (recent deviations against its level
-   baseline) read here. Any other source's KL, flagged or not, is brought
-   up to date only when clustering reads it (step 3). Each profile
+   passes this gate has its KL read here, once, and the close reuses that
+   value. No KL is stored: ``SourceTrack.kl`` computes it from the recent
+   deviations against the level baseline whenever it is read. Each profile
    level's 64 ratios are built once per profile and attack model, and kept
    on the profile for every processor that scores against it
-   (``_scored_levels``), beside the level's KL memo. KL reads only the
-   multiset of the recent bins, so it is read from that memo, keyed by the
-   multiset, and on a miss computed as the ``kl_divergence`` of the bins'
-   ``empirical_distribution`` (``_memoised_kl``). A KL depends on nothing
-   else, so reading it later gives the same value;
+   (``_scored_levels``), beside the level's KL memo; a source looks up its
+   level's entry once, when it is created. KL reads only the multiset of
+   the recent bins, so it is read from that memo, keyed by the multiset,
+   and on a miss computed as the ``kl_divergence`` of the bins'
+   ``empirical_distribution`` (``_memoised_kl``);
 2. gives each sampled source's latest entropy to the processor's
    ``hierarchy.LevelMeans``, which appends each level's mean of its sampled
    members' latest entropies to the heatmap's samples and returns their
@@ -56,14 +56,14 @@ each close:
    outlier score is in [0, 1], so no other source can be flagged at this
    close, and a close with no candidate ends here. It clusters the sampled
    sources on ``SourceTrack.features`` (mean entropy, max |dH|, max
-   acceleration, KL), after refreshing each one's KL from its recent
-   deviations, and outlier-scores them only when some candidate is not
-   flagged at outlier 0.0: that is the only case in which an outlier score
-   can decide a label. A source the rule flags at 0.0 is flagged whatever
-   its score and gives no reason to cluster;
+   acceleration, KL, the last computed from the recent deviations as the
+   features are read), and outlier-scores them only when some candidate is
+   not flagged at outlier 0.0: that is the only case in which an outlier
+   score can decide a label. A source the rule flags at 0.0 is flagged
+   whatever its score and gives no reason to cluster;
 4. decides each candidate by the same rule at its actual outlier score,
-   reading the evidence off its ``SourceTrack``; a ``Verdict`` is built only
-   for a source the rule flags.
+   reading the evidence off its ``SourceTrack`` and the KL read in step 1;
+   a ``Verdict`` is built only for a source the rule flags.
 
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
@@ -78,7 +78,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from operator import attrgetter
 
 from .baseline import BaselineProfile, empirical_distribution, smoothed_distribution
@@ -199,11 +199,14 @@ class SourceWindow:
     # The open window's histogram: its first record's own, then its merge
     # with each later record of the window.
     pending: ByteHistogram | None = None
-    # |dH| between the source's last two samples, set at each close that
-    # samples it; None at its first sample.
-    deviation: float | None = None
     # The source's place in first-record order.
     order: int = 0
+
+    @property
+    def deviation(self) -> float | None:
+        """|dH| between the source's last two samples; None before its second."""
+        samples = self.samples
+        return abs(samples[-1][1] - samples[-2][1]) if len(samples) > 1 else None
 
 
 @dataclass
@@ -219,15 +222,23 @@ class SourceTrack(SourceWindow):
     level_slot: int | None = None
     # Frozen once the source is flagged: nothing reads it after that.
     posterior: float = 0.0
-    # Read from ``deviations`` at a close only when the attack rule could
-    # flag the source there, and otherwise only when clustering reads
-    # ``features``; 0.0 until the source has a deviation.
-    kl: float = 0.0
     outlier: float = 0.0
     max_abs_delta: float = 0.0
     max_accel: float = 0.0
     # The verdict of the close that flagged the source; None while unflagged.
     verdict: Verdict | None = None
+    # The level's (baseline, bin ratios, KL memo) from ``_scored_levels``;
+    # None when the profile has no baseline for the level.
+    scored: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def kl(self) -> float:
+        """KL of the recent deviations against the level baseline
+        (``_memoised_kl``); 0.0 without a deviation or a baseline."""
+        if self.scored is None or not self.deviations:
+            return 0.0
+        q, _, memo = self.scored
+        return _memoised_kl(memo, q, self.deviations)
 
     @property
     def features(self) -> tuple[float, float, float, float]:
@@ -262,23 +273,23 @@ class SourceWindows:
         self.window_seconds = window_seconds
         self.new_source = new_source
         self.sources: dict[str, SourceWindow] = {}
-        self.index = 0.0  # the open window's index; window 0 until a record opens another
+        self._index = 0.0  # the open window's index; window 0 until a record opens another
         self._pending: list[SourceWindow] = []  # sources with payload in the open window
 
     def push(self, rec: EventRecord) -> tuple[float, list] | None:
         """Add one record; returns ``close()``'s result when the record closed a window."""
         q = rec.timestamp // self.window_seconds
         closed = None
-        if q != self.index:
-            if q < self.index:
+        if q != self._index:
+            if q < self._index:
                 raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s is in window "
-                                      f"{q:.0f}, before the open window {self.index:.0f}")
+                                      f"{q:.0f}, before the open window {self._index:.0f}")
             if not q < 2 ** 51 or (q + 1) * self.window_seconds == math.inf:
                 raise MalformedRecord(f"source {rec.source_path} at {rec.timestamp}s: its window, "
                                       f"{q:g}, is past the float range: a window index must be "
                                       f"below 2**51 and its end finite")
             closed = self.close()
-            self.index = q
+            self._index = q
         src = self.sources.get(rec.source_path)
         if src is None:
             src = self._add_source(rec)
@@ -297,7 +308,7 @@ class SourceWindows:
 
     def close(self) -> tuple[float, list]:
         """Sample the open window: its end time and the sources sampled, in source order."""
-        t_end = (self.index + 1) * self.window_seconds
+        t_end = (self._index + 1) * self.window_seconds
         fresh = self._pending
         self._pending = []
         if len(fresh) > 1:
@@ -305,9 +316,7 @@ class SourceWindows:
         for src in fresh:
             value = shannon_entropy(src.pending)
             src.pending = None
-            samples = src.samples
-            src.deviation = abs(value - samples[-1][1]) if samples else None
-            samples.append((t_end, value))
+            src.samples.append((t_end, value))
         return t_end, fresh
 
     def _add_source(self, rec: EventRecord) -> SourceWindow:
@@ -355,9 +364,15 @@ class TraceProcessor:
         self.label = label
         self.onset_at = onset_at
 
-        self._scored_levels = _scored_levels(profile, self.attack_model)
-        self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds,
-                                      partial(SourceTrack, posterior=profile.prior))
+        self._scored_levels = scored = _scored_levels(profile, self.attack_model)
+
+        # Holds no reference to ``self``, so a processor is freed when its
+        # last reference goes, not at the next cycle collection.
+        def new_source(source_id: str, level_id: str, order: int) -> SourceTrack:
+            return SourceTrack(source_id, level_id, order=order, posterior=profile.prior,
+                               scored=scored.get(level_id))
+
+        self._windows = SourceWindows(self.hierarchy, self.detector.window_seconds, new_source)
         self.sources: dict[str, SourceTrack] = self._windows.sources
         self._level_means = LevelMeans(self.hierarchy)
         # The last three (window end, aggregate entropy) pairs, and how many
@@ -395,7 +410,7 @@ class TraceProcessor:
         if not fresh:
             return
         cfg = self.detector
-        gated: list[SourceTrack] = []
+        gated: list[tuple[SourceTrack, float]] = []  # with the KL read at the gate
         update = self._level_means.update
         for track in fresh:
             samples = track.samples
@@ -415,19 +430,14 @@ class TraceProcessor:
                     track.max_accel = max(track.max_accel, accel)
             if track.verdict is not None:
                 continue  # latched: nothing reads its posterior again
-            level = self._scored_levels.get(track.level_id)
-            if level is not None:
-                q, ratios, memo = level
-                updated = posterior(track.posterior, ratios[dev_bin])
+            if track.scored is not None:
+                updated = posterior(track.posterior, track.scored[1][dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
             # The attack rule is monotone in the outlier score, the KL and
             # convexity: a source it does not flag at their most favourable
-            # values is not flagged this close, and its KL waits for clustering.
-            if not is_attack(track.posterior, 1.0, math.inf, True, cfg):
-                continue
-            if level is not None:
-                track.kl = _memoised_kl(memo, q, track.deviations)
-            gated.append(track)
+            # values is not flagged this close, and its KL is not read here.
+            if is_attack(track.posterior, 1.0, math.inf, True, cfg):
+                gated.append((track, track.kl))
         total = self._level_means.means(t_end - self._windows.window_seconds, self.level_samples)
         if total is not None:  # else no level has data, or their weights sum to 0
             aggregate = self._aggregate
@@ -441,20 +451,20 @@ class TraceProcessor:
         # outlier 1.0 is not flagged this close. Unless some candidate is
         # flagged at 1.0 and not at 0.0, outlier scores cannot decide a label,
         # and clustering is skipped.
-        candidates = [t for t in gated if is_attack(t.posterior, 1.0, t.kl, convex, cfg)]
+        candidates = [(t, kl) for t, kl in gated if is_attack(t.posterior, 1.0, kl, convex, cfg)]
         if not candidates:
             return
-        if any(not is_attack(t.posterior, 0.0, t.kl, convex, cfg) for t in candidates):
+        if any(not is_attack(t.posterior, 0.0, kl, convex, cfg) for t, kl in candidates):
             self._refresh_outliers()
-        for track in candidates:
-            if not is_attack(track.posterior, track.outlier, track.kl, convex, cfg):
+        for track, kl in candidates:
+            if not is_attack(track.posterior, track.outlier, kl, convex, cfg):
                 continue
             track.verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier,
-                                            track.kl, convex, cfg)
+                                            kl, convex, cfg)
             onset = self.onset_at
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
-            self.alerts.append(Alert(track.source_id, t_end, track.kl, track.posterior, onset))
+            self.alerts.append(Alert(track.source_id, t_end, kl, track.posterior, onset))
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
 
@@ -463,11 +473,6 @@ class TraceProcessor:
         tracks = [t for t in self.sources.values() if t.sample_count]
         if len(tracks) < 2:
             return
-        for track in tracks:  # a source's KL is brought up to date here
-            level = self._scored_levels.get(track.level_id)
-            if level is not None and track.deviations:
-                q, _, memo = level
-                track.kl = _memoised_kl(memo, q, track.deviations)
         for track, score in zip(tracks, outliers(agglomerate(tracks)).scores):
             track.outlier = score
 
@@ -520,10 +525,10 @@ def collect_trace_deviations(records, hierarchy: HierarchyConfig | None = None,
 
     def collect(t_end: float, fresh: list[SourceWindow]) -> None:
         for src in fresh:
-            if src.deviation is not None:
+            if (dev := src.deviation) is not None:
                 devs = out.setdefault(src.level_id, [])
                 if cutoff is None or t_end > cutoff:
-                    devs.append(src.deviation)
+                    devs.append(dev)
 
     for rec in records:
         closed = windows.push(rec)

@@ -1,10 +1,11 @@
+import ast
 import gc
 import math
 import sys
 import threading
 import weakref
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import permutations
 
 import numpy as np
@@ -39,6 +40,8 @@ from entwatch.traces import (
     read_trace,
     write_trace,
 )
+
+from test_io_faults import found_sites
 
 
 def level_entropy(members):
@@ -336,9 +339,9 @@ class TestOutlierGate:
 
 
 class TestLatchedSources:
-    """A flagged source's posterior is frozen. Any source's KL is brought up
-    to date when clustering reads it, and at a close only when the attack
-    rule could flag the source there."""
+    """A flagged source's posterior is frozen. A source's KL is computed from
+    its recent deviations whenever it is read: by clustering, and at a close
+    only when the attack rule could flag the source there."""
 
     @pytest.fixture(scope="class", params=["default", "wide", "mixed_evidence"])
     def case(self, request):
@@ -420,13 +423,52 @@ class TestLatchedSources:
                        onset_at=onset_at).process(records).finish()
         if name == "benign":
             # Nothing is flagged and no close reads a KL, so every KL checked
-            # was brought up to date for the clustering in ``finish``.
+            # was computed for the clustering in ``finish``.
             assert flagged_counts == [0]
         else:
             # Flagged sources are among the clustered, so their KL was checked:
             # in ``finish``, and in the mixed-evidence case at window closes too.
             assert flagged_counts[-1] > 0
             assert any(flagged_counts[:-1]) == (name == "mixed_evidence")
+
+    def test_alert_kl_is_the_kl_of_its_close(self, case, monkeypatch):
+        # An alert carries the KL of the recent deviations at the close that
+        # raised it, bit for bit, whether or not that close clustered.
+        _, profile, model, records, onset_at = case
+        original = TraceProcessor._close_window
+        checked = []
+
+        def close(proc, t_end, fresh):
+            raised = len(proc.alerts)
+            original(proc, t_end, fresh)
+            for alert in proc.alerts[raised:]:
+                track = proc.sources[alert.source_id]
+                q = profile.per_level[track.level_id]
+                want = kl_divergence(empirical_distribution(sorted(track.deviations)), q)
+                assert (alert.raised_at, alert.kl.hex()) == (t_end, want.hex()), alert.source_id
+                checked.append(alert)
+
+        monkeypatch.setattr(TraceProcessor, "_close_window", close)
+        result = TraceProcessor(profile=profile, attack_model=model,
+                                onset_at=onset_at).process(records).finish()
+        assert checked and checked == result.alerts
+
+
+def test_kl_and_deviation_are_read_from_the_history():
+    # A source's KL and |dH| are computed from its deviations and samples
+    # when read, never stored beside them: ``_memoised_kl`` is called only by
+    # ``SourceTrack.kl``, nothing assigns an attribute named ``kl`` or
+    # ``deviation``, and neither is a field of a source.
+    def calls_memo(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_memoised_kl"
+
+    def stores_evidence(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and node.attr in ("kl", "deviation"))
+
+    assert found_sites(calls_memo) == [("pipeline", "kl")]
+    assert found_sites(stores_evidence) == []
+    assert not {"kl", "deviation"} & {f.name for f in fields(pipeline.SourceTrack)}
 
 
 class TestWindowing:
@@ -1244,3 +1286,18 @@ class TestSharedTables:
         del profile, proc
         gc.collect()
         assert alive() is None  # no module-level cache keeps it
+
+    def test_processor_is_freed_without_the_cycle_collector(self, benign_profile, attack_model):
+        # A processor holds every source of its trace. With no reference
+        # cycle through it, a run over many traces frees each one when its
+        # last reference goes, not at the next cycle collection.
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=907))
+        gc.disable()
+        try:
+            proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
+            proc.process(trace.records).finish()
+            alive = weakref.ref(proc)
+            del proc
+            assert alive() is None
+        finally:
+            gc.enable()
