@@ -16,7 +16,7 @@ from .baseline import DEFAULT_PRIOR, fit_baseline, load_profile, save_profile
 from .config import load_run_config
 from .detector import DetectorConfig
 from .errors import (EntwatchError, ConfigError, InvalidSpec, IoFailure, MalformedRecord,
-                     UnsupportedVersion)
+                     UnsupportedVersion, shown)
 from .hierarchy import HierarchyConfig, default_hierarchy
 from .metrics import (
     MetricsReport,
@@ -34,7 +34,7 @@ from .metrics import (
 from .pipeline import TraceProcessor, collect_trace_deviations, fit_attack_model
 from .simulate import (DEFAULT_DURATION, DEFAULT_RAMP, DEFAULT_TARGET_DIRS, SCENARIO_KINDS,
                        ScenarioSpec, simulate_scenario)
-from .traces import BENIGN, ScanFaults, iter_trace, scan_directory, write_trace
+from .traces import BENIGN, MAX_CHUNK_BYTES, ScanFaults, iter_trace, scan_directory, write_trace
 
 DEFAULT_CHUNK_BYTES = 4096
 
@@ -49,14 +49,16 @@ def _peak_rss_bytes() -> int:
     return peak if sys.platform == "darwin" else peak * 1024
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for a size: an integer of at least 1."""
+def _chunk_bytes(text: str) -> int:
+    """argparse type for a chunk size: an integer from 1 to ``MAX_CHUNK_BYTES``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_CHUNK_BYTES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CHUNK_BYTES}, got {shown(value)}")
     return value
 
 
@@ -268,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", type=_probability, default=DEFAULT_PRIOR,
                    help="prior attack probability, in [0, 1]")
     p.add_argument("--config", help="JSON file of hierarchy and detector settings")
-    p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
+    p.add_argument("--chunk-bytes", type=_chunk_bytes, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true", help="deterministic timestamps")
     p.set_defaults(func=cmd_profile)
 
@@ -277,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", required=True, help="baseline profile path")
     p.add_argument("--out", required=True, help="report directory")
     p.add_argument("--config", help="JSON file of hierarchy and detector settings")
-    p.add_argument("--chunk-bytes", type=_positive_int, default=DEFAULT_CHUNK_BYTES)
+    p.add_argument("--chunk-bytes", type=_chunk_bytes, default=DEFAULT_CHUNK_BYTES)
     p.add_argument("--frozen-clock", action="store_true",
                    help="zero out wall time and RSS for byte-stable reports")
     p.set_defaults(func=cmd_detect)

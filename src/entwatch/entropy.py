@@ -6,7 +6,8 @@ Conventions used throughout the package:
   so values live in [0, 8]. An empty histogram has entropy 0 by definition,
   which keeps stream starts total. A histogram may carry its entropy
   (``ByteHistogram.entropy``) when it was computed bit-identically, as
-  ``full_row_entropies`` computes it for the trace reader's blocks.
+  ``full_row_entropies`` computes it for the trace reader's blocks: a
+  ``BlockEntropies`` computes a block's values at the first read of any.
 * An entropy series is a sequence of ``(timestamp, entropy)`` pairs, oldest
   first, with strictly increasing timestamps (seconds). Its second
   difference over three pairs is defined only for near-uniform spacing (each
@@ -58,14 +59,18 @@ class ByteHistogram:
     ``counts`` is a list of 256 ints (not bools or floats), stored as an int64
     array. ``total`` is the exact sum of ``counts``, and never passes int64.
     ``entropy`` is the histogram's ``shannon_entropy`` when that is already
-    known, and None otherwise. A histogram is a value: nothing changes it once
-    it is built, so it can be shared freely, and ``merged`` returns a new one.
+    known, and None otherwise; it can be set to either. A histogram may take
+    it from a ``BlockEntropies``, which computes it when it is first read. A
+    histogram is a value: nothing changes it once it is built, so it can be
+    shared freely, and ``merged`` returns a new one.
     """
 
-    __slots__ = ("counts", "total", "entropy")
+    # ``_entropy`` holds the entropy or None; while it is None, ``_block`` may
+    # hold the ``BlockEntropies`` that gives it as its value ``_row``.
+    __slots__ = ("counts", "total", "_entropy", "_block", "_row")
 
     def __init__(self, counts=None):
-        self.entropy = None
+        self._entropy = self._block = None
         if counts is None:
             self.counts = np.zeros(256, dtype=np.int64)
             self.total = 0
@@ -83,6 +88,19 @@ class ByteHistogram:
         self.counts = np.array(values, dtype=np.int64)
         self.total = total
 
+    @property
+    def entropy(self) -> float | None:
+        block = self._block
+        if block is not None:
+            self._entropy = block.value(self._row)
+            self._block = None
+        return self._entropy
+
+    @entropy.setter
+    def entropy(self, value: float | None) -> None:
+        self._entropy = value
+        self._block = None
+
     @classmethod
     def unchecked(cls, counts: np.ndarray, total: int,
                   entropy: float | None = None) -> "ByteHistogram":
@@ -92,7 +110,8 @@ class ByteHistogram:
         hist = cls.__new__(cls)
         hist.counts = counts
         hist.total = total
-        hist.entropy = entropy
+        hist._entropy = entropy
+        hist._block = None
         return hist
 
     def merged(self, other: "ByteHistogram") -> "ByteHistogram":
@@ -126,7 +145,8 @@ def histogram_from_bytes(data: bytes) -> ByteHistogram:
 
 def shannon_entropy(hist: ByteHistogram) -> float:
     """Shannon entropy of the histogram in bits/byte, 0 for an empty histogram;
-    ``hist.entropy`` when that is set.
+    ``hist.entropy`` when that is not None (for a block row read first here,
+    its block computes it).
 
     Otherwise it is -sum(p * log2(p)) over the non-zero buckets, p being each
     count over the total, summed by numpy's pairwise ``add.reduce`` and
@@ -137,8 +157,12 @@ def shannon_entropy(hist: ByteHistogram) -> float:
     commutes, so the value is bit for bit that of ``p * log2(p)`` over the
     masked counts divided by the int total.
     """
-    if hist.entropy is not None:
-        return hist.entropy
+    # The entropy property's value, read without the property call when known.
+    value = hist._entropy
+    if value is None and hist._block is not None:
+        value = hist.entropy
+    if value is not None:
+        return value
     total = hist.total
     if total == 0:
         return 0.0
@@ -162,11 +186,55 @@ def full_row_entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
 
     Each value is bit-identical to the row's ``shannon_entropy``: the same
     elementwise arithmetic, and each row summed along the last axis by the
-    same 256-term pairwise sum.
+    same 256-term pairwise sum. The counts and totals are cast to float64
+    before the divide, the cast that numpy's int64 true division makes
+    anyway, and the log terms are multiplied by p in place.
     """
-    p = counts / totals[:, None]
-    values = -np.add.reduce(p * np.log2(p), axis=1)
-    return np.minimum(np.maximum(values, 0.0), MAX_ENTROPY_BITS)
+    p = counts.astype(np.float64)
+    p /= totals.astype(np.float64)[:, None]
+    terms = np.log2(p)
+    terms *= p
+    values = np.add.reduce(terms, axis=1)
+    np.negative(values, out=values)
+    return np.minimum(np.maximum(values, 0.0, out=values), MAX_ENTROPY_BITS, out=values)
+
+
+class BlockEntropies:
+    """The entropies of the rows of a (k, 256) int64 count array that ``full``
+    marks, rows whose counts are all non-zero and sum to their ``totals``.
+
+    Nothing is computed until a histogram reads one (``ByteHistogram.entropy``
+    of a histogram from ``histogram``): that first read computes every marked
+    row's entropy by one ``full_row_entropies`` call and keeps the values, so
+    a block is computed at most once, and never when no row is read. (Threads
+    that make the first read together may each compute the same values.)
+    """
+
+    __slots__ = ("_counts", "_totals", "_full", "_values")
+
+    def __init__(self, counts: np.ndarray, totals: np.ndarray, full: np.ndarray):
+        self._counts = counts
+        self._totals = totals
+        self._full = full
+        self._values = None
+
+    def histogram(self, counts: np.ndarray, total: int, index: int) -> ByteHistogram:
+        """The histogram of ``counts``, taken as is, whose entropy is the
+        value of the ``index``-th marked row, read when it is first read."""
+        hist = ByteHistogram.unchecked(counts, total)
+        hist._block = self
+        hist._row = index
+        return hist
+
+    def value(self, index: int) -> float:
+        """The entropy of the ``index``-th marked row."""
+        values = self._values
+        if values is None:
+            counts, totals, full = self._counts, self._totals, self._full
+            if not full.all():
+                counts, totals = counts[full], totals[full]
+            values = self._values = full_row_entropies(counts, totals).tolist()
+        return values[index]
 
 
 def second_difference(s0: tuple[float, float], s1: tuple[float, float],

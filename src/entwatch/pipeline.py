@@ -5,16 +5,18 @@ fixed windows of ``DetectorConfig.window_seconds`` and routes each source to
 a level at its first record. At each window close every source with payload
 activity gets one entropy sample, a (window end, entropy) pair for its merged
 window histogram, and keeps its last three. The window histogram is the
-source's first record's own, with any entropy cached on it (see ``traces``),
-so a window of one record costs no copy and reads its entropy instead of
-computing it. Each later record replaces it with ``ByteHistogram.merged``,
-a new histogram whose entropy is computed at the close; no histogram is
-changed once built. Sources with two or more samples yield an absolute
-entropy deviation |dH|, read off their last two samples. Window ends
-strictly increase, each at or after its window's records (see
-``SourceWindows``), and entropies are in [0, 8], so samples are kept as
-computed. ``collect_trace_deviations`` drives it alone to gather deviations
-for profile fitting; ``TraceProcessor`` composes it and, at each close:
+source's first record's own, so a window of one record costs no copy and
+reads that histogram's entropy: for a block-path record, the first such read
+of its trace block computes the entropies of all the block's full rows at
+once (see ``traces``). Each later record replaces it with
+``ByteHistogram.merged``, a new histogram whose entropy is computed at the
+close; no histogram's counts or total change once it is built. Sources with
+two or more samples yield an absolute entropy deviation |dH|, read off
+their last two samples. Window ends strictly increase, each at or after its
+window's records (see ``SourceWindows``), and entropies are in [0, 8], so
+samples are kept as computed. ``collect_trace_deviations`` drives it alone
+to gather deviations for profile fitting; ``TraceProcessor`` composes it
+and, at each close:
 
 1. walks the sampled sources once. Each new sample goes into the source's
    entropy sum and sample count, each new deviation into its max |dH| and,

@@ -29,11 +29,17 @@ otherwise taken only if no token of its field is a ``0`` with a digit after
 it, and every count is at most 2**55 - 1, which no clamped token is and
 which keeps the int64 total exact; and only if ``EventRecord`` accepts the
 head's fields with all its checks. Such a line is valid JSON that ``json``
-reads as the same record. The rows taken whose 256 counts are all non-zero
-also get their entropy, by one ``entropy.full_row_entropies`` pass per
-block, cached on the histogram (``ByteHistogram.entropy``) for the window
-close; every other histogram, line-path and scanned ones included, carries
-None.
+reads as the same record. When no token of the block starts with ``0``, no
+count is 0 and none has a leading zero, so neither is looked for.
+
+The histogram of a taken row whose 256 counts are all non-zero reads its
+entropy (``ByteHistogram.entropy``) from its block's
+``entropy.BlockEntropies``. Nothing is computed while the block is read:
+the first read of any of the block's entropies, at a window close, computes
+all of them by one ``entropy.full_row_entropies`` pass, so a block is
+computed at most once, and a block none of whose entropies is read, such as
+a compressor's, whose windows each merge four records, never. Every other
+histogram, line-path and scanned ones included, carries None.
 
 Every other line takes the line path: ``json`` decodes it whole and
 ``ByteHistogram`` checks its counts item by item, and that reading alone
@@ -55,7 +61,7 @@ from typing import Iterator
 import numpy as np
 import orjson
 
-from .entropy import EXACT_SUM_COUNT, ByteHistogram, full_row_entropies, histogram_from_bytes
+from .entropy import EXACT_SUM_COUNT, BlockEntropies, ByteHistogram, histogram_from_bytes
 from .errors import IoFailure, MalformedRecord, UnsupportedVersion, checked, opened, shown
 from .hierarchy import LEVEL_KINDS
 
@@ -67,6 +73,9 @@ RANSOMWARE = "ransomware"
 
 # The trace format this build writes and reads; a file without one is format 1.
 TRACE_FORMAT = 2
+
+# The largest chunk a directory scan reads as one record (1 GiB).
+MAX_CHUNK_BYTES = 2 ** 30
 
 
 def format_seconds(ts: float) -> str:
@@ -277,8 +286,11 @@ _BLOCK_LINES = 64
 def _counts_field(line: bytes) -> tuple[int, bytes] | None:
     """Where the head of a line ends, and its count field, if the line ends in
     a field of only digits and 255 commas; None sends it to ``_line_record``."""
-    end = len(line) - 1 if line[-1:] == b"\n" else len(line)
-    if line[end - 2:end] != b"]}":
+    if line.endswith(b"]}\n"):
+        end = len(line) - 1
+    elif line.endswith(b"]}"):
+        end = len(line)
+    else:
         return None
     k = line.rfind(_COUNTS_KEY, 0, end)
     if k < 0:
@@ -287,9 +299,10 @@ def _counts_field(line: bytes) -> tuple[int, bytes] | None:
     return (k, body) if body.translate(None, b"0123456789") == _COMMAS else None
 
 
-def _block_counts(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+def _block_counts(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (rows, 256) counts of the count fields ``bodies``, read by one
-    ``np.fromstring``, and whether json reads each field as that row."""
+    ``np.fromstring``, whether json reads each field as that row, and which
+    of those rows have no zero count."""
     joined = b",".join(bodies)
     try:
         counts = np.fromstring(joined, dtype=np.int64, sep=",")
@@ -297,29 +310,33 @@ def _block_counts(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
         counts = None
     if counts is None or counts.size != 256 * len(bodies):  # or a trailing one, dropped
         # Only a malformed file has an empty token; the line path reads every row.
-        return np.zeros((len(bodies), 256), dtype=np.int64), np.zeros(len(bodies), dtype=bool)
+        none = np.zeros(len(bodies), dtype=bool)
+        return np.zeros((len(bodies), 256), dtype=np.int64), none, none
     counts = counts.reshape(-1, 256)
     # np.fromstring also reads leading zeros, which json rejects, and clamps a
     # token past int64. So a row is taken only if each of its counts is at
     # most EXACT_SUM_COUNT, which no clamped token is and which keeps the int64
     # total exact, and no token of its field is a 0 with a digit after it.
     good = counts.max(axis=1, initial=0) <= EXACT_SUM_COUNT
+    if joined[:1] != b"0" and b",0" not in joined:
+        # No token starts with 0: no count is 0, and none has a leading zero.
+        return counts, good, good
     text = np.frombuffer(b"," + joined, dtype=np.uint8)
     zero_led = np.flatnonzero((text[1:-1] == ord("0")) & (text[:-2] == ord(","))
                               & (text[2:] != ord(",")))
     if zero_led.size:
         starts = np.cumsum([0] + [len(body) + 1 for body in bodies[:-1]])
         good[np.searchsorted(starts, zero_led, side="right") - 1] = False
-    return counts, good
+    return counts, good, good & (counts.min(axis=1) > 0)
 
 
-def _block_record(head: bytes, counts: np.ndarray, total: int,
-                  entropy: float | None) -> EventRecord | None:
-    """The record of a head and its checked counts, or None for ``_line_record`` to decide."""
+def _block_record(head: bytes, histogram: ByteHistogram) -> EventRecord | None:
+    """The record of a head and the histogram of its checked counts, or None
+    for ``_line_record`` to decide."""
     try:
         obj = orjson.loads(head)  # a JSON text that ends in "}" is an object
         # This replaces a "histogram" key of the head, as json keeps the last of two.
-        obj["histogram"] = ByteHistogram.unchecked(counts, total, entropy)
+        obj["histogram"] = histogram
         return EventRecord(**obj)
     except (TypeError, ValueError):  # orjson.JSONDecodeError is a ValueError
         return None
@@ -329,19 +346,23 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
     """The line numbers and records of consecutive lines, the first numbered
     ``line_number``; blank lines yield nothing."""
     fields = [_counts_field(line) for line in block]
-    counts, good = _block_counts([field[1] for field in fields if field is not None])
+    counts, good, full = _block_counts([field[1] for field in fields if field is not None])
     totals = counts.sum(axis=1)
-    # The entropies of the taken rows whose counts are all non-zero, by row.
-    full = np.flatnonzero(good & counts.all(axis=1))
-    entropies = dict(zip(full.tolist(), full_row_entropies(counts[full], totals[full]).tolist()))
-    good, totals = good.tolist(), totals.tolist()
-    row = 0
+    # The taken rows whose counts are all non-zero read their entropies from
+    # the block, which computes them all when the first is read.
+    entropies = BlockEntropies(counts, totals, full)
+    good, full, totals = good.tolist(), full.tolist(), totals.tolist()
+    row = index = 0  # index: the row's place among the full rows
     for line, field in zip(block, fields):
         rec = None
         if field is not None:
             if good[row]:
-                rec = _block_record(line[:field[0]] + b"}", counts[row], totals[row],
-                                    entropies.get(row))
+                if full[row]:
+                    histogram = entropies.histogram(counts[row], totals[row], index)
+                    index += 1
+                else:
+                    histogram = ByteHistogram.unchecked(counts[row], totals[row])
+                rec = _block_record(line[:field[0]] + b"}", histogram)
             row += 1
         if rec is None:
             rec = _line_record(line, line_number)
@@ -409,10 +430,11 @@ def scan_directory(root, chunk_bytes: int) -> tuple[Iterator[EventRecord], ScanF
     scans of an unchanged tree produce identical sequences. The listing is
     taken here; each file is opened only when its first chunk is due, and a
     file whose open or read fails is listed in the ``ScanFaults``, not fatal,
-    when the iterator reaches it.
+    when the iterator reaches it. ``chunk_bytes`` is from 1 to
+    ``MAX_CHUNK_BYTES``.
     """
-    if chunk_bytes <= 0:
-        raise ValueError(f"chunk_bytes must be positive, got {chunk_bytes}")
+    if not 0 < chunk_bytes <= MAX_CHUNK_BYTES:
+        raise ValueError(f"chunk_bytes must be from 1 to {MAX_CHUNK_BYTES}, got {shown(chunk_bytes)}")
     root = Path(root)
     if not root.is_dir():
         raise IoFailure(f"scan root {root} is not a readable directory")

@@ -579,6 +579,26 @@ def test_non_positive_chunk_bytes_is_usage_error(workspace, tmp_path, command, c
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])
+@pytest.mark.parametrize("chunk_bytes", ["1073741825", "1000000000000000000",
+                                         "100000000000000000000"])
+def test_chunk_bytes_past_the_maximum_is_usage_error(workspace, tmp_path, command, chunk_bytes):
+    # Read as one chunk, such a size ended in MemoryError or OverflowError
+    # from the file read, with a traceback and exit 1.
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_bytes(b"plain text content " * 50)
+    args = ["--out", str(tmp_path / "out")]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, str(docs), *args, "--chunk-bytes", chunk_bytes)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert res.stderr.splitlines()[-1] == (f"entwatch {command}: error: argument --chunk-bytes: "
+                                           f"must be at most {2 ** 30}, got {chunk_bytes}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "detect"])
 @pytest.mark.parametrize("spelling", ["same", "dot_dot", "symlink"])
 def test_repeated_input_is_usage_error_and_writes_nothing(workspace, tmp_path, command,
                                                           spelling):

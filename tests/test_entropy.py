@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entwatch.entropy
 from entwatch.entropy import (
     DEVIATION_BINS,
     EPSILON_MASS,
     INT64_MAX,
     MIN_SQUARED_GAP,
     BinnedDistribution,
+    BlockEntropies,
     ByteHistogram,
     bin_index,
     full_row_entropies,
@@ -221,6 +223,82 @@ class TestEntropyCache:
         got = full_row_entropies(counts, counts.sum(axis=1)).tolist()
         assert [h.hex() for h in got] == [
             shannon_entropy(ByteHistogram(row.tolist())).hex() for row in counts]
+
+    def test_set_value_is_read_back(self):
+        hist = ByteHistogram([1] * 256)
+        hist.entropy = 1.25
+        assert hist.entropy == 1.25 and shannon_entropy(hist) == 1.25
+        hist.entropy = None
+        assert hist.entropy is None and shannon_entropy(hist) == 8.0
+
+
+def block_passes(monkeypatch) -> list[int]:
+    """The row counts of the ``full_row_entropies`` calls made from now on."""
+    rows = []
+    original = entwatch.entropy.full_row_entropies
+
+    def counting(counts, totals):
+        rows.append(len(counts))
+        return original(counts, totals)
+
+    monkeypatch.setattr(entwatch.entropy, "full_row_entropies", counting)
+    return rows
+
+
+class TestBlockEntropies:
+    """A block computes its marked rows' entropies together, at the first read
+    of any, and never when none is read."""
+
+    @staticmethod
+    def block(counts):
+        full = counts.all(axis=1)
+        entropies = BlockEntropies(counts, counts.sum(axis=1), full)
+        index = np.cumsum(full) - 1
+        return [entropies.histogram(row, int(row.sum()), int(index[k])) if full[k]
+                else ByteHistogram.unchecked(row, int(row.sum())) for k, row in enumerate(counts)]
+
+    def test_nothing_is_computed_until_a_row_is_read(self, monkeypatch):
+        passes = block_passes(monkeypatch)
+        hists = self.block(random_counts(7, 64))
+        assert passes == []
+        assert all(h == h for h in hists) and passes == []  # equality reads no entropy
+
+    @pytest.mark.parametrize("first", [0, 31, 63])
+    def test_first_read_computes_every_marked_row_once(self, monkeypatch, first):
+        counts = np.ones((64, 256), dtype=np.int64) + np.arange(64)[:, None] * np.arange(256)
+        counts[5, 3] = 0  # one row the block does not compute
+        passes = block_passes(monkeypatch)
+        hists = self.block(counts)
+        assert (hists[first].entropy is None) == (first == 5)
+        assert passes == ([] if first == 5 else [63])
+        values = [h.entropy for h in hists]
+        assert passes == [63] and [h.entropy for h in hists] == values
+        assert values[5] is None
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
+    def test_read_values_are_shannon_entropy_bit_for_bit(self, seed, rows):
+        counts = random_counts(seed, rows)
+        hists = self.block(counts)
+        for hist, row in zip(hists, counts):
+            assert (hist.entropy is None) == (not row.all())
+            assert shannon_entropy(hist).hex() == reference_shannon_entropy(hist).hex()
+
+    def test_set_value_replaces_the_block_value(self, monkeypatch):
+        passes = block_passes(monkeypatch)
+        first, second = self.block(np.ones((2, 256), dtype=np.int64))
+        first.entropy = 1.25
+        assert first.entropy == 1.25 and shannon_entropy(first) == 1.25 and passes == []
+        assert second.entropy == 8.0 and passes == [2]
+        second.entropy = None
+        assert second.entropy is None and shannon_entropy(second) == 8.0
+
+    def test_merged_block_rows_compute_nothing(self, monkeypatch):
+        passes = block_passes(monkeypatch)
+        first, second = self.block(np.ones((2, 256), dtype=np.int64))
+        merged = first.merged(second)
+        assert merged.entropy is None and shannon_entropy(merged) == 8.0
+        assert passes == []
 
 
 class TestSecondDifference:

@@ -551,10 +551,13 @@ class TestWindowing:
 
 
 def magnitudes(low=-1074, high=1023):
-    """Positive floats m * 2**e, m in [1, 2) of any 53-bit mantissa, e in
-    [low, high]: subnormals at the lowest exponents."""
-    return st.builds(lambda m, e: math.ldexp(m, e - 52), st.integers(2 ** 52, 2 ** 53 - 1),
-                     st.integers(low, high))
+    """Positive floats m * 2**e, m in [1, 2), e in [low, high]: subnormals at
+    the lowest exponents. The mantissa's low 52 bits are uniform, from a
+    ``random.Random`` that Hypothesis seeds: ``st.integers`` and
+    ``st.randoms(use_true_random=False)`` mostly draw values at or next to a
+    power of two, whose products with a window length are exact."""
+    return st.builds(lambda rnd, e: math.ldexp(2 ** 52 + rnd.getrandbits(52), e - 52),
+                     st.randoms(use_true_random=True), st.integers(low, high))
 
 
 def window_start(index, window, below):
@@ -566,14 +569,16 @@ def window_start(index, window, below):
 
 @st.composite
 def windowed_times(draw):
-    """A window length of any magnitude and 1 to 12 sorted timestamps: 0, any
-    magnitude, or at or just below the starts of four consecutive windows,
-    whose first index is from 1 to 2**57 and most often near 2**51."""
+    """A window length of any magnitude and 2 to 18 sorted timestamps: two or
+    more at or just below the starts of four consecutive windows, whose first
+    index is from 1 to 2**57 and most often from 2**51 to 2**54, where two
+    window ends can round to one float, and any others 0 or any magnitude."""
     window = draw(magnitudes())
-    index = draw(st.one_of(magnitudes(0, 56), magnitudes(49, 53)))
+    index = draw(st.one_of(magnitudes(0, 56), magnitudes(51, 53)))
     starts = st.builds(lambda k, below: window_start(index + k, window, below),
                        st.integers(0, 3), st.booleans())
-    times = draw(st.lists(st.one_of(st.just(0.0), magnitudes(), starts), min_size=1, max_size=12))
+    times = (draw(st.lists(starts, min_size=2, max_size=6))
+             + draw(st.lists(st.one_of(st.just(0.0), magnitudes()), max_size=12)))
     return window, sorted(times)
 
 

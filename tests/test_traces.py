@@ -21,7 +21,10 @@ from entwatch.entropy import (
 )
 from entwatch.errors import IoFailure, MalformedRecord, UnsupportedVersion, checked
 from entwatch.hierarchy import LEVEL_KINDS
+from entwatch.pipeline import TraceProcessor
+from entwatch.simulate import ScenarioSpec, simulate_scenario
 from entwatch.traces import (
+    MAX_CHUNK_BYTES,
     OPS,
     EventRecord,
     Trace,
@@ -32,6 +35,8 @@ from entwatch.traces import (
     scan_directory,
     write_trace,
 )
+
+from test_entropy import block_passes
 
 
 def rec(t, path="/home/user/documents/a.txt", payload=b"hello world", op="write"):
@@ -769,8 +774,9 @@ def fresh_entropy(hist: ByteHistogram) -> float:
 
 
 class TestBlockEntropies:
-    """The block path caches the entropy of each row whose 256 counts are all
-    non-zero; every other histogram carries None."""
+    """The block path gives the entropy of each row whose 256 counts are all
+    non-zero, computed per block when one is first read; every other
+    histogram carries None."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -811,6 +817,54 @@ class TestBlockEntropies:
         (tmp_path / "all.bin").write_bytes(bytes(range(256)) * 4)
         records, _ = scan_directory(tmp_path, chunk_bytes=256)
         assert [r.histogram.entropy for r in records] == [None] * 4
+
+    def test_blocks_are_computed_once_and_only_when_read(self, tmp_path, monkeypatch):
+        # 150 records: full blocks of 64 at records 0 and 64, and 22 after.
+        # Every row of the second block has a zero count, so it computes nothing.
+        counts = np.arange(1, 151)[:, None] + np.arange(256)
+        counts[64:128, 7] = 0
+        records = [EventRecord(float(i), "/a", "write", ByteHistogram(row.tolist()), int(row.sum()))
+                   for i, row in enumerate(counts)]
+        path = tmp_path / "t.jsonl"
+        write_trace(Trace(TraceMeta("benign_edit", 1, "benign"), records), path)
+        passes = block_passes(monkeypatch)
+        got = read_trace(path).records
+        assert got == tuple(records) and passes == []
+        assert got[130].histogram.entropy is not None and passes == [22]
+        assert got[100].histogram.entropy is None and passes == [22]
+        values = [r.histogram.entropy for r in got]
+        assert passes == [22, 64]
+        assert [r.histogram.entropy for r in got] == values and passes == [22, 64]
+        assert [v.hex() for v in values[:64] + values[128:]] == [
+            fresh_entropy(r.histogram).hex() for r in got[:64] + got[128:]]
+
+    def test_rows_are_views_of_one_block_array(self, tmp_path):
+        records = [EventRecord(float(i), "/a", "write", ByteHistogram([i + 1] * 256), 256 * (i + 1))
+                   for i in range(64)]
+        path = tmp_path / "t.jsonl"
+        write_trace(Trace(TraceMeta("benign_edit", 1, "benign"), records), path)
+        bases = {id(r.histogram.counts.base) for r in read_trace(path).records}
+        assert len(bases) == 1
+
+    @pytest.mark.parametrize("kind", ["compressor", "benign_edit", "ransomware"])
+    def test_window_closes_compute_only_the_blocks_they_read(self, tmp_path, monkeypatch,
+                                                              benign_profile, kind):
+        # A compressor window merges four records, so no close reads a block entropy.
+        path = tmp_path / "t.jsonl"
+        write_trace(simulate_scenario(ScenarioSpec(kind, 5100)), path)
+        passes = block_passes(monkeypatch)
+        meta, records = iter_trace(path)
+        proc = TraceProcessor(profile=benign_profile, label=meta.label, onset_at=meta.onset_at)
+        count = 0
+        for rec in records:
+            proc.process_record(rec)
+            count += 1
+        proc.finish()
+        blocks = -(-count // 64)
+        if kind == "compressor":
+            assert passes == []
+        else:
+            assert 0 < len(passes) <= blocks
 
 
 def spaces(draw):
@@ -1015,6 +1069,16 @@ class TestScanDirectory:
     def test_non_positive_chunk_is_refused_at_the_call(self, tmp_path, chunk_bytes):
         with pytest.raises(ValueError, match="chunk_bytes"):
             scan_directory(tmp_path, chunk_bytes=chunk_bytes)
+
+    @pytest.mark.parametrize("chunk_bytes", [MAX_CHUNK_BYTES + 1, 10 ** 18, 10 ** 20])
+    def test_chunk_past_the_maximum_is_refused_at_the_call(self, tmp_path, chunk_bytes):
+        (tmp_path / "a.txt").write_bytes(b"abc")
+        with pytest.raises(ValueError, match=f"chunk_bytes must be from 1 to {MAX_CHUNK_BYTES}"):
+            scan_directory(tmp_path, chunk_bytes=chunk_bytes)
+
+    def test_maximum_chunk_is_accepted(self, tmp_path):
+        # Not iterated: each read would ask for MAX_CHUNK_BYTES.
+        scan_directory(tmp_path, chunk_bytes=MAX_CHUNK_BYTES)
 
     def test_payload_bytes_never_serialized(self, tmp_path):
         secret = b"TOPSECRETPAYLOADCONTENT"
