@@ -24,6 +24,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,61 +181,73 @@ def shannon_entropy(hist: ByteHistogram) -> float:
     return value if value <= MAX_ENTROPY_BITS else MAX_ENTROPY_BITS
 
 
-def full_row_entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """``shannon_entropy`` of each row of a C-contiguous (k, 256) int64 array
-    whose counts are all non-zero, ``totals`` being the rows' sums.
+# Each thread's two (rows, 256) float64 work arrays for ``full_row_entropies``.
+_work = threading.local()
 
-    Each value is bit-identical to the row's ``shannon_entropy``: the same
-    elementwise arithmetic, and each row summed along the last axis by the
-    same 256-term pairwise sum. The counts and totals are cast to float64
-    before the divide, the cast that numpy's int64 true division makes
-    anyway, and the log terms are multiplied by p in place.
+
+def full_row_entropies(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """``shannon_entropy`` of each row of a C-contiguous (k, 256) int64 array,
+    ``totals`` being the rows' sums; nan for a row with a zero count.
+
+    Each value of a row with no zero count is bit-identical to the row's
+    ``shannon_entropy``: the same elementwise arithmetic, and each row summed
+    along the last axis by the same 256-term pairwise sum. The counts and
+    totals are cast to float64 before the divide, the cast that numpy's int64
+    true division makes anyway, and the log terms are multiplied by p in
+    place. The arithmetic runs in two work arrays that each thread allocates
+    once, so a call at a window close allocates no (k, 256) temporaries:
+    freed among a long-running process's other allocations, they fragmented
+    its heap, and the benchmark's ``wide_benign`` process, which reads traces
+    and simulates between its closes, held 8 MB more.
     """
-    p = counts.astype(np.float64)
-    p /= totals.astype(np.float64)[:, None]
-    terms = np.log2(p)
-    terms *= p
+    rows = len(counts)
+    work = getattr(_work, "arrays", None)
+    if work is None or work.shape[1] < rows:
+        work = _work.arrays = np.empty((2, max(rows, 64), 256))
+    p, terms = work[0, :rows], work[1, :rows]
+    np.copyto(p, counts)
+    # A row with a zero count gives log2(0) * 0, nan; an empty row gives 0 / 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p /= totals.astype(np.float64)[:, None]
+        np.log2(p, out=terms)
+        terms *= p
     values = np.add.reduce(terms, axis=1)
     np.negative(values, out=values)
     return np.minimum(np.maximum(values, 0.0, out=values), MAX_ENTROPY_BITS, out=values)
 
 
 class BlockEntropies:
-    """The entropies of the rows of a (k, 256) int64 count array that ``full``
-    marks, rows whose counts are all non-zero and sum to their ``totals``.
+    """The entropies of the rows of a C-contiguous (k, 256) int64 count array,
+    whose rows sum to ``totals``, for the rows whose counts are all non-zero.
 
     Nothing is computed until a histogram reads one (``ByteHistogram.entropy``
-    of a histogram from ``histogram``): that first read computes every marked
-    row's entropy by one ``full_row_entropies`` call and keeps the values, so
-    a block is computed at most once, and never when no row is read. (Threads
+    of a histogram from ``histogram``): that first read computes every row's
+    entropy by one ``full_row_entropies`` call and keeps the values, so a
+    block is computed at most once, and never when no row is read. (Threads
     that make the first read together may each compute the same values.)
     """
 
-    __slots__ = ("_counts", "_totals", "_full", "_values")
+    __slots__ = ("_counts", "_totals", "_values")
 
-    def __init__(self, counts: np.ndarray, totals: np.ndarray, full: np.ndarray):
+    def __init__(self, counts: np.ndarray, totals: np.ndarray):
         self._counts = counts
         self._totals = totals
-        self._full = full
         self._values = None
 
-    def histogram(self, counts: np.ndarray, total: int, index: int) -> ByteHistogram:
-        """The histogram of ``counts``, taken as is, whose entropy is the
-        value of the ``index``-th marked row, read when it is first read."""
-        hist = ByteHistogram.unchecked(counts, total)
+    def histogram(self, row: int, total: int) -> ByteHistogram:
+        """The histogram of row ``row``, which has no zero count and sums to
+        ``total``, whose entropy is computed when it is first read."""
+        hist = ByteHistogram.unchecked(self._counts[row], total)
         hist._block = self
-        hist._row = index
+        hist._row = row
         return hist
 
-    def value(self, index: int) -> float:
-        """The entropy of the ``index``-th marked row."""
+    def value(self, row: int) -> float:
+        """The entropy of row ``row``, which has no zero count."""
         values = self._values
         if values is None:
-            counts, totals, full = self._counts, self._totals, self._full
-            if not full.all():
-                counts, totals = counts[full], totals[full]
-            values = self._values = full_row_entropies(counts, totals).tolist()
-        return values[index]
+            values = self._values = full_row_entropies(self._counts, self._totals).tolist()
+        return values[row]
 
 
 def second_difference(s0: tuple[float, float], s1: tuple[float, float],

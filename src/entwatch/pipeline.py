@@ -7,8 +7,8 @@ activity gets one entropy sample, a (window end, entropy) pair for its merged
 window histogram, and keeps its last three. The window histogram is the
 source's first record's own, so a window of one record costs no copy and
 reads that histogram's entropy: for a block-path record, the first such read
-of its trace block computes the entropies of all the block's full rows at
-once (see ``traces``). Each later record replaces it with
+of its trace block computes the entropies of all the block's rows at once
+(see ``traces``). Each later record replaces it with
 ``ByteHistogram.merged``, a new histogram whose entropy is computed at the
 close; no histogram's counts or total change once it is built. Sources with
 two or more samples yield an absolute entropy deviation |dH|, read off

@@ -29,8 +29,7 @@ otherwise taken only if no token of its field is a ``0`` with a digit after
 it, and every count is at most 2**55 - 1, which no clamped token is and
 which keeps the int64 total exact; and only if ``EventRecord`` accepts the
 head's fields with all its checks. Such a line is valid JSON that ``json``
-reads as the same record. When no token of the block starts with ``0``, no
-count is 0 and none has a leading zero, so neither is looked for.
+reads as the same record.
 
 The histogram of a taken row whose 256 counts are all non-zero reads its
 entropy (``ByteHistogram.entropy``) from its block's
@@ -286,11 +285,8 @@ _BLOCK_LINES = 64
 def _counts_field(line: bytes) -> tuple[int, bytes] | None:
     """Where the head of a line ends, and its count field, if the line ends in
     a field of only digits and 255 commas; None sends it to ``_line_record``."""
-    if line.endswith(b"]}\n"):
-        end = len(line) - 1
-    elif line.endswith(b"]}"):
-        end = len(line)
-    else:
+    end = len(line) - 1 if line[-1:] == b"\n" else len(line)
+    if line[end - 2:end] != b"]}":
         return None
     k = line.rfind(_COUNTS_KEY, 0, end)
     if k < 0:
@@ -318,9 +314,6 @@ def _block_counts(bodies: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # most EXACT_SUM_COUNT, which no clamped token is and which keeps the int64
     # total exact, and no token of its field is a 0 with a digit after it.
     good = counts.max(axis=1, initial=0) <= EXACT_SUM_COUNT
-    if joined[:1] != b"0" and b",0" not in joined:
-        # No token starts with 0: no count is 0, and none has a leading zero.
-        return counts, good, good
     text = np.frombuffer(b"," + joined, dtype=np.uint8)
     zero_led = np.flatnonzero((text[1:-1] == ord("0")) & (text[:-2] == ord(","))
                               & (text[2:] != ord(",")))
@@ -350,16 +343,15 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
     totals = counts.sum(axis=1)
     # The taken rows whose counts are all non-zero read their entropies from
     # the block, which computes them all when the first is read.
-    entropies = BlockEntropies(counts, totals, full)
+    entropies = BlockEntropies(counts, totals)
     good, full, totals = good.tolist(), full.tolist(), totals.tolist()
-    row = index = 0  # index: the row's place among the full rows
+    row = 0
     for line, field in zip(block, fields):
         rec = None
         if field is not None:
             if good[row]:
                 if full[row]:
-                    histogram = entropies.histogram(counts[row], totals[row], index)
-                    index += 1
+                    histogram = entropies.histogram(row, totals[row])
                 else:
                     histogram = ByteHistogram.unchecked(counts[row], totals[row])
                 rec = _block_record(line[:field[0]] + b"}", histogram)

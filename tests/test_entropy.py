@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -216,13 +217,14 @@ class TestEntropyCache:
         assert np.count_nonzero(merged.counts) == 256 - zeros
         assert shannon_entropy(merged).hex() == reference_shannon_entropy(merged).hex()
 
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 64))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 65))
     def test_full_row_entropies_are_shannon_entropy_bit_for_bit(self, seed, rows):
+        # Up to one row more than a block, past the work arrays' first size.
         counts = random_counts(seed, rows)
-        counts = counts[counts.all(axis=1)]
         got = full_row_entropies(counts, counts.sum(axis=1)).tolist()
         assert [h.hex() for h in got] == [
-            shannon_entropy(ByteHistogram(row.tolist())).hex() for row in counts]
+            shannon_entropy(ByteHistogram(row.tolist())).hex() if row.all() else "nan"
+            for row in counts]
 
     def test_set_value_is_read_back(self):
         hist = ByteHistogram([1] * 256)
@@ -246,15 +248,14 @@ def block_passes(monkeypatch) -> list[int]:
 
 
 class TestBlockEntropies:
-    """A block computes its marked rows' entropies together, at the first read
-    of any, and never when none is read."""
+    """A block computes its rows' entropies together, at the first read of
+    any, and never when none is read; only its rows with no zero count read
+    theirs from it."""
 
     @staticmethod
     def block(counts):
-        full = counts.all(axis=1)
-        entropies = BlockEntropies(counts, counts.sum(axis=1), full)
-        index = np.cumsum(full) - 1
-        return [entropies.histogram(row, int(row.sum()), int(index[k])) if full[k]
+        entropies = BlockEntropies(counts, counts.sum(axis=1))
+        return [entropies.histogram(k, int(row.sum())) if row.all()
                 else ByteHistogram.unchecked(row, int(row.sum())) for k, row in enumerate(counts)]
 
     def test_nothing_is_computed_until_a_row_is_read(self, monkeypatch):
@@ -264,15 +265,15 @@ class TestBlockEntropies:
         assert all(h == h for h in hists) and passes == []  # equality reads no entropy
 
     @pytest.mark.parametrize("first", [0, 31, 63])
-    def test_first_read_computes_every_marked_row_once(self, monkeypatch, first):
+    def test_first_read_computes_the_block_once(self, monkeypatch, first):
         counts = np.ones((64, 256), dtype=np.int64) + np.arange(64)[:, None] * np.arange(256)
-        counts[5, 3] = 0  # one row the block does not compute
+        counts[5, 3] = 0  # one row that does not read the block
         passes = block_passes(monkeypatch)
         hists = self.block(counts)
         assert (hists[first].entropy is None) == (first == 5)
-        assert passes == ([] if first == 5 else [63])
+        assert passes == ([] if first == 5 else [64])
         values = [h.entropy for h in hists]
-        assert passes == [63] and [h.entropy for h in hists] == values
+        assert passes == [64] and [h.entropy for h in hists] == values
         assert values[5] is None
 
     @settings(max_examples=50)
@@ -292,6 +293,21 @@ class TestBlockEntropies:
         assert second.entropy == 8.0 and passes == [2]
         second.entropy = None
         assert second.entropy is None and shannon_entropy(second) == 8.0
+
+    def test_each_thread_has_its_own_work_arrays(self):
+        counts = np.ones((2, 256), dtype=np.int64)
+        arrays = []
+
+        def compute():
+            assert full_row_entropies(counts, counts.sum(axis=1)).tolist() == [8.0, 8.0]
+            arrays.append(entwatch.entropy._work.arrays)
+
+        threads = [threading.Thread(target=compute) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(arrays) == 2 and arrays[0] is not arrays[1]
 
     def test_merged_block_rows_compute_nothing(self, monkeypatch):
         passes = block_passes(monkeypatch)
