@@ -54,9 +54,9 @@ def _chunk_bytes(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {shown(text)}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown(value)}")
     if value > MAX_CHUNK_BYTES:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_CHUNK_BYTES}, got {shown(value)}")
     return value
@@ -67,9 +67,9 @@ def _probability(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a number: {shown(text)}") from None
     if not 0.0 <= value <= 1.0:  # NaN fails too
-        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {shown(text)}")
     return value
 
 
@@ -211,8 +211,8 @@ def cmd_detect(args) -> int:
                     f"raised_at={alert.raised_at:.3f}s kl={alert.kl:.3f} "
                     f"posterior={alert.posterior:.4f}{latency}"
                 )
-            rows.append(PerTraceRow(path, result.label, result.verdict,
-                                    result.confidence, result.latency_ms))
+            rows.append(PerTraceRow(path, result.label, result.verdict, result.confidence,
+                                    result.latency_ms, result.top_outlier))
             level_samples.extend(result.level_samples)
         except EntwatchError as exc:
             print(f"detect: input {path} failed: {exc}", file=sys.stderr)

@@ -1,24 +1,16 @@
-"""Score fusion and decision logic.
+"""Per-source evidence and the attack rule that decides from it.
 
-Per-source evidence is combined in two stages:
-
-1. A two-hypothesis Bayes update turns the likelihood ratio of the observed
-   entropy deviation (attack model vs baseline) into a posterior.
-2. The clustering outlier score adds evidence and never removes it:
-   ``fused = max(posterior, (1 - w) * posterior + w * outlier)`` with
-   ``w = OUTLIER_WEIGHT``, so a high outlier score can lift a source's
-   confidence and a low one leaves the posterior as it is. The weight is a
-   constant, not a setting. The attack rule, ``is_attack``, labels a source
-   ransomware only when the fused confidence clears the decision threshold
-   AND a corroborating gate holds: KL divergence of its recent deviation
-   window above the KL threshold, or a sustained positive second derivative
-   of level entropy (the convexity signal).
-
-The rule is monotone in the outlier score, so evaluating it at outlier 1.0
-and at 0.0 tells whether an outlier score could decide a source's label:
-only when the first flags it and the second does not. The caller keeps the
-evidence, owns the latch (once ransomware, always ransomware) and raises at
-most one alert per source, which holds the source's KL and posterior then.
+A two-hypothesis Bayes update turns the likelihood ratio of each observed
+entropy deviation (attack model vs baseline) into a per-source posterior.
+The attack rule, ``is_attack``, labels a source ransomware only when that
+posterior clears the decision threshold AND a corroborating gate holds: KL
+divergence of its recent deviation window at or above the KL threshold, or
+a sustained positive second derivative of level entropy (the convexity
+signal). The rule is monotone in all three inputs, so a source it does not
+flag at infinite KL and with convexity cannot be flagged at all. The caller
+keeps the evidence, owns the latch (once ransomware, always ransomware) and
+raises at most one alert per source, which holds the source's KL and
+posterior then.
 """
 
 from __future__ import annotations
@@ -35,9 +27,6 @@ from .entropy import (
 )
 from .errors import checked, shown
 from .traces import BENIGN, RANSOMWARE
-
-# Weight of the outlier score in its blend with the posterior.
-OUTLIER_WEIGHT = 0.2
 
 
 @dataclass(frozen=True)
@@ -142,22 +131,13 @@ def convexity_signal(samples, m: int) -> bool:
     return True
 
 
-def fused_confidence(posterior: float, outlier: float) -> float:
-    """The posterior, raised by its blend with the outlier score when that blend is higher."""
-    return max(posterior, (1.0 - OUTLIER_WEIGHT) * posterior + OUTLIER_WEIGHT * outlier)
+def is_attack(posterior: float, kl: float, convexity: bool, config: DetectorConfig) -> bool:
+    """The attack rule: posterior >= posterior_threshold, and KL >= kl_threshold or convexity."""
+    return posterior >= config.posterior_threshold and (kl >= config.kl_threshold or convexity)
 
 
-def is_attack(posterior: float, outlier: float, kl: float, convexity: bool,
-              config: DetectorConfig) -> bool:
-    """The attack rule: fused >= posterior_threshold, and KL >= kl_threshold or convexity."""
-    return fused_confidence(posterior, outlier) >= config.posterior_threshold and (
-        kl >= config.kl_threshold or convexity
-    )
-
-
-def fuse_and_decide(source_id: str, posterior: float, outlier: float, kl: float,
-                    convexity: bool, config: DetectorConfig) -> Verdict:
-    """Label a source by the attack rule, with its fused confidence."""
-    attack = is_attack(posterior, outlier, kl, convexity, config)
-    fused = fused_confidence(posterior, outlier)
-    return Verdict(source_id, RANSOMWARE if attack else BENIGN, fused)
+def fuse_and_decide(source_id: str, posterior: float, kl: float, convexity: bool,
+                    config: DetectorConfig) -> Verdict:
+    """Label a source by the attack rule, with its posterior as the confidence."""
+    label = RANSOMWARE if is_attack(posterior, kl, convexity, config) else BENIGN
+    return Verdict(source_id, label, posterior)

@@ -22,6 +22,8 @@ class PerTraceRow:
     verdict: str
     confidence: float
     latency_ms: float | None
+    # The trace's largest outlier score, in metrics.json only; report.csv has no column for it.
+    top_outlier: float | None = None
 
     def __post_init__(self):
         checked(self.trace, "trace", str)
@@ -35,8 +37,12 @@ class PerTraceRow:
         latency = checked(self.latency_ms, "latency_ms", float, optional=True)
         if latency is not None and not 0.0 <= latency < math.inf:
             raise ValueError(f"latency_ms must be finite and non-negative, got {latency}")
+        top = checked(self.top_outlier, "top_outlier", float, optional=True)
+        if top is not None and not 0.0 <= top <= 1.0:
+            raise ValueError(f"top_outlier must be in [0, 1], got {top}")
         object.__setattr__(self, "confidence", confidence)
         object.__setattr__(self, "latency_ms", latency)
+        object.__setattr__(self, "top_outlier", top)
 
 
 @dataclass(frozen=True)

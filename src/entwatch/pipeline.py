@@ -27,11 +27,11 @@ and, at each close:
    posterior (a Bayes update by the attack-vs-baseline likelihood ratio of
    the deviation's bin) is updated. Labels latch, so a flagged source's
    posterior stays as it was at the close that flagged it. The attack rule
-   (``detector.is_attack``) is monotone in the outlier score, the KL and
-   convexity, so a source it does not flag at outlier 1.0, infinite KL
-   and convexity cannot be flagged at this close: only a source that
-   passes this gate has its KL read here, once, and the close reuses that
-   value. No KL is stored: ``SourceTrack.kl`` computes it from the recent
+   (``detector.is_attack``) is monotone in the KL and convexity, so a
+   source it does not flag at infinite KL and with convexity, that is,
+   whose posterior is under the threshold, cannot be flagged at this close:
+   only a source that passes this gate has its KL read, once, in step 3.
+   No KL is stored: ``SourceTrack.kl`` computes it from the recent
    deviations against the level baseline whenever it is read. Each profile
    level's 64 ratios are built once per profile and attack model, and kept
    on the profile for every processor that scores against it
@@ -53,26 +53,19 @@ and, at each close:
    series would say. When those levels' weights sum to 0 there is no mean,
    and the close appends nothing, calls no ``convexity_signal`` and keeps
    the count;
-3. takes as candidates the gated sources of step 1 that the attack rule
-   flags at outlier 1.0, their own KL and the close's convexity. The
-   outlier score is in [0, 1], so no other source can be flagged at this
-   close, and a close with no candidate ends here. It clusters the sampled
-   sources on ``SourceTrack.features`` (mean entropy, max |dH|, max
-   acceleration, KL, the last computed from the recent deviations as the
-   features are read), and outlier-scores them only when some candidate is
-   not flagged at outlier 0.0: that is the only case in which an outlier
-   score can decide a label. A source the rule flags at 0.0 is flagged
-   whatever its score and gives no reason to cluster;
-4. decides each candidate by the same rule at its actual outlier score,
-   reading the evidence off its ``SourceTrack`` and the KL read in step 1;
-   a ``Verdict`` is built only for a source the rule flags.
+3. decides each gated source of step 1 once, by ``fuse_and_decide``: the
+   attack rule at its posterior, its KL and the close's convexity.
 
 Labels latch (benign -> ransomware only): a flagged source keeps the verdict
 of the close that flagged it and is not decided again, and its one alert is
 raised here, with the trace's onset attached unless it postdates the alert.
-One processor handles one trace; processors share only the ratio tables and
-KL memos derived from their profile, and may run concurrently on distinct
-traces.
+No close clusters. ``finish()`` clusters every sampled source once, on
+``SourceTrack.features`` (mean entropy, max |dH|, max acceleration, KL),
+and reports the largest outlier score as the trace's ``top_outlier``: a
+reported signal, which decides no label. An unflagged source's confidence
+is its posterior. One processor handles one trace; processors share only
+the ratio tables and KL memos derived from their profile, and may run
+concurrently on distinct traces.
 """
 
 from __future__ import annotations
@@ -93,7 +86,6 @@ from .detector import (
     Verdict,
     convexity_signal,
     fuse_and_decide,
-    fused_confidence,
     is_attack,
     likelihood_ratio,
     posterior,
@@ -224,7 +216,6 @@ class SourceTrack(SourceWindow):
     level_slot: int | None = None
     # Frozen once the source is flagged: nothing reads it after that.
     posterior: float = 0.0
-    outlier: float = 0.0
     max_abs_delta: float = 0.0
     max_accel: float = 0.0
     # The verdict of the close that flagged the source; None while unflagged.
@@ -342,6 +333,8 @@ class TraceResult:
     convexity_true_at: list[float]
     post_onset_total: int
     post_onset_at_alert: int | None
+    # The largest outlier score of the trace's sampled sources; None with fewer than two.
+    top_outlier: float | None
 
     @property
     def latency_ms(self) -> float | None:
@@ -412,7 +405,7 @@ class TraceProcessor:
         if not fresh:
             return
         cfg = self.detector
-        gated: list[tuple[SourceTrack, float]] = []  # with the KL read at the gate
+        gated: list[SourceTrack] = []
         update = self._level_means.update
         for track in fresh:
             samples = track.samples
@@ -435,11 +428,11 @@ class TraceProcessor:
             if track.scored is not None:
                 updated = posterior(track.posterior, track.scored[1][dev_bin])
                 track.posterior = min(max(updated, POSTERIOR_FLOOR), 1.0 - POSTERIOR_FLOOR)
-            # The attack rule is monotone in the outlier score, the KL and
-            # convexity: a source it does not flag at their most favourable
-            # values is not flagged this close, and its KL is not read here.
-            if is_attack(track.posterior, 1.0, math.inf, True, cfg):
-                gated.append((track, track.kl))
+            # The attack rule is monotone in the KL and convexity: a source it
+            # does not flag at their most favourable values is not flagged
+            # this close, and its KL is not read.
+            if is_attack(track.posterior, math.inf, True, cfg):
+                gated.append(track)
         total = self._level_means.means(t_end - self._windows.window_seconds, self.level_samples)
         if total is not None:  # else no level has data, or their weights sum to 0
             aggregate = self._aggregate
@@ -449,20 +442,12 @@ class TraceProcessor:
         convex = self._convex_run >= cfg.convexity_run
         if convex:
             self.convexity_true_at.append(t_end)
-        # The outlier score is in [0, 1]: a source the rule does not flag at
-        # outlier 1.0 is not flagged this close. Unless some candidate is
-        # flagged at 1.0 and not at 0.0, outlier scores cannot decide a label,
-        # and clustering is skipped.
-        candidates = [(t, kl) for t, kl in gated if is_attack(t.posterior, 1.0, kl, convex, cfg)]
-        if not candidates:
-            return
-        if any(not is_attack(t.posterior, 0.0, kl, convex, cfg) for t, kl in candidates):
-            self._refresh_outliers()
-        for track, kl in candidates:
-            if not is_attack(track.posterior, track.outlier, kl, convex, cfg):
+        for track in gated:
+            kl = track.kl
+            verdict = fuse_and_decide(track.source_id, track.posterior, kl, convex, cfg)
+            if verdict.label == BENIGN:
                 continue
-            track.verdict = fuse_and_decide(track.source_id, track.posterior, track.outlier,
-                                            kl, convex, cfg)
+            track.verdict = verdict
             onset = self.onset_at
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
@@ -470,30 +455,20 @@ class TraceProcessor:
             if self._post_onset_at_alert is None:
                 self._post_onset_at_alert = self.post_onset_seen
 
-    def _refresh_outliers(self) -> None:
-        # Sampled sources in first-record order; the order breaks linkage ties.
-        tracks = [t for t in self.sources.values() if t.sample_count]
-        if len(tracks) < 2:
-            return
-        for track, score in zip(tracks, outliers(agglomerate(tracks)).scores):
-            track.outlier = score
-
     # -- completion --------------------------------------------------------
 
     def finish(self) -> TraceResult:
         if self._finished:
             raise RuntimeError("processor already finished")
         self._close_window(*self._windows.close())
-        self._refresh_outliers()
         self._finished = True
+        # Sampled sources in first-record order; the order breaks linkage ties.
+        tracks = [t for t in self.sources.values() if t.sample_count]
+        top_outlier = max(outliers(agglomerate(tracks)).scores) if len(tracks) > 1 else None
 
-        per_source: dict[str, Verdict] = {}
-        for sid, track in self.sources.items():
-            if track.verdict is not None:
-                per_source[sid] = track.verdict
-            else:
-                fused = fused_confidence(track.posterior, track.outlier)
-                per_source[sid] = Verdict(sid, BENIGN, min(max(fused, 0.0), 1.0))
+        per_source = {sid: track.verdict if track.verdict is not None
+                      else Verdict(sid, BENIGN, track.posterior)
+                      for sid, track in self.sources.items()}
 
         any_flagged = any(v.label == RANSOMWARE for v in per_source.values())
         confidence = max((v.confidence for v in per_source.values()), default=0.0)
@@ -508,6 +483,7 @@ class TraceProcessor:
             convexity_true_at=list(self.convexity_true_at),
             post_onset_total=self.post_onset_seen,
             post_onset_at_alert=self._post_onset_at_alert,
+            top_outlier=top_outlier,
         )
 
 

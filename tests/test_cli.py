@@ -281,6 +281,11 @@ class TestDetect:
         assert res.returncode == 1
         report = (out / "report.csv").read_text()
         assert "error" in report
+        # The error row has no outlier score; the benign trace's many sources have one.
+        rows = {row["trace"]: row for row in
+                json.loads((out / "metrics.json").read_text())["per_trace"]}
+        assert rows[str(bad)]["top_outlier"] is None
+        assert 0.0 <= rows[str(workspace / "ben1.jsonl")]["top_outlier"] <= 1.0
 
     def test_directory_input_scans(self, workspace, tmp_path):
         docs = tmp_path / "docs"
@@ -293,7 +298,7 @@ class TestDetect:
         assert "unknown" in (out / "report.csv").read_text()
 
     def test_config_file_drives_run(self, workspace, tmp_path):
-        # The posterior is clamped at 1 - 1e-6, so no fused confidence reaches
+        # The posterior is clamped at 1 - 1e-6, so no posterior reaches
         # this threshold: nothing is flagged only if the config was applied.
         out = tmp_path / "run"
         cfg_path = tmp_path / "cfg.json"
@@ -598,6 +603,35 @@ def test_chunk_bytes_past_the_maximum_is_usage_error(workspace, tmp_path, comman
     assert not (tmp_path / "out").exists()
 
 
+def assert_one_short_usage_error(res, option):
+    """Exit status 2 with one ``error:`` line, naming ``option``, under 300 characters."""
+    assert res.returncode == 2
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}: " in errors[0], res.stderr[:1000]
+    assert len(errors[0]) < 300, len(errors[0])
+
+
+@pytest.mark.parametrize("command, option, text", [
+    ("profile", "--chunk-bytes", "9" * 5000),
+    ("detect", "--chunk-bytes", "9" * 5000),
+    ("profile", "--prior", "x" * 5000),
+    ("profile", "--prior", "1" * 5000),  # parses to inf
+], ids=["profile_chunk_nines", "detect_chunk_nines", "prior_letters", "prior_ones"])
+def test_long_rejected_argument_is_shown_cut(workspace, tmp_path, command, option, text):
+    # The message once held the rejected text whole: about 5,250 characters.
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_bytes(b"plain text content " * 50)
+    out = tmp_path / "out"
+    args = ["--out", str(out)]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, str(docs), *args, option, text)
+    assert_one_short_usage_error(res, option)
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["profile", "detect"])
 @pytest.mark.parametrize("spelling", ["same", "dot_dot", "symlink"])
 def test_repeated_input_is_usage_error_and_writes_nothing(workspace, tmp_path, command,
@@ -803,6 +837,9 @@ class TestReport:
         original = json.loads((out / "metrics.json").read_text())
         assert recomputed["accuracy"] == original["accuracy"]
         assert recomputed["fpr"] == original["fpr"]
+        # report.csv has no outlier column, so the recomputed rows carry none.
+        assert all(row["top_outlier"] is not None for row in original["per_trace"])
+        assert all(row["top_outlier"] is None for row in recomputed["per_trace"])
 
 
 @pytest.mark.parametrize("template", ['{"detector": {"kl_threshold": @}}',

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from entwatch.detector import (
     Alert,
     DetectorConfig,
-    OUTLIER_WEIGHT,
     Verdict,
     convexity_signal,
     fuse_and_decide,
-    fused_confidence,
     is_attack,
     likelihood_ratio,
     posterior,
@@ -152,68 +150,70 @@ class TestConvexitySignal:
         assert seen == {True, False}
 
 
+def detector_configs():
+    return st.builds(DetectorConfig,
+                     kl_threshold=st.floats(0.0, allow_infinity=False),
+                     posterior_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                     convexity_run=st.integers(1, 10))
+
+
 class TestFuseAndDecide:
     def test_high_posterior_with_kl_gate(self):
         cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9)
-        verdict = fuse_and_decide("s", posterior=0.99, outlier=0.0, kl=3.2, convexity=False,
-                                  config=cfg)
+        verdict = fuse_and_decide("s", posterior=0.99, kl=3.2, convexity=False, config=cfg)
         assert verdict.label == "ransomware"
-        assert verdict.confidence == pytest.approx(0.99)
+        assert verdict.confidence == 0.99
 
     def test_below_threshold_is_benign(self):
         cfg = DetectorConfig()
-        verdict = fuse_and_decide("s", posterior=0.2, outlier=0.0, kl=100.0, convexity=True,
-                                  config=cfg)
+        verdict = fuse_and_decide("s", posterior=0.2, kl=100.0, convexity=True, config=cfg)
         assert verdict.label == "benign"
+        assert verdict.confidence == 0.2
 
     def test_gate_requires_kl_or_convexity(self):
         cfg = DetectorConfig(kl_threshold=1.0)
-        verdict = fuse_and_decide("s", posterior=0.95, outlier=0.0, kl=0.1, convexity=False,
-                                  config=cfg)
+        verdict = fuse_and_decide("s", posterior=0.95, kl=0.1, convexity=False, config=cfg)
         assert verdict.label == "benign"
-        verdict = fuse_and_decide("s", posterior=0.95, outlier=0.0, kl=0.1, convexity=True,
-                                  config=cfg)
+        verdict = fuse_and_decide("s", posterior=0.95, kl=0.1, convexity=True, config=cfg)
         assert verdict.label == "ransomware"
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans())
-    def test_gate_soundness(self, post, outlier, kl, convexity):
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans())
+    def test_gate_soundness(self, post, kl, convexity):
         cfg = DetectorConfig()
-        verdict = fuse_and_decide("s", post, outlier, kl, convexity, cfg)
+        verdict = fuse_and_decide("s", post, kl, convexity, cfg)
+        assert verdict.confidence == post
+        assert (verdict.label == "ransomware") == is_attack(post, kl, convexity, cfg)
         if verdict.label == "ransomware":
             assert verdict.confidence >= cfg.posterior_threshold
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 5.0), st.booleans(),
-           st.floats(0.01, 0.99), st.floats(0.0, 5.0))
-    def test_attack_rule_flags_at_full_outlier(self, post, outlier, kl, convexity,
-                                               threshold, kl_threshold):
-        # The outlier gate skips clustering when the rule does not flag at outlier 1.0.
-        cfg = DetectorConfig(kl_threshold=kl_threshold, posterior_threshold=threshold)
-        if is_attack(post, outlier, kl, convexity, cfg):
-            assert is_attack(post, 1.0, kl, convexity, cfg)
-            assert fused_confidence(post, outlier) >= cfg.posterior_threshold
+    def test_is_attack_truth_table(self):
+        cfg = DetectorConfig(kl_threshold=1.0, posterior_threshold=0.9)
+        table = [  # posterior, KL, convexity, flagged
+            (0.9, 1.0, False, True),    # both at their thresholds
+            (0.9, 0.0, True, True),     # convexity stands in for the KL
+            (0.9, math.inf, True, True),
+            (0.9, 0.99, False, False),  # the KL is short and no convexity
+            (0.89, 1.0, False, False),  # the posterior is short
+            (0.89, math.inf, True, False),
+            (0.0, 0.0, False, False),
+            (1.0, 0.0, False, False),
+        ]
+        for post, kl, convexity, flagged in table:
+            assert is_attack(post, kl, convexity, cfg) is flagged, (post, kl, convexity)
 
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0), st.booleans(),
-           st.builds(DetectorConfig,
-                     kl_threshold=st.floats(0.0, allow_infinity=False),
-                     posterior_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-                     convexity_run=st.integers(1, 10)))
-    def test_attack_rule_flags_at_its_most_favourable_evidence(self, post, outlier, kl,
-                                                              convexity, cfg):
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0), st.floats(0.0),
+           st.booleans(), st.booleans(), detector_configs())
+    def test_is_attack_is_monotone(self, post_a, post_b, kl_a, kl_b, conv_a, conv_b, cfg):
+        # More of any one input never unflags a source.
+        if is_attack(post_a, kl_a, conv_a, cfg):
+            assert is_attack(max(post_a, post_b), max(kl_a, kl_b), conv_a or conv_b, cfg)
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0), st.booleans(), detector_configs())
+    def test_attack_rule_flags_at_its_most_favourable_evidence(self, post, kl, convexity, cfg):
         # A window close reads a source's KL only when the rule flags it at
-        # outlier 1.0, infinite KL and convexity: no other source can be flagged.
-        if is_attack(post, outlier, kl, convexity, cfg):
-            assert is_attack(post, 1.0, math.inf, True, cfg)
-
-    def test_fused_confidence_blend(self):
-        assert OUTLIER_WEIGHT == 0.2
-        assert fused_confidence(0.8, 0.4) == pytest.approx(0.8)  # a low score cannot veto
-        assert fused_confidence(0.6, 1.0) == pytest.approx(0.68)  # a high one adds evidence
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    def test_fused_confidence_never_below_posterior_and_monotone(self, post, o_a, o_b):
-        lo, hi = sorted((o_a, o_b))
-        assert fused_confidence(post, lo) >= post
-        assert fused_confidence(post, lo) <= fused_confidence(post, hi)
+        # infinite KL and with convexity: no other source can be flagged.
+        if is_attack(post, kl, convexity, cfg):
+            assert is_attack(post, math.inf, True, cfg)
 
 
 class TestAlerts:

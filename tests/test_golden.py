@@ -14,6 +14,7 @@ so, with the old and new values, in a CHANGES.md line.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import pytest
 
 from entwatch import cli, pipeline, simulate
 from entwatch.cli import main
+from entwatch.clustering import OutlierReport
 from entwatch.entropy import ByteHistogram, shannon_entropy
 from entwatch.pipeline import ATTACK_MODEL, fit_attack_model
 from entwatch.traces import read_trace
@@ -45,11 +47,11 @@ WIDE_TRACE = ("--kind", "ransomware", "--seed", "7020", "--duration", "300",
 
 GOLDEN = {
     "profile.json": "2d6861bd16c7a565fcaf001b46edefc12d43de62ed30e9527fdaf821aa34c1ea",
-    "run/report.csv": "77ef33aaf16cc7637672c1232811f67d3a2ddfd84b6a1f52123bc91441ed946e",
-    "run/metrics.json": "fd0ca11d2ff85d5d7925130dad0a108e885ffb020d98e4ad400eedaba3ad3b4f",
+    "run/report.csv": "7a00482144ac51b287c6e2067c6e32da2834937dbd16ea566f7a1686bd17eaaa",
+    "run/metrics.json": "df2f868c107ffc830d2400e68d3f71ccd9f1f022e8339493d7d01e28b87908a1",
     "run/heatmap.csv": "eab42644230e2d0f3c862154d1d2c3d2985bc8a151dff039062abbe77ed84019",
     "wide/report.csv": "ff184b232b14a01287618cb06ffa981e4ec8de88b3c1be15f8322c015c7bbafb",
-    "wide/metrics.json": "0d5d8709e0894e801ff612544968e9acd581d267ecc7e9a4e0da172c56df2672",
+    "wide/metrics.json": "c9e0689e39242e2548f3f175c2abeaf45db7602694cff20457399a0d9053d4df",
 }
 GOLDEN_TRACES = {
     "ben_7000.jsonl": "6fbd06ff7b5d7873a4045c127a1426dfcadeb1beede5028184865a97320b03c1",
@@ -171,6 +173,31 @@ def test_detect_runs_no_simulator(golden_run, monkeypatch):
     assert sha256(buf.getvalue().encode("utf-8")) == GOLDEN_DETECT_STDOUT
     for name in ("report.csv", "metrics.json", "heatmap.csv"):
         assert sha256((root / "nosim" / name).read_bytes()) == GOLDEN[f"run/{name}"]
+
+
+def test_outlier_scores_decide_no_label(golden_run, monkeypatch):
+    # The outlier score is reported, not a term of the attack rule: with
+    # every score forced to 1.0 and then to 0.0, every alert, verdict,
+    # confidence and latency is the golden one, and only the reported score moves.
+    root, _ = golden_run
+    monkeypatch.chdir(root)
+    golden_rows = json.loads((root / "run" / "metrics.json").read_text())["per_trace"]
+    # The one-source compressor trace is not clustered, so it has no score.
+    clustered = [row.pop("top_outlier") is not None for row in golden_rows]
+    assert clustered == [True, True, True, False]
+    for score in (1.0, 0.0):
+        monkeypatch.setattr(pipeline, "outliers",
+                            lambda dendrogram: OutlierReport((score,) * dendrogram.n_leaves))
+        out = f"forced_{score}"
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*GOLDEN_DETECT, "--out", out]) == 0
+        assert sha256(buf.getvalue().encode("utf-8")) == GOLDEN_DETECT_STDOUT
+        assert sha256((root / out / "report.csv").read_bytes()) == GOLDEN["run/report.csv"]
+        rows = json.loads((root / out / "metrics.json").read_text())["per_trace"]
+        assert [row.pop("top_outlier") for row in rows] == \
+            [score if c else None for c in clustered]
+        assert rows == golden_rows
 
 
 def test_detect_through_the_launcher_matches_golden(golden_run):

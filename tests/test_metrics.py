@@ -92,13 +92,15 @@ class TestReportFiles:
         assert loaded[0].latency_ms == pytest.approx(1000.0)
         assert loaded[1].label == "benign"
         assert loaded[2].label is None
+        assert all(r.top_outlier is None for r in loaded)  # no column holds it
         header = path.read_text().splitlines()[0]
         assert header == "trace,label,verdict,confidence,latency_ms"
 
     def test_metrics_json_mirrors_report(self, tmp_path):
         import json
 
-        report = compute_metrics([row("benign", "benign", trace="x")],
+        report = compute_metrics([row("benign", "benign", trace="x"),
+                                  PerTraceRow("y", "benign", "benign", 0.5, None, 0.25)],
                                  wall_time_ms=12.5, peak_rss_estimate=1024)
         path = tmp_path / "metrics.json"
         write_metrics_json(path, report)
@@ -108,6 +110,7 @@ class TestReportFiles:
         assert doc["wall_time_ms"] == 12.5
         assert doc["peak_rss_estimate"] == 1024
         assert doc["per_trace"][0]["trace"] == "x"
+        assert [r["top_outlier"] for r in doc["per_trace"]] == [None, 0.25]
 
     def test_metric_identities_recomputable_from_rows(self, tmp_path):
         rows = (
@@ -163,10 +166,13 @@ class TestReportFiles:
     ("latency_ms", float("inf")),
     ("latency_ms", float("nan")),
     ("latency_ms", True),
+    ("top_outlier", 1.5),
+    ("top_outlier", float("nan")),
+    ("top_outlier", True),
 ])
 def test_row_rejects_bad_field(field, value):
     fields = {"trace": "t", "label": "benign", "verdict": "benign", "confidence": 0.5,
-              "latency_ms": None}
+              "latency_ms": None, "top_outlier": None}
     with pytest.raises(ValueError, match=field):
         PerTraceRow(**{**fields, field: value})
 

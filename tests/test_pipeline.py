@@ -295,9 +295,66 @@ class TestProcessor:
 
 
 class TestOutlierGate:
+    """No window close clusters: the outlier score is reported, not a term of
+    the attack rule, so ``finish()`` alone clusters, once per trace."""
+
+    @staticmethod
+    def clustering_calls(monkeypatch):
+        """Wrap ``pipeline.agglomerate`` and ``pipeline.outliers``: each call's
+        name, whether a window close made it, and for ``outliers`` its report."""
+        calls = []
+        in_close = []
+        original_close = TraceProcessor._close_window
+
+        def close(proc, t_end, fresh):
+            in_close.append(True)
+            try:
+                original_close(proc, t_end, fresh)
+            finally:
+                in_close.pop()
+
+        def wrapped(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(arg):
+                result = original(arg)
+                calls.append((name, bool(in_close), result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(TraceProcessor, "_close_window", close)
+        for name in ("agglomerate", "outliers"):
+            monkeypatch.setattr(pipeline, name, wrapped(name))
+        return calls
+
+    def test_ransomware_trace_clusters_once_in_finish(self, benign_profile, attack_model,
+                                                      monkeypatch):
+        trace = simulate_scenario(ScenarioSpec("ransomware", seed=904))
+        calls = self.clustering_calls(monkeypatch)
+        proc = TraceProcessor(profile=benign_profile, attack_model=attack_model,
+                              onset_at=trace.meta.onset_at).process(trace.records)
+        assert calls == []
+        result = proc.finish()
+        assert [(name, from_close) for name, from_close, _ in calls] == \
+            [("agglomerate", False), ("outliers", False)]
+        assert result.verdict == RANSOMWARE
+        scores = calls[1][2].scores
+        assert len(scores) == sum(t.sample_count > 0 for t in proc.sources.values()) > 1
+        assert result.top_outlier == max(scores)
+
+    def test_one_source_trace_has_no_top_outlier(self, run_detection, monkeypatch):
+        trace = simulate_scenario(ScenarioSpec("compressor", seed=905))
+        assert len({rec.source_path for rec in trace.records}) == 1
+        calls = self.clustering_calls(monkeypatch)
+        result = run_detection(trace)
+        assert calls == []
+        assert result.top_outlier is None
+        # An unflagged source's confidence is its posterior.
+        assert [v.confidence for v in result.per_source.values()] == [result.confidence]
+
     def test_wide_trace_clusters_only_in_finish(self, attack_model, monkeypatch):
-        # The golden wide trace: every file it flags is flagged on posterior
-        # and KL alone, so no window close needs an outlier score.
+        # The golden wide trace: its 120 sources are clustered once, in
+        # ``finish``, after every flag was raised at a close.
         pooled = {}
         for seed in (7000, 7001, 7002):
             trace = simulate_scenario(ScenarioSpec("benign_edit", seed))
@@ -323,9 +380,9 @@ class TestOutlierGate:
         assert (flagged, len(result.per_source)) == (62, 120)
 
     def test_benign_closes_read_no_kl(self, benign_profile, attack_model, monkeypatch):
-        # No benign source's posterior reaches the threshold even at outlier
-        # 1.0, so no close can flag one and none reads its KL: only the
-        # clustering in ``finish`` does, once for each source with a deviation.
+        # No benign source's posterior reaches the threshold, so no close can
+        # flag one and none reads its KL: only the clustering in ``finish``
+        # does, once for each source with a deviation.
         trace = simulate_scenario(ScenarioSpec("benign_edit", seed=903))
         reads = counting(monkeypatch, "_memoised_kl")
         proc = TraceProcessor(profile=benign_profile, attack_model=attack_model)
@@ -340,17 +397,17 @@ class TestOutlierGate:
 
 class TestLatchedSources:
     """A flagged source's posterior is frozen. A source's KL is computed from
-    its recent deviations whenever it is read: by clustering, and at a close
-    only when the attack rule could flag the source there."""
+    its recent deviations whenever it is read: at a close only when the
+    attack rule could flag the source there, and by the clustering in
+    ``finish``."""
 
     @pytest.fixture(scope="class", params=["default", "wide", "mixed_evidence"])
     def case(self, request):
         """Its name, a profile, an attack model, records and the onset."""
         if request.param == "mixed_evidence":
             # Baseline and attack model fit from two samples of one deviation
-            # law, so likelihood ratios hover near 1: posteriors wander, and
-            # some settle in the band where an outlier score decides, which
-            # clusters mid-trace while other sources are already flagged.
+            # law, so likelihood ratios hover near 1: posteriors wander
+            # across the threshold, and sources are flagged at many closes.
             def deviations(n):
                 entropies = np.log2(rng.integers(1, 257, n + 1))
                 return np.minimum(np.abs(np.diff(entropies)), 8.0).tolist()
@@ -421,15 +478,12 @@ class TestLatchedSources:
         monkeypatch.setattr(pipeline, "agglomerate", clustering)
         TraceProcessor(profile=profile, attack_model=model,
                        onset_at=onset_at).process(records).finish()
-        if name == "benign":
-            # Nothing is flagged and no close reads a KL, so every KL checked
-            # was computed for the clustering in ``finish``.
-            assert flagged_counts == [0]
-        else:
-            # Flagged sources are among the clustered, so their KL was checked:
-            # in ``finish``, and in the mixed-evidence case at window closes too.
-            assert flagged_counts[-1] > 0
-            assert any(flagged_counts[:-1]) == (name == "mixed_evidence")
+        # ``finish`` clusters once. Flagged sources are among the clustered,
+        # so the KL of each was checked there, long after the close that
+        # flagged it; in the benign case nothing is flagged and no close reads
+        # a KL, so every KL checked was computed for the clustering.
+        assert len(flagged_counts) == 1
+        assert (flagged_counts[0] > 0) == (name != "benign")
 
     def test_alert_kl_is_the_kl_of_its_close(self, case, monkeypatch):
         # An alert carries the KL of the recent deviations at the close that
@@ -625,8 +679,8 @@ def scored_keys(monkeypatch, proc, records):
     Models a processor whose config opens the attack rule's gate at every
     close (``TestKlMemo.GATE_OPEN``): then KL is read at each close that
     samples an unflagged source with a deviation, and for every source with
-    a deviation at each clustering run. Read off each source's state after
-    every record and at each ``agglomerate`` call, apart from the memo.
+    a deviation at the clustering in ``finish``. Read off each source's state after
+    every record and at the ``agglomerate`` call in ``finish``, apart from the memo.
     """
     keys, scored = set(), 0
     counts, flagged = {}, set()
@@ -713,10 +767,12 @@ class TestKlMemo:
     that every processor scoring against the profile shares."""
 
     # A close reads a source's KL only when the attack rule could flag it
-    # there. Under this config every fused confidence at outlier 1.0 reaches
-    # the threshold, while no KL reaches its threshold and no close is
-    # convex: every scored close reads the KL, and no source is flagged.
-    GATE_OPEN = DetectorConfig(posterior_threshold=0.2, kl_threshold=1e9, convexity_run=10**6)
+    # there. Under this config every posterior reaches the threshold, which
+    # is the posterior's floor, while no KL reaches its threshold and no
+    # close is convex: every scored close reads the KL, and no source is
+    # flagged.
+    GATE_OPEN = DetectorConfig(posterior_threshold=pipeline.POSTERIOR_FLOOR, kl_threshold=1e9,
+                               convexity_run=10**6)
 
     @pytest.fixture(scope="class")
     def spread_profile(self):
