@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 import time
 
@@ -52,14 +53,19 @@ def _peak_rss_bytes() -> int:
 def _chunk_bytes(text: str) -> int:
     """argparse type for a chunk size: an integer from 1 to ``MAX_CHUNK_BYTES``."""
     try:
-        value = int(text)
+        value = given = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {shown(text)}") from None
+        # int() also refuses integer text for its length alone, past
+        # sys.get_int_max_str_digits() digits (4300 by default); Decimal reads it exactly.
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {shown(text)}") from None
+        from decimal import Decimal
+        value, given = Decimal(text), text
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown(value)}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown(given)}")
     if value > MAX_CHUNK_BYTES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_CHUNK_BYTES}, got {shown(value)}")
-    return value
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CHUNK_BYTES}, got {shown(given)}")
+    return int(value)
 
 
 def _probability(text: str) -> float:
@@ -156,10 +162,8 @@ def cmd_profile(args) -> int:
                 return 2
             per_level = collect_trace_deviations(records, hierarchy, detector)
         # These name a line or a source of the input, not the input itself.
-        except MalformedRecord as exc:
-            raise MalformedRecord(f"input {path}: {exc}", exc.line_number) from exc
-        except UnsupportedVersion as exc:
-            raise UnsupportedVersion(f"input {path}: {exc}") from exc
+        except (MalformedRecord, UnsupportedVersion) as exc:
+            raise type(exc)(f"input {path}: {exc}") from exc
         _report_scan_faults("profile", path, faults)
         for level_id, devs in per_level.items():
             pooled.setdefault(level_id, []).extend(devs)

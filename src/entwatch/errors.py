@@ -40,10 +40,6 @@ class MalformedRecord(EntwatchError):
     """A line of a trace file or a report.csv could not be parsed into a valid
     record, or a record cannot be windowed."""
 
-    def __init__(self, message: str, line_number: int | None = None):
-        super().__init__(message)
-        self.line_number = line_number
-
 
 class InvalidSpec(EntwatchError):
     """Scenario specification violates its constraints."""

@@ -23,6 +23,8 @@ class PerTraceRow:
     confidence: float
     latency_ms: float | None
     # The trace's largest outlier score, in metrics.json only; report.csv has no column for it.
+    # Reported only: it decides nothing and does not order traces by risk (on the
+    # acceptance corpus, benign_edit traces score 0.49-1.0 and ransomware 0.20-0.86).
     top_outlier: float | None = None
 
     def __post_init__(self):
@@ -143,8 +145,7 @@ def read_report_csv(path) -> list[PerTraceRow]:
                 raise ValueError("metrics need at least one per-trace row")
             return list(rows.values())
         except (csv.Error, ValueError) as exc:
-            raise MalformedRecord(f"report {path} line {reader.line_num}: {exc}",
-                                  reader.line_num) from exc
+            raise MalformedRecord(f"report {path} line {reader.line_num}: {exc}") from exc
 
 
 def write_metrics_json(path, report: MetricsReport) -> None:

@@ -331,8 +331,6 @@ class TraceResult:
     per_source: dict[str, Verdict]
     level_samples: list[tuple[str, float, float]]
     convexity_true_at: list[float]
-    post_onset_total: int
-    post_onset_at_alert: int | None
     # The largest outlier score of the trace's sampled sources; None with fewer than two.
     top_outlier: float | None
 
@@ -379,8 +377,6 @@ class TraceProcessor:
         self.alerts: list[Alert] = []
         self.level_samples: list[tuple[str, float, float]] = []
         self.convexity_true_at: list[float] = []
-        self.post_onset_seen = 0
-        self._post_onset_at_alert: int | None = None
         self._finished = False
 
     # -- ingestion ---------------------------------------------------------
@@ -388,8 +384,6 @@ class TraceProcessor:
     def process_record(self, rec: EventRecord) -> None:
         if self._finished:
             raise RuntimeError("processor already finished")
-        if self.onset_at is not None and rec.timestamp >= self.onset_at:
-            self.post_onset_seen += 1
         closed = self._windows.push(rec)
         if closed is not None:
             self._close_window(*closed)
@@ -452,8 +446,6 @@ class TraceProcessor:
             if onset is not None and onset > t_end:
                 onset = None  # an onset after the alert is not attached
             self.alerts.append(Alert(track.source_id, t_end, kl, track.posterior, onset))
-            if self._post_onset_at_alert is None:
-                self._post_onset_at_alert = self.post_onset_seen
 
     # -- completion --------------------------------------------------------
 
@@ -481,8 +473,6 @@ class TraceProcessor:
             per_source=per_source,
             level_samples=list(self.level_samples),
             convexity_true_at=list(self.convexity_true_at),
-            post_onset_total=self.post_onset_seen,
-            post_onset_at_alert=self._post_onset_at_alert,
             top_outlier=top_outlier,
         )
 

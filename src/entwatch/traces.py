@@ -219,7 +219,7 @@ def write_trace(trace: Trace, path) -> None:
             fh.write(_record_line(rec, path_json))
 
 
-def _parse_meta(obj, line_number: int) -> TraceMeta:
+def _parse_meta(obj, number: int) -> TraceMeta:
     try:
         checked(obj, "metadata", dict)
         version = obj.pop("format", 1)
@@ -228,10 +228,10 @@ def _parse_meta(obj, line_number: int) -> TraceMeta:
                                      f"{TRACE_FORMAT}); re-simulate the trace")
         return TraceMeta(**obj)
     except (TypeError, ValueError) as exc:  # TypeError: a key TraceMeta does not have
-        raise MalformedRecord(f"line {line_number}: invalid trace metadata: {exc}", line_number) from exc
+        raise MalformedRecord(f"line {number}: invalid trace metadata: {exc}") from exc
 
 
-def _parse_record(obj, line_number: int) -> EventRecord:
+def _parse_record(obj, number: int) -> EventRecord:
     """The record of a decoded line, its counts checked item by item."""
     try:
         checked(obj, "record", dict)
@@ -239,7 +239,7 @@ def _parse_record(obj, line_number: int) -> EventRecord:
             obj["histogram"] = ByteHistogram(checked(obj["histogram"], "histogram", list))
         return EventRecord(**obj)
     except (TypeError, ValueError) as exc:
-        raise MalformedRecord(f"line {line_number}: invalid event record: {exc}", line_number) from exc
+        raise MalformedRecord(f"line {number}: invalid event record: {exc}") from exc
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -254,26 +254,26 @@ def _lines(fh) -> Iterator[bytes]:
             yield line
 
 
-def _decoded(line: bytes, line_number: int, what: str) -> str:
+def _decoded(line: bytes, number: int, what: str) -> str:
     try:
         return line.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRecord(f"line {line_number}: {what} is not valid UTF-8: {exc}", line_number) from exc
+        raise MalformedRecord(f"line {number}: {what} is not valid UTF-8: {exc}") from exc
 
 
-def _loads(text: str, line_number: int, what: str):
+def _loads(text: str, number: int, what: str):
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the recursion limit
-        raise MalformedRecord(f"line {line_number}: {what} is not valid JSON: {exc}", line_number) from exc
+        raise MalformedRecord(f"line {number}: {what} is not valid JSON: {exc}") from exc
 
 
-def _line_record(line: bytes, line_number: int) -> EventRecord | None:
+def _line_record(line: bytes, number: int) -> EventRecord | None:
     """The record of one line, json's reading of it, or None for a blank line."""
-    text = _decoded(line, line_number, "record")
+    text = _decoded(line, number, "record")
     if not text.strip():
         return None
-    return _parse_record(_loads(text, line_number, "record"), line_number)
+    return _parse_record(_loads(text, number, "record"), number)
 
 
 # The count field as write_trace writes it, the record's last key.
@@ -335,9 +335,9 @@ def _block_record(head: bytes, histogram: ByteHistogram) -> EventRecord | None:
         return None
 
 
-def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, EventRecord]]:
+def _block_records(block: list[bytes], number: int) -> Iterator[tuple[int, EventRecord]]:
     """The line numbers and records of consecutive lines, the first numbered
-    ``line_number``; blank lines yield nothing."""
+    ``number``; blank lines yield nothing."""
     fields = [_counts_field(line) for line in block]
     counts, good, full = _block_counts([field[1] for field in fields if field is not None])
     totals = counts.sum(axis=1)
@@ -357,10 +357,10 @@ def _block_records(block: list[bytes], line_number: int) -> Iterator[tuple[int, 
                 rec = _block_record(line[:field[0]] + b"}", histogram)
             row += 1
         if rec is None:
-            rec = _line_record(line, line_number)
+            rec = _line_record(line, number)
         if rec is not None:
-            yield line_number, rec
-        line_number += 1
+            yield number, rec
+        number += 1
 
 
 def _read(path) -> Iterator[TraceMeta | EventRecord]:
@@ -369,19 +369,19 @@ def _read(path) -> Iterator[TraceMeta | EventRecord]:
         lines = _lines(fh)
         first = _decoded(next(lines, b""), 1, "metadata")
         if not first.strip():
-            raise MalformedRecord("line 1: trace file has no metadata line", 1)
+            raise MalformedRecord("line 1: trace file has no metadata line")
         yield _parse_meta(_loads(first, 1, "metadata"), 1)
 
         last_ts = -1.0
-        line_number = 2
+        start = 2
         while block := list(islice(lines, _BLOCK_LINES)):
-            for number, rec in _block_records(block, line_number):
+            for number, rec in _block_records(block, start):
                 if rec.timestamp < last_ts:
                     raise MalformedRecord(
-                        f"line {number}: timestamps regress ({rec.timestamp} after {last_ts})", number)
+                        f"line {number}: timestamps regress ({rec.timestamp} after {last_ts})")
                 last_ts = rec.timestamp
                 yield rec
-            line_number += len(block)
+            start += len(block)
 
 
 def iter_trace(path) -> tuple[TraceMeta, Iterator[EventRecord]]:

@@ -1,3 +1,5 @@
+from bisect import bisect_left
+
 import pytest
 
 from entwatch.baseline import fit_baseline
@@ -5,6 +7,21 @@ from entwatch.pipeline import TraceProcessor, collect_trace_deviations, fit_atta
 from entwatch.simulate import ScenarioSpec, simulate_scenario
 
 BASELINE_SEEDS = tuple(range(5000, 5008))
+
+
+def post_onset_counts(records, onset_at: float, raised_at: float) -> tuple[int, int]:
+    """(at alert, total): of a trace's records at or after ``onset_at``, how
+    many the detector had read when it raised the alert at ``raised_at``, and
+    how many there are.
+
+    A window's close runs when the first record at or after its end arrives,
+    so by an alert the detector has read the records before ``raised_at`` and
+    that closing record. An alert raised by ``finish()`` has no closing record:
+    every record was read.
+    """
+    stamps = [rec.timestamp for rec in records]  # in order, as a trace keeps them
+    read = bisect_left(stamps, raised_at) + 1
+    return (sum(t >= onset_at for t in stamps[:read]), sum(t >= onset_at for t in stamps))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import json
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 import entwatch
 from entwatch.baseline import _checksum
-from entwatch.cli import main
+from entwatch.cli import _chunk_bytes, main
 from entwatch.config import load_run_config
 from entwatch.detector import DetectorConfig
 from entwatch.entropy import histogram_from_bytes
-from entwatch.errors import ConfigError
+from entwatch.errors import ConfigError, shown
 from entwatch.traces import EventRecord, Trace, TraceMeta, write_trace
 
 CLI = [sys.executable, "-m", "entwatch"]
@@ -630,6 +631,42 @@ def test_long_rejected_argument_is_shown_cut(workspace, tmp_path, command, optio
     assert_one_short_usage_error(res, option)
     assert "Traceback" not in res.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "detect"])
+def test_chunk_bytes_past_the_digit_limit_is_past_the_maximum(workspace, tmp_path, command):
+    # int() refuses integer text of more than 4300 digits, and the text was
+    # then called "not an integer".
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.txt").write_bytes(b"plain text content " * 50)
+    args = ["--out", str(tmp_path / "out")]
+    if command == "detect":
+        args += ["--baseline", str(workspace / "base.json")]
+    res = run_cli(command, str(docs), *args, "--chunk-bytes", "9" * 5000)
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1] == (f"entwatch {command}: error: argument --chunk-bytes: "
+                                           f"must be at most {2 ** 30}, got {shown('9' * 5000)}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("0" * 5000 + "64", 64),
+    (" +" + "0" * 5000 + "1_024 ", 1024),
+    ("9_" * 4400 + "9", f"must be at most {2 ** 30}, got "),
+    ("-" + "9" * 5000, "must be at least 1, got "),
+    ("0" * 5000, "must be at least 1, got "),
+    ("9" * 5000 + "x", "not an integer: "),
+    ("--" + "9" * 5000, "not an integer: "),
+], ids=["leading_zeros", "sign_zeros_underscore", "underscores", "negative", "zeros",
+        "trailing_letter", "two_signs"])
+def test_chunk_bytes_reads_integer_text_of_any_length(text, expected):
+    if isinstance(expected, int):
+        assert _chunk_bytes(text) == expected
+    else:
+        with pytest.raises(argparse.ArgumentTypeError) as err:
+            _chunk_bytes(text)
+        assert str(err.value).startswith(expected) and len(str(err.value)) < 300
 
 
 @pytest.mark.parametrize("command", ["profile", "detect"])

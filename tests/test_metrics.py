@@ -190,9 +190,8 @@ def test_bad_report_row_names_its_line(tmp_path, line):
     path = tmp_path / "report.csv"
     write_report_csv(path, [row("benign", "benign", trace="a")])
     path.write_text(path.read_text() + line + "\n")
-    with pytest.raises(MalformedRecord, match="line 3") as info:
+    with pytest.raises(MalformedRecord, match="^report .* line 3: "):
         read_report_csv(path)
-    assert info.value.line_number == 3
 
 
 def test_report_header_must_match(tmp_path):

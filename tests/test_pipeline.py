@@ -41,6 +41,7 @@ from entwatch.traces import (
     write_trace,
 )
 
+from conftest import post_onset_counts
 from test_io_faults import found_sites
 
 
@@ -125,8 +126,9 @@ class TestVerdicts:
             result = run_detection(trace, f"rw{seed}")
             assert result.verdict == RANSOMWARE
             assert result.latency_ms is not None and result.latency_ms >= 0
-            assert result.post_onset_at_alert is not None
-            assert result.post_onset_at_alert / result.post_onset_total < 0.30
+            at_alert, total = post_onset_counts(trace.records, trace.meta.onset_at,
+                                                result.alerts[0].raised_at)
+            assert at_alert / total < 0.30
 
     def test_benign_stays_benign(self, run_detection):
         for seed in (910, 911, 912):
@@ -171,16 +173,43 @@ class TestAlerts:
     # threshold, so every source is flagged at its first deviation (t = 2.0).
     FLAG_ALL = DetectorConfig(kl_threshold=0.0, posterior_threshold=1e-7)
 
-    def run(self, attack_model, onset_at=None):
-        profile = fit_baseline({"fs-user": [0.01] * 40}, created_at=0.0)
-        records = [
+    @staticmethod
+    def records(windows=6):
+        return [
             EventRecord(w + 0.1 * k, f"/home/u/{k}", "write",
                         histogram_from_bytes(bytes(range(8 * (w + k + 1)))), 8 * (w + k + 1))
-            for w in range(6) for k in range(3)
+            for w in range(windows) for k in range(3)
         ]
-        proc = TraceProcessor(detector=self.FLAG_ALL, profile=profile,
+
+    def processor(self, attack_model, onset_at=None):
+        profile = fit_baseline({"fs-user": [0.01] * 40}, created_at=0.0)
+        return TraceProcessor(detector=self.FLAG_ALL, profile=profile,
                               attack_model=attack_model, onset_at=onset_at)
-        return proc.process(records).finish()
+
+    def run(self, attack_model, onset_at=None):
+        return self.processor(attack_model, onset_at).process(self.records()).finish()
+
+    def test_post_onset_count_at_alert_includes_the_closing_record(self, attack_model):
+        # The record at exactly 2.0, the alerts' window end, closes window 1
+        # and so raises them: the detector has read it by then.
+        records = self.records()
+        proc = self.processor(attack_model, onset_at=1.0)
+        read = 0
+        for rec in records:
+            read += rec.timestamp >= 1.0
+            proc.process_record(rec)
+            if proc.alerts:
+                break
+        assert rec.timestamp == proc.alerts[0].raised_at == 2.0
+        assert post_onset_counts(records, 1.0, 2.0) == (read, 15) == (4, 15)
+
+    def test_post_onset_count_at_an_alert_raised_by_finish_is_the_total(self, attack_model):
+        # Without a record at or after 2.0, window 1 and its alerts close in finish().
+        records = self.records(windows=2)
+        proc = self.processor(attack_model, onset_at=1.0).process(records)
+        assert not proc.alerts
+        assert proc.finish().alerts[0].raised_at == 2.0
+        assert post_onset_counts(records, 1.0, 2.0) == (3, 3)
 
     def test_alert_only_on_first_transition(self, attack_model):
         result = self.run(attack_model)
